@@ -326,13 +326,14 @@ def phi_pdf(x):
 
 def hermite(k: int, x):
     """The polynomial factors of the first three Edgeworth corrections:
-    p1 = x^2-1, p2 = x^3-3x, p3 = x^5-10x^3+15x."""
+    p1 = x^2-1, p2 = x^3-3x, p3 = x^5-10x^3+15x, in Horner form."""
+    x2 = x * x
     if k == 1:
-        return x * x - 1.0
+        return x2 - 1.0
     if k == 2:
-        return x ** 3 - 3.0 * x
+        return x * (x2 - 3.0)
     if k == 3:
-        return x ** 5 - 10.0 * x ** 3 + 15.0 * x
+        return x * (x2 * (x2 - 10.0) + 15.0)
     raise InvalidParameterError(f"hermite order must be 1, 2, or 3, got {k}")
 
 

@@ -50,6 +50,13 @@ BUILTIN_KINDS = ("identity", "log", "reciprocal", "power", "exp")
 # Below this, a grid slope is treated as zero (strict monotonicity lost).
 _DEGENERATE_TOL = 1e-12
 
+# Smallest power-generator exponent.  The inverse y**(1/p) multiplies the
+# rounding error of the averaged y by 1/p, so a mean computed through x**p
+# is off by about eps/p relative; below 1e-6 that exceeds 1e-10, and an
+# exponent under 1e-19 makes x**p == 1.0 on typical samples, so the mean
+# answers 1.0 whatever the data.
+_MIN_POWER = 1e-6
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -120,12 +127,14 @@ class Generator:
         """Raise DomainError unless every element of x lies strictly inside
         the domain (the built-in domains are open at finite endpoints)."""
         arr = np.asarray(x, dtype=float)
+        # min and max decide; NaN fails both comparisons
+        if not arr.size or (arr.min() > self.domain.lo and arr.max() < self.domain.hi):
+            return
         ok = (arr > self.domain.lo) & (arr < self.domain.hi)
-        if not np.all(ok):
-            offender = float(arr.flat[int(np.argmin(np.ravel(ok)))])
-            raise DomainError(
-                f"value {offender} outside domain ({self.domain.lo}, {self.domain.hi}) "
-                f"of generator {self.name!r}")
+        offender = float(arr.flat[int(np.argmin(np.ravel(ok)))])
+        raise DomainError(
+            f"value {offender} outside domain ({self.domain.lo}, {self.domain.hi}) "
+            f"of generator {self.name!r}")
 
 
 def _ones_like(x):
@@ -141,11 +150,14 @@ _POSITIVE = Interval(0.0, math.inf)
 def make_builtin(kind: str, p: float | None = None) -> Generator:
     """Construct one of the built-in generators.
 
-    ``p`` is only meaningful for kind="power" and must be positive there.
+    ``p`` is only meaningful for kind="power" and must be at least 1e-6
+    there.
     """
     if kind == "power":
-        if p is None or not p > 0:
-            raise InvalidParameterError(f"power generator requires p > 0, got {p}")
+        if p is None or not p >= _MIN_POWER:
+            raise InvalidParameterError(
+                f"power generator requires p >= {_MIN_POWER:g}, got {p}; smaller "
+                "exponents are served by 'log' (the p -> 0 limit) or power_mean")
     elif p is not None:
         raise InvalidParameterError(f"generator kind {kind!r} takes no parameter")
 

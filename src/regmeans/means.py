@@ -8,7 +8,8 @@ which specializes to the arithmetic, geometric, harmonic, power, and
 exponential means for the built-in generators.  ``check_axioms`` verifies the
 four characterizing properties numerically: per-coordinate monotonicity,
 symmetry, idempotence on constant samples, and invariance when a leading
-block is replaced by its own mean.
+block is replaced by its own mean.  ``row_means`` is the batch form, one mean
+per row of a matrix, shared by the Monte Carlo and certificate paths.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from scipy.special import logsumexp
 
 from .errors import ConfigurationError, DomainError, InvalidParameterError, NumericError
 from .generators import Generator, Interval
+
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "mean",
@@ -58,18 +61,41 @@ def mean(g: Generator, x: Sequence[float] | np.ndarray) -> float:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gx = np.asarray(g.forward(arr), dtype=float)
     if not np.all(np.isfinite(gx)):
-        raise NumericError(
-            f"generator {g.name!r} overflowed on the sample; use a stable variant")
-    total = math.fsum(gx)
-    if not math.isfinite(total):
-        raise NumericError("sum of transformed values overflowed")
+        raise NumericError(_overflow_message(g))
+    try:
+        total = math.fsum(gx)
+    except OverflowError:  # fsum raises instead of returning inf
+        raise NumericError("sum of transformed values overflowed") from None
     return float(g.inverse(total / arr.size))
+
+
+def row_means(g: Generator, rows: np.ndarray) -> np.ndarray:
+    """M_g of every row of a 2-D array: one vectorized forward, row sum and
+    inverse.
+
+    The batch counterpart of ``mean`` for the Monte Carlo and certificate
+    paths.  It keeps mean's checks (DomainError for a value outside the
+    domain, NumericError when a row sum is not finite) but sums pairwise with
+    np.sum instead of math.fsum, so it agrees with ``mean`` to rounding
+    rather than bit for bit.
+    """
+    g.require_in_domain(rows)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sums = np.sum(np.asarray(g.forward(rows), dtype=float), axis=1)
+    if not np.all(np.isfinite(sums)):
+        raise NumericError(_overflow_message(g))
+    return np.asarray(g.inverse(sums / rows.shape[1]), dtype=float)
+
+
+def _overflow_message(g: Generator) -> str:
+    return f"generator {g.name!r} overflowed on the sample; use a stable variant"
 
 
 def power_mean(p: float, x: Sequence[float] | np.ndarray) -> float:
     """The power mean ((1/n) sum xi**p)**(1/p), computed in log-space.
 
-    p = 0 returns the geometric mean (the continuous limit).  All values
+    p = 0 returns the geometric mean (the continuous limit), and so does an
+    exponent too small for x**p to differ from 1 on the sample.  All values
     must be positive.
     """
     arr = _as_sample(x)
@@ -77,10 +103,13 @@ def power_mean(p: float, x: Sequence[float] | np.ndarray) -> float:
         raise DomainError("power mean requires strictly positive values")
     logs = np.log(arr)
     n = arr.size
-    if p == 0:
-        return float(math.exp(math.fsum(logs) / n))
     scaled = p * logs
-    if np.max(np.abs(scaled)) < 0.1:
+    top = float(np.max(np.abs(scaled)))
+    if p == 0 or top < _EPS:
+        # x**p is within an ulp of 1 for every x: only the p -> 0 limit is
+        # resolvable, and dividing an underflowed sum by p cannot recover it
+        return float(math.exp(math.fsum(logs) / n))
+    if top < 0.1:
         # near p = 0 the logsumexp route cancels log(n) against itself and
         # loses the O(p) signal; expm1/log1p keeps full relative precision
         return float(math.exp(math.log1p(math.fsum(np.expm1(scaled)) / n) / p))
@@ -149,7 +178,8 @@ def check_axioms(g: Generator, n: int, n0: int | None = None, trials: int = 1000
     A4: replacing the first n0 coordinates by their own mean leaves the
         overall mean unchanged, within tol.
 
-    Failures are recorded in the report, never raised.
+    Failures are recorded in the report, never raised; a generator that
+    overflows on the box raises NumericError.
     """
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
@@ -167,35 +197,31 @@ def check_axioms(g: Generator, n: int, n0: int | None = None, trials: int = 1000
     rng = np.random.default_rng(rng_seed)
     X = rng.uniform(box.lo, box.hi, size=(trials, n))
 
-    def row_means(rows: np.ndarray) -> np.ndarray:
-        # Vectorized batch evaluation; pairwise summation reorder error is
-        # orders of magnitude below the 1e-9 tolerance.
-        s = np.sum(np.asarray(g.forward(rows), dtype=float), axis=1) / rows.shape[1]
-        return np.asarray(g.inverse(s), dtype=float)
-
-    base = row_means(X)
+    # pairwise summation reorder error is orders of magnitude below the 1e-9
+    # tolerance
+    base = row_means(g, X)
 
     eps = 1e-4 * box.width
     cols = rng.integers(0, n, size=trials)
     bumped = X.copy()
     bumped[np.arange(trials), cols] += eps
-    bumped_means = row_means(bumped)
+    bumped_means = row_means(g, bumped)
     a1 = AxiomCheck(bool(np.all(bumped_means > base)),
                     float(np.max(base - bumped_means)))
 
     permuted = rng.permuted(X, axis=1)
-    a2_worst = float(np.max(np.abs(row_means(permuted) - base)))
+    a2_worst = float(np.max(np.abs(row_means(g, permuted) - base)))
     a2 = AxiomCheck(a2_worst <= tol, a2_worst)
 
     consts = rng.uniform(box.lo, box.hi, size=trials)
     const_rows = np.broadcast_to(consts[:, None], (trials, n))
-    a3_worst = float(np.max(np.abs(row_means(const_rows) - consts)))
+    a3_worst = float(np.max(np.abs(row_means(g, const_rows) - consts)))
     a3 = AxiomCheck(a3_worst <= tol, a3_worst)
 
-    block_means = row_means(X[:, :n0])
+    block_means = row_means(g, X[:, :n0])
     replaced = X.copy()
     replaced[:, :n0] = block_means[:, None]
-    a4_worst = float(np.max(np.abs(row_means(replaced) - base)))
+    a4_worst = float(np.max(np.abs(row_means(g, replaced) - base)))
     a4 = AxiomCheck(a4_worst <= tol, a4_worst)
 
     return AxiomReport(a1, a2, a3, a4, trials=trials, tolerance=tol)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidParameterError
 from .generators import Generator, Interval, min_slope, normalize_increasing
+from .means import row_means
 
 __all__ = [
     "StabilityReport",
@@ -103,11 +104,6 @@ def _grid_points(box: Interval, n: int, grid_per_dim: int, seed: int,
     return rng.uniform(box.lo, box.hi, size=(samples, n))
 
 
-def _mean_over_rows(gen: Generator, rows: np.ndarray) -> np.ndarray:
-    s = np.mean(np.asarray(gen.forward(rows), dtype=float), axis=1)
-    return np.asarray(gen.inverse(s), dtype=float)
-
-
 def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
                      grid_per_dim: int = 201, tolerance_factor: float = 1e-6,
                      seed: int = 0, samples: int = 100_000) -> StabilityReport:
@@ -124,8 +120,8 @@ def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
         if not gen.domain.encloses(A_box):
             raise DomainError(f"box {A_box} not inside domain of generator {gen.name!r}")
     rows = _grid_points(A_box, n, grid_per_dim, seed, samples)
-    mg = _mean_over_rows(gn, rows)
-    mh = _mean_over_rows(hn, rows)
+    mg = row_means(gn, rows)
+    mh = row_means(hn, rows)
     sup_dist = float(np.max(np.abs(mg - mh)))
     constant, gen_dist = _bound_parts(gn, hn, A_box, grid_per_dim)
     bound = constant * gen_dist

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from regmeans import (
     ConfigurationError,
@@ -12,6 +12,7 @@ from regmeans import (
     Generator,
     Interval,
     NumericError,
+    RegularMeanError,
     check_axioms,
     exp_mean_stable,
     make_builtin,
@@ -19,6 +20,7 @@ from regmeans import (
     parse_generator,
     power_mean,
 )
+from regmeans.means import row_means
 
 positive_samples = st.lists(
     st.floats(min_value=0.05, max_value=20.0), min_size=1, max_size=12)
@@ -51,6 +53,18 @@ class TestMean:
     def test_overflow_points_to_stable_variant(self):
         with pytest.raises(NumericError, match="stable"):
             mean(parse_generator("exp"), (1000.0, 1000.0))
+
+    def test_sum_overflow_is_numeric_error(self):
+        # every term is finite; only the sum overflows (fsum raises there)
+        with pytest.raises(NumericError):
+            mean(parse_generator("identity"), (1e308, 1e308))
+
+    @pytest.mark.parametrize("p", [1e-320, 1e-18, 1e-9])
+    def test_tiny_power_generator_is_an_error_not_an_answer(self, p):
+        # x**p cannot resolve the sample, so a mean through it would answer
+        # 1.0 (outside [2, 8]) or miss by about eps/p
+        with pytest.raises(RegularMeanError):
+            mean(parse_generator(f"power:{p!r}"), (2.0, 8.0))
 
     @given(positive_samples)
     def test_internality(self, xs):
@@ -98,9 +112,14 @@ class TestPowerMean:
         via_gen = mean(parse_generator("power:2.0"), xs)
         assert direct == pytest.approx(via_gen, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [5e-324, -5e-324, 1e-320, 1e-300])
+    def test_tiny_exponent_is_the_geometric_limit(self, p):
+        assert power_mean(p, (2.0, 8.0)) == pytest.approx(4.0, rel=1e-15)
+
     @given(positive_samples,
            st.floats(min_value=-3.0, max_value=3.0),
            st.floats(min_value=0.05, max_value=3.0))
+    @example(xs=[2.0, 8.0], p=5e-324, dp=0.05)
     def test_monotone_in_exponent(self, xs, p, dp):
         # classical power-mean inequality
         assert power_mean(p, xs) <= power_mean(p + dp, xs) * (1 + 1e-9)
@@ -178,3 +197,39 @@ class TestCheckAxioms:
         a = check_axioms(g, n=4, trials=64, rng_seed=11)
         b = check_axioms(g, n=4, trials=64, rng_seed=11)
         assert a == b
+
+
+class TestRowMeans:
+    def test_agrees_with_scalar_mean_row_by_row(self, builtin_generator):
+        rng = np.random.default_rng(7)
+        rows = rng.uniform(0.2, 3.0, size=(200, 9))
+        got = row_means(builtin_generator, rows)
+        want = [mean(builtin_generator, r) for r in rows]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_smallest_power_exponent_agrees_with_power_mean(self):
+        rows = np.random.default_rng(8).lognormal(0.0, 1.0, size=(50, 6))
+        got = row_means(parse_generator("power:1e-6"), rows)
+        want = [power_mean(1e-6, r) for r in rows]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("spec, bad", [("log", 0.0), ("reciprocal", -1.0),
+                                           ("log", math.nan), ("identity", math.inf)])
+    def test_domain_error_where_mean_raises(self, spec, bad):
+        g = parse_generator(spec)
+        rows = np.full((3, 4), 1.5)
+        rows[2, 1] = bad
+        with pytest.raises(DomainError):
+            mean(g, rows[2])
+        with pytest.raises(DomainError):
+            row_means(g, rows)
+
+    @pytest.mark.parametrize("spec, big", [("exp", 1000.0), ("identity", 1e308)])
+    def test_numeric_error_where_mean_raises(self, spec, big):
+        g = parse_generator(spec)
+        rows = np.full((3, 2), 1.5)
+        rows[1] = big
+        with pytest.raises(NumericError):
+            mean(g, rows[1])
+        with pytest.raises(NumericError):
+            row_means(g, rows)

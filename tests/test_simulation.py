@@ -24,6 +24,7 @@ from regmeans import (
     phi_cdf,
     run_scenario,
 )
+from regmeans import simulation
 
 
 def _cfg(dist="gamma:100:1", gen="log", n=200, replicates=300, seed=11):
@@ -129,9 +130,27 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("threads", [2, 4, 8])
     def test_threads_do_not_change_results(self, threads):
-        base = run_scenario(_cfg(replicates=96), threads=1)
-        multi = run_scenario(_cfg(replicates=96), threads=threads)
+        # three full replicate blocks and a last block of one row
+        replicates = 3 * (simulation._BLOCK_ELEMENTS // 200) + 1
+        base = run_scenario(_cfg(replicates=replicates), threads=1)
+        multi = run_scenario(_cfg(replicates=replicates), threads=threads)
         np.testing.assert_array_equal(base.statistics, multi.statistics)
+
+    def test_one_draw_per_block(self):
+        calls = []
+
+        class CountingGamma(Gamma):
+            def sample(self, n, rng):
+                calls.append(n)
+                return super().sample(n, rng)
+
+        n = 20
+        rows = simulation._BLOCK_ELEMENTS // n
+        cfg = ScenarioConfig(dist=CountingGamma(100.0, 1.0),
+                             generator=parse_generator("log"),
+                             n=n, replicates=2 * rows + 5, seed=4)
+        run_scenario(cfg)
+        assert calls == [rows * n, rows * n, 5 * n]
 
     def test_different_seeds_differ(self):
         a = run_scenario(_cfg(seed=1))
