@@ -88,28 +88,25 @@ class AsymptoticSpec:
 # ---------------------------------------------------------------------------
 # Quadrature
 
-def _tail_divergent(dist, fn) -> bool:
-    """Heuristic tail screen: fit the log-log slope of |fn(Q(u))| against the
-    distance u to each support endpoint.  A slope <= -1 means the
-    quantile-space integrand is non-integrable there.  Probes reach u=1e-60
-    via quantile/isf closed forms, far beyond where quadrature samples."""
-    for pick in (dist.quantile, dist.isf):
-        u1, u2 = 1e-54, 1e-60
-        try:
-            # overflow to inf is the divergence signal, not an error
-            with np.errstate(over="ignore", invalid="ignore"):
-                h1 = abs(float(fn(float(pick(u1)))))
-                h2 = abs(float(fn(float(pick(u2)))))
-        except OverflowError:
-            return True
-        if not (math.isfinite(h1) and math.isfinite(h2)):
-            return True
-        if h1 == 0.0 or h2 == 0.0:
-            continue
-        slope = (math.log(h2) - math.log(h1)) / (math.log(u2) - math.log(u1))
-        if slope <= -(1.0 - 1e-3):
-            return True
-    return False
+def _tail_slope(fn, pick) -> float:
+    """Log-log slope of |fn(pick(u))| against u as u -> 0, where pick is a
+    distribution's quantile (lower end) or isf (upper end): fn(Q(u)) ~ u**slope
+    there.  Probes reach u=1e-60 via the quantile/isf closed forms, far beyond
+    where quadrature samples.  Overflow gives -inf; an integrand that vanishes
+    at the probes gives 0."""
+    u1, u2 = 1e-54, 1e-60
+    try:
+        # overflow to inf is the divergence signal, not an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            h1 = abs(float(fn(float(pick(u1)))))
+            h2 = abs(float(fn(float(pick(u2)))))
+    except OverflowError:
+        return -math.inf
+    if not (math.isfinite(h1) and math.isfinite(h2)):
+        return -math.inf
+    if h1 == 0.0 or h2 == 0.0:
+        return 0.0
+    return (math.log(h2) - math.log(h1)) / (math.log(u2) - math.log(u1))
 
 
 def _run_quad(fn, lo, hi, **kwargs):
@@ -131,9 +128,11 @@ def expect(dist, fn) -> float:
     direct x-space for Uniform; quantile space for anything duck-typed).
     Because the windowed/z-space forms truncate tails that carry negligible
     probability mass, a tail-exponent screen runs first and raises
-    DivergenceError for integrands those tails cannot absorb.
+    DivergenceError for integrands those tails cannot absorb: a slope <= -1
+    means the quantile-space integrand is non-integrable at that end.
     """
-    if _tail_divergent(dist, fn):
+    lower, upper = (_tail_slope(fn, pick) for pick in (dist.quantile, dist.isf))
+    if min(lower, upper) <= -(1.0 - 1e-3):
         raise DivergenceError(f"E[fn(X)] diverges for {getattr(dist, 'spec', dist)!r}")
 
     if isinstance(dist, LogNormal):
@@ -159,13 +158,22 @@ def expect(dist, fn) -> float:
         return _run_quad(lambda x: fn(x) / w, dist.lo, dist.hi)
 
     # Pareto and any duck-typed distribution: integrate in quantile space,
-    # where the density cancels; endpoints carry no mass.
-    def qintegrand(u):
-        if u <= 0.0 or u >= 1.0:
-            return 0.0
-        return fn(float(dist.quantile(u)))
+    # where the density cancels; endpoints carry no mass.  Each half goes
+    # through the function that resolves its end: quantile(u) below 1/2, and
+    # above it isf, since quantile(1 - p) rounds to quantile(1) for tiny p.
+    # The upper tail fn(isf(p)) ~ p**upper is an endpoint singularity that
+    # defeats QAGS' extrapolation (pareto:10:1, x**8); p = v**k with
+    # k >= 1/(1 + upper) turns it into the bounded k v**(k-1) fn(isf(v**k)).
+    k = max(1, math.ceil(1.0 / (1.0 + upper)))
 
-    return _run_quad(qintegrand, 0.0, 1.0)
+    def lower_half(u):
+        return fn(float(dist.quantile(u))) if u > 0.0 else 0.0
+
+    def upper_half(v):
+        p = v ** k
+        return fn(float(dist.isf(p))) * k * v ** (k - 1) if p > 0.0 else 0.0
+
+    return _run_quad(lower_half, 0.0, 0.5) + _run_quad(upper_half, 0.0, 0.5 ** (1.0 / k))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ exponential means for the built-in generators.  ``check_axioms`` verifies the
 four characterizing properties numerically: per-coordinate monotonicity,
 symmetry, idempotence on constant samples, and invariance when a leading
 block is replaced by its own mean.  ``row_means`` is the batch form, one mean
-per row of a matrix, shared by the Monte Carlo and certificate paths.
+per row of a matrix, for the Monte Carlo path and ``check_axioms``; its last
+step, ``means_from_sums``, is shared with the stability certificates.
 """
 
 from __future__ import annotations
@@ -82,9 +83,18 @@ def row_means(g: Generator, rows: np.ndarray) -> np.ndarray:
     g.require_in_domain(rows)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sums = np.sum(np.asarray(g.forward(rows), dtype=float), axis=1)
+    return means_from_sums(g, sums, rows.shape[1])[1]
+
+
+def means_from_sums(g: Generator, sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sums / n, g_inv(sums / n)) for per-row sums of g over n values.
+
+    Raises NumericError when a sum is not finite, that is when g overflowed.
+    """
     if not np.all(np.isfinite(sums)):
         raise NumericError(_overflow_message(g))
-    return np.asarray(g.inverse(sums / rows.shape[1]), dtype=float)
+    avg = sums / n
+    return avg, np.asarray(g.inverse(avg), dtype=float)
 
 
 def _overflow_message(g: Generator) -> str:

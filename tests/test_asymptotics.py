@@ -51,6 +51,12 @@ class TestExpect:
         with pytest.raises(DivergenceError):
             expect(PAR, lambda x: x ** 12)  # tail index 10
 
+    @pytest.mark.parametrize("t", [2, 4, 6, 8, 9.5])
+    def test_pareto_power_moments_near_the_tail_index(self, t):
+        # E[X**t] = alpha/(alpha - t); (1-u)**(-t/alpha) in quantile space is
+        # an endpoint singularity that plain QAGS gave up on at t = 8
+        assert expect(PAR, lambda x: x ** t) == pytest.approx(10.0 / (10.0 - t), rel=1e-12)
+
 
 class TestKolmogorovExpectation:
     def test_identity_uniform(self):
@@ -140,6 +146,16 @@ class TestGMoments:
         assert quad.mean_g == pytest.approx(closed.mean_g, rel=1e-9)
         assert quad.var_g == pytest.approx(closed.var_g, rel=1e-7)
         assert quad.skew_g == pytest.approx(closed.skew_g, rel=1e-5)
+
+    def test_quadrature_reaches_the_fourth_pareto_moment(self):
+        # E[(X**2)**4] = E[X**8] sits two orders below the tail index 10
+        g = parse_generator("power:2.0")
+        closed = g_moments(g, PAR, method="closed_form")
+        quad = g_moments(g, PAR, method="quadrature")
+        assert quad.mean_g == pytest.approx(closed.mean_g, rel=1e-12)
+        assert quad.var_g == pytest.approx(closed.var_g, rel=1e-10)
+        assert quad.skew_g == pytest.approx(closed.skew_g, rel=1e-10)
+        assert quad.exkurt_g == pytest.approx(closed.exkurt_g, rel=1e-10)
 
     def test_monte_carlo_close_enough(self):
         mom = g_moments(parse_generator("identity"), UNI, method="monte_carlo")

@@ -1,21 +1,32 @@
 """Perturbation bound for the mean when the generator is replaced."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from regmeans import (
+    Generator,
     Interval,
     InvalidParameterError,
+    NumericError,
     blend_distances,
+    invert,
     mean,
+    normalize_increasing,
     parse_generator,
     theorem4_bound,
     verify_stability,
 )
+from regmeans import stability
+from regmeans.means import row_means
+
+# overflow must surface as NumericError, never as a RuntimeWarning or a NaN
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 B = Interval(1.0, 2.0)
+TS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 class TestBound:
@@ -137,3 +148,113 @@ class TestAgainstDirectMeans:
                 worst = max(worst, abs(mean(g, (a, b)) - mean(h, (a, b))))
         rep = verify_stability(g, h, B, n=2, grid_per_dim=21)
         assert rep.sup_mean_distance == pytest.approx(worst, rel=1e-10)
+
+
+class TestOverflow:
+    BOX = Interval(700.0, 800.0)  # exp overflows past ~709.78
+
+    def test_verify_raises(self):
+        with pytest.raises(NumericError):
+            verify_stability(parse_generator("exp"), parse_generator("identity"),
+                             self.BOX, n=2)
+
+    @pytest.mark.parametrize("ts", [(0.0, 0.5, 1.0), (0.0, 1.0)])
+    def test_blend_raises_instead_of_nan(self, ts):
+        with pytest.raises(NumericError):
+            blend_distances(parse_generator("exp"), parse_generator("identity"),
+                            self.BOX, n=2, ts=ts)
+
+    def test_sampled_rows_raise(self):
+        with pytest.raises(NumericError):
+            blend_distances(parse_generator("identity"), parse_generator("exp"),
+                            self.BOX, n=5, ts=(1.0,), samples=100)
+
+
+class TestBlockedPath:
+    """Grids larger than one block of rows (2**15): n = 3 on 101 points has
+    C(103, 3) = 176 851 multisets."""
+
+    GRID = 101
+
+    @staticmethod
+    def _multisets(grid, n):
+        axis = B.grid(grid)
+        return axis[np.array(list(itertools.combinations_with_replacement(range(grid), n)))]
+
+    def test_grid_spans_several_blocks(self):
+        assert math.comb(self.GRID + 2, 3) > 5 * stability._BLOCK_ROWS
+
+    @pytest.mark.parametrize("grid,n", [(7, 1), (9, 2), (12, 3), (201, 3)])
+    def test_multiset_indices_enumerate_sorted_tuples(self, grid, n):
+        want = list(itertools.combinations_with_replacement(range(grid), n))
+        assert stability._multiset_indices(grid, n).T.tolist() == [list(w) for w in want]
+
+    @pytest.mark.parametrize("pair", [("identity", "log"), ("reciprocal", "exp"),
+                                      ("power:2.0", "log")])
+    def test_verify_equals_unblocked_row_means_bit_for_bit(self, pair):
+        g, h = (parse_generator(s) for s in pair)
+        rows = self._multisets(self.GRID, 3)
+        want = float(np.max(np.abs(row_means(g, rows) - row_means(h, rows))))
+        rep = verify_stability(g, h, B, n=3, grid_per_dim=self.GRID)
+        assert rep.sup_mean_distance == want
+
+    def test_sampled_rows_equal_one_unblocked_draw(self):
+        g, h = parse_generator("identity"), parse_generator("log")
+        samples = 2 * stability._BLOCK_ROWS + 17
+        rows = np.random.default_rng(5).uniform(B.lo, B.hi, size=(samples, 5))
+        want = float(np.max(np.abs(row_means(g, rows) - row_means(h, rows))))
+        rep = verify_stability(g, h, B, n=5, seed=5, samples=samples)
+        assert rep.sup_mean_distance == want
+
+    def test_blend_does_not_depend_on_the_block_size(self, monkeypatch):
+        g, h = parse_generator("log"), parse_generator("reciprocal")
+        blocked = blend_distances(g, h, B, n=3, ts=TS, grid_per_dim=self.GRID)
+        monkeypatch.setattr(stability, "_BLOCK_ROWS", 10 ** 6)
+        assert blend_distances(g, h, B, n=3, ts=TS, grid_per_dim=self.GRID) == blocked
+
+    @pytest.mark.parametrize("pair", [("identity", "exp"), ("log", "reciprocal")])
+    def test_blend_matches_scalar_bisection(self, pair, monkeypatch):
+        # scalar inversion of every row is slow, so the blocks shrink instead
+        # of the grid growing: 969 multisets in blocks of 400
+        monkeypatch.setattr(stability, "_BLOCK_ROWS", 400)
+        g, h = (parse_generator(s) for s in pair)
+        gn, hn = normalize_increasing(g), normalize_increasing(h)
+        rows = self._multisets(17, 3)
+        sg = np.mean(gn.forward(rows), axis=1)
+        sh = np.mean(hn.forward(rows), axis=1)
+        mg = gn.inverse(sg)
+        bracket = Interval(B.lo - 1e-6, B.hi + 1e-6)
+        want = []
+        for t in TS:
+            blend = Generator("blend", gn.domain,
+                              lambda z, t=t: (1.0 - t) * gn.forward(z) + t * hn.forward(z),
+                              None, None, "increasing")
+            mt = [invert(blend, float(y), bracket, tol=0.0)
+                  for y in (1.0 - t) * sg + t * sh]
+            want.append(float(np.max(np.abs(mg - np.array(mt)))))
+        got = blend_distances(g, h, B, n=3, ts=TS, grid_per_dim=17)
+        assert got == pytest.approx(want, abs=1e-12, rel=0.0)
+
+    def test_wrong_derivative_falls_back_to_bisection(self):
+        # a slope a million times too steep stalls Newton; bisection must
+        # still land on the blended means of the true log
+        log = parse_generator("log")
+        calls = []
+
+        def forward(x):
+            calls.append(1)
+            return np.log(x)
+
+        bad_log = Generator("bad_log", log.domain, forward, np.exp,
+                            lambda x: 1e6 / x, "increasing")
+        ident = parse_generator("identity")
+        want = blend_distances(ident, log, B, n=3, ts=TS, grid_per_dim=self.GRID)
+        calls.clear()
+        got = blend_distances(ident, bad_log, B, n=3, ts=TS, grid_per_dim=self.GRID)
+        assert got == pytest.approx(want, abs=1e-12, rel=0.0)
+        assert len(calls) > 100  # the bisection's 100 halvings ran
+
+    def test_sampled_rows_need_a_sample(self):
+        with pytest.raises(InvalidParameterError):
+            verify_stability(parse_generator("identity"), parse_generator("log"),
+                             B, n=5, samples=0)
