@@ -13,7 +13,6 @@ from .asymptotics import (
     GMoments,
     asymptotic_variance,
     edgeworth_cdf,
-    edgeworth_cdf_clamped,
     edgeworth_corrections,
     expect,
     g_moments,
@@ -21,7 +20,6 @@ from .asymptotics import (
     kolmogorov_expectation,
     phi_cdf,
     phi_pdf,
-    standardize,
 )
 from .distributions import (
     DistributionModel,
@@ -30,7 +28,6 @@ from .distributions import (
     Pareto,
     Uniform,
     parse_distribution,
-    raw_moment,
 )
 from .errors import (
     ConfigurationError,
@@ -48,12 +45,10 @@ from .generators import (
     Generator,
     Interval,
     affine_transform,
-    estimate_lipschitz,
     invert,
     make_builtin,
     min_slope,
     normalize_increasing,
-    numeric_derivative,
     parse_generator,
     register_generator,
 )
@@ -96,19 +91,18 @@ __all__ = [
     "DivergenceError", "DegenerateSlopeError",
     # generators
     "Interval", "Generator", "make_builtin", "parse_generator",
-    "register_generator", "invert", "estimate_lipschitz", "min_slope",
-    "normalize_increasing", "affine_transform", "numeric_derivative",
+    "register_generator", "invert", "min_slope", "normalize_increasing",
+    "affine_transform",
     # means
     "mean", "power_mean", "exp_mean_stable", "check_axioms",
     "AxiomCheck", "AxiomReport",
     # distributions
     "LogNormal", "Gamma", "Uniform", "Pareto", "DistributionModel",
-    "parse_distribution", "raw_moment",
+    "parse_distribution",
     # asymptotics
     "GMoments", "AsymptoticSpec", "expect", "kolmogorov_expectation",
-    "g_moments", "asymptotic_variance", "standardize", "phi_cdf", "phi_pdf",
-    "hermite", "edgeworth_corrections", "edgeworth_cdf",
-    "edgeworth_cdf_clamped",
+    "g_moments", "asymptotic_variance", "phi_cdf", "phi_pdf", "hermite",
+    "edgeworth_corrections", "edgeworth_cdf",
     # simulation
     "ScenarioConfig", "SimulationReport", "run_scenario", "ks_statistic",
     "EmpiricalCdf", "empirical_cdf", "EdgeworthComparison", "compare_edgeworth",

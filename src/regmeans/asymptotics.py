@@ -9,6 +9,10 @@ with variance var(g(X)) / g'(E_g)**2.  This module computes those quantities
 (closed forms where the distribution provides them, adaptive quadrature
 otherwise), plus the Edgeworth refinement of the normal CDF driven by the
 skewness and excess kurtosis of g(X).
+
+All of them rest on the first four moments of g(X), and one routine,
+``_g_stats``, computes those: E_g needs the mean, the limiting variance the
+mean and variance, the Edgeworth terms all four.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from .distributions import Gamma, LogNormal, Pareto, Uniform
+from .distributions import Gamma, LogNormal, Uniform
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -37,11 +41,9 @@ __all__ = [
     "kolmogorov_expectation",
     "g_moments",
     "asymptotic_variance",
-    "standardize",
     "hermite",
     "edgeworth_corrections",
     "edgeworth_cdf",
-    "edgeworth_cdf_clamped",
     "phi_cdf",
     "phi_pdf",
 ]
@@ -217,6 +219,42 @@ def _resolve_method(g: Generator, dist, method: str) -> str:
     return method
 
 
+def _g_stats(g: Generator, dist, how: str, order: int) -> tuple:
+    """The first ``order`` (1, 2 or 4) of (mean, variance, skewness, excess
+    kurtosis) of g(X), from closed forms or by quadrature (``how``); only
+    g_moments samples.
+
+    Raises DivergenceError naming the first raw moment E[g(X)**k] that
+    diverges.  A zero-variance g(X) yields NaN skewness and kurtosis.
+    """
+    if how == "monte_carlo":
+        raise InvalidParameterError("use g_moments for the monte_carlo method")
+    if how == "closed_form" and g.kind == "log":
+        return dist.log_moments()[:order]
+    raws = []
+    for k in range(1, order + 1):
+        if how == "closed_form":
+            r = _closed_g_raw(g, dist, k)
+        else:
+            r = expect(dist, lambda x: g.forward(x) ** k)
+        if math.isinf(r):
+            raise DivergenceError(
+                f"E[g(X)**{k}] diverges for g={g.name!r}, dist={dist.spec!r}")
+        raws.append(r)
+    r1 = raws[0]
+    if order == 1:
+        return (r1,)
+    var = max(raws[1] - r1 * r1, 0.0)
+    if order == 2:
+        return r1, var
+    if var == 0.0:
+        return r1, var, math.nan, math.nan
+    r2, r3, r4 = raws[1:]
+    c3 = r3 - 3.0 * r1 * r2 + 2.0 * r1 ** 3
+    c4 = r4 - 4.0 * r1 * r3 + 6.0 * r1 * r1 * r2 - 3.0 * r1 ** 4
+    return r1, var, c3 / var ** 1.5, c4 / (var * var) - 3.0
+
+
 def kolmogorov_expectation(g: Generator, dist, method: str = "auto") -> float:
     """E_g(X) = g_inv(E[g(X)]).
 
@@ -225,34 +263,8 @@ def kolmogorov_expectation(g: Generator, dist, method: str = "auto") -> float:
     power p -> E[X**p]**(1/p); exp -> ln E[exp X].  Raises DivergenceError
     when E[g(X)] diverges.
     """
-    how = _resolve_method(g, dist, method)
-    if how == "monte_carlo":
-        raise InvalidParameterError("use g_moments for the monte_carlo method")
-    if how == "closed_form":
-        if g.kind == "log":
-            return math.exp(dist.log_moments()[0])
-        m1 = _closed_g_raw(g, dist, 1)
-        if math.isinf(m1):
-            raise DivergenceError(f"E[g(X)] diverges for g={g.name!r}, dist={dist.spec!r}")
-        return float(g.inverse(m1))
-    m1 = expect(dist, g.forward)
-    return float(g.inverse(m1))
-
-
-def _g_mean_var(g: Generator, dist, how: str) -> tuple[float, float]:
-    if how == "closed_form":
-        if g.kind == "log":
-            m, v, _, _ = dist.log_moments()
-            return m, v
-        r1 = _closed_g_raw(g, dist, 1)
-        r2 = _closed_g_raw(g, dist, 2)
-        if math.isinf(r1) or math.isinf(r2):
-            order = 1 if math.isinf(r1) else 2
-            raise DivergenceError(f"E[g(X)**{order}] diverges for g={g.name!r}")
-        return r1, max(r2 - r1 * r1, 0.0)
-    r1 = expect(dist, g.forward)
-    r2 = expect(dist, lambda x: g.forward(x) ** 2)
-    return r1, max(r2 - r1 * r1, 0.0)
+    (mean_g,) = _g_stats(g, dist, _resolve_method(g, dist, method), 1)
+    return float(g.inverse(mean_g))
 
 
 def g_moments(g: Generator, dist, method: str = "auto",
@@ -273,49 +285,17 @@ def g_moments(g: Generator, dist, method: str = "auto",
             return GMoments(m, 0.0, math.nan, math.nan, "monte_carlo")
         return GMoments(m, v, float(np.mean(d ** 3)) / v ** 1.5,
                         float(np.mean(d ** 4)) / (v * v) - 3.0, "monte_carlo")
-
-    if how == "closed_form" and g.kind == "log":
-        m, v, sk, ek = dist.log_moments()
-        return GMoments(m, v, sk, ek, "closed_form")
-
-    if how == "closed_form":
-        raws = []
-        for k in (1, 2, 3, 4):
-            r = _closed_g_raw(g, dist, k)
-            if math.isinf(r):
-                raise DivergenceError(
-                    f"E[g(X)**{k}] diverges for g={g.name!r}, dist={dist.spec!r}")
-            raws.append(r)
-    else:
-        raws = [expect(dist, lambda x, k=k: g.forward(x) ** k) for k in (1, 2, 3, 4)]
-
-    r1, r2, r3, r4 = raws
-    var = r2 - r1 * r1
-    if var <= 0.0:
-        return GMoments(r1, max(var, 0.0), math.nan, math.nan, how)
-    c3 = r3 - 3.0 * r1 * r2 + 2.0 * r1 ** 3
-    c4 = r4 - 4.0 * r1 * r3 + 6.0 * r1 * r1 * r2 - 3.0 * r1 ** 4
-    return GMoments(r1, var, c3 / var ** 1.5, c4 / (var * var) - 3.0, how)
+    return GMoments(*_g_stats(g, dist, how, 4), how)
 
 
 def asymptotic_variance(g: Generator, dist, method: str = "auto") -> AsymptoticSpec:
     """E_g(X), g'(E_g(X)), and var(g(X)) / g'(E_g(X))**2."""
-    eg = kolmogorov_expectation(g, dist, method)
+    mean_g, var_g = _g_stats(g, dist, _resolve_method(g, dist, method), 2)
+    eg = float(g.inverse(mean_g))
     gp = float(g.derivative(eg))
     if not math.isfinite(gp) or gp == 0.0:
         raise DegenerateSlopeError(f"g'(E_g) = {gp} for generator {g.name!r}")
-    how = _resolve_method(g, dist, method)
-    _, var_g = _g_mean_var(g, dist, how)
     return AsymptoticSpec(eg=eg, gprime_at_eg=gp, asym_var=var_g / (gp * gp))
-
-
-def standardize(spec: AsymptoticSpec, m_value: float, n: int) -> float:
-    """sqrt(n) * (m_value - E_g) / sqrt(asymptotic variance)."""
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    if not spec.asym_var > 0:
-        raise DegenerateSlopeError("asymptotic variance must be positive to standardize")
-    return math.sqrt(n) * (m_value - spec.eg) / math.sqrt(spec.asym_var)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +361,3 @@ def edgeworth_cdf(x, n: int, mom: GMoments, third_order: str = "skew_sq"):
     """
     c1, c2, c3 = edgeworth_corrections(x, n, mom, third_order)
     return phi_cdf(x) - (c1 + c2 + c3)
-
-
-def edgeworth_cdf_clamped(x, n: int, mom: GMoments, third_order: str = "skew_sq"):
-    """edgeworth_cdf clipped into [0, 1] (convenience for plotting/tables)."""
-    out = np.clip(edgeworth_cdf(x, n, mom, third_order), 0.0, 1.0)
-    return float(out) if np.ndim(x) == 0 else out

@@ -29,7 +29,7 @@ from pathlib import Path
 from .asymptotics import edgeworth_corrections, g_moments, phi_cdf
 from .distributions import parse_distribution
 from .errors import ConfigurationError, InvalidParameterError, NumericError
-from .figures import reproduce_figure1, reproduce_figure2, _write_hist
+from .figures import reproduce_figure1, reproduce_figure2, write_hist
 from .generators import Interval, parse_generator
 from .means import check_axioms, mean
 from .portfolio import (
@@ -193,7 +193,7 @@ def _cmd_simulate(args) -> dict:
     )
     report = run_scenario(cfg, threads=args.threads)
     if args.hist:
-        _write_hist(Path(args.hist), report)
+        write_hist(Path(args.hist), report)
     import math as _math
 
     return {

@@ -39,7 +39,6 @@ __all__ = [
     "Pareto",
     "DistributionModel",
     "parse_distribution",
-    "raw_moment",
 ]
 
 
@@ -340,13 +339,6 @@ class Pareto:
 
 
 DistributionModel = LogNormal | Gamma | Uniform | Pareto
-
-
-def raw_moment(dist: DistributionModel, k: int) -> float:
-    """E[X**k] for integer k >= 1; math.inf when the moment diverges."""
-    if k < 1 or not float(k).is_integer():
-        raise InvalidParameterError(f"raw moment order must be an integer >= 1, got {k}")
-    return dist.power_moment(float(k))
 
 
 def parse_distribution(spec: str) -> DistributionModel:

@@ -27,7 +27,8 @@ from .errors import ConfigurationError
 from .generators import parse_generator
 from .simulation import ScenarioConfig, SimulationReport, run_scenario
 
-__all__ = ["reproduce_figure1", "reproduce_figure2", "FIGURE1_DISTS", "FIGURE1_GENERATORS"]
+__all__ = ["reproduce_figure1", "reproduce_figure2", "write_hist", "FIGURE1_DISTS",
+           "FIGURE1_GENERATORS"]
 
 FIGURE1_DISTS = ("lognormal:2:1", "gamma:100:1", "uniform:1:2", "pareto:10:1")
 FIGURE1_GENERATORS = ("identity", "log", "reciprocal")
@@ -51,7 +52,9 @@ def _stem(dist_spec: str, gen_spec: str) -> str:
     return f"{dist_spec}_{gen_spec}".replace(":", "-").replace(".", "p")
 
 
-def _write_hist(path: Path, report: SimulationReport) -> None:
+def write_hist(path: Path, report: SimulationReport) -> None:
+    """Write a CSV histogram of the report's standardized statistics on
+    [-4, 4] in 40 bins, with the standard normal density at each midpoint."""
     counts, edges = np.histogram(report.statistics, bins=_HIST_BINS, range=_HIST_RANGE)
     mids = 0.5 * (edges[:-1] + edges[1:])
     dens = phi_pdf(mids)
@@ -104,7 +107,7 @@ def _run_cells(out_dir, seed, n, replicates, threads, dists, generators):
         )
         report = run_scenario(cfg, threads=threads)
         stem = _stem(dist_spec, gen_spec)
-        _write_hist(out / f"{stem}.hist.csv", report)
+        write_hist(out / f"{stem}.hist.csv", report)
         _write_report(out / f"{stem}.report.json", report, __version__)
         rows.append({
             "dist": dist_spec,

@@ -38,11 +38,9 @@ __all__ = [
     "parse_generator",
     "register_generator",
     "invert",
-    "estimate_lipschitz",
     "min_slope",
     "normalize_increasing",
     "affine_transform",
-    "numeric_derivative",
 ]
 
 BUILTIN_KINDS = ("identity", "log", "reciprocal", "power", "exp")
@@ -244,24 +242,12 @@ def invert(g: Generator, y: float, bracket: Interval, tol: float = 1e-12,
     raise ConvergenceError(f"bisection failed to reach tol={tol} in {max_iter} iterations")
 
 
-def _abs_slopes(g: Generator, B: Interval, grid_points: int) -> np.ndarray:
-    if grid_points < 2:
-        raise InvalidParameterError("grid_points must be >= 2")
-    if not B.is_finite:
-        raise InvalidParameterError("slope estimation needs a compact interval")
-    if not g.domain.encloses(B):
-        raise DomainError(f"interval {B} not inside domain of generator {g.name!r}")
-    return np.abs(np.asarray(g.derivative(B.grid(grid_points)), dtype=float))
-
-
-def estimate_lipschitz(g: Generator, B: Interval, grid_points: int = 10001) -> float:
-    """Grid estimate of sup |g'| on B (a lower bound of the true sup)."""
-    return float(np.max(_abs_slopes(g, B, grid_points)))
-
-
 def min_slope(g: Generator, B: Interval, grid_points: int = 10001) -> float:
     """Grid estimate of inf |g'| on B (an upper bound of the true inf)."""
-    m = float(np.min(_abs_slopes(g, B, grid_points)))
+    xs = B.grid(grid_points)  # needs grid_points >= 2 and a compact B
+    if not g.domain.encloses(B):
+        raise DomainError(f"interval {B} not inside domain of generator {g.name!r}")
+    m = float(np.min(np.abs(np.asarray(g.derivative(xs), dtype=float))))
     if m <= _DEGENERATE_TOL:
         raise DegenerateSlopeError(
             f"generator {g.name!r} has vanishing slope on [{B.lo}, {B.hi}] (min |g'| = {m:g})")
@@ -304,14 +290,3 @@ def affine_transform(g: Generator, a: float, b: float) -> Generator:
         monotone_direction=direction,
         kind="custom",
     )
-
-
-def numeric_derivative(f: Callable) -> Callable:
-    """Central-difference derivative with step h = cbrt(eps)*max(1, |x|)."""
-    step = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
-    def deriv(x):
-        h = step * np.maximum(1.0, np.abs(x))
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-
-    return deriv

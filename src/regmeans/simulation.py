@@ -162,16 +162,16 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> SimulationReport:
 
 def ks_statistic(values, reference_cdf) -> float:
     """Kolmogorov-Smirnov sup distance between the empirical CDF of values
-    and a reference CDF (a callable; vectorized callables are used as-is)."""
+    and a reference CDF, a vectorized callable: it must map the sorted values
+    to an array of their shape, else ConfigurationError."""
     v = np.sort(np.asarray(values, dtype=float).ravel())
     if v.size == 0:
         raise ConfigurationError("ks_statistic needs at least one value")
-    try:
-        f = np.asarray(reference_cdf(v), dtype=float)
-        if f.shape != v.shape:
-            raise ValueError
-    except Exception:
-        f = np.array([float(reference_cdf(t)) for t in v])
+    f = np.asarray(reference_cdf(v), dtype=float)
+    if f.shape != v.shape:
+        raise ConfigurationError(
+            f"reference CDF mapped {v.shape[0]} values to shape {f.shape}; "
+            "it must be vectorized")
     n = v.size
     d_hi = np.max(np.arange(1, n + 1) / n - f)
     d_lo = np.max(f - np.arange(0, n) / n)

@@ -73,15 +73,17 @@ class StabilityReport:
 
 def _bound_parts(g: Generator, h: Generator, B: Interval,
                  grid: int) -> tuple[float, float]:
-    """(L + 1/m, sup|g-h|) for increasing-normalized g, h on B."""
-    gn, hn = normalize_increasing(g), normalize_increasing(h)
+    """(L + 1/m, sup|g-h|) for increasing-normalized g, h on B.  Raises
+    NumericError when g or h overflows on the grid."""
+    xs = B.grid(grid)
+    gn, hn = _normalized_pair(g, h, B)
+    gx, hx = _forward(gn, xs), _forward(hn, xs)
+    if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(hx))):
+        raise NumericError(f"{gn.name!r} or {hn.name!r} is not finite on {B}")
     g_slope = min_slope(gn, B, grid)
     L = 1.0 / g_slope
     m = min(g_slope, min_slope(hn, B, grid))
-    xs = B.grid(grid)
-    dist = float(np.max(np.abs(np.asarray(gn.forward(xs), dtype=float)
-                               - np.asarray(hn.forward(xs), dtype=float))))
-    return L + 1.0 / m, dist
+    return L + 1.0 / m, float(np.max(np.abs(gx - hx)))
 
 
 def theorem4_bound(g: Generator, h: Generator, B: Interval, grid: int = 201) -> float:

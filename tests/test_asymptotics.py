@@ -19,7 +19,6 @@ from regmeans import (
     Uniform,
     asymptotic_variance,
     edgeworth_cdf,
-    edgeworth_cdf_clamped,
     edgeworth_corrections,
     expect,
     g_moments,
@@ -28,8 +27,8 @@ from regmeans import (
     parse_generator,
     phi_cdf,
     phi_pdf,
-    standardize,
 )
+from regmeans import asymptotics
 
 LN = LogNormal(2.0, 1.0)
 GAM = Gamma(100.0, 1.0)
@@ -70,6 +69,11 @@ class TestKolmogorovExpectation:
     def test_identity_pareto(self):
         g = parse_generator("identity")
         assert kolmogorov_expectation(g, PAR) == pytest.approx(10.0 / 9.0, rel=1e-14)
+
+    @pytest.mark.parametrize("fn", [kolmogorov_expectation, asymptotic_variance])
+    def test_monte_carlo_is_for_g_moments_only(self, fn):
+        with pytest.raises(InvalidParameterError):
+            fn(parse_generator("log"), GAM, method="monte_carlo")
 
     def test_power_two_closed_forms(self):
         g = parse_generator("power:2.0")
@@ -215,15 +219,18 @@ class TestAsymptoticVariance:
         assert spec.asym_var == pytest.approx(100.0, rel=1e-9)
         assert spec.gprime_at_eg == 1.0
 
-    def test_standardize_example(self):
-        spec = asymptotic_variance(parse_generator("identity"), UNI)
-        z = standardize(spec, 1.6, 100)
-        assert z == pytest.approx(math.sqrt(12.0), rel=1e-12)
+    def test_quadrature_integrates_each_moment_once(self, monkeypatch):
+        # E[g] and E[g**2]; E[g] is not integrated a second time for E_g
+        calls = []
+        real = asymptotics.expect
 
-    def test_standardize_validation(self):
-        spec = asymptotic_variance(parse_generator("identity"), UNI)
-        with pytest.raises(InvalidParameterError):
-            standardize(spec, 1.6, 0)
+        def counting(dist, fn):
+            calls.append(fn)
+            return real(dist, fn)
+
+        monkeypatch.setattr(asymptotics, "expect", counting)
+        asymptotic_variance(parse_generator("log"), GAM, method="quadrature")
+        assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +311,6 @@ class TestEdgeworth:
     def test_rejects_bad_n(self):
         with pytest.raises(InvalidParameterError):
             edgeworth_cdf(0.0, 0, _mom())
-
-    @given(st.floats(min_value=-6.0, max_value=6.0),
-           st.floats(min_value=-2.0, max_value=2.0),
-           st.floats(min_value=-1.0, max_value=4.0),
-           st.integers(min_value=2, max_value=10_000))
-    def test_clamped_stays_in_unit_interval(self, x, skew, kurt, n):
-        f = edgeworth_cdf_clamped(x, n, _mom(skew, kurt))
-        assert 0.0 <= f <= 1.0
 
     def test_monotone_for_moderate_shapes_at_large_n(self):
         # the signed expansion can dip for extreme shapes at small n;

@@ -14,7 +14,6 @@ from regmeans import (
     Pareto,
     Uniform,
     parse_distribution,
-    raw_moment,
 )
 
 ALL = [
@@ -167,20 +166,16 @@ class TestQuantiles:
 
 class TestMoments:
     def test_raw_moment_examples(self):
-        assert raw_moment(Pareto(10.0, 1.0), 1) == pytest.approx(10.0 / 9.0, rel=1e-14)
-        assert raw_moment(Gamma(100.0, 1.0), 1) == pytest.approx(100.0)
-        assert raw_moment(Uniform(1.0, 2.0), 1) == pytest.approx(1.5)
-        assert raw_moment(LogNormal(2.0, 1.0), 2) == pytest.approx(math.exp(6.0), rel=1e-12)
+        assert Pareto(10.0, 1.0).power_moment(1.0) == pytest.approx(10.0 / 9.0, rel=1e-14)
+        assert Gamma(100.0, 1.0).power_moment(1.0) == pytest.approx(100.0)
+        assert Uniform(1.0, 2.0).power_moment(1.0) == pytest.approx(1.5)
+        assert LogNormal(2.0, 1.0).power_moment(2.0) == pytest.approx(math.exp(6.0), rel=1e-12)
 
     def test_pareto_tail_index_cuts_off_moments(self):
         d = Pareto(10.0, 1.0)
-        assert math.isfinite(raw_moment(d, 9))
-        assert raw_moment(d, 10) == math.inf
-        assert raw_moment(d, 11) == math.inf
-
-    def test_raw_moment_validates_order(self):
-        with pytest.raises(InvalidParameterError):
-            raw_moment(Uniform(1.0, 2.0), 0)
+        assert math.isfinite(d.power_moment(9.0))
+        assert d.power_moment(10.0) == math.inf
+        assert d.power_moment(11.0) == math.inf
 
     def test_power_moment_fractional(self):
         # E[X^0.5] of Uniform(1,2) = (2^1.5 - 1)/1.5

@@ -15,13 +15,11 @@ from regmeans import (
     InvalidParameterError,
     OutOfRangeError,
     affine_transform,
-    estimate_lipschitz,
     invert,
     make_builtin,
     mean,
     min_slope,
     normalize_increasing,
-    numeric_derivative,
     parse_generator,
     register_generator,
 )
@@ -184,7 +182,6 @@ class TestSlopes:
     def test_log_slopes_on_unit_octave(self):
         B = Interval(1.0, 2.0)
         g = parse_generator("log")
-        assert estimate_lipschitz(g, B) == pytest.approx(1.0, rel=1e-9)
         assert min_slope(g, B) == pytest.approx(0.5, rel=1e-9)
 
     def test_exp_min_slope(self):
@@ -193,7 +190,6 @@ class TestSlopes:
     def test_reciprocal_uses_absolute_slope(self):
         B = Interval(1.0, 2.0)
         g = parse_generator("reciprocal")
-        assert estimate_lipschitz(g, B) == pytest.approx(1.0, rel=1e-6)
         assert min_slope(g, B) == pytest.approx(0.25, rel=1e-6)
 
     def test_degenerate_slope_detected(self):
@@ -257,5 +253,6 @@ class TestNumericDerivative:
     ])
     def test_matches_analytic(self, spec, x):
         g = parse_generator(spec)
-        approx = numeric_derivative(g.forward)(x)
+        h = float(np.finfo(float).eps) ** (1.0 / 3.0) * max(1.0, abs(x))
+        approx = (g.forward(x + h) - g.forward(x - h)) / (2.0 * h)
         assert approx == pytest.approx(g.derivative(x), rel=1e-6)

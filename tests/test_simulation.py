@@ -67,11 +67,12 @@ class TestKsStatistic:
         with pytest.raises(ConfigurationError):
             ks_statistic([], phi_cdf)
 
-    def test_scalar_only_cdf_accepted(self):
-        # reference CDFs that cannot take arrays still work
-        x = np.linspace(-1, 1, 9)
-        ours = ks_statistic(x, lambda v: float(phi_cdf(float(v))))
-        assert ours == pytest.approx(ks_statistic(x, phi_cdf), abs=1e-15)
+    @pytest.mark.parametrize("cdf", [lambda v: float(phi_cdf(v[0])),
+                                     lambda v: phi_cdf(v)[:-1]],
+                             ids=["scalar", "short"])
+    def test_cdf_must_keep_the_shape(self, cdf):
+        with pytest.raises(ConfigurationError):
+            ks_statistic(np.linspace(-1, 1, 9), cdf)
 
 
 class TestEmpiricalCdf:

@@ -22,9 +22,6 @@ from regmeans import (
 from regmeans import stability
 from regmeans.means import row_means
 
-# overflow must surface as NumericError, never as a RuntimeWarning or a NaN
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 B = Interval(1.0, 2.0)
 TS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -151,6 +148,9 @@ class TestAgainstDirectMeans:
 
 
 class TestOverflow:
+    """Overflow must surface as NumericError, never as a RuntimeWarning (an
+    error under the suite's filterwarnings) or a NaN."""
+
     BOX = Interval(700.0, 800.0)  # exp overflows past ~709.78
 
     def test_verify_raises(self):
@@ -163,6 +163,10 @@ class TestOverflow:
         with pytest.raises(NumericError):
             blend_distances(parse_generator("exp"), parse_generator("identity"),
                             self.BOX, n=2, ts=ts)
+
+    def test_bound_raises_instead_of_inf(self):
+        with pytest.raises(NumericError):
+            theorem4_bound(parse_generator("exp"), parse_generator("identity"), self.BOX)
 
     def test_sampled_rows_raise(self):
         with pytest.raises(NumericError):
