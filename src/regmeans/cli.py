@@ -284,8 +284,6 @@ def _common_parent() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write output here instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="stdout payload format")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for replicate-level parallelism")
     return common
 
 
@@ -359,6 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=1000)
     p.set_defaults(func=_cmd_figure2)
 
+    for name in ("simulate", "reproduce-figure1", "reproduce-figure2"):
+        sub.choices[name].add_argument("--threads", type=int, default=1,
+                                       help="worker threads for replicate-level parallelism")
     return parser
 
 

@@ -42,6 +42,16 @@ __all__ = [
 ]
 
 
+def _on_support(x, inside, f):
+    """f on the values of x where inside holds, 0 elsewhere; a float for a
+    scalar x."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros_like(arr)
+    ok = inside(arr)
+    out[ok] = f(arr[ok])
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
 def _check_u(u) -> np.ndarray:
     arr = np.asarray(u, dtype=float)
     # the complement also catches NaN, which compares False everywhere
@@ -58,8 +68,8 @@ class LogNormal:
     sigma2: float
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise InvalidParameterError(f"lognormal needs sigma2 > 0, got {self.sigma2}")
+        if not (math.isfinite(self.mu) and 0 < self.sigma2 < math.inf):
+            raise InvalidParameterError(f"lognormal needs finite mu, sigma2 > 0, got {self}")
 
     @property
     def sigma(self) -> float:
@@ -77,21 +87,13 @@ class LogNormal:
         return np.exp(self.mu + self.sigma * rng.standard_normal(n))
 
     def pdf(self, x):
-        scalar = np.ndim(x) == 0
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(arr)
-        pos = arr > 0
-        z = (np.log(arr[pos]) - self.mu) / self.sigma
-        out[pos] = np.exp(-0.5 * z * z) / (arr[pos] * self.sigma * math.sqrt(2 * math.pi))
-        return float(out[0]) if scalar else out
+        def density(v):
+            z = (np.log(v) - self.mu) / self.sigma
+            return np.exp(-0.5 * z * z) / (v * self.sigma * math.sqrt(2 * math.pi))
+        return _on_support(x, lambda v: v > 0, density)
 
     def cdf(self, x):
-        scalar = np.ndim(x) == 0
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(arr)
-        pos = arr > 0
-        out[pos] = ndtr((np.log(arr[pos]) - self.mu) / self.sigma)
-        return float(out[0]) if scalar else out
+        return _on_support(x, lambda v: v > 0, lambda v: ndtr((np.log(v) - self.mu) / self.sigma))
 
     def quantile(self, u):
         arr = _check_u(u)
@@ -127,9 +129,9 @@ class Gamma:
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
+        if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
             raise InvalidParameterError(
-                f"gamma needs shape, rate > 0, got ({self.shape}, {self.rate})")
+                f"gamma needs finite shape, rate > 0, got ({self.shape}, {self.rate})")
 
     @property
     def support(self) -> Interval:
@@ -143,22 +145,12 @@ class Gamma:
         return rng.gamma(self.shape, 1.0 / self.rate, n)
 
     def pdf(self, x):
-        scalar = np.ndim(x) == 0
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(arr)
-        pos = arr > 0
-        xp = arr[pos]
-        out[pos] = np.exp(self.shape * math.log(self.rate) + (self.shape - 1) * np.log(xp)
-                          - self.rate * xp - gammaln(self.shape))
-        return float(out[0]) if scalar else out
+        return _on_support(x, lambda v: v > 0, lambda v: np.exp(
+            self.shape * math.log(self.rate) + (self.shape - 1) * np.log(v)
+            - self.rate * v - gammaln(self.shape)))
 
     def cdf(self, x):
-        scalar = np.ndim(x) == 0
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(arr)
-        pos = arr > 0
-        out[pos] = gammainc(self.shape, self.rate * arr[pos])
-        return float(out[0]) if scalar else out
+        return _on_support(x, lambda v: v > 0, lambda v: gammainc(self.shape, self.rate * v))
 
     def quantile(self, u):
         arr = _check_u(u)
@@ -197,8 +189,8 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise InvalidParameterError(f"uniform needs lo < hi, got ({self.lo}, {self.hi})")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise InvalidParameterError(f"uniform needs finite lo < hi, got ({self.lo}, {self.hi})")
 
     @property
     def support(self) -> Interval:
@@ -278,9 +270,9 @@ class Pareto:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.scale > 0):
+        if not (0 < self.alpha < math.inf and 0 < self.scale < math.inf):
             raise InvalidParameterError(
-                f"pareto needs alpha, scale > 0, got ({self.alpha}, {self.scale})")
+                f"pareto needs finite alpha, scale > 0, got ({self.alpha}, {self.scale})")
 
     @property
     def support(self) -> Interval:
@@ -296,20 +288,12 @@ class Pareto:
         return self.scale * (1.0 - rng.random(n)) ** (-1.0 / self.alpha)
 
     def pdf(self, x):
-        scalar = np.ndim(x) == 0
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(arr)
-        ok = arr >= self.scale
-        out[ok] = self.alpha * self.scale ** self.alpha / arr[ok] ** (self.alpha + 1)
-        return float(out[0]) if scalar else out
+        return _on_support(x, lambda v: v >= self.scale,
+                           lambda v: self.alpha * self.scale ** self.alpha / v ** (self.alpha + 1))
 
     def cdf(self, x):
-        scalar = np.ndim(x) == 0
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(arr)
-        ok = arr >= self.scale
-        out[ok] = 1.0 - (self.scale / arr[ok]) ** self.alpha
-        return float(out[0]) if scalar else out
+        return _on_support(x, lambda v: v >= self.scale,
+                           lambda v: 1.0 - (self.scale / v) ** self.alpha)
 
     def quantile(self, u):
         arr = _check_u(u)

@@ -28,6 +28,7 @@ from .errors import (
     DegenerateSlopeError,
     DomainError,
     InvalidParameterError,
+    NumericError,
     OutOfRangeError,
 )
 
@@ -77,19 +78,17 @@ class Interval:
     def is_finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def interior_contains(self, x) -> bool:
-        """Strict containment at finite endpoints (open-interval semantics).
-        Elementwise: returns a bool (or bool array) for scalar (or array) x."""
-        return np.all((x > self.lo) & (x < self.hi))
-
-    def encloses(self, other: "Interval") -> bool:
-        """Does the *interior* of this interval contain ``other``?"""
-        lo_ok = self.lo == -math.inf or other.lo > self.lo
-        hi_ok = self.hi == math.inf or other.hi < self.hi
-        return lo_ok and hi_ok
+    def require_interior(self, x, owner: str) -> None:
+        """Raise DomainError, naming the offender and owner, unless every
+        element of x lies strictly inside the interval.  NaN and infinite
+        values never do."""
+        arr = np.asarray(x, dtype=float)
+        # min and max decide; NaN fails both comparisons
+        if not arr.size or (arr.min() > self.lo and arr.max() < self.hi):
+            return
+        ok = (arr > self.lo) & (arr < self.hi)
+        offender = float(arr.flat[int(np.argmin(np.ravel(ok)))])
+        raise DomainError(f"value {offender} outside domain ({self.lo}, {self.hi}) of {owner}")
 
     def grid(self, points: int) -> np.ndarray:
         if points < 2:
@@ -104,8 +103,8 @@ class Generator:
     """A strictly monotone generator g with inverse and derivative.
 
     ``kind`` is one of the built-in kind names or "custom"; closed-form
-    moment shortcuts key off it.  ``param`` is the exponent for power
-    generators, None otherwise.
+    moments and the anchored exp and power means key off it.  ``param`` is
+    the exponent for power generators, None otherwise.
     """
 
     name: str
@@ -120,19 +119,6 @@ class Generator:
     @property
     def increasing(self) -> bool:
         return self.monotone_direction == "increasing"
-
-    def require_in_domain(self, x) -> None:
-        """Raise DomainError unless every element of x lies strictly inside
-        the domain (the built-in domains are open at finite endpoints)."""
-        arr = np.asarray(x, dtype=float)
-        # min and max decide; NaN fails both comparisons
-        if not arr.size or (arr.min() > self.domain.lo and arr.max() < self.domain.hi):
-            return
-        ok = (arr > self.domain.lo) & (arr < self.domain.hi)
-        offender = float(arr.flat[int(np.argmin(np.ravel(ok)))])
-        raise DomainError(
-            f"value {offender} outside domain ({self.domain.lo}, {self.domain.hi}) "
-            f"of generator {self.name!r}")
 
 
 def _ones_like(x):
@@ -152,9 +138,9 @@ def make_builtin(kind: str, p: float | None = None) -> Generator:
     there.
     """
     if kind == "power":
-        if p is None or not p >= _MIN_POWER:
+        if p is None or not _MIN_POWER <= p < math.inf:
             raise InvalidParameterError(
-                f"power generator requires p >= {_MIN_POWER:g}, got {p}; smaller "
+                f"power generator requires a finite p >= {_MIN_POWER:g}, got {p}; smaller "
                 "exponents are served by 'log' (the p -> 0 limit) or power_mean")
     elif p is not None:
         raise InvalidParameterError(f"generator kind {kind!r} takes no parameter")
@@ -221,8 +207,7 @@ def invert(g: Generator, y: float, bracket: Interval, tol: float = 1e-12,
     """
     if not bracket.is_finite:
         raise InvalidParameterError("invert needs a finite bracket")
-    if not (g.domain.interior_contains(bracket.lo) and g.domain.interior_contains(bracket.hi)):
-        raise DomainError(f"bracket {bracket} not inside domain of {g.name!r}")
+    g.domain.require_interior([bracket.lo, bracket.hi], f"generator {g.name!r}")
     a, b = bracket.lo, bracket.hi
     fa, fb = float(g.forward(a)), float(g.forward(b))
     if (fa - y) * (fb - y) > 0:
@@ -245,9 +230,11 @@ def invert(g: Generator, y: float, bracket: Interval, tol: float = 1e-12,
 def min_slope(g: Generator, B: Interval, grid_points: int = 10001) -> float:
     """Grid estimate of inf |g'| on B (an upper bound of the true inf)."""
     xs = B.grid(grid_points)  # needs grid_points >= 2 and a compact B
-    if not g.domain.encloses(B):
-        raise DomainError(f"interval {B} not inside domain of generator {g.name!r}")
-    m = float(np.min(np.abs(np.asarray(g.derivative(xs), dtype=float))))
+    g.domain.require_interior([B.lo, B.hi], f"generator {g.name!r}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m = float(np.min(np.abs(np.asarray(g.derivative(xs), dtype=float))))
+    if not math.isfinite(m):
+        raise NumericError(f"slope of generator {g.name!r} is not finite on [{B.lo}, {B.hi}]")
     if m <= _DEGENERATE_TOL:
         raise DegenerateSlopeError(
             f"generator {g.name!r} has vanishing slope on [{B.lo}, {B.hi}] (min |g'| = {m:g})")

@@ -5,7 +5,9 @@ The mean of a sample x1..xn under a generator g is
     M_g(x) = g_inv( (1/n) * sum g(xi) )
 
 which specializes to the arithmetic, geometric, harmonic, power, and
-exponential means for the built-in generators.  ``check_axioms`` verifies the
+exponential means for the built-in generators, each through one sample check
+and one forward-fsum-inverse kernel; exp and power means are anchored at the
+sample's maximum, where g cannot overflow.  ``check_axioms`` verifies the
 four characterizing properties numerically: per-coordinate monotonicity,
 symmetry, idempotence on constant samples, and invariance when a leading
 block is replaced by its own mean.  ``row_means`` is the batch form, one mean
@@ -17,15 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import ConfigurationError, DomainError, InvalidParameterError, NumericError
-from .generators import Generator, Interval
+from .errors import ConfigurationError, InvalidParameterError, NumericError
+from .generators import Generator, Interval, make_builtin
 
 _EPS = float(np.finfo(float).eps)
+_POSITIVE = Interval(0.0, math.inf)
+_EXP = make_builtin("exp")
+_OVERFLOW = "g(x), its sum or its mean is not finite on the sample"
 
 __all__ = [
     "mean",
@@ -37,101 +41,122 @@ __all__ = [
 ]
 
 
-def _as_sample(x: Sequence[float] | np.ndarray) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+def _sample(x: Sequence[float] | np.ndarray, domain: Interval, owner: str) -> np.ndarray:
+    """x as a nonempty 1-D float array with every value inside the open
+    domain, else ConfigurationError (DomainError for NaN and infinities)."""
+    try:
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{owner} needs a flat sequence of numbers") from None
     if arr.ndim != 1:
         raise ConfigurationError("sample must be one-dimensional")
     if arr.size == 0:
         raise ConfigurationError("sample must be nonempty")
+    domain.require_interior(arr, owner)
     return arr
+
+
+def _kernel(x: np.ndarray, forward: Callable, inverse: Callable) -> float:
+    """inverse(fsum(forward(x)) / n), or NumericError if a step is not finite."""
+    with np.errstate(all="ignore"):
+        gx = np.asarray(forward(x), dtype=float)
+        try:  # over a list, fsum is the same exactly rounded sum, only faster
+            total = math.fsum(gx.tolist())
+        except (OverflowError, ValueError):  # fsum raises on overflow and on inf - inf
+            total = math.inf
+        m = float(inverse(np.float64(total / x.size))) if math.isfinite(total) else math.inf
+    if not math.isfinite(m):
+        raise NumericError(_OVERFLOW)
+    return m
+
+
+def _row_kernel(rows: np.ndarray, forward: Callable, inverse: Callable) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sums = np.sum(np.asarray(forward(rows), dtype=float), axis=1)
+    return means_from_sums(inverse, sums, rows.shape[1])[1]
+
+
+def _anchored(g: Generator, x: np.ndarray, kernel: Callable):
+    """M_g along the last axis of x; exp means are shift-equivariant."""
+    if g.kind == "exp":
+        c = x.max(axis=-1)
+        return c + kernel(x, lambda t: g.forward(t - c[..., None]), g.inverse)
+    if g.kind == "power":
+        return _power(g.param, x, kernel)
+    return kernel(x, g.forward, g.inverse)
+
+
+def _power(p: float, x: np.ndarray, kernel: Callable):
+    """M_p(x) = c * M_p(x / c), c the maximum (p > 0) or minimum (p < 0).
+    x / c and M / c go through logs: on a sample that spans more than the
+    float range they leave it."""
+    c = x.max(axis=-1) if p > 0 else x.min(axis=-1)
+    log_c = np.log(c)
+    r = kernel(x, lambda t: np.exp(p * (np.log(t) - log_c[..., None])), lambda y: np.log(y) / p)
+    return np.where(np.abs(r) < 700.0, c * np.exp(np.minimum(r, 700.0)), np.exp(log_c + r))
 
 
 def mean(g: Generator, x: Sequence[float] | np.ndarray) -> float:
     """The quasi-arithmetic mean of x under generator g.
 
     Summation is compensated (math.fsum), so the result is exactly
-    permutation-invariant.  The result always lies in [min(x), max(x)] up to
-    the final rounding.  Raises DomainError if any value is outside the
-    generator's domain, and NumericError if g overflows on the sample (use
-    exp_mean_stable / power_mean for the stable log-space variants).
+    permutation-invariant, and it lies in [min(x), max(x)] up to rounding.
+    Raises ConfigurationError unless x is a nonempty flat sequence of
+    numbers, DomainError if any value (NaN and infinities too) is outside the
+    generator's domain, and NumericError if g, its sum or the mean is not
+    finite on the sample.
     """
-    arr = _as_sample(x)
-    g.require_in_domain(arr)
+    arr = _sample(x, g.domain, f"generator {g.name!r}")
     if arr.size == 1:
         return float(arr[0])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        gx = np.asarray(g.forward(arr), dtype=float)
-    if not np.all(np.isfinite(gx)):
-        raise NumericError(_overflow_message(g))
-    try:
-        total = math.fsum(gx)
-    except OverflowError:  # fsum raises instead of returning inf
-        raise NumericError("sum of transformed values overflowed") from None
-    return float(g.inverse(total / arr.size))
+    return float(_anchored(g, arr, _kernel))
 
 
 def row_means(g: Generator, rows: np.ndarray) -> np.ndarray:
-    """M_g of every row of a 2-D array: one vectorized forward, row sum and
-    inverse.
-
-    The batch counterpart of ``mean`` for the Monte Carlo and certificate
-    paths.  It keeps mean's checks (DomainError for a value outside the
-    domain, NumericError when a row sum is not finite) but sums pairwise with
-    np.sum instead of math.fsum, so it agrees with ``mean`` to rounding
-    rather than bit for bit.
-    """
-    g.require_in_domain(rows)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sums = np.sum(np.asarray(g.forward(rows), dtype=float), axis=1)
-    return means_from_sums(g, sums, rows.shape[1])[1]
+    """M_g of every row of a 2-D array, with mean's domain check, anchoring
+    and NumericError, but summed pairwise with np.sum instead of math.fsum:
+    it agrees with ``mean`` to rounding rather than bit for bit."""
+    g.domain.require_interior(rows, f"generator {g.name!r}")
+    return _anchored(g, rows, _row_kernel)
 
 
-def means_from_sums(g: Generator, sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sums / n, g_inv(sums / n)) for per-row sums of g over n values.
+def means_from_sums(inverse: Callable, sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sums / n, inverse(sums / n)) for per-row sums of g over n values.
 
     Raises NumericError when a sum is not finite, that is when g overflowed.
     """
     if not np.all(np.isfinite(sums)):
-        raise NumericError(_overflow_message(g))
+        raise NumericError(_OVERFLOW)
     avg = sums / n
-    return avg, np.asarray(g.inverse(avg), dtype=float)
-
-
-def _overflow_message(g: Generator) -> str:
-    return f"generator {g.name!r} overflowed on the sample; use a stable variant"
+    return avg, np.asarray(inverse(avg), dtype=float)
 
 
 def power_mean(p: float, x: Sequence[float] | np.ndarray) -> float:
-    """The power mean ((1/n) sum xi**p)**(1/p), computed in log-space.
+    """The power mean ((1/n) sum xi**p)**(1/p) of positive values, p finite.
 
     p = 0 returns the geometric mean (the continuous limit), and so does an
-    exponent too small for x**p to differ from 1 on the sample.  All values
-    must be positive.
+    exponent too small for x**p to differ from 1 on the sample.
     """
-    arr = _as_sample(x)
-    if np.any(arr <= 0):
-        raise DomainError("power mean requires strictly positive values")
+    if not math.isfinite(p):
+        raise InvalidParameterError(f"power mean needs a finite exponent, got {p}")
+    arr = _sample(x, _POSITIVE, "power mean")
     logs = np.log(arr)
-    n = arr.size
-    scaled = p * logs
-    top = float(np.max(np.abs(scaled)))
-    if p == 0 or top < _EPS:
+    top = abs(p) * float(np.max(np.abs(logs)))
+    if top < _EPS:
         # x**p is within an ulp of 1 for every x: only the p -> 0 limit is
         # resolvable, and dividing an underflowed sum by p cannot recover it
-        return float(math.exp(math.fsum(logs) / n))
+        return _kernel(logs, lambda t: t, np.exp)
     if top < 0.1:
-        # near p = 0 the logsumexp route cancels log(n) against itself and
-        # loses the O(p) signal; expm1/log1p keeps full relative precision
-        return float(math.exp(math.log1p(math.fsum(np.expm1(scaled)) / n) / p))
-    # log M = (logsumexp(p*log x) - log n) / p; immune to overflow in x**p
-    return float(math.exp((logsumexp(scaled) - math.log(n)) / p))
+        # near p = 0 the mean of x**p rounds to about 1 and loses the O(p)
+        # signal; expm1/log1p keeps full relative precision
+        return _kernel(logs, lambda t: np.expm1(p * t), lambda y: np.exp(np.log1p(y) / p))
+    return float(_power(p, arr, _kernel))
 
 
 def exp_mean_stable(x: Sequence[float] | np.ndarray) -> float:
-    """log((1/n) sum exp(xi)) via the shifted-maximum technique; never
-    overflows for finite inputs."""
-    arr = _as_sample(x)
-    return float(logsumexp(arr) - math.log(arr.size))
+    """log((1/n) sum exp(xi)), the exponential mean; it never overflows for
+    finite inputs."""
+    return float(_anchored(_EXP, _sample(x, _EXP.domain, "exponential mean"), _kernel))
 
 
 class AxiomCheck(NamedTuple):
@@ -201,8 +226,7 @@ def check_axioms(g: Generator, n: int, n0: int | None = None, trials: int = 1000
         raise InvalidParameterError("trials must be >= 1")
     if box is None:
         box = _default_box(g)
-    if not g.domain.encloses(box):
-        raise DomainError(f"box {box} not inside domain of generator {g.name!r}")
+    g.domain.require_interior([box.lo, box.hi], f"generator {g.name!r}")
 
     rng = np.random.default_rng(rng_seed)
     X = rng.uniform(box.lo, box.hi, size=(trials, n))

@@ -167,7 +167,10 @@ def ks_statistic(values, reference_cdf) -> float:
     v = np.sort(np.asarray(values, dtype=float).ravel())
     if v.size == 0:
         raise ConfigurationError("ks_statistic needs at least one value")
-    f = np.asarray(reference_cdf(v), dtype=float)
+    try:
+        f = np.asarray(reference_cdf(v), dtype=float)
+    except (TypeError, ValueError) as exc:  # a scalar-only CDF, e.g. one built on math
+        raise ConfigurationError(f"reference CDF must be vectorized: {exc}") from None
     if f.shape != v.shape:
         raise ConfigurationError(
             f"reference CDF mapped {v.shape[0]} values to shape {f.shape}; "

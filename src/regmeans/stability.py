@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InvalidParameterError, NumericError
+from .errors import ConvergenceError, InvalidParameterError, NumericError
 from .generators import Generator, Interval, min_slope, normalize_increasing
 from .means import means_from_sums
 
@@ -157,16 +157,15 @@ def _pair_blocks(gn: Generator, hn: Generator, box: Interval, n: int,
         # each row summed in order, as means.row_means sums it
         with np.errstate(over="ignore", invalid="ignore"):
             gsum, hsum = np.sum(gvals, axis=0), np.sum(hvals, axis=0)
-        sg, mg = means_from_sums(gn, gsum, n)
-        sh, mh = means_from_sums(hn, hsum, n)
+        sg, mg = means_from_sums(gn.inverse, gsum, n)
+        sh, mh = means_from_sums(hn.inverse, hsum, n)
         yield sg, sh, mg, mh
 
 
 def _normalized_pair(g: Generator, h: Generator, box: Interval) -> tuple[Generator, Generator]:
     gn, hn = normalize_increasing(g), normalize_increasing(h)
     for gen in (gn, hn):
-        if not gen.domain.encloses(box):
-            raise DomainError(f"box {box} not inside domain of generator {gen.name!r}")
+        gen.domain.require_interior([box.lo, box.hi], f"generator {gen.name!r}")
     return gn, hn
 
 

@@ -77,6 +77,13 @@ class TestExitCodes:
     def test_unknown_command_rejected(self, capsys):
         assert main(["transmogrify"]) == 2
 
+    def test_threads_belongs_to_the_simulation_commands(self, capsys):
+        assert main(["mean", "--generator", "log", "--data", "2,8", "--threads", "2"]) == 2
+        payload = run_json(capsys, ["simulate", "--dist", "uniform:1:2", "--generator",
+                                    "identity", "--n", "20", "--replicates", "10",
+                                    "--threads", "2"])
+        assert payload["metadata"]["config"]["threads"] == 2
+
     def test_error_message_on_stderr(self, capsys):
         main(["mean", "--generator", "log", "--data", "0,1"])
         captured = capsys.readouterr()

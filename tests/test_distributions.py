@@ -14,6 +14,7 @@ from regmeans import (
     Pareto,
     Uniform,
     parse_distribution,
+    parse_generator,
 )
 
 ALL = [
@@ -32,6 +33,14 @@ def _ids(ds):
 # Construction and parsing
 
 class TestParsing:
+    @pytest.mark.parametrize("spec", ["lognormal:0:inf", "lognormal:nan:1", "gamma:inf:1",
+                                      "gamma:1:inf", "uniform:1:inf", "uniform:-inf:1",
+                                      "pareto:inf", "pareto:2:inf", "power:inf"])
+    def test_parameters_must_be_finite(self, spec):
+        parse = parse_generator if spec.startswith("power") else parse_distribution
+        with pytest.raises(InvalidParameterError):
+            parse(spec)
+
     @pytest.mark.parametrize("spec,expected", [
         ("lognormal:2:1", LogNormal(2.0, 1.0)),
         ("gamma:100:1", Gamma(100.0, 1.0)),

@@ -13,6 +13,7 @@ from regmeans import (
     Generator,
     Interval,
     InvalidParameterError,
+    NumericError,
     OutOfRangeError,
     affine_transform,
     invert,
@@ -36,11 +37,12 @@ class TestInterval:
             Interval(1.0, 1.0)
 
     def test_contains_vs_interior(self):
+        # the endpoints belong to the interval but not to its interior
         box = Interval(0.0, 1.0)
-        assert box.contains(0.0) and box.contains(1.0)
-        assert not box.interior_contains(0.0)
-        assert box.interior_contains(0.5)
-        assert not box.contains(1.5)
+        for end in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                box.require_interior(end, "the box")
+        box.require_interior(0.5, "the box")  # no raise
 
     def test_grid_hits_endpoints(self):
         g = Interval(1.0, 2.0).grid(11)
@@ -48,8 +50,10 @@ class TestInterval:
         assert np.all(np.diff(g) > 0)
 
     def test_encloses(self):
-        assert Interval(0.0, math.inf).encloses(Interval(1.0, 2.0))
-        assert not Interval(1.0, 2.0).encloses(Interval(0.5, 1.5))
+        # a box is inside a domain when both its ends are
+        Interval(0.0, math.inf).require_interior([1.0, 2.0], "the half-line")  # no raise
+        with pytest.raises(DomainError, match="0.5"):
+            Interval(1.0, 2.0).require_interior([0.5, 1.5], "the box")
 
     def test_width(self):
         assert Interval(1.0, 3.0).width == 2.0
@@ -115,9 +119,9 @@ class TestBuiltins:
 
     def test_require_in_domain_names_offender(self):
         g = parse_generator("log")
-        with pytest.raises(DomainError, match="-3"):
-            g.require_in_domain(np.array([1.0, -3.0, 2.0]))
-        g.require_in_domain(np.array([1.0, 2.0]))  # no raise
+        with pytest.raises(DomainError, match="-3.* of generator 'log'"):
+            mean(g, [1.0, -3.0, 2.0])
+        g.domain.require_interior(np.array([1.0, 2.0]), "log")  # no raise
 
     @given(st.floats(min_value=0.1, max_value=4.0),
            st.floats(min_value=0.1, max_value=10.0))
@@ -203,6 +207,11 @@ class TestSlopes:
         )
         with pytest.raises(DegenerateSlopeError):
             min_slope(flat, Interval(-1.0, 1.0))
+
+    def test_overflowing_slope_is_numeric_error(self):
+        # exp' = exp overflows on the whole box
+        with pytest.raises(NumericError):
+            min_slope(parse_generator("exp"), Interval(800.0, 900.0))
 
 
 # ---------------------------------------------------------------------------

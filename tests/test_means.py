@@ -11,6 +11,7 @@ from regmeans import (
     DomainError,
     Generator,
     Interval,
+    InvalidParameterError,
     NumericError,
     RegularMeanError,
     check_axioms,
@@ -50,9 +51,14 @@ class TestMean:
         with pytest.raises(ConfigurationError):
             mean(parse_generator("identity"), ())
 
-    def test_overflow_points_to_stable_variant(self):
-        with pytest.raises(NumericError, match="stable"):
-            mean(parse_generator("exp"), (1000.0, 1000.0))
+    @pytest.mark.parametrize("spec, x", [("exp", 1000.0), ("exp", -1000.0),
+                                         ("power:2", 1e-200), ("power:3", 1e200)])
+    def test_exp_and_power_are_anchored(self, spec, x):
+        # exp(x) and x**p overflow or underflow here; the mean of the sample
+        # shifted or scaled to its maximum does not
+        g = parse_generator(spec)
+        assert mean(g, (x, x)) == x
+        assert row_means(g, np.full((2, 2), x)).tolist() == [x, x]
 
     def test_sum_overflow_is_numeric_error(self):
         # every term is finite; only the sum overflows (fsum raises there)
@@ -97,12 +103,17 @@ class TestPowerMean:
     def test_negative_exponent_is_harmonic_at_minus_one(self):
         assert power_mean(-1.0, (2.0, 6.0)) == pytest.approx(3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_exponent_must_be_finite(self, p):
+        with pytest.raises(InvalidParameterError):
+            power_mean(p, (2.0, 8.0))
+
     def test_positive_data_required(self):
         with pytest.raises(DomainError):
             power_mean(2.0, (1.0, -2.0))
 
     def test_huge_values_survive(self):
-        # direct x**p would overflow; the log-sum-exp route must not
+        # direct x**p would overflow; the mean of x / max(x) does not
         big = (1e200, 1e200)
         assert power_mean(3.0, big) == pytest.approx(1e200, rel=1e-10)
 
@@ -146,6 +157,44 @@ class TestExpMeanStable:
         xs = (0.1, 0.7, 1.4)
         naive = math.log(sum(math.exp(v) for v in xs) / 3.0)
         assert exp_mean_stable(xs) == pytest.approx(naive, rel=1e-14)
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _internal(m, xs):
+    """min(xs) <= m <= max(xs) with 8 ulp of the largest magnitude, widened
+    by the largest |log|x||: means that end in exp (log, power and
+    power_mean) round log(m), which is |log m| ulp of m."""
+    lo, hi = min(xs), max(xs)
+    log_size = max((abs(math.log(abs(v))) for v in xs if v), default=0.0)
+    slack = 8.0 * _EPS * max(abs(lo), abs(hi)) * (1.0 + log_size)
+    return lo - slack <= m <= hi + slack
+
+
+@pytest.mark.parametrize("entry", ["identity", "log", "reciprocal", "power:2", "exp",
+                                   "power_mean", "exp_mean_stable"])
+@given(xs=st.lists(st.floats(), max_size=8), p=st.floats())
+@example(xs=[1.0, math.nan], p=2.0)
+@example(xs=[1.0, math.inf], p=-1.0)
+@example(xs=[1e-200, 1e-200], p=5e-324)
+@example(xs=[-1000.0, -1000.0], p=-5e-324)
+@example(xs=[5e-324, 1e300], p=2.0)
+def test_a_finite_internal_mean_or_a_library_error(entry, xs, p):
+    """The contract of every mean entry point, on any floats (NaN, infinities,
+    subnormals, +-1e300): a finite value in [min x, max x] up to rounding, or
+    a RegularMeanError.  RuntimeWarnings are errors in this suite."""
+    try:
+        if entry == "power_mean":
+            m = power_mean(p, xs)
+        elif entry == "exp_mean_stable":
+            m = exp_mean_stable(xs)
+        else:
+            m = mean(parse_generator(entry), xs)
+    except RegularMeanError:
+        return
+    assert all(map(math.isfinite, xs)) and math.isfinite(m)
+    assert _internal(m, xs)
 
 
 class TestCheckAxioms:
@@ -224,11 +273,11 @@ class TestRowMeans:
         with pytest.raises(DomainError):
             row_means(g, rows)
 
-    @pytest.mark.parametrize("spec, big", [("exp", 1000.0), ("identity", 1e308)])
-    def test_numeric_error_where_mean_raises(self, spec, big):
+    @pytest.mark.parametrize("spec, extreme", [("reciprocal", 1e-310), ("identity", 1e308)])
+    def test_numeric_error_where_mean_raises(self, spec, extreme):
         g = parse_generator(spec)
         rows = np.full((3, 2), 1.5)
-        rows[1] = big
+        rows[1] = extreme
         with pytest.raises(NumericError):
             mean(g, rows[1])
         with pytest.raises(NumericError):

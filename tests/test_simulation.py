@@ -74,6 +74,13 @@ class TestKsStatistic:
         with pytest.raises(ConfigurationError):
             ks_statistic(np.linspace(-1, 1, 9), cdf)
 
+    def test_scalar_only_cdf_is_a_configuration_error(self):
+        def cdf(t):
+            return 0.5 * (1 + math.erf(t / math.sqrt(2)))
+
+        with pytest.raises(ConfigurationError, match="vectorized"):
+            ks_statistic(np.linspace(-1, 1, 9), cdf)
+
 
 class TestEmpiricalCdf:
     def test_step_values(self):
