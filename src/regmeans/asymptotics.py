@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfc
 
 from .distributions import Gamma, LogNormal, Uniform
@@ -112,6 +111,10 @@ def _tail_slope(fn, pick) -> float:
 
 
 def _run_quad(fn, lo, hi, **kwargs):
+    # imported on first use: scipy.integrate adds about 27 MB and 0.3 s to a
+    # process, and only quadrature needs it
+    from scipy.integrate import quad
+
     out = quad(fn, lo, hi, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
                limit=_QUAD_LIMIT, full_output=1, **kwargs)
     value = out[0]

@@ -53,7 +53,14 @@ def _fmt(x) -> str:
 def _load_values(source: str) -> list[float]:
     """Inline comma list or a path to a text/CSV file of numbers."""
     path = Path(source)
-    text = path.read_text() if path.exists() else source
+    try:  # "" is ".", and neither it nor another directory is a data file
+        is_file = path.is_file()
+    except OSError:  # an inline list too long to be a file name
+        is_file = False
+    try:
+        text = path.read_text() if is_file else source
+    except (OSError, UnicodeError) as exc:
+        raise InvalidParameterError(f"could not read data file {source!r}: {exc}") from None
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     if not tokens:
         raise InvalidParameterError(f"no numbers found in {source!r}")

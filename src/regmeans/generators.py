@@ -16,6 +16,7 @@ Generators are immutable; every operation here is pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -179,22 +180,29 @@ def parse_generator(spec: str) -> Generator:
     """Parse a generator spec string: "identity", "log", "reciprocal",
     "power:2.0", "exp", or the name of a registered generator."""
     spec = spec.strip()
-    head, _, tail = spec.partition(":")
-    if head in BUILTIN_KINDS:
-        if head == "power":
-            if not tail:
-                raise InvalidParameterError("power generator spec needs an exponent, e.g. power:2.0")
-            try:
-                p = float(tail)
-            except ValueError:
-                raise InvalidParameterError(f"bad power exponent {tail!r}") from None
-            return make_builtin("power", p)
-        if tail:
-            raise InvalidParameterError(f"generator {head!r} takes no parameter (got {spec!r})")
-        return make_builtin(head)
+    if spec.partition(":")[0] in BUILTIN_KINDS:
+        return _parse_builtin(spec)
     if spec in _REGISTRY:
         return _REGISTRY[spec]
     raise InvalidParameterError(f"unknown generator spec {spec!r}")
+
+
+# Generators are immutable and register_generator refuses builtin heads, so a
+# builtin spec always parses to the same generator; a raising spec is not cached.
+@functools.lru_cache(maxsize=256)
+def _parse_builtin(spec: str) -> Generator:
+    head, _, tail = spec.partition(":")
+    if head == "power":
+        if not tail:
+            raise InvalidParameterError("power generator spec needs an exponent, e.g. power:2.0")
+        try:
+            p = float(tail)
+        except ValueError:
+            raise InvalidParameterError(f"bad power exponent {tail!r}") from None
+        return make_builtin("power", p)
+    if tail:
+        raise InvalidParameterError(f"generator {head!r} takes no parameter (got {spec!r})")
+    return make_builtin(head)
 
 
 def invert(g: Generator, y: float, bracket: Interval, tol: float = 1e-12,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigurationError, DomainError, InvalidParameterError
+from .errors import ConfigurationError, DomainError, InvalidParameterError, NumericError
 
 __all__ = [
     "ReturnSeries",
@@ -36,11 +36,11 @@ class ReturnSeries:
         object.__setattr__(self, "returns", returns)
         if len(returns) == 0:
             raise ConfigurationError("return series must be nonempty")
-        if not self.w0 > 0:
-            raise InvalidParameterError(f"initial wealth must be positive, got {self.w0}")
+        if not 0.0 < self.w0 < math.inf:
+            raise InvalidParameterError(f"initial wealth must be positive and finite, got {self.w0}")
         for r in returns:
-            if not 1.0 + r > 0.0:
-                raise DomainError(f"gross return 1 + ({r}) is not positive")
+            if not (1.0 + r > 0.0 and math.isfinite(r)):
+                raise DomainError(f"return {r} must be finite with a positive gross return 1 + r")
 
 
 def _series(series: ReturnSeries | Sequence[float]) -> ReturnSeries:
@@ -48,9 +48,13 @@ def _series(series: ReturnSeries | Sequence[float]) -> ReturnSeries:
 
 
 def wealth_path(series: ReturnSeries | Sequence[float]) -> float:
-    """Terminal wealth w0 * (1+r1) * ... * (1+rn)."""
+    """Terminal wealth w0 * (1+r1) * ... * (1+rn); NumericError if it
+    overflows."""
     s = _series(series)
-    return s.w0 * math.prod(1.0 + r for r in s.returns)
+    w = s.w0 * math.prod(1.0 + r for r in s.returns)
+    if not math.isfinite(w):
+        raise NumericError(f"terminal wealth overflows over {len(s.returns)} periods")
+    return w
 
 
 def geometric_average_return(series: ReturnSeries | Sequence[float]) -> float:

@@ -1,6 +1,10 @@
 """Generalized expectations, limiting variances, and the Edgeworth expansion."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +59,17 @@ class TestExpect:
         # E[X**t] = alpha/(alpha - t); (1-u)**(-t/alpha) in quantile space is
         # an endpoint singularity that plain QAGS gave up on at t = 8
         assert expect(PAR, lambda x: x ** t) == pytest.approx(10.0 / (10.0 - t), rel=1e-12)
+
+
+def test_quadrature_is_imported_on_first_use():
+    # a process that only takes means never loads scipy.integrate
+    src = str(Path(asymptotics.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, regmeans; regmeans.mean(regmeans.parse_generator('log'), [1.0, 2.0]); "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.split() == ["False"]
 
 
 class TestKolmogorovExpectation:

@@ -64,6 +64,21 @@ class TestExitCodes:
     def test_unparseable_data_is_config_error(self, capsys):
         assert main(["mean", "--generator", "log", "--data", "one,two"]) == 2
 
+    @pytest.mark.parametrize("data", ["", "."])
+    def test_empty_or_directory_data_is_config_error(self, data, capsys):
+        # Path("") is "." and exists, but neither is a data file
+        assert main(["mean", "--generator", "log", "--data", data]) == 2
+
+    def test_unreadable_data_file_is_config_error(self, tmp_path, capsys):
+        f = tmp_path / "values.bin"
+        f.write_bytes(b"\xff\xfe\x002")
+        assert main(["mean", "--generator", "log", "--data", str(f)]) == 2
+
+    def test_inline_list_too_long_for_a_file_name(self, capsys):
+        payload = run_json(capsys, ["mean", "--generator", "identity",
+                                    "--data", ",".join(["2"] * 2000)])
+        assert payload["mean"] == 2.0
+
     def test_divergent_simulation_is_numeric_error(self, capsys):
         code = main(["simulate", "--dist", "lognormal:2:1", "--generator", "exp",
                      "--n", "50", "--replicates", "5"])

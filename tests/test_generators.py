@@ -24,6 +24,7 @@ from regmeans import (
     parse_generator,
     register_generator,
 )
+from regmeans.generators import _parse_builtin
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +148,24 @@ class TestRegistry:
         gen = make_builtin("identity")
         with pytest.raises(InvalidParameterError):
             register_generator("log", gen)
+
+    def test_builtin_spec_parses_to_the_same_generator(self):
+        assert parse_generator("power:0.5") is parse_generator(" power:0.5 ")
+        assert parse_generator("log") is parse_generator("log")
+
+    @pytest.mark.parametrize("spec", ["power:abc", "power:1e-9", "power", "log:2"])
+    def test_a_raising_spec_caches_nothing(self, spec):
+        cached = _parse_builtin.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError):
+                parse_generator(spec)
+        assert _parse_builtin.cache_info().currsize == cached
+
+    def test_cannot_shadow_a_cached_builtin(self):
+        g = parse_generator("power:2")
+        with pytest.raises(InvalidParameterError):
+            register_generator("power:2", make_builtin("identity"))
+        assert parse_generator("power:2") is g
 
 
 # ---------------------------------------------------------------------------

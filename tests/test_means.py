@@ -21,7 +21,8 @@ from regmeans import (
     parse_generator,
     power_mean,
 )
-from regmeans.means import row_means
+from regmeans import means
+from regmeans.means import _FSUM_BELOW, _exact_sum, row_means
 
 positive_samples = st.lists(
     st.floats(min_value=0.05, max_value=20.0), min_size=1, max_size=12)
@@ -273,8 +274,11 @@ class TestRowMeans:
         with pytest.raises(DomainError):
             row_means(g, rows)
 
-    @pytest.mark.parametrize("spec, extreme", [("reciprocal", 1e-310), ("identity", 1e308)])
+    @pytest.mark.parametrize("spec, extreme", [("reciprocal", 1e-310), ("identity", 1e308),
+                                               ("reciprocal", 1.7976931348623157e308)])
     def test_numeric_error_where_mean_raises(self, spec, extreme):
+        # the last case overflows in the inverse only: 1 / (1 / x) with
+        # 1 / x subnormal
         g = parse_generator(spec)
         rows = np.full((3, 2), 1.5)
         rows[1] = extreme
@@ -282,3 +286,50 @@ class TestRowMeans:
             mean(g, rows[1])
         with pytest.raises(NumericError):
             row_means(g, rows)
+
+
+def _sum_outcome(total):
+    """A sum's outcome: its bits (the sign of zero included), or its error."""
+    try:
+        return total().hex()
+    except (OverflowError, ValueError) as exc:
+        return repr(exc)
+
+
+_MAX = 1.7976931348623157e308
+
+
+class TestExactSum:
+    @given(base=st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+           n=st.integers(0, 3 * _FSUM_BELOW))
+    @example(base=[5e-324, -1e-320, 2.2250738585072014e-308, -3e-310], n=2 * _FSUM_BELOW)
+    @example(base=[_MAX, -_MAX, 1e308, -5e307, _MAX], n=2 * _FSUM_BELOW)
+    @example(base=[1e308, 1e308, -1e308], n=3)
+    @example(base=[1e308, 1e308, -1e308], n=3 * _FSUM_BELOW)
+    @example(base=[1e16, 1.0, -1e16], n=3 * _FSUM_BELOW)
+    @example(base=[1e16, 1.0, -1e16, -1.0, 3e-17], n=3 * _FSUM_BELOW - 1)
+    @example(base=[(-1.0) ** k * 1.2345 * 10.0 ** e for k, e in enumerate(range(-300, 301, 15))],
+             n=3 * _FSUM_BELOW)
+    @example(base=[-0.0], n=_FSUM_BELOW)
+    @example(base=[math.inf, -math.inf, 1.0], n=_FSUM_BELOW)
+    def test_equals_fsum_bit_for_bit(self, base, n):
+        # the same bits or the same error as math.fsum, below the size
+        # threshold (fsum itself) and above it (the extraction passes)
+        v = np.resize(np.array(base, dtype=float), n)
+        assert _sum_outcome(lambda: _exact_sum(v)) == _sum_outcome(lambda: math.fsum(v.tolist()))
+
+    def test_passes_leave_the_input_alone(self):
+        v = np.random.default_rng(3).normal(0.0, 1.0, 4 * _FSUM_BELOW)
+        before = v.copy()
+        _exact_sum(v)
+        assert np.array_equal(v, before)
+
+
+@pytest.mark.parametrize("spec", ["identity", "log", "reciprocal", "power:0.5", "power:2", "exp"])
+def test_large_mean_is_bit_identical_to_the_fsum_mean(spec, monkeypatch):
+    g = parse_generator(spec)
+    rng = np.random.default_rng(11)
+    x = rng.lognormal(0.0, 0.75, 10**4) if g.domain.lo == 0.0 else rng.normal(0.0, 2.0, 10**4)
+    got = mean(g, x)
+    monkeypatch.setattr(means, "_exact_sum", lambda v: math.fsum(v.tolist()))
+    assert got.hex() == mean(g, x).hex()

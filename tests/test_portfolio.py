@@ -10,6 +10,7 @@ from regmeans import (
     ConfigurationError,
     DomainError,
     InvalidParameterError,
+    NumericError,
     ReturnSeries,
     geometric_average_return,
     markowitz_approximation,
@@ -44,6 +45,18 @@ class TestReturnSeries:
         with pytest.raises(InvalidParameterError):
             ReturnSeries((0.1,), w0=-3.0)
 
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+    def test_non_finite_return_rejected(self, r):
+        with pytest.raises(DomainError):
+            ReturnSeries((0.1, r))
+        with pytest.raises(DomainError):
+            geometric_average_return([r])
+
+    @pytest.mark.parametrize("w0", [math.inf, math.nan])
+    def test_non_finite_initial_wealth_rejected(self, w0):
+        with pytest.raises(InvalidParameterError):
+            ReturnSeries((0.1,), w0=w0)
+
     def test_plain_sequences_accepted_by_functions(self):
         assert wealth_path([0.1, -0.1]) == pytest.approx(0.99, rel=1e-14)
 
@@ -73,6 +86,12 @@ class TestWealthAndGeometricAverage:
         via_mean = mean(parse_generator("log"), gross)
         assert geometric_average_return(ReturnSeries(tuple(r))) == pytest.approx(
             via_mean, rel=1e-12)
+
+    def test_overflowing_wealth_is_numeric_error(self):
+        with pytest.raises(NumericError):
+            wealth_path([1e308] * 800)
+        with pytest.raises(NumericError):
+            wealth_path(ReturnSeries((1e300,), w0=1e10))
 
     def test_zero_returns(self):
         s = ReturnSeries((0.0, 0.0, 0.0))
