@@ -364,9 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=1000)
     p.set_defaults(func=_cmd_figure2)
 
-    for name in ("simulate", "reproduce-figure1", "reproduce-figure2"):
-        sub.choices[name].add_argument("--threads", type=int, default=1,
-                                       help="worker threads for replicate-level parallelism")
+    for name, what in (("simulate", "the replicate blocks of the scenario"),
+                       ("reproduce-figure1", "the figure cells"),
+                       ("reproduce-figure2", "the figure cells")):
+        sub.choices[name].add_argument(
+            "--threads", type=int, default=1,
+            help=f"worker threads (>= 1) that run {what} at once; "
+                 "results do not depend on it")
     return parser
 
 

@@ -9,7 +9,9 @@ mean does not.
 
 All floats in CSV output are serialized with 17 significant digits and all
 randomness derives from the master seed, so repeat runs (at any thread
-count) produce identical data files.
+count) produce identical data files.  The thread pool runs whole cells side
+by side, each one single-threaded with its own seed; every file is written
+afterwards, in cell order, on the calling thread.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .asymptotics import phi_pdf
 from .distributions import parse_distribution
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidParameterError
 from .generators import parse_generator
 from .simulation import ScenarioConfig, SimulationReport, run_scenario
 
@@ -74,9 +77,10 @@ def _write_report(path: Path, report: SimulationReport, version: str) -> dict:
         "ks": report.ks_vs_normal,
         "edgeworth_sup_gap": (None if math.isnan(report.edgeworth_sup_gap)
                               else report.edgeworth_sup_gap),
+        # the wall time of this cell, which may have shared the host with
+        # other cells in flight: the one run-varying key; the thread count is
+        # deliberately not recorded, as outputs must not depend on it
         "runtime_ms": report.metadata["runtime_ms"],
-        # thread count is deliberately not recorded: outputs must not depend
-        # on the degree of parallelism, runtime_ms is the sole run-varying key
         "metadata": {
             "version": version,
             "seed": report.metadata["config"]["seed"],
@@ -89,23 +93,35 @@ def _write_report(path: Path, report: SimulationReport, version: str) -> dict:
 def _run_cells(out_dir, seed, n, replicates, threads, dists, generators):
     from . import __version__
 
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {out}: {exc}") from exc
 
-    rows = []
-    for index, (dist_spec, gen_spec) in enumerate(
-            (d, g) for d in dists for g in generators):
-        cfg = ScenarioConfig(
+    cells = [(d, g) for d in dists for g in generators]
+    cfgs = [
+        ScenarioConfig(
             dist=parse_distribution(dist_spec),
             generator=parse_generator(gen_spec),
             n=n,
             replicates=replicates,
             seed=_cell_seed(seed, index),
         )
-        report = run_scenario(cfg, threads=threads)
+        for index, (dist_spec, gen_spec) in enumerate(cells)
+    ]
+    # Every cell runs before any file is written, so a failing cell leaves
+    # no partial output behind.
+    if threads == 1:
+        reports = [run_scenario(cfg) for cfg in cfgs]
+    else:
+        with ThreadPoolExecutor(max_workers=min(threads, len(cfgs))) as pool:
+            reports = list(pool.map(run_scenario, cfgs))
+
+    rows = []
+    for (dist_spec, gen_spec), cfg, report in zip(cells, cfgs, reports):
         stem = _stem(dist_spec, gen_spec)
         write_hist(out / f"{stem}.hist.csv", report)
         _write_report(out / f"{stem}.report.json", report, __version__)
@@ -138,7 +154,10 @@ def _write_summary(path: Path, rows) -> None:
 def reproduce_figure1(out_dir, seed: int = 42, n: int = 1000,
                       replicates: int = 1000, threads: int = 1) -> dict:
     """Run the 12-cell simulation grid and write hist/report files plus
-    summary.csv into out_dir.  Returns the summary rows and file paths."""
+    summary.csv into out_dir.  Returns the summary rows and file paths.
+
+    threads (>= 1, else InvalidParameterError) is the number of cells run
+    at once; the files do not depend on it."""
     out, rows = _run_cells(out_dir, seed, n, replicates, threads,
                            FIGURE1_DISTS, FIGURE1_GENERATORS)
     _write_summary(out / "summary.csv", rows)
@@ -152,7 +171,7 @@ def reproduce_figure2(out_dir, seed: int = 42, n: int = 1000,
 
     The comparison reports ks for both generators, whether the geometric
     mean converged faster (ordering_ok), and the KS ratio; it never raises
-    on the ordering."""
+    on the ordering.  threads is as in reproduce_figure1."""
     from . import __version__
 
     out, rows = _run_cells(out_dir, seed, n, replicates, threads,

@@ -69,15 +69,22 @@ def markowitz_approximation(series: ReturnSeries | Sequence[float], ddof: int = 
 
     s2 uses divisor n - ddof; the default ddof=0 (population form) is the
     convention under which the approximation identity is derived.  A single
-    period has s2 = 0 under either convention.
+    period has s2 = 0 under either convention.  NumericError when
+    rbar**2 + s2 overflows.
     """
     s = _series(series)
     n = len(s.returns)
     if ddof not in (0, 1):
         raise InvalidParameterError("ddof must be 0 or 1")
-    rbar = math.fsum(s.returns) / n
-    if n - ddof <= 0:
-        s2 = 0.0
-    else:
-        s2 = math.fsum((r - rbar) ** 2 for r in s.returns) / (n - ddof)
-    return math.exp(rbar - (rbar * rbar + s2) / 2.0)
+    try:
+        rbar = math.fsum(s.returns) / n
+        if n - ddof <= 0:
+            s2 = 0.0
+        else:
+            s2 = math.fsum((r - rbar) ** 2 for r in s.returns) / (n - ddof)
+        spread = rbar * rbar + s2
+    except OverflowError:  # from fsum or ** on finite operands
+        spread = math.inf
+    if not math.isfinite(spread):
+        raise NumericError(f"rbar**2 + s2 overflows over {n} returns")
+    return math.exp(rbar - spread / 2.0)

@@ -7,7 +7,9 @@ fixed-size blocks: each block gets its own RNG stream spawned from the master
 seed, draws a (rows, n) matrix in one call and takes all its row means in one
 vectorized pass.  The block layout depends only on n and the replicate
 count, so the output bits depend on (seed, n, replicates) alone and are
-identical for any thread count.
+identical for any thread count.  run_scenario's own threads spread one
+scenario's blocks over a pool; the figure grids instead run whole scenarios
+side by side, each single-threaded (see figures).
 """
 
 from __future__ import annotations
@@ -106,8 +108,13 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> SimulationReport:
     max(1, _BLOCK_ELEMENTS // n) rows, one spawned RNG stream per block, so
     the statistics depend on (seed, n, replicates) only.  With threads > 1
     the blocks run on a thread pool; the statistics vector is identical
-    regardless.
+    regardless.  Each block is a short numpy call, so the threads contend
+    for the interpreter lock and the pool can be slower than one thread; it
+    gains only on some large scenarios.  threads < 1 is
+    InvalidParameterError.
     """
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
     g, dist = cfg.generator, cfg.dist
     if not _support_in_domain(g, dist):
         raise ConfigurationError(
@@ -130,7 +137,7 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> SimulationReport:
         x = dist.sample((hi - lo) * n, rng).reshape(hi - lo, n)
         means[lo:hi] = row_means(g, x)
 
-    if threads <= 1:
+    if threads == 1:
         for k in range(len(starts)):
             block(k)
     else:

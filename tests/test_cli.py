@@ -99,6 +99,12 @@ class TestExitCodes:
                                     "--threads", "2"])
         assert payload["metadata"]["config"]["threads"] == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_thread_count_below_one_is_config_error(self, capsys, threads):
+        assert main(["simulate", "--dist", "uniform:1:2", "--generator", "identity",
+                     "--n", "20", "--replicates", "10", "--threads", threads]) == 2
+        assert "threads" in capsys.readouterr().err
+
     def test_error_message_on_stderr(self, capsys):
         main(["mean", "--generator", "log", "--data", "0,1"])
         captured = capsys.readouterr()

@@ -1,0 +1,66 @@
+"""Figure grids: cells run side by side, files written once in cell order."""
+
+import json
+import threading
+
+import pytest
+
+from regmeans import ConfigurationError, InvalidParameterError, figures
+
+
+def _files(out):
+    """Every file of a figure run, report.json parsed without runtime_ms."""
+    got = {}
+    for p in sorted(out.iterdir()):
+        if p.name.endswith(".report.json"):
+            report = json.loads(p.read_text())
+            report.pop("runtime_ms")  # wall-clock, the one run-dependent field
+            got[p.name] = report
+        else:
+            got[p.name] = p.read_bytes()
+    return got
+
+
+def test_cells_run_concurrently_without_a_nested_pool(tmp_path, monkeypatch):
+    real = figures.run_scenario
+    barrier = threading.Barrier(2, timeout=10)
+    seen = []
+
+    def waiting(cfg, threads=1):
+        seen.append(threads)
+        barrier.wait()  # breaks unless both cells are in flight at once
+        return real(cfg, threads=threads)
+
+    monkeypatch.setattr(figures, "run_scenario", waiting)
+    figures.reproduce_figure2(tmp_path, replicates=50, threads=2)
+    assert seen == [1, 1]
+
+
+def test_files_do_not_depend_on_the_thread_count(tmp_path):
+    runs = {}
+    for threads in (1, 2, 3):  # 3 exceeds the two cells
+        out = tmp_path / f"threads{threads}"
+        figures.reproduce_figure2(out, n=40, replicates=60, threads=threads)
+        runs[threads] = _files(out)
+    assert len(runs[1]) == 6  # two cells' hist + report, summary, comparison
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failing_cell_writes_no_cell_file(tmp_path, threads):
+    # identity accepts Uniform(-1, 1); log does not, so the second cell fails
+    with pytest.raises(ConfigurationError):
+        figures._run_cells(tmp_path, 42, 20, 10, threads,
+                           ("uniform:-1:1",), ("identity", "log"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("reproduce", [figures.reproduce_figure1,
+                                       figures.reproduce_figure2])
+@pytest.mark.parametrize("threads", [0, -1])
+def test_thread_count_below_one_rejected(tmp_path, reproduce, threads):
+    out = tmp_path / "out"
+    with pytest.raises(InvalidParameterError, match="threads"):
+        reproduce(out, n=20, replicates=10, threads=threads)
+    assert not out.exists()

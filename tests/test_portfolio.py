@@ -137,6 +137,16 @@ class TestMarkowitzApproximation:
         worst = max(abs(v) for v in r)
         assert gap <= 10.0 * worst ** 3 + 1e-15
 
+    def test_overflowing_deviation_is_numeric_error(self):
+        # (r - rbar) ** 2 overflows on a finite deviation
+        with pytest.raises(NumericError):
+            markowitz_approximation([1e308, -0.5])
+
+    def test_overflowing_mean_square_is_numeric_error(self):
+        # rbar * rbar overflows, which would make the approximation exp(-inf) = 0
+        with pytest.raises(NumericError):
+            markowitz_approximation([1e200, 1e200])
+
     def test_constant_returns_nearly_exact(self):
         s = ReturnSeries((0.02,) * 12)
         # no variance: approximation reduces to exp(r - r^2/2) ~ 1 + r

@@ -204,6 +204,11 @@ class TestRunScenario:
         with pytest.raises(InvalidParameterError):
             _cfg(replicates=0)
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_below_one_rejected(self, threads):
+        with pytest.raises(InvalidParameterError, match="threads"):
+            run_scenario(_cfg(replicates=10), threads=threads)
+
     def test_ks_small_for_tame_cell(self):
         # CLT kicks in quickly for Gamma(100,1) under log
         rep = run_scenario(_cfg(n=400, replicates=400, seed=5))
