@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .distributions import Gamma, LogNormal, Uniform
 from .errors import (
@@ -306,6 +305,8 @@ def asymptotic_variance(g: Generator, dist, method: str = "auto") -> AsymptoticS
 
 def phi_cdf(x):
     """Standard normal CDF via the complementary error function."""
+    from scipy.special import erfc  # imported on first use, as quad is
+
     out = 0.5 * erfc(-np.asarray(x, dtype=float) / _SQRT2)
     return float(out) if np.ndim(x) == 0 else out
 

@@ -9,7 +9,9 @@ and closed-form moment machinery:
 
 Gamma is parameterized shape-rate.  Pareto defaults to scale 1.  Divergent
 moments are flagged as math.inf, not raised; callers decide whether infinity
-is an error in their context.
+is an error in their context.  scipy.special is imported inside the methods
+that use it: it costs about 0.35 s and 19 MB at import, and sampling and
+taking means never need it.
 """
 
 from __future__ import annotations
@@ -18,18 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (
-    digamma,
-    gammainc,
-    gammainccinv,
-    gammaincinv,
-    gammaln,
-    ndtr,
-    ndtri,
-    polygamma,
-)
 
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError, NumericError
 from .generators import Interval
 
 __all__ = [
@@ -93,9 +85,13 @@ class LogNormal:
         return _on_support(x, lambda v: v > 0, density)
 
     def cdf(self, x):
+        from scipy.special import ndtr
+
         return _on_support(x, lambda v: v > 0, lambda v: ndtr((np.log(v) - self.mu) / self.sigma))
 
     def quantile(self, u):
+        from scipy.special import ndtri
+
         arr = _check_u(u)
         out = np.exp(self.mu + self.sigma * ndtri(arr))
         return out if out.ndim else float(out)
@@ -103,6 +99,8 @@ class LogNormal:
     def isf(self, u):
         """Upper-tail quantile: isf(u) = quantile(1-u), computed without the
         1-u cancellation so tiny u stay resolvable."""
+        from scipy.special import ndtri
+
         arr = _check_u(u)
         out = np.exp(self.mu - self.sigma * ndtri(arr))
         return out if out.ndim else float(out)
@@ -145,24 +143,34 @@ class Gamma:
         return rng.gamma(self.shape, 1.0 / self.rate, n)
 
     def pdf(self, x):
+        from scipy.special import gammaln
+
         return _on_support(x, lambda v: v > 0, lambda v: np.exp(
             self.shape * math.log(self.rate) + (self.shape - 1) * np.log(v)
             - self.rate * v - gammaln(self.shape)))
 
     def cdf(self, x):
+        from scipy.special import gammainc
+
         return _on_support(x, lambda v: v > 0, lambda v: gammainc(self.shape, self.rate * v))
 
     def quantile(self, u):
+        from scipy.special import gammaincinv
+
         arr = _check_u(u)
         out = gammaincinv(self.shape, arr) / self.rate
         return out if out.ndim else float(out)
 
     def isf(self, u):
+        from scipy.special import gammainccinv
+
         arr = _check_u(u)
         out = gammainccinv(self.shape, arr) / self.rate
         return out if out.ndim else float(out)
 
     def power_moment(self, t: float) -> float:
+        from scipy.special import gammaln
+
         if self.shape + t <= 0:
             return math.inf  # not integrable at the origin
         return math.exp(gammaln(self.shape + t) - gammaln(self.shape)
@@ -174,6 +182,8 @@ class Gamma:
         return (1.0 - t / self.rate) ** (-self.shape)
 
     def log_moments(self):
+        from scipy.special import digamma, polygamma
+
         v = float(polygamma(1, self.shape))
         return (
             float(digamma(self.shape)) - math.log(self.rate),
@@ -238,9 +248,19 @@ class Uniform:
                 / ((t + 1) * (self.hi - self.lo)))
 
     def mgf(self, t: float):
-        if t == 0:
-            return 1.0
-        return (math.exp(t * self.hi) - math.exp(t * self.lo)) / (t * (self.hi - self.lo))
+        """E[exp(tX)] = exp(a) (1 - exp(-s)) / s, a the larger of t lo and
+        t hi and s = |t| (hi - lo), summed in logs: expm1 keeps a narrow
+        support accurate, and exp(a) alone may overflow where the mgf does
+        not.  An mgf beyond the float range is NumericError, not inf, which
+        callers would take for a divergent moment."""
+        a, s = max(t * self.lo, t * self.hi), abs(t) * (self.hi - self.lo)
+        if s == 0.0:  # t = 0, or |t| (hi - lo) below the smallest float
+            return math.exp(a)
+        try:
+            # log(inf) = inf: an overflowing width gives exp(-inf) = 0
+            return math.exp(a + math.log(-math.expm1(-s)) - math.log(s))
+        except OverflowError:
+            raise NumericError(f"E[exp({t:g} X)] overflows a float for {self.spec!r}") from None
 
     def log_moments(self):
         if self.lo <= 0:

@@ -79,14 +79,17 @@ class Interval:
     def is_finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
-    def require_interior(self, x, owner: str) -> None:
-        """Raise DomainError, naming the offender and owner, unless every
-        element of x lies strictly inside the interval.  NaN and infinite
-        values never do."""
+    def require_interior(self, x, owner: str) -> tuple[float, float]:
+        """(min x, max x) when every element of x lies strictly inside the
+        interval, else DomainError naming the offender and owner.  NaN and
+        infinite values never do; an empty x passes as (inf, -inf)."""
         arr = np.asarray(x, dtype=float)
+        if not arr.size:
+            return math.inf, -math.inf
+        lo, hi = float(arr.min()), float(arr.max())
         # min and max decide; NaN fails both comparisons
-        if not arr.size or (arr.min() > self.lo and arr.max() < self.hi):
-            return
+        if lo > self.lo and hi < self.hi:
+            return lo, hi
         ok = (arr > self.lo) & (arr < self.hi)
         offender = float(arr.flat[int(np.argmin(np.ravel(ok)))])
         raise DomainError(f"value {offender} outside domain ({self.lo}, {self.hi}) of {owner}")

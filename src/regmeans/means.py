@@ -51,9 +51,11 @@ __all__ = [
 ]
 
 
-def _sample(x: Sequence[float] | np.ndarray, domain: Interval, owner: str) -> np.ndarray:
-    """x as a nonempty 1-D float array with every value inside the open
-    domain, else ConfigurationError (DomainError for NaN and infinities)."""
+def _sample(x: Sequence[float] | np.ndarray, domain: Interval,
+            owner: str) -> tuple[np.ndarray, float, float]:
+    """(x, min x, max x), x as a nonempty 1-D float array with every value
+    inside the open domain, else ConfigurationError (DomainError for NaN and
+    infinities)."""
     try:
         arr = np.atleast_1d(np.asarray(x, dtype=float))
     except (TypeError, ValueError):
@@ -62,8 +64,7 @@ def _sample(x: Sequence[float] | np.ndarray, domain: Interval, owner: str) -> np
         raise ConfigurationError("sample must be one-dimensional")
     if arr.size == 0:
         raise ConfigurationError("sample must be nonempty")
-    domain.require_interior(arr, owner)
-    return arr
+    return (arr, *domain.require_interior(arr, owner))
 
 
 def _exact_sum(v: np.ndarray) -> float:
@@ -143,17 +144,17 @@ def mean(g: Generator, x: Sequence[float] | np.ndarray) -> float:
     """The quasi-arithmetic mean of x under generator g.
 
     The sum of g(x) is correctly rounded (equal to math.fsum), so the result
-    is exactly permutation-invariant, and it lies in [min(x), max(x)] up to
-    rounding.
+    is exactly permutation-invariant, and it is clipped into
+    [min(x), max(x)], which a last step of exp can leave by |log x| ulp.
     Raises ConfigurationError unless x is a nonempty flat sequence of
     numbers, DomainError if any value (NaN and infinities too) is outside the
     generator's domain, and NumericError if g, its sum or the mean is not
     finite on the sample.
     """
-    arr = _sample(x, g.domain, f"generator {g.name!r}")
+    arr, lo, hi = _sample(x, g.domain, f"generator {g.name!r}")
     if arr.size == 1:
         return float(arr[0])
-    return float(_anchored(g, arr, _kernel))
+    return min(max(float(_anchored(g, arr, _kernel)), lo), hi)
 
 
 def row_means(g: Generator, rows: np.ndarray) -> np.ndarray:
@@ -184,28 +185,33 @@ def power_mean(p: float, x: Sequence[float] | np.ndarray) -> float:
     """The power mean ((1/n) sum xi**p)**(1/p) of positive values, p finite.
 
     p = 0 returns the geometric mean (the continuous limit), and so does an
-    exponent too small for x**p to differ from 1 on the sample.
+    exponent too small for x**p to differ from 1 on the sample.  Like mean,
+    the result is clipped into [min(x), max(x)].
     """
     if not math.isfinite(p):
         raise InvalidParameterError(f"power mean needs a finite exponent, got {p}")
-    arr = _sample(x, _POSITIVE, "power mean")
+    arr, lo, hi = _sample(x, _POSITIVE, "power mean")
     logs = np.log(arr)
     top = abs(p) * float(np.max(np.abs(logs)))
     if top < _EPS:
         # x**p is within an ulp of 1 for every x: only the p -> 0 limit is
         # resolvable, and dividing an underflowed sum by p cannot recover it
-        return _kernel(logs, lambda t: t, np.exp)
-    if top < 0.1:
+        m = _kernel(logs, lambda t: t, np.exp)
+    elif top < 0.1:
         # near p = 0 the mean of x**p rounds to about 1 and loses the O(p)
         # signal; expm1/log1p keeps full relative precision
-        return _kernel(logs, lambda t: np.expm1(p * t), lambda y: np.exp(np.log1p(y) / p))
-    return float(_power(p, arr, _kernel))
+        m = _kernel(logs, lambda t: np.expm1(p * t), lambda y: np.exp(np.log1p(y) / p))
+    else:
+        m = float(_power(p, arr, _kernel))
+    # every branch ends in exp, which can leave [min x, max x] by |log x| ulp
+    return min(max(m, lo), hi)
 
 
 def exp_mean_stable(x: Sequence[float] | np.ndarray) -> float:
-    """log((1/n) sum exp(xi)), the exponential mean; it never overflows for
-    finite inputs."""
-    return float(_anchored(_EXP, _sample(x, _EXP.domain, "exponential mean"), _kernel))
+    """log((1/n) sum exp(xi)), the exponential mean, clipped into
+    [min(x), max(x)]; it never overflows for finite inputs."""
+    arr, lo, hi = _sample(x, _EXP.domain, "exponential mean")
+    return min(max(float(_anchored(_EXP, arr, _kernel)), lo), hi)
 
 
 class AxiomCheck(NamedTuple):

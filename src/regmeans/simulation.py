@@ -9,7 +9,12 @@ vectorized pass.  The block layout depends only on n and the replicate
 count, so the output bits depend on (seed, n, replicates) alone and are
 identical for any thread count.  run_scenario's own threads spread one
 scenario's blocks over a pool; the figure grids instead run whole scenarios
-side by side, each single-threaded (see figures).
+side by side, each single-threaded (see figures).  With blocks of 2**15
+elements the block pool gains where a value is costly to draw or transform
+and about breaks even where it is cheap.  On a 2-vCPU host (median of 5,
+one thread -> two): Gamma(100,1) x log, n = 1000, 2*10**4 replicates,
+937 -> 638 ms; LogNormal(2,1) x identity, n = 10**4, 292 -> 219 ms;
+Uniform(1,2) x reciprocal, n = 100, 10**5 replicates, 144 -> 150 ms.
 """
 
 from __future__ import annotations
@@ -82,9 +87,14 @@ class SimulationReport:
 
 
 # Sample elements per replicate block: rows = max(1, _BLOCK_ELEMENTS // n).
-# Small enough that a block's draws and transforms stay in cache and peak
-# memory does not grow; large enough that per-block set-up is negligible.
-_BLOCK_ELEMENTS = 2 ** 14
+# Each block pays a fixed 50-80 us, mostly under the interpreter lock: a
+# spawned SeedSequence and default_rng (about 24 us) and the set-up of
+# sample and row_means.  On a 2-vCPU host, 2**15 halves the blocks of
+# Figure 1 against 2**14 (756 -> 384 per pass) and ran the figure 26%
+# faster, two cells at a time.  2**16 was slower than 2**15, by 15% on
+# Figure 1 and 19% at n = 5 and 20: its 512 KiB draws and their
+# temporaries outgrow a core's L2.
+_BLOCK_ELEMENTS = 2 ** 15
 
 
 def _support_in_domain(g: Generator, dist) -> bool:
@@ -108,10 +118,10 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> SimulationReport:
     max(1, _BLOCK_ELEMENTS // n) rows, one spawned RNG stream per block, so
     the statistics depend on (seed, n, replicates) only.  With threads > 1
     the blocks run on a thread pool; the statistics vector is identical
-    regardless.  Each block is a short numpy call, so the threads contend
-    for the interpreter lock and the pool can be slower than one thread; it
-    gains only on some large scenarios.  threads < 1 is
-    InvalidParameterError.
+    regardless.  A block's draws and transforms release the interpreter lock
+    but its set-up does not, so the pool gains where each value is costly to
+    draw or transform and about breaks even where it is cheap (figures in
+    the module docstring).  threads < 1 is InvalidParameterError.
     """
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads}")

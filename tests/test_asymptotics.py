@@ -19,6 +19,7 @@ from regmeans import (
     GMoments,
     InvalidParameterError,
     LogNormal,
+    NumericError,
     Pareto,
     Uniform,
     asymptotic_variance,
@@ -62,14 +63,16 @@ class TestExpect:
 
 
 def test_quadrature_is_imported_on_first_use():
-    # a process that only takes means never loads scipy.integrate
+    # a process that only takes means never loads scipy.integrate, nor any
+    # other scipy module (scipy.special is imported where it is used too)
     src = str(Path(asymptotics.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, regmeans; regmeans.mean(regmeans.parse_generator('log'), [1.0, 2.0]); "
-            "print('scipy.integrate' in sys.modules)")
+            "print('scipy.integrate' in sys.modules); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.splitlines() == ["False", "[]"]
 
 
 class TestKolmogorovExpectation:
@@ -101,6 +104,18 @@ class TestKolmogorovExpectation:
         g = parse_generator("exp")
         want = math.log((math.e ** 2 - math.e) / 1.0)
         assert kolmogorov_expectation(g, UNI) == pytest.approx(want, rel=1e-13)
+
+    def test_exp_uniform_beyond_exp_overflow(self):
+        # e**710 overflows a float, E[e**X] = (e**710 - 1) / 710 does not
+        got = kolmogorov_expectation(parse_generator("exp"), Uniform(0.0, 710.0))
+        assert got == pytest.approx(710.0 - math.log(710.0), rel=1e-13)
+
+    @pytest.mark.parametrize("fn", [g_moments, asymptotic_variance])
+    def test_exp_moment_beyond_the_float_range_is_numeric_error(self, fn):
+        # E[exp(2X)] = (e**800 - 1) / 800 is finite but no float: not divergent
+        with pytest.raises(NumericError) as info:
+            fn(parse_generator("exp"), Uniform(0.0, 400.0))
+        assert not isinstance(info.value, DivergenceError)
 
     @pytest.mark.parametrize("dist", [LN, GAM, PAR], ids=lambda d: d.spec)
     def test_exp_heavy_tails_diverge(self, dist):

@@ -85,6 +85,12 @@ class TestExitCodes:
         assert code == 3
         assert "diverge" in capsys.readouterr().err
 
+    def test_moment_beyond_the_float_range_is_numeric_error(self, capsys):
+        code = main(["simulate", "--dist", "uniform:0:710", "--generator", "exp",
+                     "--n", "50", "--replicates", "5"])
+        assert code == 3
+        assert "overflows" in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self, capsys):
         assert main(["mean", "--generator", "log", "--data", "1,2",
                      "--frobnicate"]) == 2

@@ -11,6 +11,7 @@ from regmeans import (
     Gamma,
     InvalidParameterError,
     LogNormal,
+    NumericError,
     Pareto,
     Uniform,
     parse_distribution,
@@ -208,6 +209,15 @@ class TestMoments:
         assert Pareto(10.0, 1.0).mgf(1.0) == math.inf
         u = Uniform(1.0, 2.0).mgf(1.0)
         assert u == pytest.approx(math.e * (math.e - 1.0), rel=1e-12)
+
+    def test_uniform_mgf_beyond_the_float_range_is_numeric_error(self):
+        # (e**1600 - 1) / 1600 does not fit a float; inf would read as divergent
+        with pytest.raises(NumericError):
+            Uniform(0.0, 400.0).mgf(4.0)
+
+    def test_uniform_mgf_on_a_narrow_support(self):
+        # e**(t hi) - e**(t lo) cancels to about 1e-4 relative here
+        assert Uniform(1.0, 1.0 + 1e-12).mgf(1.0) == pytest.approx(math.e, rel=1e-11)
 
     def test_log_moment_oracles(self):
         # mean/var/skew/excess kurtosis of ln X, closed forms

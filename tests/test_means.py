@@ -160,17 +160,20 @@ class TestExpMeanStable:
         assert exp_mean_stable(xs) == pytest.approx(naive, rel=1e-14)
 
 
-_EPS = float(np.finfo(float).eps)
-
-
 def _internal(m, xs):
-    """min(xs) <= m <= max(xs) with 8 ulp of the largest magnitude, widened
-    by the largest |log|x||: means that end in exp (log, power and
-    power_mean) round log(m), which is |log m| ulp of m."""
-    lo, hi = min(xs), max(xs)
-    log_size = max((abs(math.log(abs(v))) for v in xs if v), default=0.0)
-    slack = 8.0 * _EPS * max(abs(lo), abs(hi)) * (1.0 + log_size)
-    return lo - slack <= m <= hi + slack
+    """min(xs) <= m <= max(xs), exactly: the means clip their result into
+    the sample's range."""
+    return min(xs) <= m <= max(xs)
+
+
+@pytest.mark.parametrize("call, x", [
+    (lambda xs: mean(parse_generator("log"), xs), 1e-300),
+    (lambda xs: power_mean(1e-20, xs), 1e-300),
+    (lambda xs: power_mean(0.0, xs), 1e300),
+], ids=["log", "power_mean-tiny-exponent", "power_mean-geometric"])
+def test_a_mean_ending_in_exp_stays_internal(call, x):
+    # exp(log x) is |log x| ulp off x, about 143 ulp at 1e-300 and 1e300
+    assert call([x, x]) == x
 
 
 @pytest.mark.parametrize("entry", ["identity", "log", "reciprocal", "power:2", "exp",

@@ -160,6 +160,24 @@ class TestRunScenario:
         run_scenario(cfg)
         assert calls == [rows * n, rows * n, 5 * n]
 
+    def test_figure_cell_draws_flat_int_sizes(self):
+        # the block count and size for a Figure 1 cell; an int size is what
+        # a tracer that reads draws with int() needs
+        calls = []
+
+        class CountingUniform(Uniform):
+            def sample(self, n, rng):
+                calls.append(n)
+                return super().sample(n, rng)
+
+        cfg = ScenarioConfig(dist=CountingUniform(1.0, 2.0),
+                             generator=parse_generator("identity"),
+                             n=1000, replicates=1000, seed=4)
+        run_scenario(cfg)
+        assert len(calls) == 32
+        assert all(type(size) is int for size in calls)
+        assert sum(calls) == 1000 * 1000
+
     def test_different_seeds_differ(self):
         a = run_scenario(_cfg(seed=1))
         b = run_scenario(_cfg(seed=2))
