@@ -6,13 +6,14 @@ For X ~ dist and a generator g, the population counterpart of the mean is
 
 and the scaled estimation error sqrt(n)*(M_g - E_g) is asymptotically normal
 with variance var(g(X)) / g'(E_g)**2.  This module computes those quantities
-(closed forms where the distribution provides them, adaptive quadrature
-otherwise), plus the Edgeworth refinement of the normal CDF driven by the
+(closed forms for the built-in generators, adaptive quadrature for custom
+ones), plus the Edgeworth refinement of the normal CDF driven by the
 skewness and excess kurtosis of g(X).
 
 All of them rest on the first four moments of g(X), and one routine,
 ``_g_stats``, computes those: E_g needs the mean, the limiting variance the
-mean and variance, the Edgeworth terms all four.
+mean and variance, the Edgeworth terms all four.  It standardizes raw
+moments with distributions.moments_from_raw, as Uniform.log_moments does.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Gamma, LogNormal, Uniform
+from .distributions import Gamma, LogNormal, Uniform, moments_from_raw
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -137,7 +138,7 @@ def expect(dist, fn) -> float:
     """
     lower, upper = (_tail_slope(fn, pick) for pick in (dist.quantile, dist.isf))
     if min(lower, upper) <= -(1.0 - 1e-3):
-        raise DivergenceError(f"E[fn(X)] diverges for {getattr(dist, 'spec', dist)!r}")
+        raise DivergenceError(f"E[fn(X)] diverges for {dist.spec!r}")
 
     if isinstance(dist, LogNormal):
         mu, sig = dist.mu, dist.sigma
@@ -183,42 +184,28 @@ def expect(dist, fn) -> float:
 # ---------------------------------------------------------------------------
 # Closed-form dispatch
 
-def _has_closed_forms(g: Generator, dist) -> bool:
-    if g.kind == "log":
-        return hasattr(dist, "log_moments")
-    if g.kind == "exp":
-        return hasattr(dist, "mgf")
-    if g.kind in ("identity", "reciprocal", "power"):
-        return hasattr(dist, "power_moment")
-    return False
-
-
 def _closed_g_raw(g: Generator, dist, k: int) -> float:
-    """E[g(X)**k] in closed form; math.inf when divergent.  Only for kinds
-    other than log (log works from cumulants directly)."""
+    """E[g(X)**k] in closed form; math.inf when divergent.  For the
+    built-in kinds other than log (log works from cumulants directly); every
+    distribution has an mgf closed form at t = k > 0."""
     if g.kind == "identity":
         return dist.power_moment(float(k))
     if g.kind == "reciprocal":
         return dist.power_moment(float(-k))
     if g.kind == "power":
         return dist.power_moment(g.param * k)
-    if g.kind == "exp":
-        v = dist.mgf(float(k))
-        if v is None:
-            raise ConfigurationError("no closed-form MGF here")
-        return v
-    raise ConfigurationError(f"no closed-form moments for generator {g.name!r}")
+    return dist.mgf(float(k))
 
 
-def _resolve_method(g: Generator, dist, method: str) -> str:
+def _resolve_method(g: Generator, method: str) -> str:
+    # every distribution has closed forms for every built-in generator kind
     if method not in _METHODS:
         raise InvalidParameterError(f"method must be one of {_METHODS}, got {method!r}")
-    if method == "auto":
-        return "closed_form" if _has_closed_forms(g, dist) else "quadrature"
-    if method == "closed_form" and not _has_closed_forms(g, dist):
-        raise ConfigurationError(
-            f"no closed forms for generator {g.name!r} with this distribution")
-    return method
+    if g.kind != "custom":
+        return "closed_form" if method == "auto" else method
+    if method == "closed_form":
+        raise ConfigurationError(f"no closed forms for custom generator {g.name!r}")
+    return "quadrature" if method == "auto" else method
 
 
 def _g_stats(g: Generator, dist, how: str, order: int) -> tuple:
@@ -243,18 +230,7 @@ def _g_stats(g: Generator, dist, how: str, order: int) -> tuple:
             raise DivergenceError(
                 f"E[g(X)**{k}] diverges for g={g.name!r}, dist={dist.spec!r}")
         raws.append(r)
-    r1 = raws[0]
-    if order == 1:
-        return (r1,)
-    var = max(raws[1] - r1 * r1, 0.0)
-    if order == 2:
-        return r1, var
-    if var == 0.0:
-        return r1, var, math.nan, math.nan
-    r2, r3, r4 = raws[1:]
-    c3 = r3 - 3.0 * r1 * r2 + 2.0 * r1 ** 3
-    c4 = r4 - 4.0 * r1 * r3 + 6.0 * r1 * r1 * r2 - 3.0 * r1 ** 4
-    return r1, var, c3 / var ** 1.5, c4 / (var * var) - 3.0
+    return moments_from_raw(raws)
 
 
 def kolmogorov_expectation(g: Generator, dist, method: str = "auto") -> float:
@@ -265,7 +241,7 @@ def kolmogorov_expectation(g: Generator, dist, method: str = "auto") -> float:
     power p -> E[X**p]**(1/p); exp -> ln E[exp X].  Raises DivergenceError
     when E[g(X)] diverges.
     """
-    (mean_g,) = _g_stats(g, dist, _resolve_method(g, dist, method), 1)
+    (mean_g,) = _g_stats(g, dist, _resolve_method(g, method), 1)
     return float(g.inverse(mean_g))
 
 
@@ -276,7 +252,7 @@ def g_moments(g: Generator, dist, method: str = "auto",
     Divergent moments raise DivergenceError naming the offending order.  A
     zero-variance g(X) yields NaN skewness/kurtosis.
     """
-    how = _resolve_method(g, dist, method)
+    how = _resolve_method(g, method)
     if how == "monte_carlo":
         y = np.asarray(g.forward(dist.sample(mc_samples, np.random.default_rng(mc_seed))),
                        dtype=float)
@@ -292,7 +268,7 @@ def g_moments(g: Generator, dist, method: str = "auto",
 
 def asymptotic_variance(g: Generator, dist, method: str = "auto") -> AsymptoticSpec:
     """E_g(X), g'(E_g(X)), and var(g(X)) / g'(E_g(X))**2."""
-    mean_g, var_g = _g_stats(g, dist, _resolve_method(g, dist, method), 2)
+    mean_g, var_g = _g_stats(g, dist, _resolve_method(g, method), 2)
     eg = float(g.inverse(mean_g))
     gp = float(g.derivative(eg))
     if not math.isfinite(gp) or gp == 0.0:

@@ -14,6 +14,12 @@ One executable, eight subcommands:
 Exit codes: 0 success, 2 configuration error, 3 numeric/divergence error.
 Every JSON payload carries a metadata block with version, seed, and a config
 echo.  CSV output uses '.' decimals and 17 significant digits.
+
+The output decisions the figure files also make have one owner each: CSV
+cells are figures.csv_cell, the simulate payload is SimulationReport.as_dict
+(the keys of a figure cell's report file), and --threads runs through
+simulation.thread_map.  One parser, _parse_interval, reads --box and --grid,
+and one handler serves both reproduce-figure commands.
 """
 
 from __future__ import annotations
@@ -22,14 +28,17 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .asymptotics import edgeworth_corrections, g_moments, phi_cdf
 from .distributions import parse_distribution
 from .errors import ConfigurationError, InvalidParameterError, NumericError
-from .figures import reproduce_figure1, reproduce_figure2, write_hist
+from .figures import csv_cell, reproduce_figure1, reproduce_figure2, write_hist
 from .generators import Interval, parse_generator
 from .means import check_axioms, mean
 from .portfolio import (
@@ -42,12 +51,6 @@ from .simulation import ScenarioConfig, run_scenario
 from .stability import verify_stability
 
 __all__ = ["main", "build_parser"]
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return "" if x is None else str(x)
 
 
 def _load_values(source: str) -> list[float]:
@@ -70,27 +73,24 @@ def _load_values(source: str) -> list[float]:
         raise InvalidParameterError(f"could not parse data {source!r}: {exc}") from None
 
 
-def _parse_box(spec: str) -> Interval:
+def _parse_interval(spec: str, what: str, steps: bool = False):
+    """The --box or --grid value: "lo:hi" as an Interval, or with steps
+    "lo:hi:steps" as (Interval of finite width, steps >= 2).  Anything else
+    is InvalidParameterError naming what."""
+    form = "lo:hi:steps" if steps else "lo:hi"
     parts = spec.split(":")
-    if len(parts) != 2:
-        raise InvalidParameterError(f"box spec must be lo:hi, got {spec!r}")
+    if len(parts) != form.count(":") + 1:
+        raise InvalidParameterError(f"{what} spec must be {form}, got {spec!r}")
     try:
-        return Interval(float(parts[0]), float(parts[1]))
+        lo, hi, count = float(parts[0]), float(parts[1]), (int(parts[2]) if steps else 2)
     except ValueError:
-        raise InvalidParameterError(f"bad box spec {spec!r}") from None
-
-
-def _parse_grid(spec: str) -> tuple[float, float, int]:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise InvalidParameterError(f"grid spec must be lo:hi:steps, got {spec!r}")
-    try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise InvalidParameterError(f"bad grid spec {spec!r}") from None
-    if steps < 2 or not lo < hi:
-        raise InvalidParameterError(f"grid needs lo < hi and steps >= 2, got {spec!r}")
-    return lo, hi, steps
+        raise InvalidParameterError(f"bad {what} spec {spec!r}") from None
+    if count < 2:
+        raise InvalidParameterError(f"{what} needs steps >= 2, got {spec!r}")
+    span = Interval(lo, hi)
+    if steps and not math.isfinite(span.width):  # its points would be NaN
+        raise InvalidParameterError(f"{what} needs a finite width, got {spec!r}")
+    return (span, count) if steps else span
 
 
 def _meta(args, **config) -> dict:
@@ -122,11 +122,11 @@ def _render(payload: dict, fmt: str) -> str:
         cols = list(rows[0])
         w.writerow(cols)
         for row in rows:
-            w.writerow([_fmt(row[c]) for c in cols])
+            w.writerow([csv_cell(row[c]) for c in cols])
     else:
         flat = _flatten({k: v for k, v in payload.items() if k != "metadata"})
         w.writerow(list(flat))
-        w.writerow([_fmt(v) for v in flat.values()])
+        w.writerow([csv_cell(v) for v in flat.values()])
     return buf.getvalue()
 
 
@@ -167,21 +167,14 @@ def _cmd_edgeworth(args) -> dict:
     g = parse_generator(args.generator)
     dist = parse_distribution(args.dist)
     mom = g_moments(g, dist)
-    third = args.third_order.replace("-", "_")
-    lo, hi, steps = _parse_grid(args.grid)
-    rows = []
-    for i in range(steps):
-        x = lo + (hi - lo) * i / (steps - 1)
-        c1, c2, c3 = edgeworth_corrections(x, args.n, mom, third)
-        phi = phi_cdf(x)
-        rows.append({
-            "x": x,
-            "phi_cdf": phi,
-            "edgeworth_cdf": phi - (c1 + c2 + c3),
-            "correction_1": c1,
-            "correction_2": c2,
-            "correction_3": c3,
-        })
+    span, steps = _parse_interval(args.grid, "grid", steps=True)
+    x = span.lo + span.width * np.arange(steps) / (steps - 1)
+    c1, c2, c3 = edgeworth_corrections(x, args.n, mom, args.third_order.replace("-", "_"))
+    phi = phi_cdf(x)
+    columns = {"x": x, "phi_cdf": phi, "edgeworth_cdf": phi - (c1 + c2 + c3),
+               "correction_1": c1, "correction_2": c2, "correction_3": c3}
+    rows = [dict(zip(columns, values))
+            for values in zip(*(col.tolist() for col in columns.values()))]
     return {
         "command": "edgeworth",
         "rows": rows,
@@ -201,18 +194,9 @@ def _cmd_simulate(args) -> dict:
     report = run_scenario(cfg, threads=args.threads)
     if args.hist:
         write_hist(Path(args.hist), report)
-    import math as _math
-
     return {
         "command": "simulate",
-        "config": cfg.echo(),
-        "eg": report.asymptotic.eg,
-        "asym_var": report.asymptotic.asym_var,
-        "empirical_var": report.empirical_var,
-        "ks": report.ks_vs_normal,
-        "edgeworth_sup_gap": (None if _math.isnan(report.edgeworth_sup_gap)
-                              else report.edgeworth_sup_gap),
-        "runtime_ms": report.metadata["runtime_ms"],
+        **report.as_dict(),
         "metadata": _meta(args, dist=args.dist, generator=args.generator,
                           n=args.n, replicates=args.replicates,
                           threads=args.threads),
@@ -222,8 +206,8 @@ def _cmd_simulate(args) -> dict:
 def _cmd_stability(args) -> dict:
     g = parse_generator(args.g)
     h = parse_generator(args.h)
-    report = verify_stability(g, h, _parse_box(args.box), n=args.n,
-                              grid_per_dim=args.grid)
+    report = verify_stability(g, h, _parse_interval(args.box, "box"), n=args.n,
+                              grid_per_dim=args.grid, seed=args.seed)
     payload = {"command": "stability", **report.as_dict()}
     payload["metadata"] = _meta(args, g=args.g, h=args.h, box=args.box,
                                 n=args.n, grid=args.grid)
@@ -250,32 +234,15 @@ def _cmd_portfolio(args) -> dict:
     }
 
 
-def _cmd_figure1(args) -> dict:
-    result = reproduce_figure1(args.out or "figure1-out", seed=args.seed,
-                               n=args.n, replicates=args.replicates,
-                               threads=args.threads)
+def _cmd_figure(args) -> dict:
+    result = args.reproduce(args.out or args.default_out, seed=args.seed,
+                            n=args.n, replicates=args.replicates,
+                            threads=args.threads)
     args.out = None  # artifacts land in the directory; summary goes to stdout
     return {
-        "command": "reproduce-figure1",
-        "out_dir": result["out_dir"],
-        "summary_csv": result["summary_csv"],
-        "rows": result["cells"],
-        "metadata": _meta(args, n=args.n, replicates=args.replicates,
-                          threads=args.threads),
-    }
-
-
-def _cmd_figure2(args) -> dict:
-    result = reproduce_figure2(args.out or "figure2-out", seed=args.seed,
-                               n=args.n, replicates=args.replicates,
-                               threads=args.threads)
-    args.out = None  # artifacts land in the directory; summary goes to stdout
-    return {
-        "command": "reproduce-figure2",
-        "out_dir": result["out_dir"],
-        "summary_csv": result["summary_csv"],
-        "comparison": result["comparison"],
-        "rows": result["cells"],
+        "command": args.command,
+        "rows": result.pop("cells"),
+        **result,  # out_dir, summary_csv, and figure 2's comparison
         "metadata": _meta(args, n=args.n, replicates=args.replicates,
                           threads=args.threads),
     }
@@ -352,17 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ddof", type=int, choices=(0, 1), default=0)
     p.set_defaults(func=_cmd_portfolio)
 
-    p = sub.add_parser("reproduce-figure1", parents=[_common_parent()],
-                       help="full simulation grid (12 cells)")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--replicates", type=int, default=1000)
-    p.set_defaults(func=_cmd_figure1)
-
-    p = sub.add_parser("reproduce-figure2", parents=[_common_parent()],
-                       help="heavy-tail identity vs log comparison")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--replicates", type=int, default=1000)
-    p.set_defaults(func=_cmd_figure2)
+    for number, reproduce, what in (
+            (1, reproduce_figure1, "full simulation grid (12 cells)"),
+            (2, reproduce_figure2, "heavy-tail identity vs log comparison")):
+        p = sub.add_parser(f"reproduce-figure{number}", parents=[_common_parent()],
+                           help=what)
+        p.add_argument("--n", type=int, default=1000)
+        p.add_argument("--replicates", type=int, default=1000)
+        p.set_defaults(func=_cmd_figure, reproduce=reproduce,
+                       default_out=f"figure{number}-out")
 
     for name, what in (("simulate", "the replicate blocks of the scenario"),
                        ("reproduce-figure1", "the figure cells"),

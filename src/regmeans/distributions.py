@@ -17,6 +17,7 @@ taking means never need it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,25 @@ def _on_support(x, inside, f):
     ok = inside(arr)
     out[ok] = f(arr[ok])
     return float(out[0]) if np.ndim(x) == 0 else out
+
+
+def moments_from_raw(raws) -> tuple:
+    """The first len(raws) (1, 2 or 4) of (mean, variance, skewness, excess
+    kurtosis) of Y from its raw moments E[Y**k], k = 1, 2, ...  A variance
+    that rounds below zero is zero, and a zero variance gives NaN skewness
+    and kurtosis."""
+    r1 = raws[0]
+    if len(raws) == 1:
+        return (r1,)
+    var = max(raws[1] - r1 * r1, 0.0)
+    if len(raws) == 2:
+        return r1, var
+    if var == 0.0:
+        return r1, var, math.nan, math.nan
+    r2, r3, r4 = raws[1:]
+    c3 = r3 - 3.0 * r1 * r2 + 2.0 * r1 ** 3
+    c4 = r4 - 4.0 * r1 * r3 + 6.0 * r1 * r1 * r2 - 3.0 * r1 ** 4
+    return r1, var, c3 / var ** 1.5, c4 / (var * var) - 3.0
 
 
 def _check_u(u) -> np.ndarray:
@@ -252,25 +272,24 @@ class Uniform:
         t hi and s = |t| (hi - lo), summed in logs: expm1 keeps a narrow
         support accurate, and exp(a) alone may overflow where the mgf does
         not.  An mgf beyond the float range is NumericError, not inf, which
-        callers would take for a divergent moment."""
+        callers would take for a divergent moment; so is one below the
+        smallest normal float, a 0 or a subnormal that has lost digits."""
         a, s = max(t * self.lo, t * self.hi), abs(t) * (self.hi - self.lo)
-        if s == 0.0:  # t = 0, or |t| (hi - lo) below the smallest float
-            return math.exp(a)
         try:
+            # s = 0: t = 0, or |t| (hi - lo) below the smallest float;
             # log(inf) = inf: an overflowing width gives exp(-inf) = 0
-            return math.exp(a + math.log(-math.expm1(-s)) - math.log(s))
+            v = math.exp(a if s == 0.0 else a + math.log(-math.expm1(-s)) - math.log(s))
         except OverflowError:
             raise NumericError(f"E[exp({t:g} X)] overflows a float for {self.spec!r}") from None
+        if v < sys.float_info.min:
+            raise NumericError(
+                f"E[exp({t:g} X)] underflows the normal float range for {self.spec!r}")
+        return v
 
     def log_moments(self):
         if self.lo <= 0:
             raise DomainError("ln X needs strictly positive support")
-        raw = [self._log_raw(k) for k in range(1, 5)]
-        m = raw[0]
-        c2 = raw[1] - m * m
-        c3 = raw[2] - 3 * m * raw[1] + 2 * m ** 3
-        c4 = raw[3] - 4 * m * raw[2] + 6 * m * m * raw[1] - 3 * m ** 4
-        return (m, c2, c3 / c2 ** 1.5, c4 / (c2 * c2) - 3.0)
+        return moments_from_raw([self._log_raw(k) for k in range(1, 5)])
 
     def _log_raw(self, k: int) -> float:
         # E[(ln X)^k] via the antiderivative of (ln x)^k:

@@ -7,11 +7,13 @@ reproduce_figure2 runs the heavy-tailed comparison (LogNormal with log
 variance 6.25) where the arithmetic mean converges slowly but the geometric
 mean does not.
 
-All floats in CSV output are serialized with 17 significant digits and all
-randomness derives from the master seed, so repeat runs (at any thread
-count) produce identical data files.  The thread pool runs whole cells side
-by side, each one single-threaded with its own seed; every file is written
-afterwards, in cell order, on the calling thread.
+All floats in CSV output are serialized with 17 significant digits (by
+csv_cell, which the CLI's CSV output shares) and all randomness derives from
+the master seed, so repeat runs (at any thread count) produce identical data
+files.  The thread pool (simulation.thread_map) runs whole cells side by
+side, each one single-threaded with its own seed; every file is written
+afterwards, in cell order, on the calling thread.  A cell's report file holds
+SimulationReport.as_dict, the keys of the CLI's simulate payload.
 """
 
 from __future__ import annotations
@@ -19,16 +21,21 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .asymptotics import phi_pdf
 from .distributions import parse_distribution
-from .errors import ConfigurationError, InvalidParameterError
+from .errors import ConfigurationError
 from .generators import parse_generator
-from .simulation import ScenarioConfig, SimulationReport, run_scenario
+from .simulation import (
+    ScenarioConfig,
+    SimulationReport,
+    check_threads,
+    run_scenario,
+    thread_map,
+)
 
 __all__ = ["reproduce_figure1", "reproduce_figure2", "write_hist", "FIGURE1_DISTS",
            "FIGURE1_GENERATORS"]
@@ -42,8 +49,12 @@ _HIST_BINS = 40
 _HIST_RANGE = (-4.0, 4.0)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def csv_cell(x) -> str:
+    """One CSV cell: a float with 17 significant digits, so identical runs
+    write identical bytes; None is empty, anything else its str."""
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return "" if x is None else str(x)
 
 
 def _cell_seed(master_seed: int, index: int) -> int:
@@ -65,36 +76,19 @@ def write_hist(path: Path, report: SimulationReport) -> None:
         w = csv.writer(fh)
         w.writerow(["bin_lo", "bin_hi", "count", "normal_density_at_mid"])
         for lo, hi, c, d in zip(edges[:-1], edges[1:], counts, dens):
-            w.writerow([_fmt(lo), _fmt(hi), int(c), _fmt(d)])
+            w.writerow([csv_cell(lo), csv_cell(hi), int(c), csv_cell(d)])
 
 
-def _write_report(path: Path, report: SimulationReport, version: str) -> dict:
-    payload = {
-        "config": report.metadata["config"],
-        "eg": report.asymptotic.eg,
-        "asym_var": report.asymptotic.asym_var,
-        "empirical_var": report.empirical_var,
-        "ks": report.ks_vs_normal,
-        "edgeworth_sup_gap": (None if math.isnan(report.edgeworth_sup_gap)
-                              else report.edgeworth_sup_gap),
-        # the wall time of this cell, which may have shared the host with
-        # other cells in flight: the one run-varying key; the thread count is
-        # deliberately not recorded, as outputs must not depend on it
-        "runtime_ms": report.metadata["runtime_ms"],
-        "metadata": {
-            "version": version,
-            "seed": report.metadata["config"]["seed"],
-        },
-    }
+def _write_report(path: Path, report: SimulationReport, version: str) -> None:
+    payload = {**report.as_dict(),
+               "metadata": {"version": version, "seed": report.metadata["config"]["seed"]}}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
 
 
 def _run_cells(out_dir, seed, n, replicates, threads, dists, generators):
     from . import __version__
 
-    if threads < 1:
-        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
+    check_threads(threads)  # before the directory is made
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -114,11 +108,7 @@ def _run_cells(out_dir, seed, n, replicates, threads, dists, generators):
     ]
     # Every cell runs before any file is written, so a failing cell leaves
     # no partial output behind.
-    if threads == 1:
-        reports = [run_scenario(cfg) for cfg in cfgs]
-    else:
-        with ThreadPoolExecutor(max_workers=min(threads, len(cfgs))) as pool:
-            reports = list(pool.map(run_scenario, cfgs))
+    reports = thread_map(run_scenario, cfgs, threads)
 
     rows = []
     for (dist_spec, gen_spec), cfg, report in zip(cells, cfgs, reports):
@@ -147,8 +137,7 @@ def _write_summary(path: Path, rows) -> None:
         w = csv.writer(fh)
         w.writerow(cols)
         for row in rows:
-            w.writerow([row[c] if isinstance(row[c], (int, str)) else _fmt(row[c])
-                        for c in cols])
+            w.writerow([csv_cell(row[c]) for c in cols])
 
 
 def reproduce_figure1(out_dir, seed: int = 42, n: int = 1000,

@@ -15,6 +15,10 @@ and about breaks even where it is cheap.  On a 2-vCPU host (median of 5,
 one thread -> two): Gamma(100,1) x log, n = 1000, 2*10**4 replicates,
 937 -> 638 ms; LogNormal(2,1) x identity, n = 10**4, 292 -> 219 ms;
 Uniform(1,2) x reciprocal, n = 100, 10**5 replicates, 144 -> 150 ms.
+
+Both pools are one ordered map, thread_map, behind one count check,
+check_threads.  SimulationReport.as_dict is the one report schema: the CLI's
+simulate payload and every figure cell's report file.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ class ScenarioConfig:
 
     def echo(self) -> dict:
         return {
-            "dist": self.dist.spec if hasattr(self.dist, "spec") else repr(self.dist),
+            "dist": self.dist.spec,
             "generator": self.generator.name,
             "n": self.n,
             "replicates": self.replicates,
@@ -85,6 +89,23 @@ class SimulationReport:
     edgeworth_sup_gap: float
     metadata: dict = field(default_factory=dict)
 
+    def as_dict(self) -> dict:
+        """The report's JSON keys; a NaN Edgeworth gap (a third or fourth
+        moment of g(X) diverges) is None."""
+        gap = self.edgeworth_sup_gap
+        return {
+            "config": self.metadata["config"],
+            "eg": self.asymptotic.eg,
+            "asym_var": self.asymptotic.asym_var,
+            "empirical_var": self.empirical_var,
+            "ks": self.ks_vs_normal,
+            "edgeworth_sup_gap": None if math.isnan(gap) else gap,
+            # wall time, which may be shared with other scenarios in flight:
+            # the one run-varying key; the thread count is deliberately not
+            # here, as the other keys must not depend on it
+            "runtime_ms": self.metadata["runtime_ms"],
+        }
+
 
 # Sample elements per replicate block: rows = max(1, _BLOCK_ELEMENTS // n).
 # Each block pays a fixed 50-80 us, mostly under the interpreter lock: a
@@ -95,6 +116,21 @@ class SimulationReport:
 # Figure 1 and 19% at n = 5 and 20: its 512 KiB draws and their
 # temporaries outgrow a core's L2.
 _BLOCK_ELEMENTS = 2 ** 15
+
+
+def check_threads(threads: int) -> None:
+    """InvalidParameterError unless threads >= 1."""
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
+
+
+def thread_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], in order, on up to threads (>= 1, see
+    check_threads) worker threads; one thread runs them inline."""
+    if threads == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def _support_in_domain(g: Generator, dist) -> bool:
@@ -123,8 +159,7 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> SimulationReport:
     draw or transform and about breaks even where it is cheap (figures in
     the module docstring).  threads < 1 is InvalidParameterError.
     """
-    if threads < 1:
-        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
+    check_threads(threads)
     g, dist = cfg.generator, cfg.dist
     if not _support_in_domain(g, dist):
         raise ConfigurationError(
@@ -147,12 +182,7 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> SimulationReport:
         x = dist.sample((hi - lo) * n, rng).reshape(hi - lo, n)
         means[lo:hi] = row_means(g, x)
 
-    if threads == 1:
-        for k in range(len(starts)):
-            block(k)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(block, range(len(starts))))
+    thread_map(block, range(len(starts)), threads)
 
     scaled = math.sqrt(cfg.n) * (means - spec.eg)
     stats = scaled / math.sqrt(spec.asym_var)

@@ -117,6 +117,15 @@ class TestKolmogorovExpectation:
             fn(parse_generator("exp"), Uniform(0.0, 400.0))
         assert not isinstance(info.value, DivergenceError)
 
+    @pytest.mark.parametrize("fn, lo, hi", [
+        (kolmogorov_expectation, -800.0, -750.0),  # E[e**X] underflows to 0
+        (asymptotic_variance, -760.0, -740.0),     # subnormal E[e**X], g'(E_g)**2 is 0
+        (g_moments, -800.0, -750.0),
+    ])
+    def test_exp_moment_below_the_normal_range_is_numeric_error(self, fn, lo, hi):
+        with pytest.raises(NumericError, match="underflows"):
+            fn(parse_generator("exp"), Uniform(lo, hi))
+
     @pytest.mark.parametrize("dist", [LN, GAM, PAR], ids=lambda d: d.spec)
     def test_exp_heavy_tails_diverge(self, dist):
         with pytest.raises(DivergenceError):

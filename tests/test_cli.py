@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from regmeans import __version__
+from regmeans import Interval, __version__, figures, parse_generator, verify_stability
 from regmeans.cli import main
 
 
@@ -91,6 +91,12 @@ class TestExitCodes:
         assert code == 3
         assert "overflows" in capsys.readouterr().err
 
+    def test_moment_below_the_normal_range_is_numeric_error(self, capsys):
+        code = main(["simulate", "--dist", "uniform:-760:-740", "--generator", "exp",
+                     "--n", "50", "--replicates", "5"])
+        assert code == 3
+        assert "underflows" in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self, capsys):
         assert main(["mean", "--generator", "log", "--data", "1,2",
                      "--frobnicate"]) == 2
@@ -165,6 +171,14 @@ class TestEdgeworthCommand:
         assert main(["edgeworth", "--generator", "identity", "--dist", "gamma:1:1",
                      "--n", "10", "--grid", "3:1:5"]) == 2
 
+    # an infinite width (the last three) would fill the table with NaN
+    @pytest.mark.parametrize("grid", ["1", "a:2", "1:2", "1:2:x", "a:2:5", "0:1:1",
+                                      "-inf:inf:5", "0:inf:5", "-1e308:1e308:5"])
+    def test_malformed_grid_spec(self, capsys, grid):
+        assert main(["edgeworth", "--generator", "identity", "--dist", "gamma:1:1",
+                     "--n", "10", f"--grid={grid}"]) == 2
+        assert "grid" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_report_and_hist(self, tmp_path, capsys):
@@ -179,6 +193,27 @@ class TestSimulateCommand:
         assert list(rows[0]) == ["bin_lo", "bin_hi", "count",
                                  "normal_density_at_mid"]
         assert sum(int(r["count"]) for r in rows) == 60
+
+    def test_divergent_edgeworth_gap_is_null(self, capsys):
+        # E[X**4] diverges for Pareto(3.5), so the expansion is undefined
+        payload = run_json(capsys, ["simulate", "--dist", "pareto:3.5", "--generator",
+                                    "identity", "--n", "20", "--replicates", "10"])
+        assert payload["edgeworth_sup_gap"] is None
+        assert math.isfinite(payload["ks"])
+
+    def test_payload_matches_a_figure_report(self, tmp_path, capsys):
+        # the same config through the CLI and through a figure cell
+        out, rows = figures._run_cells(tmp_path, 42, 30, 20, 1,
+                                       ("gamma:100:1",), ("log",))
+        report = json.loads((out / "gamma-100-1_log.report.json").read_text())
+        payload = run_json(capsys, ["simulate", "--dist", "gamma:100:1", "--generator",
+                                    "log", "--n", "30", "--replicates", "20",
+                                    "--seed", str(rows[0]["seed"])])
+        for key in ("command", "metadata", "runtime_ms"):
+            payload.pop(key)
+        for key in ("metadata", "runtime_ms"):
+            report.pop(key)
+        assert payload == report
 
     def test_seed_changes_output(self, capsys):
         a = run_json(capsys, ["simulate", "--dist", "uniform:1:2", "--generator",
@@ -202,6 +237,31 @@ class TestStabilityCommand:
     def test_bad_box(self, capsys):
         assert main(["stability", "--g", "identity", "--h", "log",
                      "--box", "2:1"]) == 2
+
+    def test_seed_drives_the_sampled_certificate(self, capsys):
+        # beyond n = 3 the distance is a sup over seeded random points
+        argv = ["stability", "--g", "identity", "--h", "log", "--n", "5", "--grid", "21"]
+        a = run_json(capsys, argv + ["--seed", "1"])
+        b = run_json(capsys, argv + ["--seed", "2"])
+        assert a["sup_mean_distance"] != b["sup_mean_distance"]
+        want = verify_stability(parse_generator("identity"), parse_generator("log"),
+                                Interval(1.0, 2.0), n=5, grid_per_dim=21, seed=1)
+        assert a["sup_mean_distance"] == want.sup_mean_distance
+
+    @pytest.mark.parametrize("box", ["1", "a:2", "1:2:x", "1:2:5"])
+    def test_malformed_box_spec(self, capsys, box):
+        assert main(["stability", "--g", "identity", "--h", "log",
+                     "--box", box]) == 2
+        assert "box" in capsys.readouterr().err
+
+    def test_csv_writes_the_box_as_a_json_cell(self, capsys):
+        code = main(["stability", "--g", "identity", "--h", "log", "--box", "1:2",
+                     "--n", "2", "--grid", "21", "--format", "csv"])
+        assert code == 0
+        (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert row["box"] == "[1.0, 2.0]"
+        assert row["satisfied"] == "True"
+        assert "metadata.seed" not in row
 
 
 class TestPortfolioCommand:

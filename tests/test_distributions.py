@@ -215,6 +215,13 @@ class TestMoments:
         with pytest.raises(NumericError):
             Uniform(0.0, 400.0).mgf(4.0)
 
+    @pytest.mark.parametrize("lo, hi, t", [(-800.0, -750.0, 1.0), (750.0, 800.0, -1.0),
+                                           (-760.0, -740.0, 1.0)])
+    def test_uniform_mgf_below_the_normal_range_is_numeric_error(self, lo, hi, t):
+        # about e**-750 / 50: a 0 would read as exact, a subnormal has lost digits
+        with pytest.raises(NumericError, match="underflows"):
+            Uniform(lo, hi).mgf(t)
+
     def test_uniform_mgf_on_a_narrow_support(self):
         # e**(t hi) - e**(t lo) cancels to about 1e-4 relative here
         assert Uniform(1.0, 1.0 + 1e-12).mgf(1.0) == pytest.approx(math.e, rel=1e-11)

@@ -56,6 +56,14 @@ def test_a_failing_cell_writes_no_cell_file(tmp_path, threads):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_divergent_edgeworth_gap_is_null_in_the_report(tmp_path):
+    figures._run_cells(tmp_path, 42, 20, 10, 1, ("pareto:3.5",), ("identity",))
+    report = json.loads((tmp_path / "pareto-3p5_identity.report.json").read_text())
+    assert report["edgeworth_sup_gap"] is None
+    assert set(report) == {"config", "eg", "asym_var", "empirical_var", "ks",
+                           "edgeworth_sup_gap", "runtime_ms", "metadata"}
+
+
 @pytest.mark.parametrize("reproduce", [figures.reproduce_figure1,
                                        figures.reproduce_figure2])
 @pytest.mark.parametrize("threads", [0, -1])

@@ -52,6 +52,12 @@ class TestMean:
         with pytest.raises(ConfigurationError):
             mean(parse_generator("identity"), ())
 
+    @pytest.mark.parametrize("x", [[1.0, [2.0, 3.0]], [[1.0, 2.0], [3.0, 4.0]],
+                                   ["one", "two"]], ids=["ragged", "2-D", "non-numeric"])
+    def test_a_sample_that_is_not_a_flat_list_of_numbers_rejected(self, x):
+        with pytest.raises(ConfigurationError):
+            mean(parse_generator("identity"), x)
+
     @pytest.mark.parametrize("spec, x", [("exp", 1000.0), ("exp", -1000.0),
                                          ("power:2", 1e-200), ("power:3", 1e200)])
     def test_exp_and_power_are_anchored(self, spec, x):
