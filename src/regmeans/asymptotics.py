@@ -19,6 +19,7 @@ moments with distributions.moments_from_raw, as Uniform.log_moments does.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import (
     DegenerateSlopeError,
     DivergenceError,
     InvalidParameterError,
+    NumericError,
 )
 from .generators import Generator
 
@@ -226,6 +228,11 @@ def _g_stats(g: Generator, dist, how: str, order: int) -> tuple:
             r = _closed_g_raw(g, dist, k)
         else:
             r = expect(dist, lambda x: g.forward(x) ** k)
+            if g.kind == "exp" and r < sys.float_info.min:
+                # as Uniform.mgf rules: a 0 or a subnormal has lost its digits
+                raise NumericError(
+                    f"E[g(X)**{k}] underflows the normal float range for "
+                    f"g={g.name!r}, dist={dist.spec!r}")
         if math.isinf(r):
             raise DivergenceError(
                 f"E[g(X)**{k}] diverges for g={g.name!r}, dist={dist.spec!r}")

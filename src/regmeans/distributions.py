@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -162,12 +163,23 @@ class Gamma:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.gamma(self.shape, 1.0 / self.rate, n)
 
-    def pdf(self, x):
+    @cached_property
+    def _log_norm(self) -> float:
         from scipy.special import gammaln
 
-        return _on_support(x, lambda v: v > 0, lambda v: np.exp(
-            self.shape * math.log(self.rate) + (self.shape - 1) * np.log(v)
-            - self.rate * v - gammaln(self.shape)))
+        return self.shape * math.log(self.rate) - float(gammaln(self.shape))
+
+    def pdf(self, x):
+        c, a, r = self._log_norm, self.shape - 1.0, self.rate
+        if isinstance(x, (int, float)):
+            # quadrature asks for one node at a time: math, not a 1-element array
+            if not x > 0:
+                return 0.0
+            try:
+                return math.exp(c + a * math.log(x) - r * x)
+            except OverflowError:
+                return math.inf  # as np.exp rounds it
+        return _on_support(x, lambda v: v > 0, lambda v: np.exp(c + a * np.log(v) - r * v))
 
     def cdf(self, x):
         from scipy.special import gammainc

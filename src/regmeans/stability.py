@@ -22,8 +22,19 @@ a table of its inverse at equally spaced blend values, built once per t from
 a fine axis, gives each row a first guess, and Newton polishes only the rows
 it leaves above tolerance.
 
+Most rows need no blended mean at all.  With k_t = (1-t) g + t h and
+y = (1-t) mean g + t mean h, k_t(M_g) - y = t (h(M_g) - mean h) and
+k_t(M_h) - y = (1-t) (g(M_h) - mean g) have opposite signs, so M_t lies
+between M_g and M_h and |M_g - M_t| <= |M_g - M_h|, the t = 1 column.  A row
+whose gap cannot reach the running sup is dropped; so is one whose distance
+to the table's guess cannot, since the root and the guess share a table cell
+widened by one axis step.  Both tests carry a slack for Newton's tolerance
+and rounding, and only monotonicity is used, so the sups are those of
+inverting every row, bit for bit.
+
 Decreasing generators are negated to increasing form first; the mean is
-invariant under g -> -g, so nothing changes numerically.
+invariant under g -> -g, so nothing changes numerically.  Generators that
+are not monotone on the box are rejected.
 """
 
 from __future__ import annotations
@@ -163,9 +174,18 @@ def _pair_blocks(gn: Generator, hn: Generator, box: Interval, n: int,
 
 
 def _normalized_pair(g: Generator, h: Generator, box: Interval) -> tuple[Generator, Generator]:
+    """g and h in increasing form.  Raises NumericError when either decreases
+    on the blend table's axis: every bracket here rests on monotonicity."""
     gn, hn = normalize_increasing(g), normalize_increasing(h)
     for gen in (gn, hn):
         gen.domain.require_interior([box.lo, box.hi], f"generator {gen.name!r}")
+    axis = box.grid(_BLEND_TABLE_POINTS)
+    for gen in (gn, hn):
+        # inf - inf is NaN, which passes: overflow is the callers' check
+        with np.errstate(invalid="ignore"):
+            decreases = np.any(np.diff(_forward(gen, axis)) < 0)
+        if decreases:
+            raise NumericError(f"generator {gen.name!r} is not increasing on {box}")
     return gn, hn
 
 
@@ -203,10 +223,19 @@ def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
 
 
 def _blend_inverse_table(gn: Generator, hn: Generator, t: float,
-                         box: Interval) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """z at equally spaced values y of the blend (1-t) g + t h on the box, as
+                         box: Interval) -> tuple[tuple, float, float]:
+    """The inverse table of the blend (1-t) g + t h on the box and the two
+    slacks blend_distances prunes with.
+
+    The table holds z at equally spaced values y of the blend, as
     (y0, 1/dy, z, dz): linear interpolation in it is one multiply and two
-    lookups per row, however the rows are ordered."""
+    lookups per row, however the rows are ordered.  The first slack bounds
+    how far a computed distance |M_g - M_t| may exceed the exact one:
+    Newton's tolerance, with room for rounding, over the blend's smallest
+    secant slope on the axis, plus 16 ulp of the box for M_g's own rounding.
+    The second adds how far the root may lie from the table's guess: one
+    table cell and one axis step.
+    """
     zs = box.grid(_BLEND_TABLE_POINTS)
     blend = (1.0 - t) * _forward(gn, zs) + t * _forward(hn, zs)
     if not (np.all(np.isfinite(blend)) and blend[-1] > blend[0]):
@@ -214,7 +243,13 @@ def _blend_inverse_table(gn: Generator, hn: Generator, t: float,
             f"blend of {gn.name!r} and {hn.name!r} is not finite and increasing on {box}")
     ys = np.linspace(blend[0], blend[-1], _BLEND_TABLE_POINTS)
     zt = np.interp(ys, blend, zs)
-    return float(blend[0]), (zt.size - 1) / (blend[-1] - blend[0]), zt, np.diff(zt)
+    dz = np.diff(zt)
+    step = np.diff(zs)
+    slope = float(np.min(np.diff(blend) / step))
+    slack = (4e-13 * max(1.0, float(np.max(np.abs(blend)))) / slope if slope > 0.0
+             else np.inf) + 16.0 * float(np.spacing(max(abs(box.lo), abs(box.hi))))
+    table = (float(blend[0]), (zt.size - 1) / (blend[-1] - blend[0]), zt, dz)
+    return table, slack, slack + float(np.max(dz)) + float(np.max(step))
 
 
 def _invert_blend(gn: Generator, hn: Generator, t: float, y: np.ndarray,
@@ -270,28 +305,66 @@ def _invert_blend(gn: Generator, hn: Generator, t: float, y: np.ndarray,
     return z
 
 
+def _blend_sup(gn: Generator, hn: Generator, t: float, bracket: tuple,
+               box: Interval, sup: float, sg: np.ndarray, sh: np.ndarray,
+               mg: np.ndarray, gap: np.ndarray) -> float:
+    """The larger of sup and max |M_g - M_t| over one block of rows, with
+    gap = |M_g - M_h| per row; only rows that can exceed sup are inverted.
+
+    M_t lies between M_g and M_h, so gap bounds each row's distance.  The
+    widest row's exact distance raises sup first; then rows whose gap, and
+    after that whose distance to the table's guess, cannot reach it (both
+    widened by the slacks of _blend_inverse_table) are dropped.
+    """
+    table, slack, guess_slack = bracket
+    top = int(np.argmax(gap))
+    if gap[top] + slack < sup:
+        return sup
+    y = (1.0 - t) * sg[top:top + 1] + t * sh[top:top + 1]
+    sup = max(sup, float(abs(mg[top] - _invert_blend(gn, hn, t, y, table, box)[0])))
+    rows = np.flatnonzero(gap + slack >= sup)
+    y = (1.0 - t) * sg[rows] + t * sh[rows]
+    # the first guess of _invert_blend; a y outside the table has no bracket
+    y0, per_y, zt, dz = table
+    pos = (y - y0) * per_y
+    outside = (pos < 0.0) | (pos > dz.size)
+    pos = np.clip(pos, 0.0, dz.size)
+    cell = np.minimum(pos.astype(np.intp), dz.size - 1)
+    z = zt[cell] + (pos - cell) * dz[cell]
+    keep = outside | (np.abs(mg[rows] - z) + guess_slack >= sup)
+    rows, y = rows[keep], y[keep]
+    if not rows.size:
+        return sup
+    mt = _invert_blend(gn, hn, t, y, table, box)
+    return max(sup, float(np.max(np.abs(mg[rows] - mt))))
+
+
 def blend_distances(g: Generator, h: Generator, A_box: Interval, n: int,
                     ts, grid_per_dim: int = 201, seed: int = 0,
                     samples: int = 100_000) -> list[float]:
     """sup |M_g - M_{h_t}| for the interpolated generators h_t = g + t(h-g).
 
     Continuity of the mean in its generator shows up as these distances
-    shrinking to 0 as t -> 0; they are non-decreasing in t on a fixed grid.
-    Raises NumericError when g or h overflows on the box.
+    shrinking to 0 as t -> 0; they are non-decreasing in t on a fixed grid
+    (up to rounding).  Each blended mean M_t lies between M_g and M_h, so
+    only the rows whose bracket can reach the running sup are inverted (see
+    the module docstring); the answers are those of inverting every row.
+    Raises NumericError when g or h overflows or decreases on the box, and
+    ConvergenceError when the inversion of a row that can set the sup fails.
     """
+    if n < 1:
+        raise InvalidParameterError("n must be >= 1")
     ts = [float(t) for t in ts]
     if any(not 0.0 <= t <= 1.0 for t in ts):
         raise InvalidParameterError(f"blend parameters must lie in [0, 1], got {ts}")
     gn, hn = _normalized_pair(g, h, A_box)
-    tables = {t: _blend_inverse_table(gn, hn, t, A_box) for t in ts if 0.0 < t < 1.0}
-    sups = np.zeros(len(ts))
+    brackets = {t: _blend_inverse_table(gn, hn, t, A_box) for t in ts if 0.0 < t < 1.0}
+    sups = [0.0] * len(ts)
     for sg, sh, mg, mh in _pair_blocks(gn, hn, A_box, n, grid_per_dim, seed, samples):
+        gap = np.abs(mg - mh)
         for i, t in enumerate(ts):
-            if t == 0.0:
-                continue
             if t == 1.0:
-                mt = mh
-            else:
-                mt = _invert_blend(gn, hn, t, (1.0 - t) * sg + t * sh, tables[t], A_box)
-            sups[i] = np.maximum(sups[i], np.max(np.abs(mg - mt)))
-    return [float(d) for d in sups]
+                sups[i] = max(sups[i], float(np.max(gap)))
+            elif t > 0.0:
+                sups[i] = _blend_sup(gn, hn, t, brackets[t], A_box, sups[i], sg, sh, mg, gap)
+    return sups

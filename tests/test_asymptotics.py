@@ -126,6 +126,15 @@ class TestKolmogorovExpectation:
         with pytest.raises(NumericError, match="underflows"):
             fn(parse_generator("exp"), Uniform(lo, hi))
 
+    @pytest.mark.parametrize("fn, lo, hi", [
+        (kolmogorov_expectation, -760.0, -740.0),  # quadrature's E[e**X] is subnormal
+        (asymptotic_variance, -760.0, -740.0),
+        (g_moments, -800.0, -750.0),               # quadrature integrates e**x to 0
+    ])
+    def test_quadrature_exp_moment_below_the_normal_range_is_numeric_error(self, fn, lo, hi):
+        with pytest.raises(NumericError, match="underflows"):
+            fn(parse_generator("exp"), Uniform(lo, hi), method="quadrature")
+
     @pytest.mark.parametrize("dist", [LN, GAM, PAR], ids=lambda d: d.spec)
     def test_exp_heavy_tails_diverge(self, dist):
         with pytest.raises(DivergenceError):

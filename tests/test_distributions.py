@@ -144,6 +144,17 @@ class TestDensities:
         assert d.pdf(np.array([3.0]))[0] == d.pdf(3.0)
         assert isinstance(d.cdf(3.0), float)
 
+    @pytest.mark.parametrize("d", [Gamma(100.0, 1.0), Gamma(2.0, 3.0), Gamma(0.5, 1.0)],
+                             ids=lambda d: d.spec)
+    def test_gamma_scalar_density_matches_the_array_path(self, d):
+        # a scalar goes through math, an array through numpy
+        mode = max(d.shape - 1.0, 0.5) / d.rate
+        for x in (0.0, -1.0, mode, d.quantile(1e-15), d.isf(1e-15)):
+            scalar, array = d.pdf(x), d.pdf(np.array([x]))[0]
+            assert isinstance(scalar, float)
+            assert abs(scalar - array) <= 2 * np.spacing(array)
+        assert d.pdf(0.0) == d.pdf(-1.0) == 0.0
+
 
 class TestQuantiles:
     @pytest.mark.parametrize("dist", ALL, ids=_ids(ALL))

@@ -134,6 +134,82 @@ class TestBlendDistances:
             blend_distances(parse_generator("identity"), parse_generator("log"),
                             B, n=2, ts=(0.0, 1.5), grid_per_dim=21)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, n):
+        # n = 0 divided by zero, and n = -1 failed to converge
+        with pytest.raises(InvalidParameterError):
+            blend_distances(parse_generator("identity"), parse_generator("log"),
+                            B, n=n, ts=(0.0, 0.5, 1.0))
+
+
+class TestMonotonePremise:
+    """Both certificates assume increasing generators; sin turns down at pi/2."""
+
+    SIN = Generator("sin", Interval(-10.0, 10.0), np.sin, np.arcsin, np.cos, "increasing")
+    BOX = Interval(0.5, 2.4)
+
+    def test_blend_rejects_a_generator_that_decreases(self):
+        with pytest.raises(NumericError):
+            blend_distances(self.SIN, parse_generator("identity"), self.BOX, n=2,
+                            ts=(0.0, 0.5, 1.0))
+
+    def test_verify_rejects_a_generator_that_decreases(self):
+        with pytest.raises(NumericError):
+            verify_stability(parse_generator("identity"), self.SIN, self.BOX, n=2)
+
+
+def _unpruned_blend_distances(g, h, box, n, ts, grid_per_dim, samples):
+    """blend_distances inverting every row, as it did before the pruning."""
+    gn, hn = stability._normalized_pair(g, h, box)
+    tables = {t: stability._blend_inverse_table(gn, hn, t, box)[0]
+              for t in ts if 0.0 < t < 1.0}
+    sups = [0.0] * len(ts)
+    for sg, sh, mg, mh in stability._pair_blocks(gn, hn, box, n, grid_per_dim, 0, samples):
+        for i, t in enumerate(ts):
+            if t == 0.0:
+                continue
+            mt = mh if t == 1.0 else stability._invert_blend(
+                gn, hn, t, (1.0 - t) * sg + t * sh, tables[t], box)
+            sups[i] = max(sups[i], float(np.max(np.abs(mg - mt))))
+    return sups
+
+
+class TestPruning:
+    """Only rows whose bracket [M_g, M_h] can reach the running sup are
+    inverted; the answers must be those of inverting every row."""
+
+    SPECS = ("identity", "log", "reciprocal", "power:2.0", "exp")
+    BOXES = [Interval(1.0, 2.0), Interval(0.5, 3.0), Interval(1.0, 1.001),
+             Interval(0.1, 0.2)]
+    TS9 = [i / 8 for i in range(9)]
+
+    @pytest.mark.parametrize("pair", list(itertools.permutations(SPECS, 2)),
+                             ids="-".join)
+    def test_equals_inverting_every_row_bit_for_bit(self, pair):
+        # n = 1 distances are rounding noise, a few ulp that exceed the t = 1
+        # gap: the slack must keep those rows
+        g, h = (parse_generator(s) for s in pair)
+        for n, box in itertools.product((1, 2, 3, 4), self.BOXES):
+            kw = dict(grid_per_dim=31, samples=5_000)
+            want = _unpruned_blend_distances(g, h, box, n, self.TS9, **kw)
+            got = blend_distances(g, h, box, n=n, ts=self.TS9, **kw)
+            assert [d.hex() for d in got] == [d.hex() for d in want], (n, box)
+
+    def test_few_rows_reach_the_root_finder(self, monkeypatch):
+        inverted = []
+        invert_blend = stability._invert_blend
+
+        def counting(gn, hn, t, y, table, box):
+            inverted.append(y.size)
+            return invert_blend(gn, hn, t, y, table, box)
+
+        monkeypatch.setattr(stability, "_invert_blend", counting)
+        grid = TestBlockedPath.GRID
+        blend_distances(parse_generator("identity"), parse_generator("log"), B, n=3,
+                        ts=TS, grid_per_dim=grid)
+        row_ts = math.comb(grid + 2, 3) * sum(0.0 < t < 1.0 for t in TS)
+        assert 0 < sum(inverted) < 0.01 * row_ts
+
 
 class TestAgainstDirectMeans:
     def test_sup_distance_matches_brute_force(self):
