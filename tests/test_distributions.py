@@ -148,12 +148,16 @@ class TestDensities:
                              ids=lambda d: d.spec)
     def test_gamma_scalar_density_matches_the_array_path(self, d):
         # a scalar goes through math, an array through numpy
-        mode = max(d.shape - 1.0, 0.5) / d.rate
+        mode = max(d.shape - 1.0, 0.5) / d.rate  # an inner point where the mode is 0
         for x in (0.0, -1.0, mode, d.quantile(1e-15), d.isf(1e-15)):
             scalar, array = d.pdf(x), d.pdf(np.array([x]))[0]
             assert isinstance(scalar, float)
             assert abs(scalar - array) <= 2 * np.spacing(array)
         assert d.pdf(0.0) == d.pdf(-1.0) == 0.0
+
+    def test_gamma_scalar_density_overflows_to_inf(self):
+        # x**(shape - 1) beyond the float range near 0, as np.exp would round it
+        assert Gamma(0.01, 1.0).pdf(5e-324) == math.inf
 
 
 class TestQuantiles:
