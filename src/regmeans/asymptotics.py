@@ -329,10 +329,13 @@ def edgeworth_corrections(x, n: int, mom: GMoments, third_order: str = "skew_sq"
 
     third_order selects the coefficient of the O(1/n) p3 term: the squared
     skewness ("skew_sq", the classical choice and the default) or the squared
-    excess kurtosis ("kurt_sq", kept for comparison).
+    excess kurtosis ("kurt_sq", kept for comparison).  Terms are 0, not NaN,
+    out to x = +-inf: x is clamped to +-1e10, beyond which phi(x) is 0.
     """
     c3 = _check_expansion_inputs(n, mom, third_order)
     w = phi_pdf(x)
+    if np.min(x) < -1e10 or np.max(x) > 1e10:  # a copy only where needed
+        x = np.clip(x, -1e10, 1e10)
     rn = math.sqrt(n)
     return (
         w * mom.skew_g * hermite(1, x) / (6.0 * rn),

@@ -65,12 +65,15 @@ def moments_from_raw(raws) -> tuple:
     return r1, var, c3 / var ** 1.5, c4 / (var * var) - 3.0
 
 
-def _check_u(u) -> np.ndarray:
+def _at_u(u, f):
+    """f at the values of u, which must lie strictly in (0, 1); a float for
+    a scalar u."""
     arr = np.asarray(u, dtype=float)
     # the complement also catches NaN, which compares False everywhere
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise InvalidParameterError("quantile argument must lie strictly in (0, 1)")
-    return arr
+    out = f(arr)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -113,18 +116,14 @@ class LogNormal:
     def quantile(self, u):
         from scipy.special import ndtri
 
-        arr = _check_u(u)
-        out = np.exp(self.mu + self.sigma * ndtri(arr))
-        return out if out.ndim else float(out)
+        return _at_u(u, lambda v: np.exp(self.mu + self.sigma * ndtri(v)))
 
     def isf(self, u):
         """Upper-tail quantile: isf(u) = quantile(1-u), computed without the
         1-u cancellation so tiny u stay resolvable."""
         from scipy.special import ndtri
 
-        arr = _check_u(u)
-        out = np.exp(self.mu - self.sigma * ndtri(arr))
-        return out if out.ndim else float(out)
+        return _at_u(u, lambda v: np.exp(self.mu - self.sigma * ndtri(v)))
 
     def power_moment(self, t: float) -> float:
         return math.exp(t * self.mu + 0.5 * t * t * self.sigma2)
@@ -189,16 +188,12 @@ class Gamma:
     def quantile(self, u):
         from scipy.special import gammaincinv
 
-        arr = _check_u(u)
-        out = gammaincinv(self.shape, arr) / self.rate
-        return out if out.ndim else float(out)
+        return _at_u(u, lambda v: gammaincinv(self.shape, v) / self.rate)
 
     def isf(self, u):
         from scipy.special import gammainccinv
 
-        arr = _check_u(u)
-        out = gammainccinv(self.shape, arr) / self.rate
-        return out if out.ndim else float(out)
+        return _at_u(u, lambda v: gammainccinv(self.shape, v) / self.rate)
 
     def power_moment(self, t: float) -> float:
         from scipy.special import gammaln
@@ -256,14 +251,10 @@ class Uniform:
         return out if out.ndim else float(out)
 
     def quantile(self, u):
-        arr = _check_u(u)
-        out = self.lo + (self.hi - self.lo) * arr
-        return out if out.ndim else float(out)
+        return _at_u(u, lambda v: self.lo + (self.hi - self.lo) * v)
 
     def isf(self, u):
-        arr = _check_u(u)
-        out = self.hi - (self.hi - self.lo) * arr
-        return out if out.ndim else float(out)
+        return _at_u(u, lambda v: self.hi - (self.hi - self.lo) * v)
 
     def power_moment(self, t: float) -> float:
         if self.lo <= 0:
@@ -347,14 +338,10 @@ class Pareto:
                            lambda v: 1.0 - (self.scale / v) ** self.alpha)
 
     def quantile(self, u):
-        arr = _check_u(u)
-        out = self.scale * (1.0 - arr) ** (-1.0 / self.alpha)
-        return out if out.ndim else float(out)
+        return _at_u(u, lambda v: self.scale * (1.0 - v) ** (-1.0 / self.alpha))
 
     def isf(self, u):
-        arr = _check_u(u)
-        out = self.scale * arr ** (-1.0 / self.alpha)
-        return out if out.ndim else float(out)
+        return _at_u(u, lambda v: self.scale * v ** (-1.0 / self.alpha))
 
     def power_moment(self, t: float) -> float:
         if t >= self.alpha:
@@ -376,6 +363,15 @@ class Pareto:
 DistributionModel = LogNormal | Gamma | Uniform | Pareto
 
 
+# kind -> (class, spec form, accepted parameter counts)
+_SPEC_FORMS = {
+    "lognormal": (LogNormal, "lognormal:<mu>:<sigma2>", (2,)),
+    "gamma": (Gamma, "gamma:<shape>:<rate>", (2,)),
+    "uniform": (Uniform, "uniform:<lo>:<hi>", (2,)),
+    "pareto": (Pareto, "pareto:<alpha>[:<scale>]", (1, 2)),
+}
+
+
 def parse_distribution(spec: str) -> DistributionModel:
     """Parse "lognormal:2:1", "gamma:100:1", "uniform:1:2", "pareto:10"
     (optional scale: "pareto:10:1.5")."""
@@ -385,20 +381,9 @@ def parse_distribution(spec: str) -> DistributionModel:
         vals = [float(a) for a in args]
     except ValueError:
         raise InvalidParameterError(f"bad distribution parameters in {spec!r}") from None
-    if kind == "lognormal":
-        if len(vals) != 2:
-            raise InvalidParameterError("lognormal spec is lognormal:<mu>:<sigma2>")
-        return LogNormal(*vals)
-    if kind == "gamma":
-        if len(vals) != 2:
-            raise InvalidParameterError("gamma spec is gamma:<shape>:<rate>")
-        return Gamma(*vals)
-    if kind == "uniform":
-        if len(vals) != 2:
-            raise InvalidParameterError("uniform spec is uniform:<lo>:<hi>")
-        return Uniform(*vals)
-    if kind == "pareto":
-        if len(vals) not in (1, 2):
-            raise InvalidParameterError("pareto spec is pareto:<alpha>[:<scale>]")
-        return Pareto(*vals)
-    raise InvalidParameterError(f"unknown distribution kind {kind!r}")
+    if kind not in _SPEC_FORMS:
+        raise InvalidParameterError(f"unknown distribution kind {kind!r}")
+    cls, form, arities = _SPEC_FORMS[kind]
+    if len(vals) not in arities:
+        raise InvalidParameterError(f"{kind} spec is {form}")
+    return cls(*vals)

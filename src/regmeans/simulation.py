@@ -24,6 +24,7 @@ simulate payload and every figure cell's report file.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -39,7 +40,7 @@ from .asymptotics import (
     phi_cdf,
 )
 from .distributions import Pareto, Uniform
-from .errors import ConfigurationError, DivergenceError, InvalidParameterError
+from .errors import ConfigurationError, DivergenceError, DomainError, InvalidParameterError
 from .generators import Generator, Interval
 from .means import row_means
 
@@ -64,10 +65,15 @@ class ScenarioConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InvalidParameterError("sample size n must be >= 2")
-        if self.replicates < 1:
-            raise InvalidParameterError("replicates must be >= 1")
+        for name, least in (("n", 2), ("replicates", 1), ("seed", 0)):
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                raise InvalidParameterError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            if value < least:
+                raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
 
     def echo(self) -> dict:
         return {
@@ -210,10 +216,13 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> SimulationReport:
 def ks_statistic(values, reference_cdf) -> float:
     """Kolmogorov-Smirnov sup distance between the empirical CDF of values
     and a reference CDF, a vectorized callable: it must map the sorted values
-    to an array of their shape, else ConfigurationError."""
+    to an array of their shape, else ConfigurationError.  A NaN value is
+    DomainError."""
     v = np.sort(np.asarray(values, dtype=float).ravel())
     if v.size == 0:
         raise ConfigurationError("ks_statistic needs at least one value")
+    if np.isnan(v[-1]):  # the sort puts NaNs last
+        raise DomainError("ks_statistic got a NaN value")
     try:
         f = np.asarray(reference_cdf(v), dtype=float)
     except (TypeError, ValueError) as exc:  # a scalar-only CDF, e.g. one built on math

@@ -7,20 +7,20 @@ the means satisfy
 
 with L a Lipschitz constant of g_inv (estimated as 1/min_slope(g)).  This
 module measures both sides on exhaustive grids.  Because the mean is
-symmetric, an n-dimensional grid is enumerated as multisets (sorted tuples),
-which cuts the n=3 case from 201^3 points to C(203, 3).
+symmetric, an n-dimensional grid needs only its sorted tuples
+i1 <= ... <= in, which cuts the n=3 case from 201^3 points to C(203, 3).
 
 Both certificates stream the grid through one private generator,
-``_pair_blocks``, which yields (mean g, mean h, M_g, M_h) for fixed blocks of
+``_pair_blocks``, which yields (mean g, mean h, M_g, M_h) for blocks of
 evaluation rows and lets each certificate keep a running sup, so memory stays
 bounded by the block size, not the grid.  For n <= 3, g and h are evaluated
-once on the axis and each block's sums are gathered from index columns, which
-gives the same bits as transforming every row; beyond n = 3, seeded random
-rows are drawn and transformed block by block.  The blended means of
-``blend_distances`` invert (1-t) g + t h, which is increasing on the box:
-a table of its inverse at equally spaced blend values, built once per t from
-a fine axis, gives each row a first guess, and Newton polishes only the rows
-it leaves above tolerance.
+once on the axis, and a row adds g at its lead to a suffix of the axis (n = 2)
+or of the sorted-pair triangle (n = 3), left to right: the bits of
+transforming every row.  Beyond n = 3, seeded random rows are drawn by block.
+The blended means of ``blend_distances`` invert (1-t) g + t h, increasing on
+the box: a table of its inverse at equally spaced blend values, built once
+per t from a fine axis, gives each row a first guess, and Newton polishes
+only the rows it leaves above tolerance.
 
 Most rows need no blended mean at all.  With k_t = (1-t) g + t h and
 y = (1-t) mean g + t mean h, k_t(M_g) - y = t (h(M_g) - mean h) and
@@ -40,7 +40,6 @@ are not monotone on the box are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from functools import lru_cache
 
 import numpy as np
 
@@ -82,12 +81,11 @@ class StabilityReport:
         return d
 
 
-def _bound_parts(g: Generator, h: Generator, B: Interval,
+def _bound_parts(gn: Generator, hn: Generator, B: Interval,
                  grid: int) -> tuple[float, float]:
-    """(L + 1/m, sup|g-h|) for increasing-normalized g, h on B.  Raises
-    NumericError when g or h overflows on the grid."""
+    """(L + 1/m, sup|g-h|) for g, h in increasing form (see _normalized_pair)
+    on B.  Raises NumericError when g or h overflows on the grid."""
     xs = B.grid(grid)
-    gn, hn = _normalized_pair(g, h, B)
     gx, hx = _forward(gn, xs), _forward(hn, xs)
     if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(hx))):
         raise NumericError(f"{gn.name!r} or {hn.name!r} is not finite on {B}")
@@ -103,7 +101,7 @@ def theorem4_bound(g: Generator, h: Generator, B: Interval, grid: int = 201) -> 
     L is specific to g (Lipschitz constant of its inverse); swapping g and h
     changes L but not m, so the bound is deliberately asymmetric.
     """
-    constant, dist = _bound_parts(g, h, B, grid)
+    constant, dist = _bound_parts(*_normalized_pair(g, h, B), B, grid)
     return constant * dist
 
 
@@ -112,38 +110,49 @@ _BLOCK_ROWS = 2 ** 15
 _BLEND_TABLE_POINTS = 4097
 
 
-@lru_cache(maxsize=8)
-def _multiset_indices(grid: int, n: int) -> np.ndarray:
-    """Sorted index tuples i1 <= ... <= in over range(grid), one
-    representative per orbit of the (symmetric) mean, in lexicographic order,
-    as an (n, C(grid + n - 1, n)) int32 array: one row per coordinate."""
-    idx = np.arange(grid, dtype=np.int32)[None, :]
-    for _ in range(n - 1):
-        # each lead a, followed by every shorter tuple whose first index is
-        # >= a: a suffix of the sorted table
-        starts = np.searchsorted(idx[0], np.arange(grid))
-        counts = idx.shape[1] - starts
-        ends = np.cumsum(counts)
-        out = np.empty((idx.shape[0] + 1, ends[-1]), dtype=np.int32)
-        out[0] = np.repeat(np.arange(grid, dtype=np.int32), counts)
-        for start, end, count in zip(starts, ends, counts):
-            out[1:, end - count:end] = idx[:, start:]
-        idx = out
-    idx.setflags(write=False)
-    return idx
-
-
 def _forward(gen: Generator, x: np.ndarray) -> np.ndarray:
     # overflow to inf is caught by the callers' finiteness checks
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return np.asarray(gen.forward(x), dtype=float)
 
 
+def _tuple_sums(gx: np.ndarray, hx: np.ndarray, n: int):
+    """Yield (g sums, h sums), from g and h on the axis, over its sorted
+    n-tuples i1 <= ... <= in (n <= 3) in lexicographic order, by blocks.
+
+    The rows with lead a add g[a] to the sorted (n-1)-tuples from a on: a
+    suffix of the axis, or of the triangle of sorted pairs b <= c that
+    np.triu_indices lists.  Each row is summed left to right.  A block holds
+    whole leads: at least _BLOCK_ROWS rows and at most one lead more.
+    """
+    if n == 1:
+        yield gx, hx
+        return
+    tails = [np.arange(gx.size)] if n == 2 else np.triu_indices(gx.size)
+    gt, ht = [gx[i] for i in tails], [hx[i] for i in tails]
+    leads, rows = [], 0
+    for lead, start in enumerate(np.searchsorted(tails[0], np.arange(gx.size))):
+        leads.append((lead, start))
+        rows += tails[0].size - start
+        if rows >= _BLOCK_ROWS or lead == gx.size - 1:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = tuple(np.concatenate([sum((t[s:] for t in vt), vx[a]) for a, s in leads])
+                             for vx, vt in ((gx, gt), (hx, ht)))
+            yield sums
+            leads, rows = [], 0
+
+
+def _row_sums(gn: Generator, hn: Generator, x: np.ndarray) -> tuple:
+    # each row of the (n, rows) block x summed in order, as means.row_means sums it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sum(_forward(gn, x), axis=0), np.sum(_forward(hn, x), axis=0)
+
+
 def _pair_blocks(gn: Generator, hn: Generator, box: Interval, n: int,
                  grid_per_dim: int, seed: int, samples: int):
     """Yield (mean g, mean h, M_g, M_h) over box**n, one block of rows at a
-    time: exhaustive multisets of the grid_per_dim axis for n <= 3, seeded
-    uniform samples beyond.
+    time: every sorted n-tuple of the grid_per_dim axis for n <= 3 (see
+    _tuple_sums), seeded uniform samples beyond.
 
     Rows lie in the box, which the callers have checked sits inside both
     domains, so no per-row domain check runs.  Raises NumericError when a
@@ -151,23 +160,15 @@ def _pair_blocks(gn: Generator, hn: Generator, box: Interval, n: int,
     """
     if n <= 3:
         axis = box.grid(grid_per_dim)
-        gx, hx = _forward(gn, axis), _forward(hn, axis)
-        idx = _multiset_indices(grid_per_dim, n)
-        # gathering through intp indices is about twice as fast as int32
-        blocks = ((gx[cols], hx[cols]) for cols in
-                  (idx[:, lo:lo + _BLOCK_ROWS].astype(np.intp)
-                   for lo in range(0, idx.shape[1], _BLOCK_ROWS)))
+        blocks = _tuple_sums(_forward(gn, axis), _forward(hn, axis), n)
     else:
         if samples < 1:
             raise InvalidParameterError(f"samples must be >= 1, got {samples}")
         rng = np.random.default_rng(seed)
-        rows = (rng.uniform(box.lo, box.hi, size=(min(_BLOCK_ROWS, samples - lo), n)).T
-                for lo in range(0, samples, _BLOCK_ROWS))
-        blocks = ((_forward(gn, x), _forward(hn, x)) for x in rows)
-    for gvals, hvals in blocks:
-        # each row summed in order, as means.row_means sums it
-        with np.errstate(over="ignore", invalid="ignore"):
-            gsum, hsum = np.sum(gvals, axis=0), np.sum(hvals, axis=0)
+        blocks = (_row_sums(gn, hn, rng.uniform(box.lo, box.hi,
+                                                size=(min(_BLOCK_ROWS, samples - lo), n)).T)
+                  for lo in range(0, samples, _BLOCK_ROWS))
+    for gsum, hsum in blocks:
         sg, mg = means_from_sums(gn.inverse, gsum, n)
         sh, mh = means_from_sums(hn.inverse, hsum, n)
         yield sg, sh, mg, mh
@@ -203,8 +204,7 @@ def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
     gn, hn = _normalized_pair(g, h, A_box)
     sup_dist = 0.0
     for _, _, mg, mh in _pair_blocks(gn, hn, A_box, n, grid_per_dim, seed, samples):
-        sup_dist = np.maximum(sup_dist, np.max(np.abs(mg - mh)))
-    sup_dist = float(sup_dist)
+        sup_dist = max(sup_dist, float(np.max(np.abs(mg - mh))))
     constant, gen_dist = _bound_parts(gn, hn, A_box, grid_per_dim)
     bound = constant * gen_dist
     return StabilityReport(
@@ -252,6 +252,16 @@ def _blend_inverse_table(gn: Generator, hn: Generator, t: float,
     return table, slack, slack + float(np.max(dz)) + float(np.max(step))
 
 
+def _table_guess(table: tuple, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first guess of the blend's inverse, y outside the table) at each y."""
+    y0, per_y, zt, dz = table
+    pos = (y - y0) * per_y
+    outside = (pos < 0.0) | (pos > dz.size)
+    pos = np.clip(pos, 0.0, dz.size)
+    cell = np.minimum(pos.astype(np.intp), dz.size - 1)
+    return zt[cell] + (pos - cell) * dz[cell], outside
+
+
 def _invert_blend(gn: Generator, hn: Generator, t: float, y: np.ndarray,
                   table: tuple, box: Interval) -> np.ndarray:
     """Solve (1-t) g(z) + t h(z) = y elementwise on the box.
@@ -268,10 +278,7 @@ def _invert_blend(gn: Generator, hn: Generator, t: float, y: np.ndarray,
     def polish(z, resid):
         return np.clip(z - resid / ((1.0 - t) * gd(z) + t * hd(z)), box.lo, box.hi)
 
-    y0, per_y, zt, dz = table
-    pos = np.clip((y - y0) * per_y, 0.0, dz.size)
-    cell = np.minimum(pos.astype(np.intp), dz.size - 1)
-    z = zt[cell] + (pos - cell) * dz[cell]
+    z = _table_guess(table, y)[0]
     tol = 1e-13 * np.maximum(1.0, np.abs(y))
     resid = f(z, y)
     # the table leaves nearly every row above tolerance, so the first of the
@@ -325,12 +332,7 @@ def _blend_sup(gn: Generator, hn: Generator, t: float, bracket: tuple,
     rows = np.flatnonzero(gap + slack >= sup)
     y = (1.0 - t) * sg[rows] + t * sh[rows]
     # the first guess of _invert_blend; a y outside the table has no bracket
-    y0, per_y, zt, dz = table
-    pos = (y - y0) * per_y
-    outside = (pos < 0.0) | (pos > dz.size)
-    pos = np.clip(pos, 0.0, dz.size)
-    cell = np.minimum(pos.astype(np.intp), dz.size - 1)
-    z = zt[cell] + (pos - cell) * dz[cell]
+    z, outside = _table_guess(table, y)
     keep = outside | (np.abs(mg[rows] - z) + guess_slack >= sup)
     rows, y = rows[keep], y[keep]
     if not rows.size:

@@ -22,6 +22,7 @@ from regmeans import (
     NumericError,
     Pareto,
     Uniform,
+    affine_transform,
     asymptotic_variance,
     edgeworth_cdf,
     edgeworth_corrections,
@@ -87,6 +88,16 @@ class TestKolmogorovExpectation:
     def test_identity_pareto(self):
         g = parse_generator("identity")
         assert kolmogorov_expectation(g, PAR) == pytest.approx(10.0 / 9.0, rel=1e-14)
+
+    def test_custom_generator_goes_to_quadrature(self):
+        # an affine transform of log defines the geometric mean, but as a
+        # custom generator it has no closed form of its own
+        g, log = affine_transform(parse_generator("log"), 2.0, 1.0), parse_generator("log")
+        dist = Gamma(2.0, 1.0)
+        want = kolmogorov_expectation(log, dist, method="closed_form")
+        assert kolmogorov_expectation(g, dist) == pytest.approx(want, rel=0.0, abs=1e-8)
+        with pytest.raises(ConfigurationError, match="custom"):
+            kolmogorov_expectation(g, dist, method="closed_form")
 
     @pytest.mark.parametrize("fn", [kolmogorov_expectation, asymptotic_variance])
     def test_monte_carlo_is_for_g_moments_only(self, fn):
@@ -350,6 +361,22 @@ class TestEdgeworth:
     def test_third_order_name_validated(self):
         with pytest.raises(InvalidParameterError):
             edgeworth_corrections(0.0, 10, _mom(), "cubed")
+
+    @pytest.mark.parametrize("third_order", ["skew_sq", "kurt_sq"])
+    def test_limits_at_infinity(self, third_order):
+        # phi(x) * p(x) was 0 * inf = NaN at +-inf and where p overflows
+        mom = _mom(skew=-0.8, exkurt=1.2)
+        for lo, hi in ((-math.inf, math.inf), (-1e100, 1e100)):
+            assert edgeworth_cdf(hi, 20, mom, third_order) == 1.0
+            assert edgeworth_cdf(lo, 20, mom, third_order) == 0.0
+            xs = np.array([lo, -1.0, 0.5, hi])
+            got = edgeworth_cdf(xs, 20, mom, third_order)
+            assert got[0] == 0.0 and got[-1] == 1.0
+            assert got[1:3].tolist() == [edgeworth_cdf(x, 20, mom, third_order) for x in xs[1:3]]
+            for x in (lo, hi):
+                assert edgeworth_corrections(x, 20, mom, third_order) == (0.0, 0.0, 0.0)
+            for term in edgeworth_corrections(xs, 20, mom, third_order):
+                assert term[0] == 0.0 and term[-1] == 0.0
 
     def test_rejects_undefined_shape(self):
         bad = GMoments(0.0, 1.0, math.nan, math.nan, "closed_form")

@@ -111,6 +111,12 @@ class TestExitCodes:
                                     "--threads", "2"])
         assert payload["metadata"]["config"]["threads"] == 2
 
+    def test_negative_seed_is_config_error(self, capsys):
+        # SeedSequence raised a bare ValueError: exit 1 with a traceback
+        assert main(["simulate", "--dist", "uniform:1:2", "--generator", "identity",
+                     "--n", "20", "--replicates", "10", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_thread_count_below_one_is_config_error(self, capsys, threads):
         assert main(["simulate", "--dist", "uniform:1:2", "--generator", "identity",

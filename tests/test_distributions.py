@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate, stats
 
 from regmeans import (
+    DomainError,
     Gamma,
     InvalidParameterError,
     LogNormal,
@@ -209,6 +210,13 @@ class TestMoments:
 
     def test_power_moment_minus_one_special_case(self):
         assert Uniform(1.0, 2.0).power_moment(-1.0) == pytest.approx(math.log(2.0), rel=1e-14)
+
+    def test_uniform_power_moment_across_zero(self):
+        d = Uniform(-1.0, 2.0)
+        assert d.power_moment(-1.0) == math.inf
+        with pytest.raises(DomainError):
+            d.power_moment(0.5)
+        assert d.power_moment(2.0) == pytest.approx(1.0, rel=1e-14)  # (8 + 1) / 9
 
     def test_gamma_negative_power_boundary(self):
         d = Gamma(2.0, 1.0)

@@ -10,6 +10,7 @@ from scipy import stats
 from regmeans import (
     ConfigurationError,
     DivergenceError,
+    DomainError,
     Gamma,
     InvalidParameterError,
     LogNormal,
@@ -66,6 +67,15 @@ class TestKsStatistic:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             ks_statistic([], phi_cdf)
+
+    @pytest.mark.parametrize("values", [[0.0, math.nan], [math.nan], [math.nan, -1.0, 2.0]])
+    def test_nan_value_is_domain_error(self, values):
+        # the sup over a NaN CDF value was NaN
+        with pytest.raises(DomainError):
+            ks_statistic(values, phi_cdf)
+
+    def test_infinite_values_are_cdf_limits(self):
+        assert ks_statistic([-math.inf, math.inf], phi_cdf) == 0.5
 
     @pytest.mark.parametrize("cdf", [lambda v: float(phi_cdf(v[0])),
                                      lambda v: phi_cdf(v)[:-1]],
@@ -221,6 +231,20 @@ class TestRunScenario:
             _cfg(n=1)
         with pytest.raises(InvalidParameterError):
             _cfg(replicates=0)
+
+    @pytest.mark.parametrize("field,value", [("n", 2.5), ("n", 20.0), ("replicates", 10.0),
+                                             ("seed", 1.5), ("seed", "7"), ("seed", -1)])
+    def test_config_takes_integers_and_a_non_negative_seed(self, field, value):
+        # n = 2.5 raised a bare TypeError in run_scenario, seed = -1 a bare
+        # ValueError from SeedSequence
+        with pytest.raises(InvalidParameterError, match=field):
+            _cfg(**{field: value})
+
+    def test_config_keeps_numpy_integers_as_ints(self):
+        cfg = _cfg(n=np.int64(20), replicates=np.int32(10), seed=np.uint8(3))
+        assert cfg.echo() == {"dist": "gamma:100:1", "generator": "log", "n": 20,
+                              "replicates": 10, "seed": 3}
+        assert all(type(v) is int for v in (cfg.n, cfg.replicates, cfg.seed))
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_thread_count_below_one_rejected(self, threads):

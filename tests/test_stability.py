@@ -258,7 +258,7 @@ class TestOverflow:
 
 class TestBlockedPath:
     """Grids larger than one block of rows (2**15): n = 3 on 101 points has
-    C(103, 3) = 176 851 multisets."""
+    C(103, 3) = 176 851 sorted tuples."""
 
     GRID = 101
 
@@ -270,10 +270,18 @@ class TestBlockedPath:
     def test_grid_spans_several_blocks(self):
         assert math.comb(self.GRID + 2, 3) > 5 * stability._BLOCK_ROWS
 
-    @pytest.mark.parametrize("grid,n", [(7, 1), (9, 2), (12, 3), (201, 3)])
-    def test_multiset_indices_enumerate_sorted_tuples(self, grid, n):
-        want = list(itertools.combinations_with_replacement(range(grid), n))
-        assert stability._multiset_indices(grid, n).T.tolist() == [list(w) for w in want]
+    @pytest.mark.parametrize("grid", [7, 9, 12, 101])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sorted_tuple_sums_equal_summed_rows_bit_for_bit(self, grid, n):
+        # every sorted tuple, in lexicographic order, each summed left to right
+        gx, hx = np.log(B.grid(grid)), -1.0 / B.grid(grid)
+        tuples = np.array(list(itertools.combinations_with_replacement(range(grid), n)))
+        blocks = list(stability._tuple_sums(gx, hx, n))
+        for got, vals in zip(zip(*blocks), (gx, hx)):
+            assert np.concatenate(got).tobytes() == np.sum(vals[tuples], axis=1).tobytes()
+        assert all(gsum.size >= stability._BLOCK_ROWS for gsum, _ in blocks[:-1])
+        if (grid, n) == (self.GRID, 3):
+            assert len(blocks) > 1
 
     @pytest.mark.parametrize("pair", [("identity", "log"), ("reciprocal", "exp"),
                                       ("power:2.0", "log")])
