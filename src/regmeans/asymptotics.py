@@ -30,6 +30,7 @@ from .errors import (
     ConvergenceError,
     DegenerateSlopeError,
     DivergenceError,
+    DomainError,
     InvalidParameterError,
     NumericError,
 )
@@ -287,10 +288,13 @@ def asymptotic_variance(g: Generator, dist, method: str = "auto") -> AsymptoticS
 # Edgeworth expansion
 
 def phi_cdf(x):
-    """Standard normal CDF via the complementary error function."""
+    """Standard normal CDF via the complementary error function.  A NaN
+    value is DomainError."""
     from scipy.special import erfc  # imported on first use, as quad is
 
     out = 0.5 * erfc(-np.asarray(x, dtype=float) / _SQRT2)
+    if np.isnan(np.min(out, initial=0.0)):  # NaN only from a NaN x; no temporary
+        raise DomainError("phi_cdf got a NaN value")
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -330,11 +334,15 @@ def edgeworth_corrections(x, n: int, mom: GMoments, third_order: str = "skew_sq"
     third_order selects the coefficient of the O(1/n) p3 term: the squared
     skewness ("skew_sq", the classical choice and the default) or the squared
     excess kurtosis ("kurt_sq", kept for comparison).  Terms are 0, not NaN,
-    out to x = +-inf: x is clamped to +-1e10, beyond which phi(x) is 0.
+    out to x = +-inf: x is clamped to +-1e10, beyond which phi(x) is 0.  A
+    NaN value is DomainError.
     """
     c3 = _check_expansion_inputs(n, mom, third_order)
+    lo, hi = np.min(x), np.max(x)
+    if np.isnan(lo):  # NaN propagates through min and max alike
+        raise DomainError("Edgeworth expansion got a NaN value")
     w = phi_pdf(x)
-    if np.min(x) < -1e10 or np.max(x) > 1e10:  # a copy only where needed
+    if lo < -1e10 or hi > 1e10:  # a copy only where needed
         x = np.clip(x, -1e10, 1e10)
     rn = math.sqrt(n)
     return (

@@ -307,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True)
     p.add_argument("--box", default="1:2", help="evaluation interval lo:hi")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--grid", type=int, default=201)
+    p.add_argument("--grid", type=int, default=201,
+                   help="points per axis of the bound's grid, and of the grid "
+                        "searched for n <= 3 where g'/h' is not monotone on the box")
     p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("portfolio", parents=[_common_parent()],

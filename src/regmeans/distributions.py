@@ -357,7 +357,11 @@ class Pareto:
 
     def log_moments(self):
         # ln X = ln(scale) + Exponential(alpha)
-        return (math.log(self.scale) + 1.0 / self.alpha, self.alpha ** -2, 2.0, 6.0)
+        try:
+            var = self.alpha ** -2
+        except OverflowError:
+            raise NumericError(f"var(ln X) overflows a float for {self.spec!r}") from None
+        return (math.log(self.scale) + 1.0 / self.alpha, var, 2.0, 6.0)
 
 
 DistributionModel = LogNormal | Gamma | Uniform | Pareto

@@ -173,7 +173,11 @@ _REGISTRY: dict[str, Generator] = {}
 
 
 def register_generator(name: str, gen: Generator) -> None:
-    """Register a programmatic generator so parse_generator can find it."""
+    """Register a programmatic generator so parse_generator can find it.
+    The name must be non-empty and free of surrounding whitespace, which
+    parse_generator strips."""
+    if not name or name != name.strip():
+        raise InvalidParameterError(f"generator name must be non-empty and stripped, got {name!r}")
     if name.split(":")[0] in BUILTIN_KINDS:
         raise InvalidParameterError(f"cannot shadow built-in kind in {name!r}")
     _REGISTRY[name] = gen

@@ -279,6 +279,8 @@ def check_axioms(g: Generator, n: int, n0: int | None = None, trials: int = 1000
         raise InvalidParameterError(f"n0 must satisfy 1 <= n0 <= n, got n0={n0}, n={n}")
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
+    if not 0.0 <= tol < math.inf:
+        raise InvalidParameterError(f"tol must be finite and >= 0, got {tol}")
     if box is None:
         box = _default_box(g)
     g.domain.require_interior([box.lo, box.hi], f"generator {g.name!r}")

@@ -1,30 +1,45 @@
 """Continuity of the quasi-arithmetic mean in its generator.
 
-For increasing generators g, h on a compact interval B with min slope m > 0,
-the means satisfy
+For increasing generators g, h on a compact interval B = [a, b] with min
+slope m > 0, the means satisfy
 
     sup |M_g(x) - M_h(x)|  <=  (L + 1/m) * sup |g - h|
 
-with L a Lipschitz constant of g_inv (estimated as 1/min_slope(g)).  This
-module measures both sides on exhaustive grids.  Because the mean is
-symmetric, an n-dimensional grid needs only its sorted tuples
-i1 <= ... <= in, which cuts the n=3 case from 201^3 points to C(203, 3).
+with L a Lipschitz constant of g_inv (estimated as 1/min_slope(g)).  The
+right side is measured on a grid of B.  The left side, and the distances
+sup |M_g - M_t| to the means of the blends k_t = (1-t) g + t h, are found
+on one of two paths, chosen by the pair alone.
 
-Both certificates stream the grid through one private generator,
-``_pair_blocks``, which yields (mean g, mean h, M_g, M_h) for blocks of
-evaluation rows and lets each certificate keep a running sup, so memory stays
-bounded by the block size, not the grid.  For n <= 3, g and h are evaluated
-once on the axis, and a row adds g at its lead to a suffix of the axis (n = 2)
-or of the sorted-pair triangle (n = 3), left to right: the bits of
-transforming every row.  Beyond n = 3, seeded random rows are drawn by block.
-The blended means of ``blend_distances`` invert (1-t) g + t h, increasing on
-the box: a table of its inverse at equally spaced blend values, built once
-per t from a fine axis, gives each row a first guess, and Newton polishes
-only the rows it leaves above tolerance.
+The reduced path runs when r = g'/h' is strictly monotone on B.  Since
+dM_g/dx_i = g'(x_i) / (n g'(M_g)), every coordinate of a maximiser of
++-(M_g - M_h) strictly inside B solves r(x_i) = g'(M_g) / h'(M_h) (the
+Karush-Kuhn-Tucker conditions for a box), and that equation has one root z.
+So the sup is taken over rows of k_a copies of a, k_b copies of b and
+k_z >= 1 copies of one z; a row of a and b alone is the z = a or z = b end
+of one of them.  Each of the n(n+1)/2 count triples is maximised over z on
+a grid and then on finer grids about its best point, and the triples are
+streamed in blocks of at most _BLOCK_ROWS rows.  r monotone makes h'/g'
+monotone too, and with it g'/k_t' = 1/((1-t) + t h'/g'), so the blends
+reduce the same way.
 
-Most rows need no blended mean at all.  With k_t = (1-t) g + t h and
-y = (1-t) mean g + t mean h, k_t(M_g) - y = t (h(M_g) - mean h) and
-k_t(M_h) - y = (1-t) (g(M_h) - mean g) have opposite signs, so M_t lies
+Elsewhere (r not strictly monotone on the axis: say power:2 against exp on
+a box holding x = 1, or affinely related generators, where r is constant)
+the grid path runs: every sorted tuple i1 <= ... <= in of a grid_per_dim
+axis for n <= 3, which cuts the n=3 case from 201^3 points to C(203, 3),
+and seeded random rows beyond.  It streams the rows through one private
+generator, ``_pair_blocks``, which yields (mean g, mean h, M_g, M_h) for
+blocks of rows and lets each certificate keep a running sup, so memory
+stays bounded by the block size, not the grid.  For n <= 3, g and h are
+evaluated once on the axis, and a row adds g at its lead to a suffix of the
+axis (n = 2) or of the sorted-pair triangle (n = 3), left to right: the bits
+of transforming every row.  The tests keep this path as the reference.
+
+The blended means invert (1-t) g + t h, increasing on the box: a table of
+its inverse at equally spaced blend values, built once per t from a fine
+axis, gives each row a first guess, and Newton polishes only the rows it
+leaves above tolerance.  On the grid path most rows need no blended mean at
+all.  With y = (1-t) mean g + t mean h, k_t(M_g) - y = t (h(M_g) - mean h)
+and k_t(M_h) - y = (1-t) (g(M_h) - mean g) have opposite signs, so M_t lies
 between M_g and M_h and |M_g - M_t| <= |M_g - M_h|, the t = 1 column.  A row
 whose gap cannot reach the running sup is dropped; so is one whose distance
 to the table's guess cannot, since the root and the guess share a table cell
@@ -59,8 +74,13 @@ __all__ = [
 class StabilityReport:
     """Measured sup-norm distance of two means against the Lipschitz bound.
 
-    All sup-norms are grid estimates (see grid_points), not certified
-    suprema; `satisfied` compares with a relative slack of tolerance_factor.
+    generator_distance and the bound's slopes are estimates on a grid of
+    grid_points.  sup_mean_distance is the maximum of the reduced problem
+    where g'/h' is strictly monotone on the box, located to about 4e-9 of
+    the box in z (see the module docstring); elsewhere it is an estimate on
+    the grid of grid_points per axis (n <= 3) or on seeded random rows.
+    Neither is a certified upper bound.  `satisfied` compares with a
+    relative slack of tolerance_factor.
     """
 
     g_name: str
@@ -108,6 +128,12 @@ def theorem4_bound(g: Generator, h: Generator, B: Interval, grid: int = 201) -> 
 # Evaluation rows per block, and points of the blend inverse's table.
 _BLOCK_ROWS = 2 ** 15
 _BLEND_TABLE_POINTS = 4097
+# The reduced path's z-grid, then _ZOOM_ROUNDS grids of _ZOOM_POINTS across
+# the two cells beside the best point: each round shrinks the cell 16-fold,
+# to about 4e-9 of the box after five.
+_Z_POINTS = 257
+_ZOOM_POINTS = 33
+_ZOOM_ROUNDS = 5
 
 
 def _forward(gen: Generator, x: np.ndarray) -> np.ndarray:
@@ -162,8 +188,6 @@ def _pair_blocks(gn: Generator, hn: Generator, box: Interval, n: int,
         axis = box.grid(grid_per_dim)
         blocks = _tuple_sums(_forward(gn, axis), _forward(hn, axis), n)
     else:
-        if samples < 1:
-            raise InvalidParameterError(f"samples must be >= 1, got {samples}")
         rng = np.random.default_rng(seed)
         blocks = (_row_sums(gn, hn, rng.uniform(box.lo, box.hi,
                                                 size=(min(_BLOCK_ROWS, samples - lo), n)).T)
@@ -193,18 +217,19 @@ def _normalized_pair(g: Generator, h: Generator, box: Interval) -> tuple[Generat
 def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
                      grid_per_dim: int = 201, tolerance_factor: float = 1e-6,
                      seed: int = 0, samples: int = 100_000) -> StabilityReport:
-    """Estimate sup |M_g - M_h| over A_box**n and compare with the bound.
+    """Find sup |M_g - M_h| over A_box**n and compare with the bound.
 
-    The generator-side interval is A_box as well: by internality the mean of
-    points in the box never leaves it, so slopes and sup|g-h| on A_box are
-    exactly what the bound needs.
+    Where g'/h' is strictly monotone on A_box the sup is the maximum of the
+    reduced problem, for every n; elsewhere it is taken over every sorted
+    tuple of the grid_per_dim axis (n <= 3) or over `samples` rows drawn with
+    `seed` (see the module docstring).  grid_per_dim also sets the bound's
+    grid.  The generator-side interval is A_box as well: by internality the
+    mean of points in the box never leaves it, so slopes and sup|g-h| on
+    A_box are exactly what the bound needs.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+    _check_sizes(n, grid_per_dim, samples)
     gn, hn = _normalized_pair(g, h, A_box)
-    sup_dist = 0.0
-    for _, _, mg, mh in _pair_blocks(gn, hn, A_box, n, grid_per_dim, seed, samples):
-        sup_dist = max(sup_dist, float(np.max(np.abs(mg - mh))))
+    (sup_dist,) = _sups(gn, hn, A_box, n, [1.0], grid_per_dim, seed, samples)
     constant, gen_dist = _bound_parts(gn, hn, A_box, grid_per_dim)
     bound = constant * gen_dist
     return StabilityReport(
@@ -222,10 +247,110 @@ def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
     )
 
 
+def _check_sizes(n: int, grid_per_dim: int, samples: int) -> None:
+    # checked whichever path the pair takes, so a bad size never passes
+    # for one pair and fails for another
+    if n < 1:
+        raise InvalidParameterError("n must be >= 1")
+    if grid_per_dim < 2:
+        raise InvalidParameterError(f"grid_per_dim must be >= 2, got {grid_per_dim}")
+    if n > 3 and samples < 1:
+        raise InvalidParameterError(f"samples must be >= 1, got {samples}")
+
+
+def _ratio_monotone(gn: Generator, hn: Generator, box: Interval) -> bool:
+    """Whether r = g'/h' is strictly monotone on the blend table's axis:
+    every step of r finite and of one strict sign."""
+    axis = box.grid(_BLEND_TABLE_POINTS)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = (np.asarray(gn.derivative(axis), dtype=float)
+             / np.asarray(hn.derivative(axis), dtype=float))
+        steps = np.diff(np.broadcast_to(r, axis.shape))
+    return bool(np.all(np.isfinite(steps)) and (np.all(steps > 0.0) or np.all(steps < 0.0)))
+
+
+def _sups(gn: Generator, hn: Generator, box: Interval, n: int, ts: list,
+          grid_per_dim: int, seed: int, samples: int) -> list[float]:
+    """sup |M_g - M_t| over box**n for each t of ts (M_1 is M_h): on the
+    reduced path where g'/h' is strictly monotone on the box, else on the
+    grid path."""
+    if _ratio_monotone(gn, hn, box):
+        return _reduced_sups(gn, hn, box, n, ts)
+    return _grid_sups(gn, hn, box, n, ts, grid_per_dim, seed, samples)
+
+
+def _counts(n: int, lo: int, hi: int) -> tuple:
+    """(k_a, k_b, k_z) of the count triples lo..hi-1, as columns.
+
+    Triple i has m = k_a + k_b with m (m+1) / 2 <= i < (m+1) (m+2) / 2 and
+    k_a = i - m (m+1) / 2, so m runs over 0..n-1 and k_z = n - m >= 1.
+    """
+    i = np.arange(lo, hi)
+    m = ((np.sqrt(8.0 * i + 1.0) - 1.0) // 2.0).astype(np.int64)
+    # the float root may round either way
+    m += (m + 1) * (m + 2) // 2 <= i
+    m -= m * (m + 1) // 2 > i
+    ka = i - m * (m + 1) // 2
+    return ka[:, None], (m - ka)[:, None], (n - m)[:, None]
+
+
+def _reduced_sups(gn: Generator, hn: Generator, box: Interval, n: int,
+                  ts: list) -> list[float]:
+    """sup |M_g - M_t| over box**n for each t of ts when g'/h' is strictly
+    monotone on the box: the maximum over rows of k_a copies of a, k_b of b
+    and k_z >= 1 of one z (see the module docstring).
+
+    Each triple's rows sum g as k_a g(a) + k_b g(b) + k_z g(z).  Its z runs
+    over _Z_POINTS, then over finer grids about the best z, separately for
+    each t; the rows of all t go through g and its inverse together.
+    """
+    active = [t for t in ts if t > 0.0]
+    tables = {t: _blend_inverse_table(gn, hn, t, box)[0] for t in active if t < 1.0}
+    ends = np.array([box.lo, box.hi])
+    (ga, gb), (ha, hb) = _forward(gn, ends), _forward(hn, ends)
+
+    def distances(k, z):
+        # |M_g - M_t| of shape (len(active), triples, points); z of leading
+        # size 1 gives all t the same rows
+        ka, kb, kz = k
+        with np.errstate(over="ignore", invalid="ignore"):
+            gsum = ka * ga + kb * gb + kz * _forward(gn, z)
+            hsum = ka * ha + kb * hb + kz * _forward(hn, z)
+        sg, mg = (v.reshape(gsum.shape) for v in means_from_sums(gn.inverse, gsum.ravel(), n))
+        sh, mh = (v.reshape(gsum.shape) for v in means_from_sums(hn.inverse, hsum.ravel(), n))
+        out = np.empty((len(active),) + gsum.shape[1:])
+        for j, t in enumerate(active):
+            i = j if gsum.shape[0] > 1 else 0
+            mt = mh[i] if t == 1.0 else _invert_blend(
+                gn, hn, t, ((1.0 - t) * sg[i] + t * sh[i]).ravel(), tables[t], box
+            ).reshape(mg[i].shape)
+            out[j] = np.abs(mg[i] - mt)
+        return out
+
+    sups = np.zeros(len(active))
+    triples = n * (n + 1) // 2
+    per_block = max(1, _BLOCK_ROWS // max(_Z_POINTS, len(active) * _ZOOM_POINTS))
+    zoom = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+    for lo in range(0, triples, per_block):
+        k = _counts(n, lo, min(triples, lo + per_block))
+        z = box.grid(_Z_POINTS)[None, None, :]
+        step = box.width / (_Z_POINTS - 1)
+        for _ in range(_ZOOM_ROUNDS):
+            d = distances(k, z)
+            sups = np.maximum(sups, np.max(d, axis=(1, 2)))
+            best = np.take_along_axis(np.broadcast_to(z, d.shape),
+                                      np.argmax(d, axis=2)[..., None], axis=2)
+            z = np.clip(best + step * zoom, box.lo, box.hi)
+            step /= (_ZOOM_POINTS - 1) // 2
+        sups = np.maximum(sups, np.max(distances(k, z), axis=(1, 2)))
+    by_t = dict(zip(active, sups.tolist()))
+    return [by_t.get(t, 0.0) for t in ts]
+
+
 def _blend_inverse_table(gn: Generator, hn: Generator, t: float,
                          box: Interval) -> tuple[tuple, float, float]:
     """The inverse table of the blend (1-t) g + t h on the box and the two
-    slacks blend_distances prunes with.
+    slacks _blend_sup prunes with.
 
     The table holds z at equally spaced values y of the blend, as
     (y0, 1/dy, z, dz): linear interpolation in it is one multiply and two
@@ -341,32 +466,42 @@ def _blend_sup(gn: Generator, hn: Generator, t: float, bracket: tuple,
     return max(sup, float(np.max(np.abs(mg[rows] - mt))))
 
 
+def _grid_sups(gn: Generator, hn: Generator, box: Interval, n: int, ts: list,
+               grid_per_dim: int, seed: int, samples: int) -> list[float]:
+    """sup |M_g - M_t| for each t of ts over the rows of _pair_blocks: the
+    path for pairs whose g'/h' is not strictly monotone on the box, and the
+    tests' reference.  Only the rows whose bracket can reach the running sup
+    are inverted (see the module docstring); the answers are those of
+    inverting every row."""
+    brackets = {t: _blend_inverse_table(gn, hn, t, box) for t in ts if 0.0 < t < 1.0}
+    sups = [0.0] * len(ts)
+    for sg, sh, mg, mh in _pair_blocks(gn, hn, box, n, grid_per_dim, seed, samples):
+        gap = np.abs(mg - mh)
+        for i, t in enumerate(ts):
+            if t == 1.0:
+                sups[i] = max(sups[i], float(np.max(gap)))
+            elif t > 0.0:
+                sups[i] = _blend_sup(gn, hn, t, brackets[t], box, sups[i], sg, sh, mg, gap)
+    return sups
+
+
 def blend_distances(g: Generator, h: Generator, A_box: Interval, n: int,
                     ts, grid_per_dim: int = 201, seed: int = 0,
                     samples: int = 100_000) -> list[float]:
     """sup |M_g - M_{h_t}| for the interpolated generators h_t = g + t(h-g).
 
     Continuity of the mean in its generator shows up as these distances
-    shrinking to 0 as t -> 0; they are non-decreasing in t on a fixed grid
-    (up to rounding).  Each blended mean M_t lies between M_g and M_h, so
-    only the rows whose bracket can reach the running sup are inverted (see
-    the module docstring); the answers are those of inverting every row.
-    Raises NumericError when g or h overflows or decreases on the box, and
-    ConvergenceError when the inversion of a row that can set the sup fails.
+    shrinking to 0 as t -> 0; they are non-decreasing in t (up to rounding).
+    Where g'/h' is strictly monotone on A_box each is the maximum of the
+    reduced problem, for every n; elsewhere it is taken over every sorted
+    tuple of the grid_per_dim axis (n <= 3) or over `samples` rows drawn
+    with `seed` (see the module docstring).  Raises NumericError when g or h
+    overflows or decreases on the box, and ConvergenceError when the
+    inversion of a row that can set the sup fails.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+    _check_sizes(n, grid_per_dim, samples)
     ts = [float(t) for t in ts]
     if any(not 0.0 <= t <= 1.0 for t in ts):
         raise InvalidParameterError(f"blend parameters must lie in [0, 1], got {ts}")
     gn, hn = _normalized_pair(g, h, A_box)
-    brackets = {t: _blend_inverse_table(gn, hn, t, A_box) for t in ts if 0.0 < t < 1.0}
-    sups = [0.0] * len(ts)
-    for sg, sh, mg, mh in _pair_blocks(gn, hn, A_box, n, grid_per_dim, seed, samples):
-        gap = np.abs(mg - mh)
-        for i, t in enumerate(ts):
-            if t == 1.0:
-                sups[i] = max(sups[i], float(np.max(gap)))
-            elif t > 0.0:
-                sups[i] = _blend_sup(gn, hn, t, brackets[t], A_box, sups[i], sg, sh, mg, gap)
-    return sups
+    return _sups(gn, hn, A_box, n, ts, grid_per_dim, seed, samples)

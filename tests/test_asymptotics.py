@@ -15,6 +15,7 @@ from regmeans import (
     ConfigurationError,
     DegenerateSlopeError,
     DivergenceError,
+    DomainError,
     Gamma,
     GMoments,
     InvalidParameterError,
@@ -197,6 +198,11 @@ class TestGMoments:
         assert mom.skew_g == pytest.approx(6.184877138632554, rel=1e-10)
         assert mom.exkurt_g == pytest.approx(110.9363921763115, rel=1e-10)
 
+    def test_log_pareto_variance_beyond_the_float_range(self):
+        # alpha ** -2 raised a bare OverflowError
+        with pytest.raises(NumericError):
+            g_moments(parse_generator("log"), Pareto(1e-300))
+
     def test_identity_pareto_shape(self):
         mom = g_moments(parse_generator("identity"), PAR)
         assert mom.skew_g == pytest.approx(2.8110568859997356, rel=1e-10)
@@ -304,6 +310,12 @@ class TestNormalHelpers:
     def test_phi_pdf_matches_reference(self, x):
         assert phi_pdf(x) == pytest.approx(stats.norm.pdf(x), abs=1e-14)
 
+    def test_phi_cdf_nan_is_domain_error(self):
+        for x in (math.nan, [0.0, math.nan], np.array([[math.nan]])):
+            with pytest.raises(DomainError):
+                phi_cdf(x)
+        assert phi_cdf(np.array([])).size == 0
+
     def test_hermite_values(self):
         assert hermite(1, 0.0) == -1.0          # x^2 - 1
         assert hermite(2, 2.0) == 2.0           # x^3 - 3x
@@ -377,6 +389,15 @@ class TestEdgeworth:
                 assert edgeworth_corrections(x, 20, mom, third_order) == (0.0, 0.0, 0.0)
             for term in edgeworth_corrections(xs, 20, mom, third_order):
                 assert term[0] == 0.0 and term[-1] == 0.0
+
+    @pytest.mark.parametrize("x", [math.nan, [0.5, math.nan], np.array([math.nan, math.inf])])
+    def test_nan_is_domain_error(self, x):
+        # both returned NaN, with no warning even under -W error
+        mom = _mom(skew=-0.8, exkurt=1.2)
+        with pytest.raises(DomainError):
+            edgeworth_cdf(x, 20, mom)
+        with pytest.raises(DomainError):
+            edgeworth_corrections(x, 20, mom)
 
     def test_rejects_undefined_shape(self):
         bad = GMoments(0.0, 1.0, math.nan, math.nan, "closed_form")

@@ -91,6 +91,13 @@ class TestExitCodes:
         assert code == 3
         assert "overflows" in capsys.readouterr().err
 
+    def test_log_moment_beyond_the_float_range_is_numeric_error(self, capsys):
+        # var(ln X) = alpha ** -2 overflowed into a traceback and exit 1
+        code = main(["edgeworth", "--generator", "log", "--dist", "pareto:1e-300",
+                     "--n", "5"])
+        assert code == 3
+        assert "overflows" in capsys.readouterr().err
+
     def test_moment_below_the_normal_range_is_numeric_error(self, capsys):
         code = main(["simulate", "--dist", "uniform:-760:-740", "--generator", "exp",
                      "--n", "50", "--replicates", "5"])
@@ -245,14 +252,23 @@ class TestStabilityCommand:
                      "--box", "2:1"]) == 2
 
     def test_seed_drives_the_sampled_certificate(self, capsys):
-        # beyond n = 3 the distance is a sup over seeded random points
-        argv = ["stability", "--g", "identity", "--h", "log", "--n", "5", "--grid", "21"]
+        # beyond n = 3 the distance is a sup over seeded random points where
+        # g'/h' is not monotone on the box: 2x e^(-x) peaks at x = 1
+        argv = ["stability", "--g", "power:2.0", "--h", "exp", "--box", "0.5:3",
+                "--n", "5", "--grid", "21"]
         a = run_json(capsys, argv + ["--seed", "1"])
         b = run_json(capsys, argv + ["--seed", "2"])
         assert a["sup_mean_distance"] != b["sup_mean_distance"]
-        want = verify_stability(parse_generator("identity"), parse_generator("log"),
-                                Interval(1.0, 2.0), n=5, grid_per_dim=21, seed=1)
+        want = verify_stability(parse_generator("power:2.0"), parse_generator("exp"),
+                                Interval(0.5, 3.0), n=5, grid_per_dim=21, seed=1)
         assert a["sup_mean_distance"] == want.sup_mean_distance
+
+    def test_seed_leaves_the_reduced_certificate(self, capsys):
+        # g'/h' = x is monotone: the sup is exact and no point is drawn
+        argv = ["stability", "--g", "identity", "--h", "log", "--n", "5", "--grid", "21"]
+        a = run_json(capsys, argv + ["--seed", "1"])
+        b = run_json(capsys, argv + ["--seed", "2"])
+        assert a["sup_mean_distance"] == b["sup_mean_distance"]
 
     @pytest.mark.parametrize("box", ["1", "a:2", "1:2:x", "1:2:5"])
     def test_malformed_box_spec(self, capsys, box):

@@ -144,6 +144,12 @@ class TestRegistry:
         register_generator("cube", gen)
         assert parse_generator("cube") is gen
 
+    @pytest.mark.parametrize("name", ["", " cube", "cube\n"])
+    def test_name_must_be_parseable(self, name):
+        # parse_generator strips its spec, so these names could never be found
+        with pytest.raises(InvalidParameterError):
+            register_generator(name, make_builtin("identity"))
+
     def test_cannot_shadow_builtin(self):
         gen = make_builtin("identity")
         with pytest.raises(InvalidParameterError):

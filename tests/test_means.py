@@ -247,6 +247,12 @@ class TestCheckAxioms:
         with pytest.raises(ConfigurationError):
             check_axioms(g, n=3, trials=0)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        # a NaN tol failed every tolerance check and reported it, not raised
+        with pytest.raises(InvalidParameterError):
+            check_axioms(parse_generator("log"), n=3, tol=tol)
+
     def test_box_must_fit_domain(self):
         with pytest.raises(DomainError):
             check_axioms(parse_generator("log"), n=3, box=Interval(-1.0, 1.0))

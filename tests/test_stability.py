@@ -174,6 +174,14 @@ def _unpruned_blend_distances(g, h, box, n, ts, grid_per_dim, samples):
     return sups
 
 
+def _grid_path(g, h, box, n, ts, grid_per_dim=201, seed=0, samples=100_000):
+    """The grid/sample path of both certificates, called directly: the
+    reference the reduced path is held to."""
+    gn, hn = stability._normalized_pair(g, h, box)
+    return stability._grid_sups(gn, hn, box, n, [float(t) for t in ts],
+                                grid_per_dim, seed, samples)
+
+
 class TestPruning:
     """Only rows whose bracket [M_g, M_h] can reach the running sup are
     inverted; the answers must be those of inverting every row."""
@@ -192,7 +200,7 @@ class TestPruning:
         for n, box in itertools.product((1, 2, 3, 4), self.BOXES):
             kw = dict(grid_per_dim=31, samples=5_000)
             want = _unpruned_blend_distances(g, h, box, n, self.TS9, **kw)
-            got = blend_distances(g, h, box, n=n, ts=self.TS9, **kw)
+            got = _grid_path(g, h, box, n, self.TS9, **kw)
             assert [d.hex() for d in got] == [d.hex() for d in want], (n, box)
 
     def test_few_rows_reach_the_root_finder(self, monkeypatch):
@@ -205,10 +213,103 @@ class TestPruning:
 
         monkeypatch.setattr(stability, "_invert_blend", counting)
         grid = TestBlockedPath.GRID
-        blend_distances(parse_generator("identity"), parse_generator("log"), B, n=3,
-                        ts=TS, grid_per_dim=grid)
+        _grid_path(parse_generator("identity"), parse_generator("log"), B, 3, TS,
+                   grid_per_dim=grid)
         row_ts = math.comb(grid + 2, 3) * sum(0.0 < t < 1.0 for t in TS)
         assert 0 < sum(inverted) < 0.01 * row_ts
+
+
+class TestReducedPath:
+    """Where g'/h' is strictly monotone on the box, both certificates maximise
+    over rows of k_a copies of a, k_b of b and k_z of one z."""
+
+    @pytest.mark.parametrize("pair", list(itertools.permutations(TestPruning.SPECS, 2)),
+                             ids="-".join)
+    def test_never_below_the_grid_path(self, pair):
+        g, h = (parse_generator(s) for s in pair)
+        reduced = 0
+        for box in TestPruning.BOXES:
+            gn, hn = stability._normalized_pair(g, h, box)
+            if not stability._ratio_monotone(gn, hn, box):
+                continue
+            reduced += 1
+            # count-weighted sums round apart from left-to-right row sums
+            tol = 8.0 * np.spacing(max(abs(box.lo), abs(box.hi)))
+            for n in (1, 2, 3):
+                got = blend_distances(g, h, box, n=n, ts=TestPruning.TS9)
+                want = _grid_path(g, h, box, n, TestPruning.TS9, grid_per_dim=31)
+                for t, r, q in zip(TestPruning.TS9, got, want):
+                    if n == 1 and 0.0 < t < 1.0:
+                        # every mean is the identity at n = 1: both sides are
+                        # Newton's stopping error, which the slack bounds
+                        slack = stability._blend_inverse_table(gn, hn, t, box)[1]
+                        assert max(r, q) <= slack, (box, t, r, q)
+                    else:
+                        assert r >= q - tol, (box, n, t, r, q)
+        assert reduced >= 3
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_am_gm_is_the_vertex_formula(self, n):
+        # AM - GM is convex, so its sup sits at k copies of 2 and n - k of 1
+        want = max((n + k) / n - 2.0 ** (k / n) for k in range(n + 1))
+        g, h = parse_generator("identity"), parse_generator("log")
+        rep = verify_stability(g, h, B, n=n)
+        assert rep.sup_mean_distance == pytest.approx(want, rel=0.0, abs=1e-14)
+        assert rep.satisfied
+        assert blend_distances(g, h, B, n=n, ts=(1.0,)) == [rep.sup_mean_distance]
+
+    def test_interior_maximiser_beats_the_grid(self):
+        g, h = parse_generator("log"), parse_generator("reciprocal")
+        box = Interval(0.1, 5.0)
+        got = verify_stability(g, h, box, n=2).sup_mean_distance
+        assert got > _grid_path(g, h, box, 2, (1.0,), grid_per_dim=201)[0]
+        brute = _grid_path(g, h, box, 2, (1.0,), grid_per_dim=4001)[0]
+        assert got >= brute - 8.0 * np.spacing(5.0)
+
+    def test_non_monotone_ratio_keeps_the_grid_path_bits(self):
+        # r = 2x e^(-x) peaks at x = 1, inside the box
+        g, h = parse_generator("power:2.0"), parse_generator("exp")
+        box = Interval(0.5, 3.0)
+        assert not stability._ratio_monotone(*stability._normalized_pair(g, h, box), box)
+        for n, kw in ((2, dict(grid_per_dim=31)), (5, dict(seed=3, samples=3_000))):
+            got = blend_distances(g, h, box, n=n, ts=TestPruning.TS9, **kw)
+            want = _grid_path(g, h, box, n, TestPruning.TS9, **kw)
+            assert [d.hex() for d in got] == [d.hex() for d in want]
+            rep = verify_stability(g, h, box, n=n, **kw)
+            assert rep.sup_mean_distance.hex() == want[-1].hex()
+
+    @pytest.mark.parametrize("spec", TestPruning.SPECS)
+    def test_a_generator_against_itself_is_zero(self, spec):
+        # r is constant, so the grid path runs; M_g and M_h share every bit
+        g = parse_generator(spec)
+        assert not stability._ratio_monotone(*stability._normalized_pair(g, g, B), B)
+        assert verify_stability(g, g, B, n=4, samples=1_000).sup_mean_distance == 0.0
+        assert blend_distances(g, g, B, n=3, ts=(0.0, 1.0), grid_per_dim=21) == [0.0, 0.0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 60])
+    def test_counts_list_every_triple_once(self, n):
+        total = n * (n + 1) // 2
+        ka, kb, kz = (np.concatenate(c).ravel() for c in zip(
+            *(stability._counts(n, lo, min(total, lo + 5)) for lo in range(0, total, 5))))
+        want = sorted((a, b, n - a - b) for a in range(n) for b in range(n - a))
+        assert sorted(zip(ka.tolist(), kb.tolist(), kz.tolist())) == want
+
+    def test_counts_at_a_large_n(self):
+        # this large, the float root of 8i + 1 rounds past some group ends
+        n = 10 ** 9
+        total = n * (n + 1) // 2
+        for lo, hi in ((total - n - 10 ** 4, total - n + 10 ** 4), (total - 10 ** 5, total)):
+            ka, kb, kz = (c.ravel() for c in stability._counts(n, lo, hi))
+            assert np.all((ka >= 0) & (kb >= 0) & (kz >= 1)) and np.all(ka + kb + kz == n)
+            m = ka + kb
+            assert np.array_equal(m * (m + 1) // 2 + ka, np.arange(lo, hi))
+        assert (ka[-1], kz[-1]) == (n - 1, 1)
+
+    def test_does_not_depend_on_the_block_size(self, monkeypatch):
+        g, h = parse_generator("log"), parse_generator("reciprocal")
+        whole = blend_distances(g, h, B, n=12, ts=TS)
+        monkeypatch.setattr(stability, "_BLOCK_ROWS", 2 * stability._Z_POINTS)
+        assert blend_distances(g, h, B, n=12, ts=TS) == whole
 
 
 class TestAgainstDirectMeans:
@@ -219,8 +320,8 @@ class TestAgainstDirectMeans:
         for i, a in enumerate(pts):
             for b in pts[i:]:
                 worst = max(worst, abs(mean(g, (a, b)) - mean(h, (a, b))))
-        rep = verify_stability(g, h, B, n=2, grid_per_dim=21)
-        assert rep.sup_mean_distance == pytest.approx(worst, rel=1e-10)
+        (sup,) = _grid_path(g, h, B, 2, (1.0,), grid_per_dim=21)
+        assert sup == pytest.approx(worst, rel=1e-10)
 
 
 class TestOverflow:
@@ -295,22 +396,22 @@ class TestBlockedPath:
         g, h = (parse_generator(s) for s in pair)
         rows = self._multisets(self.GRID, 3)
         want = float(np.max(np.abs(plain_row_means(g, rows) - plain_row_means(h, rows))))
-        rep = verify_stability(g, h, B, n=3, grid_per_dim=self.GRID)
-        assert rep.sup_mean_distance == want
+        (sup,) = _grid_path(g, h, B, 3, (1.0,), grid_per_dim=self.GRID)
+        assert sup == want
 
     def test_sampled_rows_equal_one_unblocked_draw(self):
         g, h = parse_generator("identity"), parse_generator("log")
         samples = 2 * stability._BLOCK_ROWS + 17
         rows = np.random.default_rng(5).uniform(B.lo, B.hi, size=(samples, 5))
         want = float(np.max(np.abs(row_means(g, rows) - row_means(h, rows))))
-        rep = verify_stability(g, h, B, n=5, seed=5, samples=samples)
-        assert rep.sup_mean_distance == want
+        (sup,) = _grid_path(g, h, B, 5, (1.0,), seed=5, samples=samples)
+        assert sup == want
 
     def test_blend_does_not_depend_on_the_block_size(self, monkeypatch):
         g, h = parse_generator("log"), parse_generator("reciprocal")
-        blocked = blend_distances(g, h, B, n=3, ts=TS, grid_per_dim=self.GRID)
+        blocked = _grid_path(g, h, B, 3, TS, grid_per_dim=self.GRID)
         monkeypatch.setattr(stability, "_BLOCK_ROWS", 10 ** 6)
-        assert blend_distances(g, h, B, n=3, ts=TS, grid_per_dim=self.GRID) == blocked
+        assert _grid_path(g, h, B, 3, TS, grid_per_dim=self.GRID) == blocked
 
     @pytest.mark.parametrize("pair", [("identity", "exp"), ("log", "reciprocal")])
     def test_blend_matches_scalar_bisection(self, pair, monkeypatch):
@@ -332,7 +433,7 @@ class TestBlockedPath:
             mt = [invert(blend, float(y), bracket, tol=0.0)
                   for y in (1.0 - t) * sg + t * sh]
             want.append(float(np.max(np.abs(mg - np.array(mt)))))
-        got = blend_distances(g, h, B, n=3, ts=TS, grid_per_dim=17)
+        got = _grid_path(g, h, B, 3, TS, grid_per_dim=17)
         assert got == pytest.approx(want, abs=1e-12, rel=0.0)
 
     def test_wrong_derivative_falls_back_to_bisection(self):
@@ -348,9 +449,9 @@ class TestBlockedPath:
         bad_log = Generator("bad_log", log.domain, forward, np.exp,
                             lambda x: 1e6 / x, "increasing")
         ident = parse_generator("identity")
-        want = blend_distances(ident, log, B, n=3, ts=TS, grid_per_dim=self.GRID)
+        want = _grid_path(ident, log, B, 3, TS, grid_per_dim=self.GRID)
         calls.clear()
-        got = blend_distances(ident, bad_log, B, n=3, ts=TS, grid_per_dim=self.GRID)
+        got = _grid_path(ident, bad_log, B, 3, TS, grid_per_dim=self.GRID)
         assert got == pytest.approx(want, abs=1e-12, rel=0.0)
         assert len(calls) > 100  # the bisection's 100 halvings ran
 
