@@ -138,6 +138,12 @@ def expect(dist, fn) -> float:
     probability mass, a tail-exponent screen runs first and raises
     DivergenceError for integrands those tails cannot absorb: a slope <= -1
     means the quantile-space integrand is non-integrable at that end.
+
+    QUADPACK calls the integrand one node at a time, so the cost per node
+    sets the cost of a call.  In quantile space each node is one
+    dist.quantile or dist.isf call on a Python float, which the built-in
+    families answer with float arithmetic, not a 0-d array; a quantile whose
+    power overflows is inf there, as in the array path, never OverflowError.
     """
     lower, upper = (_tail_slope(fn, pick) for pick in (dist.quantile, dist.isf))
     if min(lower, upper) <= -(1.0 - 1e-3):

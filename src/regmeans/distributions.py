@@ -9,9 +9,14 @@ and closed-form moment machinery:
 
 Gamma is parameterized shape-rate.  Pareto defaults to scale 1.  Divergent
 moments are flagged as math.inf, not raised; callers decide whether infinity
-is an error in their context.  scipy.special is imported inside the methods
-that use it: it costs about 0.35 s and 19 MB at import, and sampling and
-taking means never need it.
+is an error in their context.  A finite moment beyond the float range raises
+NumericError, so inf keeps meaning divergent.  scipy.special is imported
+inside the methods that use it: it costs about 0.35 s and 19 MB at import,
+and sampling and taking means never need it.
+
+quantile and isf answer a Python float without a 0-d array: quadrature in
+quantile space (asymptotics.expect on a Pareto) calls them once per node.
+Like the array path, they return inf where a power overflows (see _at_u).
 """
 
 from __future__ import annotations
@@ -65,15 +70,37 @@ def moments_from_raw(raws) -> tuple:
     return r1, var, c3 / var ** 1.5, c4 / (var * var) - 3.0
 
 
+def _overflow(what: str, spec: str) -> NumericError:
+    """A finite moment beyond the float range: NumericError, not inf, which
+    callers would take for a divergent moment."""
+    return NumericError(f"{what} overflows a float for {spec!r}")
+
+
 def _at_u(u, f):
     """f at the values of u, which must lie strictly in (0, 1); a float for
-    a scalar u."""
-    arr = np.asarray(u, dtype=float)
-    # the complement also catches NaN, which compares False everywhere
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise InvalidParameterError("quantile argument must lie strictly in (0, 1)")
-    out = f(arr)
-    return out if out.ndim else float(out)
+    a scalar u.
+
+    A Python float, one quadrature node, skips the 0-d array round trip and
+    goes through f as a float, with the same check and message.  Python's
+    float power differs from numpy's by at most 2 ulp on some nodes
+    (Pareto); the other families' formulas give the same bits.
+    Where a float power overflows, Python raises OverflowError and numpy
+    rounds to inf; the scalar path returns that inf (only Pareto's positive
+    quantiles take a power).
+    """
+    # NaN compares False everywhere, so it fails both checks
+    if type(u) is float:
+        if 0.0 < u < 1.0:
+            try:
+                return float(f(u))
+            except OverflowError:
+                return math.inf
+    else:
+        arr = np.asarray(u, dtype=float)
+        if np.all((arr > 0.0) & (arr < 1.0)):
+            out = f(arr)
+            return out if out.ndim else float(out)
+    raise InvalidParameterError("quantile argument must lie strictly in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -126,7 +153,10 @@ class LogNormal:
         return _at_u(u, lambda v: np.exp(self.mu - self.sigma * ndtri(v)))
 
     def power_moment(self, t: float) -> float:
-        return math.exp(t * self.mu + 0.5 * t * t * self.sigma2)
+        try:
+            return math.exp(t * self.mu + 0.5 * t * t * self.sigma2)
+        except OverflowError:
+            raise _overflow(f"E[X**{t:g}]", self.spec) from None
 
     def mgf(self, t: float):
         if t > 0:
@@ -200,8 +230,11 @@ class Gamma:
 
         if self.shape + t <= 0:
             return math.inf  # not integrable at the origin
-        return math.exp(gammaln(self.shape + t) - gammaln(self.shape)
-                        - t * math.log(self.rate))
+        try:
+            return math.exp(gammaln(self.shape + t) - gammaln(self.shape)
+                            - t * math.log(self.rate))
+        except OverflowError:
+            raise _overflow(f"E[X**{t:g}]", self.spec) from None
 
     def mgf(self, t: float):
         if t >= self.rate:
@@ -283,7 +316,7 @@ class Uniform:
             # log(inf) = inf: an overflowing width gives exp(-inf) = 0
             v = math.exp(a if s == 0.0 else a + math.log(-math.expm1(-s)) - math.log(s))
         except OverflowError:
-            raise NumericError(f"E[exp({t:g} X)] overflows a float for {self.spec!r}") from None
+            raise _overflow(f"E[exp({t:g} X)]", self.spec) from None
         if v < sys.float_info.min:
             raise NumericError(
                 f"E[exp({t:g} X)] underflows the normal float range for {self.spec!r}")
@@ -346,7 +379,10 @@ class Pareto:
     def power_moment(self, t: float) -> float:
         if t >= self.alpha:
             return math.inf  # tail of order alpha: E[X**t] diverges at t >= alpha
-        return self.alpha * self.scale ** t / (self.alpha - t)
+        try:
+            return self.alpha * self.scale ** t / (self.alpha - t)
+        except OverflowError:
+            raise _overflow(f"E[X**{t:g}]", self.spec) from None
 
     def mgf(self, t: float):
         if t > 0:
@@ -360,7 +396,7 @@ class Pareto:
         try:
             var = self.alpha ** -2
         except OverflowError:
-            raise NumericError(f"var(ln X) overflows a float for {self.spec!r}") from None
+            raise _overflow("var(ln X)", self.spec) from None
         return (math.log(self.scale) + 1.0 / self.alpha, var, 2.0, 6.0)
 
 

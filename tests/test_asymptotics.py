@@ -63,6 +63,32 @@ class TestExpect:
         # an endpoint singularity that plain QAGS gave up on at t = 8
         assert expect(PAR, lambda x: x ** t) == pytest.approx(10.0 / (10.0 - t), rel=1e-12)
 
+    def test_pareto_nodes_take_no_array_round_trip(self, monkeypatch):
+        # every quantile-space node is one quantile/isf call; a float node
+        # must not go through np.asarray
+        from regmeans import distributions
+
+        counts = {"nodes": 0, "asarray": 0}
+        at_u, asarray = distributions._at_u, np.asarray
+
+        def counting_at_u(u, f):
+            counts["nodes"] += 1
+            return at_u(u, f)
+
+        def counting_asarray(*args, **kwargs):
+            counts["asarray"] += 1
+            return asarray(*args, **kwargs)
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return counting_asarray if name == "asarray" else getattr(np, name)
+
+        monkeypatch.setattr(distributions, "_at_u", counting_at_u)
+        monkeypatch.setattr(distributions, "np", CountingNumpy())
+        g_moments(parse_generator("log"), PAR, method="quadrature")
+        assert counts["nodes"] > 1000
+        assert counts["asarray"] == 0
+
 
 def test_quadrature_is_imported_on_first_use():
     # a process that only takes means never loads scipy.integrate, nor any
@@ -128,6 +154,19 @@ class TestKolmogorovExpectation:
         with pytest.raises(NumericError) as info:
             fn(parse_generator("exp"), Uniform(0.0, 400.0))
         assert not isinstance(info.value, DivergenceError)
+
+    @pytest.mark.parametrize("fn", [g_moments, asymptotic_variance])
+    @pytest.mark.parametrize("dist", [Gamma(2.0, 1e-300), LogNormal(700.0, 1.0)],
+                             ids=lambda d: d.spec)
+    def test_power_moment_beyond_the_float_range_is_numeric_error(self, fn, dist):
+        # E[X] fits a float, E[X**2] does not
+        with pytest.raises(NumericError, match="overflows") as info:
+            fn(parse_generator("identity"), dist)
+        assert not isinstance(info.value, DivergenceError)
+
+    def test_representable_mean_below_an_overflowing_second_moment(self):
+        got = kolmogorov_expectation(parse_generator("identity"), LogNormal(700.0, 1.0))
+        assert got == 1.6721859620674984e304  # exp(700.5)
 
     @pytest.mark.parametrize("fn, lo, hi", [
         (kolmogorov_expectation, -800.0, -750.0),  # E[e**X] underflows to 0
@@ -225,6 +264,16 @@ class TestGMoments:
         assert quad.var_g == pytest.approx(closed.var_g, rel=1e-10)
         assert quad.skew_g == pytest.approx(closed.skew_g, rel=1e-10)
         assert quad.exkurt_g == pytest.approx(closed.exkurt_g, rel=1e-10)
+
+    @pytest.mark.parametrize("spec", ["identity", "log", "reciprocal"])
+    def test_quadrature_matches_closed_form_on_pareto(self, spec):
+        # quantile-space quadrature on float nodes: 3.5e-12 at worst here;
+        # power:2.0 is test_quadrature_reaches_the_fourth_pareto_moment
+        g = parse_generator(spec)
+        closed = g_moments(g, PAR, method="closed_form")
+        quad = g_moments(g, PAR, method="quadrature")
+        for field in ("mean_g", "var_g", "skew_g", "exkurt_g"):
+            assert getattr(quad, field) == pytest.approx(getattr(closed, field), rel=1e-10)
 
     def test_monte_carlo_close_enough(self):
         mom = g_moments(parse_generator("identity"), UNI, method="monte_carlo")

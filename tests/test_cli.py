@@ -91,6 +91,13 @@ class TestExitCodes:
         assert code == 3
         assert "overflows" in capsys.readouterr().err
 
+    def test_power_moment_beyond_the_float_range_is_numeric_error(self, capsys):
+        # exp(750) raised a bare OverflowError: a traceback and exit 1
+        code = main(["simulate", "--dist", "lognormal:700:100", "--generator", "identity",
+                     "--n", "50", "--replicates", "5"])
+        assert code == 3
+        assert "overflows" in capsys.readouterr().err
+
     def test_log_moment_beyond_the_float_range_is_numeric_error(self, capsys):
         # var(ln X) = alpha ** -2 overflowed into a traceback and exit 1
         code = main(["edgeworth", "--generator", "log", "--dist", "pareto:1e-300",

@@ -186,6 +186,35 @@ class TestQuantiles:
         with pytest.raises(InvalidParameterError):
             Uniform(1.0, 2.0).quantile(bad)
 
+    @pytest.mark.parametrize("dist", ALL + [Pareto(3.5, 1.5)], ids=_ids(ALL + [Pareto(3.5, 1.5)]))
+    def test_scalar_node_matches_the_array_path(self, dist):
+        # a float (one quadrature node) skips the array; Python's float power
+        # may differ from numpy's by an ulp or two, every other formula not
+        us = np.concatenate([np.linspace(0.001, 0.999, 999), np.logspace(-300, -1, 600)])
+        ulps = 2 if isinstance(dist, Pareto) else 0
+        for f in (dist.quantile, dist.isf):
+            for u, array in zip(us, f(us)):
+                scalar = f(float(u))
+                assert type(scalar) is float
+                assert abs(scalar - array) <= ulps * np.spacing(array)
+
+    @pytest.mark.parametrize("dist", ALL, ids=_ids(ALL))
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.0, math.nan])
+    def test_scalar_node_rejects_what_the_array_rejects(self, dist, bad):
+        for f in (dist.quantile, dist.isf):
+            for u in (bad, np.array(bad), np.array([0.5, bad])):
+                with pytest.raises(InvalidParameterError, match="strictly in"):
+                    f(u)
+
+    @pytest.mark.parametrize("f, u", [("isf", 1e-300), ("quantile", 1.0 - 1e-16)])
+    def test_scalar_node_overflow_is_inf(self, f, u):
+        # u**-1000 is beyond the float range: Python's power raises
+        # OverflowError there, numpy's rounds to inf
+        dist = Pareto(1e-3)
+        with np.errstate(over="ignore"):
+            array = getattr(dist, f)(np.array([u]))[0]
+        assert getattr(dist, f)(u) == array == math.inf
+
 
 # ---------------------------------------------------------------------------
 # Moment formulas
@@ -244,6 +273,14 @@ class TestMoments:
         # about e**-750 / 50: a 0 would read as exact, a subnormal has lost digits
         with pytest.raises(NumericError, match="underflows"):
             Uniform(lo, hi).mgf(t)
+
+    @pytest.mark.parametrize("dist, t", [(LogNormal(700.0, 100.0), 1.0), (Gamma(2.0, 1e-300), 2.0),
+                                         (Pareto(10.0, 1e200), 2.0)],
+                             ids=["lognormal:700:100", "gamma:2:1e-300", "pareto:10:1e200"])
+    def test_power_moment_beyond_the_float_range_is_numeric_error(self, dist, t):
+        # finite, so not inf (divergent), but no float either
+        with pytest.raises(NumericError, match="overflows"):
+            dist.power_moment(t)
 
     def test_uniform_mgf_on_a_narrow_support(self):
         # e**(t hi) - e**(t lo) cancels to about 1e-4 relative here

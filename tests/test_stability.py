@@ -82,6 +82,14 @@ class TestVerifyStability:
         assert rep.n == n
 
     def test_large_n_uses_sampling(self):
+        # g'/h' = x e**-x rises then falls on [0.5, 3]: the sampled path runs
+        g, h, box = parse_generator("power:2.0"), parse_generator("exp"), Interval(0.5, 3.0)
+        assert not stability._ratio_monotone(*stability._normalized_pair(g, h, box), box)
+        rep = verify_stability(g, h, box, n=7, grid_per_dim=51, samples=20_000)
+        assert rep.satisfied
+        assert rep.sup_mean_distance > 0.0
+
+    def test_large_n_reduced_path_stays_below_the_vertex_gap(self):
         rep = verify_stability(parse_generator("identity"), parse_generator("log"),
                                B, n=7, grid_per_dim=51, samples=20_000)
         assert rep.satisfied
@@ -90,10 +98,13 @@ class TestVerifyStability:
         assert 0.0 < rep.sup_mean_distance < 0.0861
 
     def test_sampling_is_seeded(self):
+        g, h, box = parse_generator("power:2.0"), parse_generator("exp"), Interval(0.5, 3.0)
+        assert not stability._ratio_monotone(*stability._normalized_pair(g, h, box), box)
         kw = dict(n=5, grid_per_dim=31, samples=5_000)
-        a = verify_stability(parse_generator("identity"), parse_generator("log"), B, **kw)
-        b = verify_stability(parse_generator("identity"), parse_generator("log"), B, **kw)
-        assert a.sup_mean_distance == b.sup_mean_distance
+        a, b, c = (verify_stability(g, h, box, seed=seed, **kw).sup_mean_distance
+                   for seed in (1, 1, 2))
+        assert a == b
+        assert a != c
 
     def test_validation(self):
         g, h = parse_generator("identity"), parse_generator("log")
