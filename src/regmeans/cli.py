@@ -207,7 +207,7 @@ def _cmd_stability(args) -> dict:
     g = parse_generator(args.g)
     h = parse_generator(args.h)
     report = verify_stability(g, h, _parse_interval(args.box, "box"), n=args.n,
-                              grid_per_dim=args.grid, seed=args.seed)
+                              grid_per_dim=args.grid)
     payload = {"command": "stability", **report.as_dict()}
     payload["metadata"] = _meta(args, g=args.g, h=args.h, box=args.box,
                                 n=args.n, grid=args.grid)
@@ -308,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", default="1:2", help="evaluation interval lo:hi")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--grid", type=int, default=201,
-                   help="points per axis of the bound's grid, and of the grid "
-                        "searched for n <= 3 where g'/h' is not monotone on the box")
+                   help="points of the bound's grid")
     p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("portfolio", parents=[_common_parent()],

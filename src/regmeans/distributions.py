@@ -55,7 +55,9 @@ def moments_from_raw(raws) -> tuple:
     """The first len(raws) (1, 2 or 4) of (mean, variance, skewness, excess
     kurtosis) of Y from its raw moments E[Y**k], k = 1, 2, ...  A variance
     that rounds below zero is zero, and a zero variance gives NaN skewness
-    and kurtosis."""
+    and kurtosis.  The central moments are divided by the variance one
+    factor at a time: var**1.5 and var**2 underflow where var is a normal
+    float."""
     r1 = raws[0]
     if len(raws) == 1:
         return (r1,)
@@ -67,13 +69,21 @@ def moments_from_raw(raws) -> tuple:
     r2, r3, r4 = raws[1:]
     c3 = r3 - 3.0 * r1 * r2 + 2.0 * r1 ** 3
     c4 = r4 - 4.0 * r1 * r3 + 6.0 * r1 * r1 * r2 - 3.0 * r1 ** 4
-    return r1, var, c3 / var ** 1.5, c4 / (var * var) - 3.0
+    return r1, var, c3 / var / math.sqrt(var), c4 / var / var - 3.0
 
 
 def _overflow(what: str, spec: str) -> NumericError:
     """A finite moment beyond the float range: NumericError, not inf, which
     callers would take for a divergent moment."""
     return NumericError(f"{what} overflows a float for {spec!r}")
+
+
+def _normal(v: float, what: str, spec: str) -> float:
+    """v, a positive closed-form moment, unless it fell below the smallest
+    normal float: a 0 or a subnormal has lost its digits, so NumericError."""
+    if v < sys.float_info.min:
+        raise NumericError(f"{what} underflows the normal float range for {spec!r}")
+    return v
 
 
 def _at_u(u, f):
@@ -154,7 +164,8 @@ class LogNormal:
 
     def power_moment(self, t: float) -> float:
         try:
-            return math.exp(t * self.mu + 0.5 * t * t * self.sigma2)
+            return _normal(math.exp(t * self.mu + 0.5 * t * t * self.sigma2),
+                           f"E[X**{t:g}]", self.spec)
         except OverflowError:
             raise _overflow(f"E[X**{t:g}]", self.spec) from None
 
@@ -231,8 +242,8 @@ class Gamma:
         if self.shape + t <= 0:
             return math.inf  # not integrable at the origin
         try:
-            return math.exp(gammaln(self.shape + t) - gammaln(self.shape)
-                            - t * math.log(self.rate))
+            return _normal(math.exp(gammaln(self.shape + t) - gammaln(self.shape)
+                                    - t * math.log(self.rate)), f"E[X**{t:g}]", self.spec)
         except OverflowError:
             raise _overflow(f"E[X**{t:g}]", self.spec) from None
 
@@ -244,13 +255,18 @@ class Gamma:
     def log_moments(self):
         from scipy.special import digamma, polygamma
 
+        # a shape near the float's smallest sends digamma to -inf and the
+        # polygammas to inf: NumericError, not a moment of inf or NaN
         v = float(polygamma(1, self.shape))
-        return (
+        out = (
             float(digamma(self.shape)) - math.log(self.rate),
             v,
-            float(polygamma(2, self.shape)) / v ** 1.5,
-            float(polygamma(3, self.shape)) / (v * v),
+            float(polygamma(2, self.shape)) / v / math.sqrt(v),
+            float(polygamma(3, self.shape)) / v / v,
         )
+        if not all(math.isfinite(m) for m in out):
+            raise _overflow("a moment of ln X", self.spec)
+        return out
 
 
 @dataclass(frozen=True)
@@ -298,10 +314,31 @@ class Uniform:
             else:
                 raise DomainError(
                     f"E[X**{t}] undefined for uniform support [{self.lo}, {self.hi}]")
+        what = f"E[X**{t:g}]"
         if t == -1:
-            return math.log(self.hi / self.lo) / (self.hi - self.lo)
-        return ((self.hi ** (t + 1) - self.lo ** (t + 1))
-                / ((t + 1) * (self.hi - self.lo)))
+            return _normal(math.log(self.hi / self.lo) / (self.hi - self.lo), what, self.spec)
+        # (hi**s - lo**s) / (s (hi - lo)) with s = t + 1, led by the end u
+        # whose power dominates: u**t times f, the mean of (x/u)**t over the
+        # support, at most 1 in size
+        s = t + 1.0
+        u, v = ((self.hi, self.lo) if (s > 0.0) == (abs(self.hi) >= abs(self.lo))
+                else (self.lo, self.hi))
+        w = v / u
+        # on a narrow support 1 - w**s cancels: log1p keeps it
+        lead = -math.expm1(s * math.log1p((v - u) / u)) if w > 0.5 else 1.0 - w ** s
+        f = u / (u - v) * lead / s
+        try:
+            try:
+                m = u ** t * f
+            except OverflowError:
+                # u**t alone is beyond the float range; the moment may not be
+                half = abs(u) ** (0.5 * t)
+                m = (-1.0 if u < 0.0 else 1.0) ** t * (half * f * half)
+        except OverflowError:
+            raise _overflow(what, self.spec) from None
+        if math.isinf(m):
+            raise _overflow(what, self.spec)
+        return _normal(m, what, self.spec) if self.lo > 0 else m
 
     def mgf(self, t: float):
         """E[exp(tX)] = exp(a) (1 - exp(-s)) / s, a the larger of t lo and
@@ -317,10 +354,7 @@ class Uniform:
             v = math.exp(a if s == 0.0 else a + math.log(-math.expm1(-s)) - math.log(s))
         except OverflowError:
             raise _overflow(f"E[exp({t:g} X)]", self.spec) from None
-        if v < sys.float_info.min:
-            raise NumericError(
-                f"E[exp({t:g} X)] underflows the normal float range for {self.spec!r}")
-        return v
+        return _normal(v, f"E[exp({t:g} X)]", self.spec)
 
     def log_moments(self):
         if self.lo <= 0:
@@ -380,7 +414,8 @@ class Pareto:
         if t >= self.alpha:
             return math.inf  # tail of order alpha: E[X**t] diverges at t >= alpha
         try:
-            return self.alpha * self.scale ** t / (self.alpha - t)
+            return _normal(self.alpha * self.scale ** t / (self.alpha - t),
+                           f"E[X**{t:g}]", self.spec)
         except OverflowError:
             raise _overflow(f"E[X**{t:g}]", self.spec) from None
 

@@ -164,6 +164,16 @@ class TestKolmogorovExpectation:
             fn(parse_generator("identity"), dist)
         assert not isinstance(info.value, DivergenceError)
 
+    def test_identity_uniform_where_hi_squared_overflows(self):
+        # hi ** 2 raised a bare OverflowError though E[X] = 5e199 fits
+        got = kolmogorov_expectation(parse_generator("identity"), Uniform(1.0, 1e200))
+        assert got == pytest.approx(5e199, rel=1e-12)
+
+    def test_log_of_a_gamma_with_a_tiny_shape_is_numeric_error(self):
+        # the log moments were -inf and NaN, and exp(-inf) = 0 left log's domain
+        with pytest.raises(NumericError):
+            kolmogorov_expectation(parse_generator("log"), Gamma(1e-320, 1.0))
+
     def test_representable_mean_below_an_overflowing_second_moment(self):
         got = kolmogorov_expectation(parse_generator("identity"), LogNormal(700.0, 1.0))
         assert got == 1.6721859620674984e304  # exp(700.5)
@@ -236,6 +246,18 @@ class TestGMoments:
         mom = g_moments(parse_generator("identity"), LN)
         assert mom.skew_g == pytest.approx(6.184877138632554, rel=1e-10)
         assert mom.exkurt_g == pytest.approx(110.9363921763115, rel=1e-10)
+
+    def test_variance_whose_square_underflows(self):
+        # var_g = 1e-200 is normal, var_g**2 is 0: a bare ZeroDivisionError
+        mom = g_moments(parse_generator("reciprocal"), Uniform(1.0, 1e200))
+        assert mom.var_g == pytest.approx(1e-200, rel=1e-12)
+        assert mom.skew_g == pytest.approx(5e99, rel=1e-9)
+        assert mom.exkurt_g == pytest.approx(1e200 / 3.0, rel=1e-9)
+
+    def test_raw_moment_below_the_normal_range_is_numeric_error(self):
+        # E[X**-2] = exp(-1398) rounded to 0: var_g = 0 and NaN shape, silently
+        with pytest.raises(NumericError, match="underflows"):
+            g_moments(parse_generator("reciprocal"), LogNormal(700.0, 1.0))
 
     def test_log_pareto_variance_beyond_the_float_range(self):
         # alpha ** -2 raised a bare OverflowError

@@ -282,6 +282,43 @@ class TestMoments:
         with pytest.raises(NumericError, match="overflows"):
             dist.power_moment(t)
 
+    @pytest.mark.parametrize("lo, hi, t, want", [
+        (1.0, 1e200, 1.0, 5e199),            # hi**2 overflows
+        (0.0, 1.5e154, 2.0, 7.5e307),        # hi**2 overflows, hi**2 / 3 does not
+        (-1.5e154, 0.0, 2.0, 7.5e307),
+        # lo**-1.07 overflows: about lo**-1.07 / (1.07 hi)
+        (1e-290, 1e10, -2.07, math.exp(-1.07 * math.log(1e-290) - math.log(1.07e10))),
+    ])
+    def test_uniform_power_moment_where_the_end_power_overflows(self, lo, hi, t, want):
+        # (hi**(t+1) - lo**(t+1)) / ((t+1) (hi - lo)) raised a bare OverflowError
+        assert Uniform(lo, hi).power_moment(t) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("lo, hi, t", [(1.0, 1e200, 2.0), (1e-300, 1e-100, -2.0)])
+    def test_uniform_power_moment_beyond_the_float_range_is_numeric_error(self, lo, hi, t):
+        with pytest.raises(NumericError, match="overflows"):
+            Uniform(lo, hi).power_moment(t)
+
+    def test_uniform_power_moment_on_a_narrow_support(self):
+        # hi**3.5 - lo**3.5 cancels: the plain form is off by about 1.5e-11;
+        # the series of ((1 + d)**3.5 - 1) / (3.5 d) is not
+        d = 1.000001 - 1.0
+        want = 1.0 + 1.25 * d + 0.625 * d * d + 0.078125 * d ** 3
+        assert Uniform(1.0, 1.000001).power_moment(2.5) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("dist, t", [(LogNormal(700.0, 1.0), -2.0), (Gamma(2.0, 1e300), 2.0),
+                                         (Pareto(10.0, 1e-200), 2.0), (Uniform(1e200, 2e200), -2.0)],
+                             ids=["lognormal:700:1", "gamma:2:1e300", "pareto:10:1e-200",
+                                  "uniform:1e200:2e200"])
+    def test_power_moment_below_the_normal_range_is_numeric_error(self, dist, t):
+        # exp(-1398) and the like rounded to a silent 0
+        with pytest.raises(NumericError, match="underflows"):
+            dist.power_moment(t)
+
+    def test_gamma_log_moments_at_a_tiny_shape_are_numeric_error(self):
+        # digamma(1e-320) is -inf: the moments were (-inf, inf, nan, nan)
+        with pytest.raises(NumericError, match="overflows"):
+            Gamma(1e-320, 1.0).log_moments()
+
     def test_uniform_mgf_on_a_narrow_support(self):
         # e**(t hi) - e**(t lo) cancels to about 1e-4 relative here
         assert Uniform(1.0, 1.0 + 1e-12).mgf(1.0) == pytest.approx(math.e, rel=1e-11)

@@ -2,15 +2,19 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from regmeans import (
+    ConfigurationError,
     Generator,
     Interval,
     InvalidParameterError,
     NumericError,
+    affine_transform,
     blend_distances,
     invert,
     mean,
@@ -20,10 +24,74 @@ from regmeans import (
     verify_stability,
 )
 from regmeans import stability
-from regmeans.means import means_from_sums, row_means
+from regmeans.means import means_from_sums
 
 B = Interval(1.0, 2.0)
 TS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def _brute_force(g, h, box, n, ts, points):
+    """sup |M_g - M_t| over every sorted n-tuple of a `points` axis of the
+    box, by the definition: each row's plain sum of g through
+    means_from_sums, and each blended mean by scalar bisection of the blend
+    (generators.invert).  Rows are taken lead by lead, all of them."""
+    gn, hn = normalize_increasing(g), normalize_increasing(h)
+    axis = box.grid(points)
+    tails = np.array(list(itertools.combinations_with_replacement(range(points), n - 1)),
+                     dtype=np.intp)
+    bracket = Interval(box.lo - 1e-6 * box.width, box.hi + 1e-6 * box.width)
+    sups = [0.0] * len(ts)
+    for lead in range(points):
+        idx = tails[np.all(tails >= lead, axis=1)]
+        rows = axis[np.column_stack([np.full(len(idx), lead), idx])]
+        sg, mg = means_from_sums(gn.inverse, np.sum(gn.forward(rows), axis=1), n)
+        sh, mh = means_from_sums(hn.inverse, np.sum(hn.forward(rows), axis=1), n)
+        for i, t in enumerate(ts):
+            if t == 0.0:
+                continue
+            if t == 1.0:
+                mt = mh
+            else:
+                blend = Generator("blend", gn.domain,
+                                  lambda z, t=t: (1.0 - t) * gn.forward(z) + t * hn.forward(z),
+                                  None, None, "increasing")
+                mt = np.array([invert(blend, float(y), bracket, tol=0.0)
+                               for y in (1.0 - t) * sg + t * sh])
+            sups[i] = max(sups[i], float(np.max(np.abs(mg - mt))))
+    return sups
+
+
+def _four_free_values(g, h, box, n, points=65):
+    """sup |M_g - M_h| over rows of k_a copies of a, k_b of b, k_1 >= 1 of
+    z1 and k_2 >= 1 of z2, every count split: each split's best point of a
+    square grid, polished by Nelder-Mead."""
+    gn, hn = normalize_increasing(g), normalize_increasing(h)
+
+    def distance(k, z1, z2):
+        ka, kb, k1, k2 = k
+
+        def m(gen):
+            s = (ka * gen.forward(box.lo) + kb * gen.forward(box.hi)
+                 + k1 * gen.forward(z1) + k2 * gen.forward(z2))
+            return means_from_sums(gen.inverse, np.atleast_1d(s), n)[1]
+        return np.abs(m(gn) - m(hn))
+
+    z1, z2 = (x.ravel() for x in np.meshgrid(box.grid(points), box.grid(points)))
+    best = 0.0
+    for ka, kb in itertools.product(range(n + 1), repeat=2):
+        for k1 in range(1, n - ka - kb):
+            k = (ka, kb, k1, n - ka - kb - k1)
+            d = distance(k, z1, z2)
+            i = int(np.argmax(d))
+            res = minimize(lambda v: -float(distance(k, *np.clip(v, box.lo, box.hi))[0]),
+                           [z1[i], z2[i]], method="Nelder-Mead",
+                           options=dict(xatol=1e-12, fatol=1e-16, maxiter=2000))
+            best = max(best, float(d[i]), -res.fun)
+    return best
+
+
+def _pieces(g, h, box):
+    return stability._ratio_pieces(*stability._normalized_pair(g, h, box), box)
 
 
 class TestBound:
@@ -81,30 +149,13 @@ class TestVerifyStability:
         assert rep.satisfied
         assert rep.n == n
 
-    def test_large_n_uses_sampling(self):
-        # g'/h' = x e**-x rises then falls on [0.5, 3]: the sampled path runs
-        g, h, box = parse_generator("power:2.0"), parse_generator("exp"), Interval(0.5, 3.0)
-        assert not stability._ratio_monotone(*stability._normalized_pair(g, h, box), box)
-        rep = verify_stability(g, h, box, n=7, grid_per_dim=51, samples=20_000)
-        assert rep.satisfied
-        assert rep.sup_mean_distance > 0.0
-
     def test_large_n_reduced_path_stays_below_the_vertex_gap(self):
         rep = verify_stability(parse_generator("identity"), parse_generator("log"),
-                               B, n=7, grid_per_dim=51, samples=20_000)
+                               B, n=7, grid_per_dim=51)
         assert rep.satisfied
         # AM - GM on [1,2]^n is maximized at vertices; over all vertex mixes
         # the gap never exceeds max_t (2 - t - 2^(1-t)) ~ 0.08607
         assert 0.0 < rep.sup_mean_distance < 0.0861
-
-    def test_sampling_is_seeded(self):
-        g, h, box = parse_generator("power:2.0"), parse_generator("exp"), Interval(0.5, 3.0)
-        assert not stability._ratio_monotone(*stability._normalized_pair(g, h, box), box)
-        kw = dict(n=5, grid_per_dim=31, samples=5_000)
-        a, b, c = (verify_stability(g, h, box, seed=seed, **kw).sup_mean_distance
-                   for seed in (1, 1, 2))
-        assert a == b
-        assert a != c
 
     def test_validation(self):
         g, h = parse_generator("identity"), parse_generator("log")
@@ -169,95 +220,94 @@ class TestMonotonePremise:
             verify_stability(parse_generator("identity"), self.SIN, self.BOX, n=2)
 
 
-def _unpruned_blend_distances(g, h, box, n, ts, grid_per_dim, samples):
-    """blend_distances inverting every row, as it did before the pruning."""
-    gn, hn = stability._normalized_pair(g, h, box)
-    tables = {t: stability._blend_inverse_table(gn, hn, t, box)[0]
-              for t in ts if 0.0 < t < 1.0}
-    sups = [0.0] * len(ts)
-    for sg, sh, mg, mh in stability._pair_blocks(gn, hn, box, n, grid_per_dim, 0, samples):
-        for i, t in enumerate(ts):
-            if t == 0.0:
-                continue
-            mt = mh if t == 1.0 else stability._invert_blend(
-                gn, hn, t, (1.0 - t) * sg + t * sh, tables[t], box)
-            sups[i] = max(sups[i], float(np.max(np.abs(mg - mt))))
-    return sups
-
-
-def _grid_path(g, h, box, n, ts, grid_per_dim=201, seed=0, samples=100_000):
-    """The grid/sample path of both certificates, called directly: the
-    reference the reduced path is held to."""
-    gn, hn = stability._normalized_pair(g, h, box)
-    return stability._grid_sups(gn, hn, box, n, [float(t) for t in ts],
-                                grid_per_dim, seed, samples)
-
-
-class TestPruning:
-    """Only rows whose bracket [M_g, M_h] can reach the running sup are
-    inverted; the answers must be those of inverting every row."""
+class TestRatioPieces:
+    """The monotone pieces of g'/h' on the blend table's axis choose the rows."""
 
     SPECS = ("identity", "log", "reciprocal", "power:2.0", "exp")
     BOXES = [Interval(1.0, 2.0), Interval(0.5, 3.0), Interval(1.0, 1.001),
              Interval(0.1, 0.2)]
-    TS9 = [i / 8 for i in range(9)]
+    # g = x + 0.1 sin(3x): g'/identity' = 1 + 0.3 cos(3x) turns four times on [0, 5]
+    WIGGLE = Generator("wiggle", Interval(-10.0, 10.0), lambda x: x + 0.1 * np.sin(3.0 * x),
+                       None, lambda x: 1.0 + 0.3 * np.cos(3.0 * x), "increasing")
 
-    @pytest.mark.parametrize("pair", list(itertools.permutations(SPECS, 2)),
-                             ids="-".join)
-    def test_equals_inverting_every_row_bit_for_bit(self, pair):
-        # n = 1 distances are rounding noise, a few ulp that exceed the t = 1
-        # gap: the slack must keep those rows
+    @pytest.mark.parametrize("pair", list(itertools.permutations(SPECS, 2)), ids="-".join)
+    def test_one_piece_for_distinct_builtins_off_the_turning_point(self, pair):
         g, h = (parse_generator(s) for s in pair)
-        for n, box in itertools.product((1, 2, 3, 4), self.BOXES):
-            kw = dict(grid_per_dim=31, samples=5_000)
-            want = _unpruned_blend_distances(g, h, box, n, self.TS9, **kw)
-            got = _grid_path(g, h, box, n, self.TS9, **kw)
-            assert [d.hex() for d in got] == [d.hex() for d in want], (n, box)
+        for box in self.BOXES + [Interval(2.0, 2.0 + 1e-9)]:
+            want = 2 if set(pair) == {"power:2.0", "exp"} and box.lo < 1.0 < box.hi else 1
+            assert _pieces(g, h, box) == want, box
 
-    def test_few_rows_reach_the_root_finder(self, monkeypatch):
-        inverted = []
-        invert_blend = stability._invert_blend
+    @pytest.mark.parametrize("g, h", [
+        ("log", "log"), ("exp", "exp"), ("power:2.0", "power:2.0"),
+        ("power:1.0", "identity"), ("identity", "power:1.0")])
+    def test_none_where_the_means_agree(self, g, h):
+        for box in self.BOXES:
+            assert _pieces(parse_generator(g), parse_generator(h), box) == 0
 
-        def counting(gn, hn, t, y, table, box):
-            inverted.append(y.size)
-            return invert_blend(gn, hn, t, y, table, box)
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_none_for_an_affine_image(self, spec):
+        # a g + b only rounds apart from g: r is constant up to a few ulp
+        g = parse_generator(spec)
+        for box, (a, b) in itertools.product(self.BOXES, [(3.0, 1.0), (-2.5, 7.0), (1e-3, 5.0)]):
+            assert _pieces(g, affine_transform(g, a, b), box) == 0
 
-        monkeypatch.setattr(stability, "_invert_blend", counting)
-        grid = TestBlockedPath.GRID
-        _grid_path(parse_generator("identity"), parse_generator("log"), B, 3, TS,
-                   grid_per_dim=grid)
-        row_ts = math.comb(grid + 2, 3) * sum(0.0 < t < 1.0 for t in TS)
-        assert 0 < sum(inverted) < 0.01 * row_ts
+    @pytest.mark.parametrize("p, box", [(2.0, Interval(0.5, 3.0)), (3.0, Interval(0.5, 4.0)),
+                                        (1.5, Interval(0.2, 2.0)), (4.0, Interval(2.5, 12.0))])
+    def test_two_where_the_box_holds_the_turning_point(self, p, box):
+        # r = p x^(p-1) e^(-x) peaks at x = p - 1
+        g, h = parse_generator(f"power:{p}"), parse_generator("exp")
+        assert _pieces(g, h, box) == _pieces(h, g, box) == 2
+
+    def test_more_than_two_pieces_rejected(self):
+        ident, box = parse_generator("identity"), Interval(0.0, 5.0)
+        assert _pieces(self.WIGGLE, ident, box) == 5
+        with pytest.raises(ConfigurationError):
+            verify_stability(self.WIGGLE, ident, box, n=2)
+        with pytest.raises(ConfigurationError):
+            blend_distances(ident, self.WIGGLE, box, n=3, ts=(0.0, 0.5, 1.0))
+
+    def test_a_ratio_that_is_not_finite_is_a_numeric_error(self):
+        # 1/x**2 overflows at the low end of the box, and with it g'/h'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                blend_distances(parse_generator("reciprocal"), parse_generator("log"),
+                                Interval(1e-200, 1e-100), n=2, ts=(0.0, 0.5, 1.0))
 
 
 class TestReducedPath:
-    """Where g'/h' is strictly monotone on the box, both certificates maximise
-    over rows of k_a copies of a, k_b of b and k_z of one z."""
+    """Both certificates maximise over rows of k_a copies of a, k_b of b and
+    k_z of one z, and where g'/h' turns once, also over rows of n - 1 such
+    values and one y."""
 
-    @pytest.mark.parametrize("pair", list(itertools.permutations(TestPruning.SPECS, 2)),
+    TS9 = [i / 8 for i in range(9)]
+
+    @pytest.mark.parametrize("pair", list(itertools.permutations(TestRatioPieces.SPECS, 2)),
                              ids="-".join)
     def test_never_below_the_grid_path(self, pair):
         g, h = (parse_generator(s) for s in pair)
-        reduced = 0
-        for box in TestPruning.BOXES:
+        for box in TestRatioPieces.BOXES:
             gn, hn = stability._normalized_pair(g, h, box)
-            if not stability._ratio_monotone(gn, hn, box):
-                continue
-            reduced += 1
-            # count-weighted sums round apart from left-to-right row sums
-            tol = 8.0 * np.spacing(max(abs(box.lo), abs(box.hi)))
+            zs = box.grid(stability._BLEND_TABLE_POINTS)
+            # count-weighted sums round apart from left-to-right row sums, and
+            # a blended mean is Newton's, stopped within 1e-13 max(1, |y|) of
+            # the blend's value: that over the blend's least slope apart
+            tol = {t: 8.0 * np.spacing(max(abs(box.lo), abs(box.hi))) for t in self.TS9}
+            for t in self.TS9[1:-1]:
+                k = (1.0 - t) * gn.forward(zs) + t * hn.forward(zs)
+                tol[t] += (4e-13 * max(1.0, float(np.max(np.abs(k))))
+                           / float(np.min(np.diff(k) / np.diff(zs))))
             for n in (1, 2, 3):
-                got = blend_distances(g, h, box, n=n, ts=TestPruning.TS9)
-                want = _grid_path(g, h, box, n, TestPruning.TS9, grid_per_dim=31)
-                for t, r, q in zip(TestPruning.TS9, got, want):
+                got = blend_distances(g, h, box, n=n, ts=self.TS9)
+                want = _brute_force(g, h, box, n, self.TS9, points=7)
+                want[-1] = _brute_force(g, h, box, n, [1.0], points=31)[0]
+                for t, r, q in zip(self.TS9, got, want):
                     if n == 1 and 0.0 < t < 1.0:
                         # every mean is the identity at n = 1: both sides are
-                        # Newton's stopping error, which the slack bounds
-                        slack = stability._blend_inverse_table(gn, hn, t, box)[1]
-                        assert max(r, q) <= slack, (box, t, r, q)
+                        # stopping errors
+                        assert max(r, q) <= tol[t], (box, t, r, q)
                     else:
-                        assert r >= q - tol, (box, n, t, r, q)
-        assert reduced >= 3
+                        assert r >= q - tol[t], (box, n, t, r, q)
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_am_gm_is_the_vertex_formula(self, n):
@@ -273,28 +323,16 @@ class TestReducedPath:
         g, h = parse_generator("log"), parse_generator("reciprocal")
         box = Interval(0.1, 5.0)
         got = verify_stability(g, h, box, n=2).sup_mean_distance
-        assert got > _grid_path(g, h, box, 2, (1.0,), grid_per_dim=201)[0]
-        brute = _grid_path(g, h, box, 2, (1.0,), grid_per_dim=4001)[0]
+        assert got > _brute_force(g, h, box, 2, (1.0,), points=201)[0]
+        brute = _brute_force(g, h, box, 2, (1.0,), points=4001)[0]
         assert got >= brute - 8.0 * np.spacing(5.0)
 
-    def test_non_monotone_ratio_keeps_the_grid_path_bits(self):
-        # r = 2x e^(-x) peaks at x = 1, inside the box
-        g, h = parse_generator("power:2.0"), parse_generator("exp")
-        box = Interval(0.5, 3.0)
-        assert not stability._ratio_monotone(*stability._normalized_pair(g, h, box), box)
-        for n, kw in ((2, dict(grid_per_dim=31)), (5, dict(seed=3, samples=3_000))):
-            got = blend_distances(g, h, box, n=n, ts=TestPruning.TS9, **kw)
-            want = _grid_path(g, h, box, n, TestPruning.TS9, **kw)
-            assert [d.hex() for d in got] == [d.hex() for d in want]
-            rep = verify_stability(g, h, box, n=n, **kw)
-            assert rep.sup_mean_distance.hex() == want[-1].hex()
-
-    @pytest.mark.parametrize("spec", TestPruning.SPECS)
+    @pytest.mark.parametrize("spec", TestRatioPieces.SPECS)
     def test_a_generator_against_itself_is_zero(self, spec):
-        # r is constant, so the grid path runs; M_g and M_h share every bit
+        # r is constant; M_g and M_h share every bit
         g = parse_generator(spec)
-        assert not stability._ratio_monotone(*stability._normalized_pair(g, g, B), B)
-        assert verify_stability(g, g, B, n=4, samples=1_000).sup_mean_distance == 0.0
+        assert _pieces(g, g, B) == 0
+        assert verify_stability(g, g, B, n=4).sup_mean_distance == 0.0
         assert blend_distances(g, g, B, n=3, ts=(0.0, 1.0), grid_per_dim=21) == [0.0, 0.0]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 60])
@@ -323,6 +361,52 @@ class TestReducedPath:
         assert blend_distances(g, h, B, n=12, ts=TS) == whole
 
 
+class TestTwoPieces:
+    """power:p against exp on a box holding x = p - 1, where g'/h' turns once:
+    the sups are those of rows with one more free value."""
+
+    CASES = [("power:2.0", "exp", Interval(0.5, 3.0)), ("power:3.0", "exp", Interval(0.5, 4.0))]
+    IDS = ["power2-exp", "power3-exp"]
+
+    @pytest.mark.parametrize("g, h, box", CASES, ids=IDS)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_never_below_the_brute_force(self, g, h, box, n):
+        g, h = parse_generator(g), parse_generator(h)
+        got = verify_stability(g, h, box, n=n).sup_mean_distance
+        assert got >= _brute_force(g, h, box, n, (1.0,), points=201)[0] - 8.0 * np.spacing(box.hi)
+
+    @pytest.mark.parametrize("g, h, box", CASES, ids=IDS)
+    def test_n2_is_the_fine_brute_force(self, g, h, box):
+        g, h = parse_generator(g), parse_generator(h)
+        got = verify_stability(g, h, box, n=2).sup_mean_distance
+        assert got == pytest.approx(_brute_force(g, h, box, 2, (1.0,), points=4001)[0],
+                                    rel=0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n, want", [(5, 0.2633347976696), (8, 0.2725991902899)])
+    def test_reaches_the_four_free_value_maximum(self, n, want):
+        # one coordinate at most on the second piece: rows with any number
+        # there reach no further
+        g, h, box = parse_generator("power:2.0"), parse_generator("exp"), Interval(0.5, 3.0)
+        got = verify_stability(g, h, box, n=n).sup_mean_distance
+        assert got >= _four_free_values(g, h, box, n) - 1e-12
+        assert got >= want - 1e-12
+        assert blend_distances(h, g, box, n=n, ts=(1.0,)) == [got]
+
+    @pytest.mark.parametrize("g, h, box", CASES, ids=IDS)
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_blends_nondecreasing_in_t(self, g, h, box, n):
+        dists = blend_distances(parse_generator(g), parse_generator(h), box, n=n,
+                                ts=TestReducedPath.TS9)
+        assert dists[0] == 0.0
+        assert all(b >= a - 1e-12 for a, b in zip(dists, dists[1:]))
+
+    def test_blends_never_below_the_brute_force(self):
+        g, h, box = parse_generator("power:2.0"), parse_generator("exp"), Interval(0.5, 3.0)
+        got = blend_distances(g, h, box, n=3, ts=TS)
+        want = _brute_force(g, h, box, 3, TS, points=13)
+        assert all(r >= q - 8.0 * np.spacing(box.hi) for r, q in zip(got, want))
+
+
 class TestAgainstDirectMeans:
     def test_sup_distance_matches_brute_force(self):
         g, h = parse_generator("identity"), parse_generator("reciprocal")
@@ -331,7 +415,7 @@ class TestAgainstDirectMeans:
         for i, a in enumerate(pts):
             for b in pts[i:]:
                 worst = max(worst, abs(mean(g, (a, b)) - mean(h, (a, b))))
-        (sup,) = _grid_path(g, h, B, 2, (1.0,), grid_per_dim=21)
+        sup = verify_stability(g, h, B, n=2, grid_per_dim=21).sup_mean_distance
         assert sup == pytest.approx(worst, rel=1e-10)
 
 
@@ -359,7 +443,7 @@ class TestOverflow:
     def test_sampled_rows_raise(self):
         with pytest.raises(NumericError):
             blend_distances(parse_generator("identity"), parse_generator("exp"),
-                            self.BOX, n=5, ts=(1.0,), samples=100)
+                            self.BOX, n=5, ts=(1.0,))
 
     def test_bound_is_finite_where_the_slope_overflows(self):
         # -1/x**2 overflows at the low end of the box; g itself stays finite
@@ -369,10 +453,8 @@ class TestOverflow:
 
 
 class TestBlockedPath:
-    """Grids larger than one block of rows (2**15): n = 3 on 101 points has
-    C(103, 3) = 176 851 sorted tuples."""
-
-    GRID = 101
+    """Families larger than one block of rows (2**15): at n = 12 the rows
+    with one more free value hold 66 triples of a 129**2 square each."""
 
     @staticmethod
     def _multisets(grid, n):
@@ -380,72 +462,32 @@ class TestBlockedPath:
         return axis[np.array(list(itertools.combinations_with_replacement(range(grid), n)))]
 
     def test_grid_spans_several_blocks(self):
-        assert math.comb(self.GRID + 2, 3) > 5 * stability._BLOCK_ROWS
-
-    @pytest.mark.parametrize("grid", [7, 9, 12, 101])
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_sorted_tuple_sums_equal_summed_rows_bit_for_bit(self, grid, n):
-        # every sorted tuple, in lexicographic order, each summed left to right
-        gx, hx = np.log(B.grid(grid)), -1.0 / B.grid(grid)
-        tuples = np.array(list(itertools.combinations_with_replacement(range(grid), n)))
-        blocks = list(stability._tuple_sums(gx, hx, n))
-        for got, vals in zip(zip(*blocks), (gx, hx)):
-            assert np.concatenate(got).tobytes() == np.sum(vals[tuples], axis=1).tobytes()
-        assert all(gsum.size >= stability._BLOCK_ROWS for gsum, _ in blocks[:-1])
-        if (grid, n) == (self.GRID, 3):
-            assert len(blocks) > 1
+        assert 66 * stability._ZY_POINTS ** 2 > 5 * stability._BLOCK_ROWS
 
     @pytest.mark.parametrize("pair", [("identity", "log"), ("reciprocal", "exp"),
                                       ("power:2.0", "log")])
     def test_verify_equals_unblocked_row_means_bit_for_bit(self, pair):
-        # the certificates take g_inv of each row's plain mean of g: the box
-        # keeps g finite, so they skip the anchoring row_means applies to
-        # exp and power generators
+        # the sup of these pairs sits at a row of the box's ends, which the
+        # reduction sums in the order a row is summed
         def plain_row_means(gen, rows):
             return means_from_sums(gen.inverse, np.sum(gen.forward(rows), axis=1), 3)[1]
 
         g, h = (parse_generator(s) for s in pair)
-        rows = self._multisets(self.GRID, 3)
+        rows = self._multisets(101, 3)
         want = float(np.max(np.abs(plain_row_means(g, rows) - plain_row_means(h, rows))))
-        (sup,) = _grid_path(g, h, B, 3, (1.0,), grid_per_dim=self.GRID)
-        assert sup == want
-
-    def test_sampled_rows_equal_one_unblocked_draw(self):
-        g, h = parse_generator("identity"), parse_generator("log")
-        samples = 2 * stability._BLOCK_ROWS + 17
-        rows = np.random.default_rng(5).uniform(B.lo, B.hi, size=(samples, 5))
-        want = float(np.max(np.abs(row_means(g, rows) - row_means(h, rows))))
-        (sup,) = _grid_path(g, h, B, 5, (1.0,), seed=5, samples=samples)
-        assert sup == want
+        assert verify_stability(g, h, B, n=3).sup_mean_distance == want
 
     def test_blend_does_not_depend_on_the_block_size(self, monkeypatch):
-        g, h = parse_generator("log"), parse_generator("reciprocal")
-        blocked = _grid_path(g, h, B, 3, TS, grid_per_dim=self.GRID)
+        g, h, box = parse_generator("power:2.0"), parse_generator("exp"), Interval(0.5, 3.0)
+        blocked = blend_distances(g, h, box, n=12, ts=TS)
         monkeypatch.setattr(stability, "_BLOCK_ROWS", 10 ** 6)
-        assert _grid_path(g, h, B, 3, TS, grid_per_dim=self.GRID) == blocked
+        assert blend_distances(g, h, box, n=12, ts=TS) == blocked
 
     @pytest.mark.parametrize("pair", [("identity", "exp"), ("log", "reciprocal")])
-    def test_blend_matches_scalar_bisection(self, pair, monkeypatch):
-        # scalar inversion of every row is slow, so the blocks shrink instead
-        # of the grid growing: 969 multisets in blocks of 400
-        monkeypatch.setattr(stability, "_BLOCK_ROWS", 400)
+    def test_blend_matches_scalar_bisection(self, pair):
         g, h = (parse_generator(s) for s in pair)
-        gn, hn = normalize_increasing(g), normalize_increasing(h)
-        rows = self._multisets(17, 3)
-        sg = np.mean(gn.forward(rows), axis=1)
-        sh = np.mean(hn.forward(rows), axis=1)
-        mg = gn.inverse(sg)
-        bracket = Interval(B.lo - 1e-6, B.hi + 1e-6)
-        want = []
-        for t in TS:
-            blend = Generator("blend", gn.domain,
-                              lambda z, t=t: (1.0 - t) * gn.forward(z) + t * hn.forward(z),
-                              None, None, "increasing")
-            mt = [invert(blend, float(y), bracket, tol=0.0)
-                  for y in (1.0 - t) * sg + t * sh]
-            want.append(float(np.max(np.abs(mg - np.array(mt)))))
-        got = _grid_path(g, h, B, 3, TS, grid_per_dim=17)
-        assert got == pytest.approx(want, abs=1e-12, rel=0.0)
+        want = _brute_force(g, h, B, 3, TS, points=17)
+        assert blend_distances(g, h, B, n=3, ts=TS) == pytest.approx(want, abs=1e-12, rel=0.0)
 
     def test_wrong_derivative_falls_back_to_bisection(self):
         # a slope a million times too steep stalls Newton; bisection must
@@ -460,13 +502,8 @@ class TestBlockedPath:
         bad_log = Generator("bad_log", log.domain, forward, np.exp,
                             lambda x: 1e6 / x, "increasing")
         ident = parse_generator("identity")
-        want = _grid_path(ident, log, B, 3, TS, grid_per_dim=self.GRID)
+        want = blend_distances(ident, log, B, n=3, ts=TS)
         calls.clear()
-        got = _grid_path(ident, bad_log, B, 3, TS, grid_per_dim=self.GRID)
+        got = blend_distances(ident, bad_log, B, n=3, ts=TS)
         assert got == pytest.approx(want, abs=1e-12, rel=0.0)
         assert len(calls) > 100  # the bisection's 100 halvings ran
-
-    def test_sampled_rows_need_a_sample(self):
-        with pytest.raises(InvalidParameterError):
-            verify_stability(parse_generator("identity"), parse_generator("log"),
-                             B, n=5, samples=0)
