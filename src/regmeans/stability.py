@@ -25,14 +25,17 @@ table's axis, a step of r within rounding of zero counting as neither sign:
   and w_i equal for coordinates at one root.  Two coordinates at one root
   where D_i > 0 would rise along e_i - e_j, so at most one coordinate sits
   on that piece.  The rows above gain those of n - 1 coordinates so
-  arranged and one more free value y.
-- More pieces are rejected.
+  arranged and one y on the other piece with r(y) = r(z), found by
+  bisection: z stays the only free value.
+- More pieces are rejected: generators whose g'/h' turns more than once on
+  the box are not supported.
 
 r monotone on a piece makes h'/g' monotone there too, and with it
 g'/k_t' = 1/((1-t) + t h'/g'), so the blends share the pieces of r and
-reduce the same way.  Each family of count triples is maximised over its
-free values on a grid and then on finer grids about its best point, and
-the triples are streamed in blocks of at most _BLOCK_ROWS rows.
+reduce the same way, with the same partner y.  Each family of count
+triples is maximised over z on a grid and then on finer grids about its
+best point, and the triples are streamed in blocks of at most _BLOCK_ROWS
+rows.
 
 The blended means invert (1-t) g + t h, increasing on the box: a table of
 its inverse at equally spaced blend values, built once per t from a fine
@@ -118,14 +121,14 @@ def theorem4_bound(g: Generator, h: Generator, B: Interval, grid: int = 201) -> 
 # Evaluation rows per block, and points of the blend inverse's table.
 _BLOCK_ROWS = 2 ** 15
 _BLEND_TABLE_POINTS = 4097
-# The first grid of one free value, then _ZOOM_ROUNDS grids of _ZOOM_POINTS
+# The first grid of the free value, then _ZOOM_ROUNDS grids of _ZOOM_POINTS
 # across the two cells beside the best point: each round shrinks the cell
-# 16-fold, to about 4e-9 of the box after five.  Two free values start on a
-# _ZY_POINTS square.
+# 16-fold, to about 4e-9 of the box after five.  A partner y is located to
+# 2**-53 of the box.
 _Z_POINTS = 257
-_ZY_POINTS = 129
 _ZOOM_POINTS = 33
 _ZOOM_ROUNDS = 5
+_PARTNER_HALVINGS = 53
 
 
 def _forward(gen: Generator, x: np.ndarray) -> np.ndarray:
@@ -159,8 +162,9 @@ def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
     docstring); grid_per_dim sets the bound's grid.  The generator-side
     interval is A_box as well: by internality the mean of points in the box
     never leaves it, so slopes and sup|g-h| on A_box are exactly what the
-    bound needs.  Raises ConfigurationError when g'/h' turns more than once
-    on A_box.
+    bound needs.  Pairs whose g'/h' turns more than once on A_box (possible
+    only with custom generators) are not supported: they raise
+    ConfigurationError.
     """
     _check_sizes(n, grid_per_dim)
     gn, hn = _normalized_pair(g, h, A_box)
@@ -189,22 +193,49 @@ def _check_sizes(n: int, grid_per_dim: int) -> None:
         raise InvalidParameterError(f"grid_per_dim must be >= 2, got {grid_per_dim}")
 
 
-def _ratio_pieces(gn: Generator, hn: Generator, box: Interval) -> int:
-    """The number of monotone pieces of r = g'/h' on the blend table's axis.
+def _ratio(gn: Generator, hn: Generator, x: np.ndarray) -> np.ndarray:
+    # r = g'/h' at x; a non-finite r is _ratio_pieces' check
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.broadcast_to(np.asarray(gn.derivative(x), dtype=float)
+                               / np.asarray(hn.derivative(x), dtype=float), np.shape(x))
 
-    A step of r within 4 eps of max |r| counts as neither sign, so a
-    constant r, and one that only rounds apart from a constant, has none.
-    Raises NumericError when r is not finite on the axis.
+
+def _ratio_pieces(gn: Generator, hn: Generator, box: Interval) -> tuple[int, float]:
+    """The number of monotone pieces of r = g'/h' on the blend table's axis,
+    and the axis point where the first piece ends.
+
+    A step of r within 4 eps of the larger |r| at its two ends counts as
+    neither sign, so a constant r, and one that only rounds apart from a
+    constant, has none.  Raises NumericError when r is not finite on the
+    axis.
     """
     axis = box.grid(_BLEND_TABLE_POINTS)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r = np.broadcast_to(np.asarray(gn.derivative(axis), dtype=float)
-                            / np.asarray(hn.derivative(axis), dtype=float), axis.shape)
+    r = _ratio(gn, hn, axis)
     if not np.all(np.isfinite(r)):
         raise NumericError(f"g'/h' of {gn.name!r} and {hn.name!r} is not finite on {box}")
     steps = np.diff(r)
-    signs = np.sign(steps[np.abs(steps) > 4.0 * np.finfo(float).eps * np.max(np.abs(r))])
-    return int(signs.size > 0) + int(np.count_nonzero(np.diff(signs)))
+    signs = np.sign(steps[np.abs(steps) > 4.0 * np.finfo(float).eps
+                          * np.maximum(np.abs(r[:-1]), np.abs(r[1:]))])
+    if not signs.size:
+        return 0, box.hi
+    return 1 + int(np.count_nonzero(np.diff(signs))), float(axis[np.argmax(signs[0] * r)])
+
+
+def _partner(gn: Generator, hn: Generator, box: Interval, turn: float,
+             z: np.ndarray) -> np.ndarray:
+    """Where r = g'/h' turns once at `turn`: the point of the other piece
+    with r equal to r(z), or the end of that piece nearest in r, by
+    _PARTNER_HALVINGS halvings of the piece."""
+    left = z <= turn
+    # whether r rises on the piece searched: the two pieces turn opposite ways
+    up = left == (_ratio(gn, hn, box.hi) > _ratio(gn, hn, turn))
+    c = _ratio(gn, hn, z)
+    lo, hi = np.where(left, turn, box.lo), np.where(left, box.hi, turn)
+    for _ in range(_PARTNER_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        above = (_ratio(gn, hn, mid) < c) == up
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def _counts(n: int, lo: int, hi: int) -> tuple:
@@ -227,15 +258,15 @@ def _reduced_sups(gn: Generator, hn: Generator, box: Interval, n: int,
     """sup |M_g - M_t| over box**n for each t of ts (M_1 is M_h): the
     maximum over rows of k_a copies of a, k_b of b and k_z >= 1 of one z,
     and where g'/h' turns once on the box, also over rows of n - 1 such
-    coordinates and one y (see the module docstring).
+    coordinates and the partner y of z (see the module docstring).
 
     Each triple's rows sum g as k_a g(a) + k_b g(b) + k_z g(z) [+ g(y)].
-    Its free values run over a grid, then over finer grids about the best
-    point, separately for each t; the rows of all t go through g and its
-    inverse together.  Raises ConfigurationError when g'/h' turns more than
+    Its z runs over _Z_POINTS, then over finer grids about the best z,
+    separately for each t; the rows of all t go through g and its inverse
+    together.  Raises ConfigurationError when g'/h' turns more than
     once on the box.
     """
-    pieces = _ratio_pieces(gn, hn, box)
+    pieces, turn = _ratio_pieces(gn, hn, box)
     if pieces > 2:
         raise ConfigurationError(
             f"g'/h' of {gn.name!r} and {hn.name!r} has {pieces} monotone pieces on {box}; "
@@ -245,14 +276,15 @@ def _reduced_sups(gn: Generator, hn: Generator, box: Interval, n: int,
     ends = np.array([box.lo, box.hi])
     (ga, gb), (ha, hb) = _forward(gn, ends), _forward(hn, ends)
 
-    def distances(k, z, y=None):
-        # |M_g - M_t| of shape (len(active), triples, points); z and y of
-        # leading size 1 give all t the same rows
+    def distances(k, z, partner):
+        # |M_g - M_t| of shape (len(active), triples, points); z of leading
+        # size 1 gives all t the same rows
         ka, kb, kz = k
         with np.errstate(over="ignore", invalid="ignore"):
             gsum = ka * ga + kb * gb + kz * _forward(gn, z)
             hsum = ka * ha + kb * hb + kz * _forward(hn, z)
-            if y is not None:
+            if partner is not None:
+                y = partner(z)
                 gsum = gsum + _forward(gn, y)
                 hsum = hsum + _forward(hn, y)
         sg, mg = (v.reshape(gsum.shape) for v in means_from_sums(gn.inverse, gsum.ravel(), n))
@@ -267,29 +299,27 @@ def _reduced_sups(gn: Generator, hn: Generator, box: Interval, n: int,
         return out
 
     sups = np.zeros(len(active))
-    # (coordinates counted by the triples, free values, points per first axis)
-    families = [(n, 1, _Z_POINTS)]
+    per_block = max(1, _BLOCK_ROWS // max(_Z_POINTS, len(active) * _ZOOM_POINTS))
+    zoom = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+    # (coordinates counted by the triples, the extra coordinate y as a
+    # function of z)
+    families = [(n, None)]
     if pieces == 2:
-        families.append((n - 1, 2, _ZY_POINTS))
-    for m, dims, points in families:
-        start = [x.ravel()[None, None, :]
-                 for x in np.meshgrid(*[box.grid(points)] * dims, indexing="ij")]
-        zoom = [x.ravel() for x in np.meshgrid(*[np.linspace(-1.0, 1.0, _ZOOM_POINTS)] * dims,
-                                               indexing="ij")]
+        families.append((n - 1, lambda z: _partner(gn, hn, box, turn, z)))
+    for m, partner in families:
         triples = m * (m + 1) // 2
-        per_block = max(1, _BLOCK_ROWS // max(start[0].size, len(active) * zoom[0].size))
         for lo in range(0, triples, per_block):
             k = _counts(m, lo, min(triples, lo + per_block))
-            xs = start
-            step = box.width / (points - 1)
+            z = box.grid(_Z_POINTS)[None, None, :]
+            step = box.width / (_Z_POINTS - 1)
             for _ in range(_ZOOM_ROUNDS):
-                d = distances(k, *xs)
+                d = distances(k, z, partner)
                 sups = np.maximum(sups, np.max(d, axis=(1, 2)))
-                best = np.argmax(d, axis=2)[..., None]
-                xs = [np.clip(np.take_along_axis(np.broadcast_to(x, d.shape), best, axis=2)
-                              + step * dx, box.lo, box.hi) for x, dx in zip(xs, zoom)]
+                best = np.take_along_axis(np.broadcast_to(z, d.shape),
+                                          np.argmax(d, axis=2)[..., None], axis=2)
+                z = np.clip(best + step * zoom, box.lo, box.hi)
                 step /= (_ZOOM_POINTS - 1) // 2
-            sups = np.maximum(sups, np.max(distances(k, *xs), axis=(1, 2)))
+            sups = np.maximum(sups, np.max(distances(k, z, partner), axis=(1, 2)))
     by_t = dict(zip(active, sups.tolist()))
     return [by_t.get(t, 0.0) for t in ts]
 
@@ -376,11 +406,13 @@ def blend_distances(g: Generator, h: Generator, A_box: Interval, n: int,
     Continuity of the mean in its generator shows up as these distances
     shrinking to 0 as t -> 0; they are non-decreasing in t (up to rounding).
     Each is the maximum of the reduced problem (see the module docstring).
-    grid_per_dim is checked as verify_stability checks it but sets nothing
-    here: the reduction walks no grid of its own size.  Raises NumericError
-    when g or h overflows or decreases on the box, or g'/h' is not finite
-    there, ConfigurationError when g'/h' turns more than once on the box,
-    and ConvergenceError when the inversion of a blended mean fails.
+    grid_per_dim is deprecated: it is checked as verify_stability checks it
+    but sets nothing, since the reduction walks no grid of its own size.
+    Raises NumericError when g or h overflows or decreases on the box, or
+    g'/h' is not finite there, and ConvergenceError when the inversion of a
+    blended mean fails.  Pairs whose g'/h' turns more than once on the box
+    (possible only with custom generators) are not supported: they raise
+    ConfigurationError.
     """
     _check_sizes(n, grid_per_dim)
     ts = [float(t) for t in ts]

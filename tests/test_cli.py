@@ -270,7 +270,7 @@ class TestStabilityCommand:
 
     def test_seed_leaves_the_certificate_where_the_ratio_turns(self, capsys):
         # g'/h' = 2x e^(-x) peaks at x = 1, inside the box: the sup is that of
-        # the reduced rows with one more free value, and nothing is drawn
+        # the reduced rows with one more interior value, and nothing is drawn
         argv = ["stability", "--g", "power:2.0", "--h", "exp", "--box", "0.5:3",
                 "--n", "5", "--grid", "21"]
         a = run_json(capsys, argv + ["--seed", "1"])

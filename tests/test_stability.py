@@ -30,35 +30,44 @@ B = Interval(1.0, 2.0)
 TS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+def _blend_means(gn, hn, t, y, box):
+    """The z of the box with (1-t) g(z) + t h(z) = y, elementwise (t and y
+    broadcast): bisection of the box until the bracket holds no float
+    between its ends."""
+    lo, hi = np.full(np.shape(y), box.lo), np.full(np.shape(y), box.hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = (lo < mid) & (mid < hi)
+        if not np.any(open_):
+            return mid
+        below = (1.0 - t) * gn.forward(mid) + t * hn.forward(mid) < y
+        lo, hi = np.where(open_ & below, mid, lo), np.where(open_ & ~below, mid, hi)
+
+
 def _brute_force(g, h, box, n, ts, points):
     """sup |M_g - M_t| over every sorted n-tuple of a `points` axis of the
     box, by the definition: each row's plain sum of g through
-    means_from_sums, and each blended mean by scalar bisection of the blend
-    (generators.invert).  Rows are taken lead by lead, all of them."""
+    means_from_sums, and each blended mean by bisection of the blend
+    (_blend_means).  Rows are taken lead by lead, all of them."""
     gn, hn = normalize_increasing(g), normalize_increasing(h)
     axis = box.grid(points)
     tails = np.array(list(itertools.combinations_with_replacement(range(points), n - 1)),
                      dtype=np.intp)
-    bracket = Interval(box.lo - 1e-6 * box.width, box.hi + 1e-6 * box.width)
-    sups = [0.0] * len(ts)
+    blends = np.array([t for t in ts if 0.0 < t < 1.0])[:, None]
+    sups = dict.fromkeys(ts, 0.0)
     for lead in range(points):
         idx = tails[np.all(tails >= lead, axis=1)]
         rows = axis[np.column_stack([np.full(len(idx), lead), idx])]
         sg, mg = means_from_sums(gn.inverse, np.sum(gn.forward(rows), axis=1), n)
         sh, mh = means_from_sums(hn.inverse, np.sum(hn.forward(rows), axis=1), n)
-        for i, t in enumerate(ts):
-            if t == 0.0:
-                continue
-            if t == 1.0:
-                mt = mh
-            else:
-                blend = Generator("blend", gn.domain,
-                                  lambda z, t=t: (1.0 - t) * gn.forward(z) + t * hn.forward(z),
-                                  None, None, "increasing")
-                mt = np.array([invert(blend, float(y), bracket, tol=0.0)
-                               for y in (1.0 - t) * sg + t * sh])
-            sups[i] = max(sups[i], float(np.max(np.abs(mg - mt))))
-    return sups
+        mts = {1.0: mh}
+        if blends.size:
+            mts.update(zip(blends[:, 0].tolist(),
+                           _blend_means(gn, hn, blends, (1.0 - blends) * sg + blends * sh, box)))
+        for t, mt in mts.items():
+            if t in sups:
+                sups[t] = max(sups[t], float(np.max(np.abs(mg - mt))))
+    return [sups[t] for t in ts]
 
 
 def _four_free_values(g, h, box, n, points=65):
@@ -91,7 +100,7 @@ def _four_free_values(g, h, box, n, points=65):
 
 
 def _pieces(g, h, box):
-    return stability._ratio_pieces(*stability._normalized_pair(g, h, box), box)
+    return stability._ratio_pieces(*stability._normalized_pair(g, h, box), box)[0]
 
 
 class TestBound:
@@ -258,6 +267,12 @@ class TestRatioPieces:
         g, h = parse_generator(f"power:{p}"), parse_generator("exp")
         assert _pieces(g, h, box) == _pieces(h, g, box) == 2
 
+    def test_a_turn_where_the_ratio_is_small_still_counts(self):
+        # r = e^x / (2x) falls by ~1e-2 per step near x = 0.5 and rises to
+        # ~3e15 at x = 40: each step is held to the ratio at its own ends
+        g, h, box = parse_generator("power:2.0"), parse_generator("exp"), Interval(0.5, 40.0)
+        assert _pieces(g, h, box) == _pieces(h, g, box) == 2
+
     def test_more_than_two_pieces_rejected(self):
         ident, box = parse_generator("identity"), Interval(0.0, 5.0)
         assert _pieces(self.WIGGLE, ident, box) == 5
@@ -278,7 +293,7 @@ class TestRatioPieces:
 class TestReducedPath:
     """Both certificates maximise over rows of k_a copies of a, k_b of b and
     k_z of one z, and where g'/h' turns once, also over rows of n - 1 such
-    values and one y."""
+    values and the y with g'/h' at y equal to g'/h' at z."""
 
     TS9 = [i / 8 for i in range(9)]
 
@@ -299,15 +314,13 @@ class TestReducedPath:
                            / float(np.min(np.diff(k) / np.diff(zs))))
             for n in (1, 2, 3):
                 got = blend_distances(g, h, box, n=n, ts=self.TS9)
-                want = _brute_force(g, h, box, n, self.TS9, points=7)
-                want[-1] = _brute_force(g, h, box, n, [1.0], points=31)[0]
+                want = _brute_force(g, h, box, n, self.TS9, points=31)
                 for t, r, q in zip(self.TS9, got, want):
-                    if n == 1 and 0.0 < t < 1.0:
+                    assert r >= q - tol[t], (box, n, t, r, q)
+                    if n == 1:
                         # every mean is the identity at n = 1: both sides are
-                        # stopping errors
+                        # rounding and stopping errors
                         assert max(r, q) <= tol[t], (box, t, r, q)
-                    else:
-                        assert r >= q - tol[t], (box, n, t, r, q)
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_am_gm_is_the_vertex_formula(self, n):
@@ -363,7 +376,8 @@ class TestReducedPath:
 
 class TestTwoPieces:
     """power:p against exp on a box holding x = p - 1, where g'/h' turns once:
-    the sups are those of rows with one more free value."""
+    the sups are those of rows with one more interior value y, where g'/h'
+    takes its level at z on the other side of the turn."""
 
     CASES = [("power:2.0", "exp", Interval(0.5, 3.0)), ("power:3.0", "exp", Interval(0.5, 4.0))]
     IDS = ["power2-exp", "power3-exp"]
@@ -453,16 +467,26 @@ class TestOverflow:
 
 
 class TestBlockedPath:
-    """Families larger than one block of rows (2**15): at n = 12 the rows
-    with one more free value hold 66 triples of a 129**2 square each."""
+    """Families larger than one block of rows (2**15): at n = 60 the rows
+    with a partner y hold 1770 count triples, 127 to a block."""
 
     @staticmethod
     def _multisets(grid, n):
         axis = B.grid(grid)
         return axis[np.array(list(itertools.combinations_with_replacement(range(grid), n)))]
 
-    def test_grid_spans_several_blocks(self):
-        assert 66 * stability._ZY_POINTS ** 2 > 5 * stability._BLOCK_ROWS
+    def test_grid_spans_several_blocks(self, monkeypatch):
+        blocks = []
+        counts = stability._counts
+
+        def counting(m, lo, hi):
+            blocks.append(m)
+            return counts(m, lo, hi)
+
+        monkeypatch.setattr(stability, "_counts", counting)
+        verify_stability(parse_generator("power:2.0"), parse_generator("exp"),
+                         Interval(0.5, 3.0), n=60)
+        assert blocks.count(59) > 5 and blocks.count(60) > 5
 
     @pytest.mark.parametrize("pair", [("identity", "log"), ("reciprocal", "exp"),
                                       ("power:2.0", "log")])
@@ -478,10 +502,25 @@ class TestBlockedPath:
         assert verify_stability(g, h, B, n=3).sup_mean_distance == want
 
     def test_blend_does_not_depend_on_the_block_size(self, monkeypatch):
+        # two count triples to a block: the 66 triples with a partner y take 33
         g, h, box = parse_generator("power:2.0"), parse_generator("exp"), Interval(0.5, 3.0)
-        blocked = blend_distances(g, h, box, n=12, ts=TS)
-        monkeypatch.setattr(stability, "_BLOCK_ROWS", 10 ** 6)
-        assert blend_distances(g, h, box, n=12, ts=TS) == blocked
+        whole = blend_distances(g, h, box, n=12, ts=TS)
+        monkeypatch.setattr(stability, "_BLOCK_ROWS", 2 * stability._Z_POINTS)
+        assert blend_distances(g, h, box, n=12, ts=TS) == whole
+
+    def test_reference_bisection_is_scalar_invert(self):
+        # _blend_means, which the brute force inverts blends with, against
+        # generators.invert on one value at a time
+        g, h, box = parse_generator("power:2.0"), parse_generator("exp"), Interval(0.5, 3.0)
+        zs = box.grid(41)
+        for t in (0.125, 0.5, 0.875):
+            blend = Generator("blend", g.domain, lambda z, t=t: (1.0 - t) * g.forward(z)
+                              + t * h.forward(z), None, None, "increasing")
+            ys = blend.forward(zs)
+            want = [invert(blend, float(y), box, tol=0.0) for y in ys]
+            got = _blend_means(g, h, t, ys, box)
+            assert np.allclose(got, want, rtol=0.0, atol=4.0 * np.spacing(box.hi))
+            assert np.allclose(got, zs, rtol=0.0, atol=4.0 * np.spacing(box.hi))
 
     @pytest.mark.parametrize("pair", [("identity", "exp"), ("log", "reciprocal")])
     def test_blend_matches_scalar_bisection(self, pair):
