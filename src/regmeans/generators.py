@@ -86,7 +86,9 @@ class Interval:
         arr = np.asarray(x, dtype=float)
         if not arr.size:
             return math.inf, -math.inf
-        lo, hi = float(arr.min()), float(arr.max())
+        # the ufunc reductions themselves, without ndarray.min's wrappers
+        lo = float(np.minimum.reduce(arr, axis=None))
+        hi = float(np.maximum.reduce(arr, axis=None))
         # min and max decide; NaN fails both comparisons
         if lo > self.lo and hi < self.hi:
             return lo, hi
@@ -246,7 +248,7 @@ def min_slope(g: Generator, B: Interval, grid_points: int = 10001) -> float:
     """Grid estimate of inf |g'| on B (an upper bound of the true inf)."""
     xs = B.grid(grid_points)  # needs grid_points >= 2 and a compact B
     g.domain.require_interior([B.lo, B.hi], f"generator {g.name!r}")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         m = float(np.min(np.abs(np.asarray(g.derivative(xs), dtype=float))))
     if not math.isfinite(m):
         raise NumericError(f"slope of generator {g.name!r} is not finite on [{B.lo}, {B.hi}]")

@@ -7,13 +7,16 @@ The mean of a sample x1..xn under a generator g is
 which specializes to the arithmetic, geometric, harmonic, power, and
 exponential means for the built-in generators, each through one sample check
 and one forward-sum-inverse kernel whose sum is correctly rounded (equal to
-``math.fsum``); exp and power means are anchored at the sample's maximum,
-where g cannot overflow.  ``check_axioms`` verifies the four characterizing
-properties numerically: per-coordinate monotonicity, symmetry, idempotence
-on constant samples, and invariance when a leading block is replaced by its
-own mean.  ``row_means`` is the batch form, one mean per row of a matrix,
-for the Monte Carlo path and ``check_axioms``; its last step,
-``means_from_sums``, is shared with the stability certificates.
+``math.fsum``); exp and power means are anchored where g cannot overflow,
+at the maximum (the minimum for a power p < 0) that the sample check has
+already found, and a single sample's last step runs on floats.
+``check_axioms`` verifies the four characterizing properties numerically:
+per-coordinate monotonicity, symmetry, idempotence on constant samples, and
+invariance when a leading block is replaced by its own mean.  ``row_means``
+is the batch form, one mean per row of a matrix, for the Monte Carlo path
+and ``check_axioms``; its last step, ``means_from_sums``, is shared with the
+stability certificates.  Floating-point underflow inside a mean is never an
+error, whatever ``np.errstate`` the caller has set.
 """
 
 from __future__ import annotations
@@ -57,11 +60,13 @@ def _sample(x: Sequence[float] | np.ndarray, domain: Interval,
     inside the open domain, else ConfigurationError (DomainError for NaN and
     infinities)."""
     try:
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        arr = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{owner} needs a flat sequence of numbers") from None
     if arr.ndim != 1:
-        raise ConfigurationError("sample must be one-dimensional")
+        if arr.ndim:
+            raise ConfigurationError("sample must be one-dimensional")
+        arr = arr.reshape(1)  # a bare number is a sample of one
     if arr.size == 0:
         raise ConfigurationError("sample must be nonempty")
     return (arr, *domain.require_interior(arr, owner))
@@ -115,29 +120,48 @@ def _kernel(x: np.ndarray, forward: Callable, inverse: Callable) -> float:
 
 
 def _row_kernel(rows: np.ndarray, forward: Callable, inverse: Callable) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         sums = np.sum(np.asarray(forward(rows), dtype=float), axis=1)
     return means_from_sums(inverse, sums, rows.shape[1])[1]
 
 
-def _anchored(g: Generator, x: np.ndarray, kernel: Callable):
-    """M_g along the last axis of x; exp means are shift-equivariant."""
-    if g.kind == "exp":
-        c = x.max(axis=-1)
-        return c + kernel(x, lambda t: g.forward(t - c[..., None]), g.inverse)
+def _anchored(g: Generator, x: np.ndarray, kernel: Callable,
+              lo: float | None = None, hi: float | None = None):
+    """M_g along the last axis of x.  Exp means are shift-equivariant and
+    power means scale-equivariant, so both are taken relative to an anchor
+    c where g cannot overflow: the maximum, or the minimum for a power
+    p < 0.  A 1-D sample passes the min and max that _sample found as lo and
+    hi; rows leave them out and are anchored row by row."""
+    if g.kind not in ("exp", "power"):
+        return kernel(x, g.forward, g.inverse)
+    if g.kind == "power" and g.param < 0:
+        c = x.min(axis=-1) if lo is None else lo
+    else:
+        c = x.max(axis=-1) if hi is None else hi
     if g.kind == "power":
-        return _power(g.param, x, kernel)
-    return kernel(x, g.forward, g.inverse)
+        return _power(g.param, np.log(x), c, np.log(c), kernel)
+    shift = c if x.ndim == 1 else c[:, None]
+    return c + kernel(x, lambda t: g.forward(t - shift), g.inverse)
 
 
-def _power(p: float, x: np.ndarray, kernel: Callable):
-    """M_p(x) = c * M_p(x / c), c the maximum (p > 0) or minimum (p < 0).
-    x / c and M / c go through logs: on a sample that spans more than the
-    float range they leave it."""
-    c = x.max(axis=-1) if p > 0 else x.min(axis=-1)
-    log_c = np.log(c)
-    r = kernel(x, lambda t: np.exp(p * (np.log(t) - log_c[..., None])), lambda y: np.log(y) / p)
-    return np.where(np.abs(r) < 700.0, c * np.exp(np.minimum(r, 700.0)), np.exp(log_c + r))
+def _power(p: float, logs: np.ndarray, c, log_c, kernel: Callable):
+    """M_p(x) = c * M_p(x / c) along the last axis of logs = log x, with c
+    the anchor (see _anchored) and log_c = log c.  x / c and M / c go
+    through logs: on a sample that spans more than the float range they
+    leave it.
+
+    A 1-D sample has a float c and gets a float back, through one branch of
+    the tail; rows get one mean each, every branch computed and one kept.
+    """
+    shift = log_c if logs.ndim == 1 else log_c[:, None]
+    r = kernel(logs, lambda t: np.exp(p * (t - shift)), lambda y: np.log(y) / p)
+    if logs.ndim == 1:
+        if abs(r) < 700.0:
+            return c * float(np.exp(r))
+        with np.errstate(under="ignore"):  # the mean may be subnormal
+            return float(np.exp(log_c + r))
+    with np.errstate(all="ignore"):  # the branch not kept may leave the float range
+        return np.where(np.abs(r) < 700.0, c * np.exp(np.minimum(r, 700.0)), np.exp(log_c + r))
 
 
 def mean(g: Generator, x: Sequence[float] | np.ndarray) -> float:
@@ -154,7 +178,7 @@ def mean(g: Generator, x: Sequence[float] | np.ndarray) -> float:
     arr, lo, hi = _sample(x, g.domain, f"generator {g.name!r}")
     if arr.size == 1:
         return float(arr[0])
-    return min(max(float(_anchored(g, arr, _kernel)), lo), hi)
+    return min(max(_anchored(g, arr, _kernel, lo, hi), lo), hi)
 
 
 def row_means(g: Generator, rows: np.ndarray) -> np.ndarray:
@@ -173,8 +197,8 @@ def means_from_sums(inverse: Callable, sums: np.ndarray, n: int) -> tuple[np.nda
     """
     if not np.all(np.isfinite(sums)):
         raise NumericError(_OVERFLOW)
-    avg = sums / n
     with np.errstate(all="ignore"):
+        avg = sums / n
         m = np.asarray(inverse(avg), dtype=float)
     if not np.all(np.isfinite(m)):
         raise NumericError(_OVERFLOW)
@@ -192,7 +216,9 @@ def power_mean(p: float, x: Sequence[float] | np.ndarray) -> float:
         raise InvalidParameterError(f"power mean needs a finite exponent, got {p}")
     arr, lo, hi = _sample(x, _POSITIVE, "power mean")
     logs = np.log(arr)
-    top = abs(p) * float(np.max(np.abs(logs)))
+    # floats, whose products underflow silently under any np.errstate
+    log_lo, log_hi = float(np.log(lo)), float(np.log(hi))
+    top = abs(p) * max(-log_lo, log_hi)  # max |log x|
     if top < _EPS:
         # x**p is within an ulp of 1 for every x: only the p -> 0 limit is
         # resolvable, and dividing an underflowed sum by p cannot recover it
@@ -202,7 +228,8 @@ def power_mean(p: float, x: Sequence[float] | np.ndarray) -> float:
         # signal; expm1/log1p keeps full relative precision
         m = _kernel(logs, lambda t: np.expm1(p * t), lambda y: np.exp(np.log1p(y) / p))
     else:
-        m = float(_power(p, arr, _kernel))
+        c, log_c = (hi, log_hi) if p > 0 else (lo, log_lo)
+        m = _power(p, logs, c, log_c, _kernel)
     # every branch ends in exp, which can leave [min x, max x] by |log x| ulp
     return min(max(m, lo), hi)
 
@@ -211,7 +238,7 @@ def exp_mean_stable(x: Sequence[float] | np.ndarray) -> float:
     """log((1/n) sum exp(xi)), the exponential mean, clipped into
     [min(x), max(x)]; it never overflows for finite inputs."""
     arr, lo, hi = _sample(x, _EXP.domain, "exponential mean")
-    return min(max(float(_anchored(_EXP, arr, _kernel)), lo), hi)
+    return min(max(_anchored(_EXP, arr, _kernel, lo, hi), lo), hi)
 
 
 class AxiomCheck(NamedTuple):

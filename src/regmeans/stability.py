@@ -132,8 +132,9 @@ _PARTNER_HALVINGS = 53
 
 
 def _forward(gen: Generator, x: np.ndarray) -> np.ndarray:
-    # overflow to inf is caught by the callers' finiteness checks
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # overflow to inf is caught by the callers' finiteness checks; underflow
+    # to a subnormal or zero is a value like any other
+    with np.errstate(all="ignore"):
         return np.asarray(gen.forward(x), dtype=float)
 
 
@@ -195,7 +196,7 @@ def _check_sizes(n: int, grid_per_dim: int) -> None:
 
 def _ratio(gn: Generator, hn: Generator, x: np.ndarray) -> np.ndarray:
     # r = g'/h' at x; a non-finite r is _ratio_pieces' check
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         return np.broadcast_to(np.asarray(gn.derivative(x), dtype=float)
                                / np.asarray(hn.derivative(x), dtype=float), np.shape(x))
 
@@ -280,7 +281,7 @@ def _reduced_sups(gn: Generator, hn: Generator, box: Interval, n: int,
         # |M_g - M_t| of shape (len(active), triples, points); z of leading
         # size 1 gives all t the same rows
         ka, kb, kz = k
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             gsum = ka * ga + kb * gb + kz * _forward(gn, z)
             hsum = ka * ha + kb * hb + kz * _forward(hn, z)
             if partner is not None:

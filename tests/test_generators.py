@@ -1,5 +1,6 @@
 """Generator parsing, inversion, slope estimates, and transforms."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -237,6 +238,14 @@ class TestSlopes:
         # exp' = exp overflows on the whole box
         with pytest.raises(NumericError):
             min_slope(parse_generator("exp"), Interval(800.0, 900.0))
+
+    @pytest.mark.parametrize("errors", ["default", "raise"])
+    def test_underflowing_slope_is_degenerate_whatever_the_errstate(self, errors):
+        # exp' = exp underflows to 0 at the low end; a caller raising on
+        # float errors gets the library's answer, not a FloatingPointError
+        with np.errstate(all="raise") if errors == "raise" else contextlib.nullcontext():
+            with pytest.raises(DegenerateSlopeError):
+                min_slope(parse_generator("exp"), Interval(-800.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -182,18 +182,22 @@ def test_a_mean_ending_in_exp_stays_internal(call, x):
     assert call([x, x]) == x
 
 
-@pytest.mark.parametrize("entry", ["identity", "log", "reciprocal", "power:2", "exp",
-                                   "power_mean", "exp_mean_stable"])
-@given(xs=st.lists(st.floats(), max_size=8), p=st.floats())
-@example(xs=[1.0, math.nan], p=2.0)
-@example(xs=[1.0, math.inf], p=-1.0)
-@example(xs=[1e-200, 1e-200], p=5e-324)
-@example(xs=[-1000.0, -1000.0], p=-5e-324)
-@example(xs=[5e-324, 1e300], p=2.0)
-def test_a_finite_internal_mean_or_a_library_error(entry, xs, p):
-    """The contract of every mean entry point, on any floats (NaN, infinities,
-    subnormals, +-1e300): a finite value in [min x, max x] up to rounding, or
-    a RegularMeanError.  RuntimeWarnings are errors in this suite."""
+_SPANNING = [5e-324] * 7 + [1.7e308]  # x**p relative to the max underflows
+
+
+def _contract_inputs(test):
+    """Every mean entry point on any floats (NaN, infinities, subnormals,
+    +-1e300) as the sample, and any float as power_mean's exponent."""
+    test = given(xs=st.lists(st.floats(), max_size=8), p=st.floats())(test)
+    for xs, p in [([1.0, math.nan], 2.0), ([1.0, math.inf], -1.0), ([1e-200, 1e-200], 5e-324),
+                  ([-1000.0, -1000.0], -5e-324), ([5e-324, 1e300], 2.0), (_SPANNING, 2e-3),
+                  ([-1000.0, 0.0], 1.0)]:
+        test = example(xs=xs, p=p)(test)
+    return pytest.mark.parametrize("entry", ["identity", "log", "reciprocal", "power:2", "exp",
+                                             "power_mean", "exp_mean_stable"])(test)
+
+
+def _assert_contract(entry, xs, p):
     try:
         if entry == "power_mean":
             m = power_mean(p, xs)
@@ -205,6 +209,94 @@ def test_a_finite_internal_mean_or_a_library_error(entry, xs, p):
         return
     assert all(map(math.isfinite, xs)) and math.isfinite(m)
     assert _internal(m, xs)
+
+
+@_contract_inputs
+def test_a_finite_internal_mean_or_a_library_error(entry, xs, p):
+    """The contract of every mean entry point: a finite value in
+    [min x, max x] up to rounding, or a RegularMeanError.  RuntimeWarnings
+    are errors in this suite."""
+    _assert_contract(entry, xs, p)
+
+
+@_contract_inputs
+def test_the_contract_holds_when_every_float_error_raises(entry, xs, p):
+    # a caller's errstate must not turn a step the means handle themselves
+    # (underflow, overflow caught by the finiteness checks) into a
+    # FloatingPointError
+    with np.errstate(all="raise"):
+        _assert_contract(entry, xs, p)
+
+
+_POWER_1E6 = parse_generator("power:1e-6")
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: mean(_POWER_1E6, [5e-324] * 9 + [1.7e308]), 7.740932837318841e-261),
+    (lambda: power_mean(2e-3, [5e-324] * 9 + [1.7e308]), 9.631856135956368e-106),
+    (lambda: row_means(_POWER_1E6, np.array([[5e-324] * 9 + [1.7e308]] * 2)), 7.740932837318841e-261),
+    (lambda: mean(_POWER_1E6, [5e-324] * 99 + [1.0]), None),     # a subnormal mean
+    (lambda: power_mean(-2e-3, [5e-324] * 99 + [1.0]), None),
+    (lambda: row_means(parse_generator("exp"), np.array([[-1000.0, 0.0]])), None),
+    (lambda: row_means(parse_generator("identity"), np.array([[5e-324, 0.0]])), None),
+], ids=["mean", "power_mean", "row_means-power", "mean-subnormal", "power_mean-subnormal",
+        "row_means-exp", "row_means-subnormal-average"])
+def test_underflow_is_the_same_answer_when_float_errors_raise(call, want):
+    default = np.asarray(call())
+    with np.errstate(all="raise"):
+        strict = np.asarray(call())
+    assert strict.tolist() == default.tolist()
+    if want is not None:
+        assert np.all(default == want)
+
+
+def _array_tail(c, log_c, r):
+    """The last step of a power mean on 0-d arrays, both branches computed:
+    the form the single-sample path had before it ran on floats."""
+    c, log_c, r = np.float64(c), np.float64(log_c), np.asarray(r)
+    return float(np.where(np.abs(r) < 700.0, c * np.exp(np.minimum(r, 700.0)), np.exp(log_c + r)))
+
+
+def _anchored_power_mean(p, x, branches):
+    """M_p(x) anchored at its max (min for p < 0), every log taken afresh
+    and the tail on 0-d arrays; records in branches whether |r| < 700."""
+    arr = np.asarray(x, dtype=float)
+    c = arr.max() if p > 0 else arr.min()
+    log_c = np.log(c)
+    r = means._kernel(arr, lambda t: np.exp(p * (np.log(t) - log_c)), lambda y: np.log(y) / p)
+    branches.add(abs(r) < 700.0)
+    return min(max(_array_tail(c, log_c, r), float(arr.min())), float(arr.max()))
+
+
+def _recomputed_power_mean(p, x, branches):
+    """power_mean(p, x) with its branch picked from the logs of every value,
+    not from the logs of the min and max."""
+    logs = np.log(np.asarray(x, dtype=float))
+    top = abs(p) * float(np.max(np.abs(logs)))
+    if top < 0.1:
+        fwd, inv = ((lambda t: t), np.exp) if top < means._EPS else (
+            (lambda t: np.expm1(p * t)), (lambda y: np.exp(np.log1p(y) / p)))
+        return min(max(means._kernel(logs, fwd, inv), min(x)), max(x))
+    return _anchored_power_mean(p, x, branches)
+
+
+def test_the_float_tail_keeps_the_bits_of_the_array_tail():
+    rng = np.random.default_rng(20)
+    samples = [rng.lognormal(0.0, 2.0, n) for n in (2, 7, 57, 500)]
+    # spanning the float range, so that |r| >= 700 for small p
+    samples += [np.exp(rng.uniform(-744.0, 709.0, n)) for n in (2, 9, 120, 800)]
+    samples += [np.exp(rng.uniform(-30.0, 30.0, 40)), np.array(_SPANNING),
+                np.array([5e-324] + [1.7e308] * 7)]
+    branches = {"p > 0": set(), "p < 0": set()}  # |r| < 700 seen, per sign of p
+    for x in samples:
+        for p in (1e-3, 0.5, 2.0, 7.0):
+            want = _anchored_power_mean(p, x, branches["p > 0"])
+            assert mean(parse_generator(f"power:{p}"), x).hex() == want.hex()
+            assert power_mean(p, x).hex() == _recomputed_power_mean(p, x, set()).hex()
+        for p in (-1e-3, -1.0, -3.0):
+            want = _recomputed_power_mean(p, x, branches["p < 0"])
+            assert power_mean(p, x).hex() == want.hex()
+    assert branches == {"p > 0": {True, False}, "p < 0": {True, False}}
 
 
 class TestCheckAxioms:

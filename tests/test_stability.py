@@ -1,5 +1,6 @@
 """Perturbation bound for the mean when the generator is replaced."""
 
+import contextlib
 import itertools
 import math
 import warnings
@@ -458,6 +459,15 @@ class TestOverflow:
         with pytest.raises(NumericError):
             blend_distances(parse_generator("identity"), parse_generator("exp"),
                             self.BOX, n=5, ts=(1.0,))
+
+    @pytest.mark.parametrize("errors", ["default", "raise"])
+    def test_an_underflowing_slope_is_numeric_error_whatever_the_errstate(self, errors):
+        # exp' = exp underflows to 0 at -800, so g'/h' = 1/exp is not finite
+        # there; a caller raising on float errors must get the same error
+        with np.errstate(all="raise") if errors == "raise" else contextlib.nullcontext():
+            with pytest.raises(NumericError, match="not finite"):
+                verify_stability(parse_generator("identity"), parse_generator("exp"),
+                                 Interval(-800.0, 1.0), n=2)
 
     def test_bound_is_finite_where_the_slope_overflows(self):
         # -1/x**2 overflows at the low end of the box; g itself stays finite
