@@ -101,9 +101,8 @@ def _tail_slope(fn, pick) -> float:
     u1, u2 = 1e-54, 1e-60
     try:
         # overflow to inf is the divergence signal, not an error
-        with np.errstate(over="ignore", invalid="ignore"):
-            h1 = abs(float(fn(float(pick(u1)))))
-            h2 = abs(float(fn(float(pick(u2)))))
+        h1 = abs(float(fn(float(pick(u1)))))
+        h2 = abs(float(fn(float(pick(u2)))))
     except OverflowError:
         return -math.inf
     if not (math.isfinite(h1) and math.isfinite(h2)):
@@ -145,49 +144,53 @@ def expect(dist, fn) -> float:
     families answer with float arithmetic, not a 0-d array; a quantile whose
     power overflows is inf there, as in the array path, never OverflowError.
     """
-    lower, upper = (_tail_slope(fn, pick) for pick in (dist.quantile, dist.isf))
-    if min(lower, upper) <= -(1.0 - 1e-3):
-        raise DivergenceError(f"E[fn(X)] diverges for {dist.spec!r}")
+    # float errors are values here: overflow is the tail screen's divergence
+    # signal and a non-finite quadrature is ConvergenceError, underflow a
+    # zero, so a caller's np.errstate leaves the result as it is
+    with np.errstate(all="ignore"):
+        lower, upper = (_tail_slope(fn, pick) for pick in (dist.quantile, dist.isf))
+        if min(lower, upper) <= -(1.0 - 1e-3):
+            raise DivergenceError(f"E[fn(X)] diverges for {dist.spec!r}")
 
-    if isinstance(dist, LogNormal):
-        mu, sig = dist.mu, dist.sigma
+        if isinstance(dist, LogNormal):
+            mu, sig = dist.mu, dist.sigma
 
-        def integrand(z):
-            e = -0.5 * z * z
-            if e < -745.0:  # Gaussian weight underflows first
-                return 0.0
-            return fn(math.exp(mu + sig * z)) * _INV_SQRT2PI * math.exp(e)
+            def integrand(z):
+                e = -0.5 * z * z
+                if e < -745.0:  # Gaussian weight underflows first
+                    return 0.0
+                return fn(math.exp(mu + sig * z)) * _INV_SQRT2PI * math.exp(e)
 
-        return _run_quad(integrand, -np.inf, np.inf)
+            return _run_quad(integrand, -np.inf, np.inf)
 
-    if isinstance(dist, Gamma):
-        lo = float(dist.quantile(1e-15))
-        hi = float(dist.isf(1e-15))
-        mode = dist.shape / dist.rate
-        points = [mode] if lo < mode < hi else None
-        return _run_quad(lambda x: fn(x) * dist.pdf(x), lo, hi, points=points)
+        if isinstance(dist, Gamma):
+            lo = float(dist.quantile(1e-15))
+            hi = float(dist.isf(1e-15))
+            mode = dist.shape / dist.rate
+            points = [mode] if lo < mode < hi else None
+            return _run_quad(lambda x: fn(x) * dist.pdf(x), lo, hi, points=points)
 
-    if isinstance(dist, Uniform):
-        w = dist.hi - dist.lo
-        return _run_quad(lambda x: fn(x) / w, dist.lo, dist.hi)
+        if isinstance(dist, Uniform):
+            w = dist.hi - dist.lo
+            return _run_quad(lambda x: fn(x) / w, dist.lo, dist.hi)
 
-    # Pareto and any duck-typed distribution: integrate in quantile space,
-    # where the density cancels; endpoints carry no mass.  Each half goes
-    # through the function that resolves its end: quantile(u) below 1/2, and
-    # above it isf, since quantile(1 - p) rounds to quantile(1) for tiny p.
-    # The upper tail fn(isf(p)) ~ p**upper is an endpoint singularity that
-    # defeats QAGS' extrapolation (pareto:10:1, x**8); p = v**k with
-    # k >= 1/(1 + upper) turns it into the bounded k v**(k-1) fn(isf(v**k)).
-    k = max(1, math.ceil(1.0 / (1.0 + upper)))
+        # Pareto and any duck-typed distribution: integrate in quantile space,
+        # where the density cancels; endpoints carry no mass.  Each half goes
+        # through the function that resolves its end: quantile(u) below 1/2, and
+        # above it isf, since quantile(1 - p) rounds to quantile(1) for tiny p.
+        # The upper tail fn(isf(p)) ~ p**upper is an endpoint singularity that
+        # defeats QAGS' extrapolation (pareto:10:1, x**8); p = v**k with
+        # k >= 1/(1 + upper) turns it into the bounded k v**(k-1) fn(isf(v**k)).
+        k = max(1, math.ceil(1.0 / (1.0 + upper)))
 
-    def lower_half(u):
-        return fn(float(dist.quantile(u))) if u > 0.0 else 0.0
+        def lower_half(u):
+            return fn(float(dist.quantile(u))) if u > 0.0 else 0.0
 
-    def upper_half(v):
-        p = v ** k
-        return fn(float(dist.isf(p))) * k * v ** (k - 1) if p > 0.0 else 0.0
+        def upper_half(v):
+            p = v ** k
+            return fn(float(dist.isf(p))) * k * v ** (k - 1) if p > 0.0 else 0.0
 
-    return _run_quad(lower_half, 0.0, 0.5) + _run_quad(upper_half, 0.0, 0.5 ** (1.0 / k))
+        return _run_quad(lower_half, 0.0, 0.5) + _run_quad(upper_half, 0.0, 0.5 ** (1.0 / k))
 
 
 # ---------------------------------------------------------------------------

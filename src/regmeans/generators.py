@@ -227,7 +227,8 @@ def invert(g: Generator, y: float, bracket: Interval, tol: float = 1e-12,
     g.domain.require_interior([bracket.lo, bracket.hi], f"generator {g.name!r}")
     a, b = bracket.lo, bracket.hi
     fa, fb = float(g.forward(a)), float(g.forward(b))
-    if (fa - y) * (fb - y) > 0:
+    # signs, not the product of the differences, which underflows to 0
+    if (fa > y and fb > y) or (fa < y and fb < y):
         raise OutOfRangeError(f"y={y} outside the image [{min(fa, fb)}, {max(fa, fb)}] of the bracket")
     rising = fb >= fa
     for _ in range(max_iter):

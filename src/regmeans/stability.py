@@ -13,8 +13,9 @@ maxima of a reduced problem.
 Since dM_g/dx_i = g'(x_i) / (n g'(M_g)), every coordinate of a maximiser of
 +-(M_g - M_h) strictly inside B solves r(x_i) = g'(M_g) / h'(M_h), with
 r = g'/h' (the Karush-Kuhn-Tucker conditions for a box).  Each monotone
-piece of r holds at most one root.  The pieces are counted on the blend
-table's axis, a step of r within rounding of zero counting as neither sign:
+piece of r holds at most one root.  The pieces are counted on an axis of
+_AXIS_POINTS points, a step of r within rounding of zero counting as neither
+sign:
 
 - At most one piece (r monotone, or constant, where M_g = M_h up to
   rounding): the sup is taken over rows of k_a copies of a, k_b copies of b
@@ -37,10 +38,9 @@ triples is maximised over z on a grid and then on finer grids about its
 best point, and the triples are streamed in blocks of at most _BLOCK_ROWS
 rows.
 
-The blended means invert (1-t) g + t h, increasing on the box: a table of
-its inverse at equally spaced blend values, built once per t from a fine
-axis, gives each row a first guess, and Newton polishes only the rows it
-leaves above tolerance.
+The blended means invert k_t = (1-t) g + t h, increasing on the box.  M_t
+lies between M_g and M_h, so each row starts at (1-t) M_g + t M_h, and the
+rows of every interior t go through one clamped Newton iteration together.
 
 Decreasing generators are negated to increasing form first; the mean is
 invariant under g -> -g, so nothing changes numerically.  Generators that
@@ -118,9 +118,10 @@ def theorem4_bound(g: Generator, h: Generator, B: Interval, grid: int = 201) -> 
     return constant * dist
 
 
-# Evaluation rows per block, and points of the blend inverse's table.
+# Evaluation rows per block, and points of the axis on which the generators'
+# monotonicity and the pieces of g'/h' are checked.
 _BLOCK_ROWS = 2 ** 15
-_BLEND_TABLE_POINTS = 4097
+_AXIS_POINTS = 4097
 # The first grid of the free value, then _ZOOM_ROUNDS grids of _ZOOM_POINTS
 # across the two cells beside the best point: each round shrinks the cell
 # 16-fold, to about 4e-9 of the box after five.  A partner y is located to
@@ -140,11 +141,11 @@ def _forward(gen: Generator, x: np.ndarray) -> np.ndarray:
 
 def _normalized_pair(g: Generator, h: Generator, box: Interval) -> tuple[Generator, Generator]:
     """g and h in increasing form.  Raises NumericError when either decreases
-    on the blend table's axis: the blend inversion rests on monotonicity."""
+    on the _AXIS_POINTS axis: the blend inversion rests on monotonicity."""
     gn, hn = normalize_increasing(g), normalize_increasing(h)
     for gen in (gn, hn):
         gen.domain.require_interior([box.lo, box.hi], f"generator {gen.name!r}")
-    axis = box.grid(_BLEND_TABLE_POINTS)
+    axis = box.grid(_AXIS_POINTS)
     for gen in (gn, hn):
         # inf - inf is NaN, which passes: overflow is the callers' check
         with np.errstate(invalid="ignore"):
@@ -202,7 +203,7 @@ def _ratio(gn: Generator, hn: Generator, x: np.ndarray) -> np.ndarray:
 
 
 def _ratio_pieces(gn: Generator, hn: Generator, box: Interval) -> tuple[int, float]:
-    """The number of monotone pieces of r = g'/h' on the blend table's axis,
+    """The number of monotone pieces of r = g'/h' on the _AXIS_POINTS axis,
     and the axis point where the first piece ends.
 
     A step of r within 4 eps of the larger |r| at its two ends counts as
@@ -210,7 +211,7 @@ def _ratio_pieces(gn: Generator, hn: Generator, box: Interval) -> tuple[int, flo
     constant, has none.  Raises NumericError when r is not finite on the
     axis.
     """
-    axis = box.grid(_BLEND_TABLE_POINTS)
+    axis = box.grid(_AXIS_POINTS)
     r = _ratio(gn, hn, axis)
     if not np.all(np.isfinite(r)):
         raise NumericError(f"g'/h' of {gn.name!r} and {hn.name!r} is not finite on {box}")
@@ -264,8 +265,9 @@ def _reduced_sups(gn: Generator, hn: Generator, box: Interval, n: int,
     Each triple's rows sum g as k_a g(a) + k_b g(b) + k_z g(z) [+ g(y)].
     Its z runs over _Z_POINTS, then over finer grids about the best z,
     separately for each t; the rows of all t go through g and its inverse
-    together.  Raises ConfigurationError when g'/h' turns more than
-    once on the box.
+    together, and those of all interior t through one call of
+    _invert_blend, each with its own t.  Raises ConfigurationError when
+    g'/h' turns more than once on the box.
     """
     pieces, turn = _ratio_pieces(gn, hn, box)
     if pieces > 2:
@@ -273,7 +275,8 @@ def _reduced_sups(gn: Generator, hn: Generator, box: Interval, n: int,
             f"g'/h' of {gn.name!r} and {hn.name!r} has {pieces} monotone pieces on {box}; "
             "the reduction serves at most 2")
     active = [t for t in ts if t > 0.0]
-    tables = {t: _blend_inverse_table(gn, hn, t, box) for t in active if t < 1.0}
+    inner = [j for j, t in enumerate(active) if t < 1.0]
+    tb = np.array(active)[inner][:, None, None]
     ends = np.array([box.lo, box.hi])
     (ga, gb), (ha, hb) = _forward(gn, ends), _forward(hn, ends)
 
@@ -288,16 +291,19 @@ def _reduced_sups(gn: Generator, hn: Generator, box: Interval, n: int,
                 y = partner(z)
                 gsum = gsum + _forward(gn, y)
                 hsum = hsum + _forward(hn, y)
-        sg, mg = (v.reshape(gsum.shape) for v in means_from_sums(gn.inverse, gsum.ravel(), n))
-        sh, mh = (v.reshape(gsum.shape) for v in means_from_sums(hn.inverse, hsum.ravel(), n))
-        out = np.empty((len(active),) + gsum.shape[1:])
-        for j, t in enumerate(active):
-            i = j if gsum.shape[0] > 1 else 0
-            mt = mh[i] if t == 1.0 else _invert_blend(
-                gn, hn, t, ((1.0 - t) * sg[i] + t * sh[i]).ravel(), tables[t], box
-            ).reshape(mg[i].shape)
-            out[j] = np.abs(mg[i] - mt)
-        return out
+        shape = (len(active),) + gsum.shape[1:]
+        sg, mg, sh, mh = (np.broadcast_to(v.reshape(gsum.shape), shape) for v in (
+            *means_from_sums(gn.inverse, gsum.ravel(), n),
+            *means_from_sums(hn.inverse, hsum.ravel(), n)))
+        mt = mh.copy()
+        if inner:
+            # every interior t in one inversion, each row started between
+            # M_g and M_h, where M_t lies
+            y = (1.0 - tb) * sg[inner] + tb * sh[inner]
+            start = (1.0 - tb) * mg[inner] + tb * mh[inner]
+            mt[inner] = _invert_blend(gn, hn, np.broadcast_to(tb, y.shape).ravel(), y.ravel(),
+                                      start.ravel(), box).reshape(y.shape)
+        return np.abs(mg - mt)
 
     sups = np.zeros(len(active))
     per_block = max(1, _BLOCK_ROWS // max(_Z_POINTS, len(active) * _ZOOM_POINTS))
@@ -325,78 +331,46 @@ def _reduced_sups(gn: Generator, hn: Generator, box: Interval, n: int,
     return [by_t.get(t, 0.0) for t in ts]
 
 
-def _blend_inverse_table(gn: Generator, hn: Generator, t: float, box: Interval) -> tuple:
-    """The inverse table of the blend (1-t) g + t h on the box.
+def _invert_blend(gn: Generator, hn: Generator, t: np.ndarray, y: np.ndarray,
+                  start: np.ndarray, box: Interval) -> np.ndarray:
+    """Solve (1-t) g(z) + t h(z) = y elementwise on the box, t per row.
 
-    The table holds z at equally spaced values y of the blend, as
-    (y0, 1/dy, z, dz): linear interpolation in it is one multiply and two
-    lookups per row, however the rows are ordered.
-    """
-    zs = box.grid(_BLEND_TABLE_POINTS)
-    blend = (1.0 - t) * _forward(gn, zs) + t * _forward(hn, zs)
-    if not (np.all(np.isfinite(blend)) and blend[-1] > blend[0]):
-        raise NumericError(
-            f"blend of {gn.name!r} and {hn.name!r} is not finite and increasing on {box}")
-    ys = np.linspace(blend[0], blend[-1], _BLEND_TABLE_POINTS)
-    zt = np.interp(ys, blend, zs)
-    return float(blend[0]), (zt.size - 1) / (blend[-1] - blend[0]), zt, np.diff(zt)
-
-
-def _table_guess(table: tuple, y: np.ndarray) -> np.ndarray:
-    """The first guess of the blend's inverse at each y."""
-    y0, per_y, zt, dz = table
-    pos = np.clip((y - y0) * per_y, 0.0, dz.size)
-    cell = np.minimum(pos.astype(np.intp), dz.size - 1)
-    return zt[cell] + (pos - cell) * dz[cell]
-
-
-def _invert_blend(gn: Generator, hn: Generator, t: float, y: np.ndarray,
-                  table: tuple, box: Interval) -> np.ndarray:
-    """Solve (1-t) g(z) + t h(z) = y elementwise on the box.
-
-    The blend of two increasing generators is increasing, so its tabulated
-    inverse gives a close first guess; clamped Newton then polishes only the
-    rows above tolerance, and stragglers fall back to bisection.
+    The blend of two increasing generators is increasing, and each row
+    starts at its guess in the box.  Clamped Newton steps on the whole array
+    move only the rows above tolerance; after 30 steps the rows still above
+    it fall back to bisection.  Float errors of rows that a step does not
+    move are discarded with them, and a NaN residual counts as above
+    tolerance.  Raises ConvergenceError when the bisection misses too.
     """
     gf, hf, gd, hd = gn.forward, hn.forward, gn.derivative, hn.derivative
 
-    def f(z, y):
+    def f(z, t, y):
         return (1.0 - t) * gf(z) + t * hf(z) - y
 
-    def polish(z, resid):
-        return np.clip(z - resid / ((1.0 - t) * gd(z) + t * hd(z)), box.lo, box.hi)
-
-    z = _table_guess(table, y)
     tol = 1e-13 * np.maximum(1.0, np.abs(y))
-    resid = f(z, y)
-    # the table leaves nearly every row above tolerance, so the first of the
-    # 30 Newton steps runs on whole arrays and later ones only on the rows
-    # still above it
-    z = np.where(np.abs(resid) <= tol, z, polish(z, resid))
-    resid = f(z, y)
-    # a NaN residual counts as above tolerance and ends in the bisection
-    rows = np.flatnonzero(~(np.abs(resid) <= tol))
-    resid = resid[rows]
-    for _ in range(29):
-        if not rows.size:
-            return z
-        zr = polish(z[rows], resid)
-        z[rows] = zr
-        resid = f(zr, y[rows])
-        far = ~(np.abs(resid) <= tol[rows])
-        rows, resid = rows[far], resid[far]
-    if rows.size:
+    with np.errstate(all="ignore"):
+        z = np.clip(start, box.lo, box.hi)
+        resid = f(z, t, y)
+        for _ in range(30):
+            far = ~(np.abs(resid) <= tol)
+            if not np.any(far):
+                return z
+            step = np.clip(z - resid / ((1.0 - t) * gd(z) + t * hd(z)), box.lo, box.hi)
+            z = np.where(far, step, z)
+            resid = f(z, t, y)
+        rows = np.flatnonzero(~(np.abs(resid) <= tol))
+        tb, yb = t[rows], y[rows]
         lo = np.full(rows.size, box.lo)
         hi = np.full(rows.size, box.hi)
-        yb = y[rows]
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            below = (1.0 - t) * gf(mid) + t * hf(mid) < yb
+            below = (1.0 - tb) * gf(mid) + tb * hf(mid) < yb
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         z[rows] = 0.5 * (lo + hi)
-        if np.any(np.abs(f(z[rows], yb)) > 1e-9 * np.maximum(1.0, np.abs(yb))):
-            raise ConvergenceError("blend inversion failed to converge")
+        missed = ~(np.abs(f(z[rows], tb, yb)) <= 1e-9 * np.maximum(1.0, np.abs(yb)))
+    if np.any(missed):
+        raise ConvergenceError("blend inversion failed to converge")
     return z
 
 

@@ -22,6 +22,7 @@ from regmeans import (
     LogNormal,
     NumericError,
     Pareto,
+    RegularMeanError,
     Uniform,
     affine_transform,
     asymptotic_variance,
@@ -31,6 +32,7 @@ from regmeans import (
     g_moments,
     hermite,
     kolmogorov_expectation,
+    parse_distribution,
     parse_generator,
     phi_cdf,
     phi_pdf,
@@ -312,6 +314,25 @@ class TestGMoments:
         # E[X^4] infinite when tail index is 3.5
         with pytest.raises(DivergenceError, match="4"):
             g_moments(parse_generator("identity"), Pareto(3.5, 1.0))
+
+    @pytest.mark.parametrize("g, dist", [
+        ("log", "lognormal:2:1"), ("log", "lognormal:0:1"), ("log", "gamma:0.001:1"),
+        *((g, "lognormal:-700:1") for g in ("identity", "log", "reciprocal", "power:2.0", "exp"))])
+    def test_quadrature_is_the_same_whatever_the_errstate(self, g, dist):
+        # underflow in the integrands and the tail screen raised a bare
+        # FloatingPointError under a caller's np.errstate(all="raise"), and
+        # log x gamma:0.001:1 leaked a RuntimeWarning under the default
+        def outcome():
+            try:
+                m = g_moments(parse_generator(g), parse_distribution(dist), method="quadrature")
+            except RegularMeanError as e:  # the outcome is the library error's type
+                return type(e)
+            return repr((m.mean_g, m.var_g, m.skew_g, m.exkurt_g))
+
+        default = outcome()
+        with np.errstate(all="raise"):
+            assert outcome() == default
+        assert not isinstance(default, type) or issubclass(default, DivergenceError)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -188,6 +188,12 @@ class TestInvert:
         with pytest.raises(OutOfRangeError):
             invert(g, 5.0, Interval(0.0, 1.0))
 
+    def test_target_outside_a_tiny_bracket(self):
+        # (g(a) - y) * (g(b) - y) = 1e-200 * 2e-200 underflows to 0, which
+        # read as a bracket that straddles y
+        with pytest.raises(OutOfRangeError):
+            invert(parse_generator("identity"), 0.0, Interval(1e-200, 2e-200), tol=0.0)
+
     def test_decreasing_generator(self):
         g = parse_generator("reciprocal")
         assert invert(g, 0.25, Interval(1.0, 10.0)) == pytest.approx(4.0, abs=1e-10)

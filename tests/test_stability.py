@@ -231,7 +231,7 @@ class TestMonotonePremise:
 
 
 class TestRatioPieces:
-    """The monotone pieces of g'/h' on the blend table's axis choose the rows."""
+    """The monotone pieces of g'/h' on the _AXIS_POINTS axis choose the rows."""
 
     SPECS = ("identity", "log", "reciprocal", "power:2.0", "exp")
     BOXES = [Interval(1.0, 2.0), Interval(0.5, 3.0), Interval(1.0, 1.001),
@@ -300,11 +300,11 @@ class TestReducedPath:
 
     @pytest.mark.parametrize("pair", list(itertools.permutations(TestRatioPieces.SPECS, 2)),
                              ids="-".join)
-    def test_never_below_the_grid_path(self, pair):
+    def test_never_below_the_brute_force(self, pair):
         g, h = (parse_generator(s) for s in pair)
         for box in TestRatioPieces.BOXES:
             gn, hn = stability._normalized_pair(g, h, box)
-            zs = box.grid(stability._BLEND_TABLE_POINTS)
+            zs = box.grid(stability._AXIS_POINTS)
             # count-weighted sums round apart from left-to-right row sums, and
             # a blended mean is Newton's, stopped within 1e-13 max(1, |y|) of
             # the blend's value: that over the blend's least slope apart
@@ -455,7 +455,7 @@ class TestOverflow:
         with pytest.raises(NumericError):
             theorem4_bound(parse_generator("exp"), parse_generator("identity"), self.BOX)
 
-    def test_sampled_rows_raise(self):
+    def test_overflowing_rows_raise(self):
         with pytest.raises(NumericError):
             blend_distances(parse_generator("identity"), parse_generator("exp"),
                             self.BOX, n=5, ts=(1.0,))
@@ -556,3 +556,56 @@ class TestBlockedPath:
         got = blend_distances(ident, bad_log, B, n=3, ts=TS)
         assert got == pytest.approx(want, abs=1e-12, rel=0.0)
         assert len(calls) > 100  # the bisection's 100 halvings ran
+
+
+class TestOneInversion:
+    """The blended means of every interior t are found by one Newton
+    iteration per evaluation of the rows, each row with its own t."""
+
+    # increasing, but flat on [1.4, 1.6]: as h, it makes g'/h' = g'/0 there
+    FLAT = Generator("flat", Interval(-10.0, 10.0),
+                     lambda x: np.where(x < 1.4, x, np.where(x <= 1.6, 1.4, x - 0.2)), None,
+                     lambda x: np.where((1.4 <= x) & (x <= 1.6), 0.0, 1.0), "increasing")
+
+    @pytest.mark.parametrize("pair, box", [(("log", "reciprocal"), B),
+                                           (("power:2.0", "exp"), Interval(0.5, 3.0))])
+    def test_calls_do_not_depend_on_the_number_of_ts(self, monkeypatch, pair, box):
+        g, h = (parse_generator(s) for s in pair)
+        invert_blend = stability._invert_blend
+        calls = []
+
+        def counting(gn, hn, t, y, start, box):
+            calls.append(len(set(t.tolist())))
+            return invert_blend(gn, hn, t, y, start, box)
+
+        monkeypatch.setattr(stability, "_invert_blend", counting)
+        per_ts = []
+        for ts in ((0.0, 0.5, 1.0), [i / 8 for i in range(9)]):
+            calls.clear()
+            blend_distances(g, h, box, n=2, ts=ts)
+            per_ts.append(list(calls))
+        assert len(per_ts[0]) == len(per_ts[1]) > 0
+        assert set(per_ts[0]) == {1} and set(per_ts[1]) == {7}
+
+    @pytest.mark.parametrize("g, h, box", [
+        *((g, h, B) for g, h in itertools.permutations(TestRatioPieces.SPECS, 2)),
+        ("power:2.0", "exp", Interval(0.5, 3.0)), ("log", "reciprocal", Interval(0.1, 5.0)),
+        ("reciprocal", "log", Interval(1e-200, 1e-100))])
+    def test_the_same_whatever_the_errstate(self, g, h, box):
+        # a Newton step runs on every row, those it does not move included
+        def outcome():
+            try:
+                return blend_distances(parse_generator(g), parse_generator(h), box, n=2, ts=TS)
+            except NumericError as e:  # the outcome is the error's type
+                return type(e)
+
+        default = outcome()
+        with np.errstate(all="raise"):
+            assert outcome() == default
+
+    def test_a_flat_generator_is_numeric_error(self):
+        ident = parse_generator("identity")
+        with pytest.raises(NumericError, match="not finite"):
+            verify_stability(ident, self.FLAT, B, n=2)
+        with pytest.raises(NumericError, match="not finite"):
+            blend_distances(ident, self.FLAT, B, n=2, ts=TS)
