@@ -295,34 +295,65 @@ def asymptotic_variance(g: Generator, dist, method: str = "auto") -> AsymptoticS
 
 # ---------------------------------------------------------------------------
 # Edgeworth expansion
+#
+# The arrays here are filled by ufuncs writing into buffers (out=), in the
+# order of operations of the plain formulas, so the bits are theirs: an
+# Edgeworth CDF takes five fresh arrays besides Phi, where the plain
+# operators made thirty temporaries.  One formula, _expansion with
+# _term_into, serves edgeworth_corrections and the CDF, which callers that
+# already hold Phi(x) reach through _edgeworth_cdf.
 
 def phi_cdf(x):
     """Standard normal CDF via the complementary error function.  A NaN
     value is DomainError."""
     from scipy.special import erfc  # imported on first use, as quad is
 
-    out = 0.5 * erfc(-np.asarray(x, dtype=float) / _SQRT2)
+    xa = np.asarray(x, dtype=float)
+    out = np.negative(xa, out=np.empty(xa.shape))
+    np.divide(out, _SQRT2, out=out)
+    erfc(out, out=out)
+    np.multiply(out, 0.5, out=out)
     if np.isnan(np.min(out, initial=0.0)):  # NaN only from a NaN x; no temporary
         raise DomainError("phi_cdf got a NaN value")
     return float(out) if np.ndim(x) == 0 else out
 
 
+def _pdf_from_square(x2, out):
+    """phi at the points whose squares are x2, into out."""
+    np.multiply(x2, -0.5, out=out)
+    np.exp(out, out=out)
+    return np.multiply(out, _INV_SQRT2PI, out=out)
+
+
 def phi_pdf(x):
-    out = _INV_SQRT2PI * np.exp(-0.5 * np.square(np.asarray(x, dtype=float)))
+    xa = np.asarray(x, dtype=float)
+    out = np.square(xa, out=np.empty(xa.shape))
+    _pdf_from_square(out, out)
     return float(out) if np.ndim(x) == 0 else out
+
+
+def _hermite_into(k: int, x, x2, out):
+    """hermite(k, x) into out, given x2 = x*x."""
+    if k == 1:
+        return np.subtract(x2, 1.0, out=out)
+    if k == 2:
+        np.subtract(x2, 3.0, out=out)
+        return np.multiply(x, out, out=out)
+    np.subtract(x2, 10.0, out=out)
+    np.multiply(x2, out, out=out)
+    np.add(out, 15.0, out=out)
+    return np.multiply(x, out, out=out)
 
 
 def hermite(k: int, x):
     """The polynomial factors of the first three Edgeworth corrections:
     p1 = x^2-1, p2 = x^3-3x, p3 = x^5-10x^3+15x, in Horner form."""
-    x2 = x * x
-    if k == 1:
-        return x2 - 1.0
-    if k == 2:
-        return x * (x2 - 3.0)
-    if k == 3:
-        return x * (x2 * (x2 - 10.0) + 15.0)
-    raise InvalidParameterError(f"hermite order must be 1, 2, or 3, got {k}")
+    if k not in (1, 2, 3):
+        raise InvalidParameterError(f"hermite order must be 1, 2, or 3, got {k}")
+    xa = np.asarray(x, dtype=float)
+    x2 = np.multiply(xa, xa, out=np.empty(xa.shape))
+    out = _hermite_into(k, xa, x2, np.empty(xa.shape))
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def _check_expansion_inputs(n: int, mom: GMoments, third_order: str) -> float:
@@ -337,6 +368,32 @@ def _check_expansion_inputs(n: int, mom: GMoments, third_order: str) -> float:
     raise InvalidParameterError(f"third_order must be 'skew_sq' or 'kurt_sq', got {third_order!r}")
 
 
+def _expansion(x, n: int, mom: GMoments, third_order: str) -> tuple:
+    """The checked inputs of the three terms: x as floats clamped to +-1e10,
+    x*x, phi(x), and each term's (k, coef, den), the term being
+    ((phi(x) * coef) * p_k(x)) / den."""
+    c3 = _check_expansion_inputs(n, mom, third_order)
+    xa = np.asarray(x, dtype=float)
+    lo, hi = np.min(xa, initial=math.inf), np.max(xa, initial=-math.inf)
+    if np.isnan(lo):  # NaN propagates through min and max alike
+        raise DomainError("Edgeworth expansion got a NaN value")
+    if lo < -1e10 or hi > 1e10:  # a copy only where needed
+        xa = np.clip(xa, -1e10, 1e10)
+    x2 = np.multiply(xa, xa, out=np.empty(xa.shape))
+    # phi of the clamped x: beyond +-1e10 it is 0 either way
+    w = _pdf_from_square(x2, np.empty(xa.shape))
+    rn = math.sqrt(n)
+    return xa, x2, w, ((1, mom.skew_g, 6.0 * rn), (2, mom.exkurt_g, 24.0 * n),
+                       (3, c3, 72.0 * n))
+
+
+def _term_into(out, scratch, k: int, coef: float, den: float, x, x2, w):
+    """One term of _expansion into out, with p_k in scratch."""
+    np.multiply(w, coef, out=out)
+    np.multiply(out, _hermite_into(k, x, x2, scratch), out=out)
+    return np.divide(out, den, out=out)
+
+
 def edgeworth_corrections(x, n: int, mom: GMoments, third_order: str = "skew_sq"):
     """The three subtracted terms phi(x)*t_k, in expansion order.
 
@@ -346,19 +403,23 @@ def edgeworth_corrections(x, n: int, mom: GMoments, third_order: str = "skew_sq"
     out to x = +-inf: x is clamped to +-1e10, beyond which phi(x) is 0.  A
     NaN value is DomainError.
     """
-    c3 = _check_expansion_inputs(n, mom, third_order)
-    lo, hi = np.min(x), np.max(x)
-    if np.isnan(lo):  # NaN propagates through min and max alike
-        raise DomainError("Edgeworth expansion got a NaN value")
-    w = phi_pdf(x)
-    if lo < -1e10 or hi > 1e10:  # a copy only where needed
-        x = np.clip(x, -1e10, 1e10)
-    rn = math.sqrt(n)
-    return (
-        w * mom.skew_g * hermite(1, x) / (6.0 * rn),
-        w * mom.exkurt_g * hermite(2, x) / (24.0 * n),
-        w * c3 * hermite(3, x) / (72.0 * n),
-    )
+    xa, x2, w, terms = _expansion(x, n, mom, third_order)
+    p = np.empty(xa.shape)
+    out = tuple(_term_into(np.empty(xa.shape), p, *term, xa, x2, w) for term in terms)
+    return tuple(float(c) for c in out) if np.ndim(x) == 0 else out
+
+
+def _edgeworth_cdf(x, n: int, mom: GMoments, third_order: str, phi=None):
+    """edgeworth_cdf, given phi = phi_cdf(x) where the caller holds it."""
+    xa, x2, w, terms = _expansion(x, n, mom, third_order)
+    if phi is None:
+        phi = phi_cdf(x)
+    total, term, p = (np.empty(xa.shape) for _ in range(3))
+    _term_into(total, p, *terms[0], xa, x2, w)
+    for spec in terms[1:]:  # (c1 + c2) + c3
+        np.add(total, _term_into(term, p, *spec, xa, x2, w), out=total)
+    np.subtract(phi, total, out=total)
+    return float(total) if np.ndim(x) == 0 else total
 
 
 def edgeworth_cdf(x, n: int, mom: GMoments, third_order: str = "skew_sq"):
@@ -366,5 +427,4 @@ def edgeworth_cdf(x, n: int, mom: GMoments, third_order: str = "skew_sq"):
 
         Phi(x) - phi(x) * [ skew*p1/(6 sqrt(n)) + exkurt*p2/(24 n) + c3*p3/(72 n) ]
     """
-    c1, c2, c3 = edgeworth_corrections(x, n, mom, third_order)
-    return phi_cdf(x) - (c1 + c2 + c3)
+    return _edgeworth_cdf(x, n, mom, third_order)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -97,6 +98,13 @@ class Interval:
         raise DomainError(f"value {offender} outside domain ({self.lo}, {self.hi}) of {owner}")
 
     def grid(self, points: int) -> np.ndarray:
+        """points evenly spaced values from lo to hi.  InvalidParameterError
+        unless points is an integer >= 2 and the interval is bounded."""
+        try:
+            points = operator.index(points)
+        except TypeError:
+            raise InvalidParameterError(
+                f"grid size must be an integer, got {points!r}") from None
         if points < 2:
             raise InvalidParameterError("grid needs at least 2 points")
         if not self.is_finite:

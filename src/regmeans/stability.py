@@ -53,7 +53,13 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, InvalidParameterError, NumericError
+from .errors import (
+    ConfigurationError,
+    ConvergenceError,
+    DegenerateSlopeError,
+    InvalidParameterError,
+    NumericError,
+)
 from .generators import Generator, Interval, min_slope, normalize_increasing
 from .means import means_from_sums
 
@@ -209,12 +215,17 @@ def _ratio_pieces(gn: Generator, hn: Generator, box: Interval) -> tuple[int, flo
     A step of r within 4 eps of the larger |r| at its two ends counts as
     neither sign, so a constant r, and one that only rounds apart from a
     constant, has none.  Raises NumericError when r is not finite on the
-    axis.
+    axis, and DegenerateSlopeError when it is 0 there: M_g then rests on the
+    inverse of a g that is not strictly increasing.
     """
     axis = box.grid(_AXIS_POINTS)
     r = _ratio(gn, hn, axis)
     if not np.all(np.isfinite(r)):
         raise NumericError(f"g'/h' of {gn.name!r} and {hn.name!r} is not finite on {box}")
+    if not np.all(r):
+        raise DegenerateSlopeError(
+            f"g'/h' of {gn.name!r} and {hn.name!r} vanishes on {box}: "
+            "g is flat or h infinitely steep there")
     steps = np.diff(r)
     signs = np.sign(steps[np.abs(steps) > 4.0 * np.finfo(float).eps
                           * np.maximum(np.abs(r[:-1]), np.abs(r[1:]))])
@@ -384,7 +395,8 @@ def blend_distances(g: Generator, h: Generator, A_box: Interval, n: int,
     grid_per_dim is deprecated: it is checked as verify_stability checks it
     but sets nothing, since the reduction walks no grid of its own size.
     Raises NumericError when g or h overflows or decreases on the box, or
-    g'/h' is not finite there, and ConvergenceError when the inversion of a
+    g'/h' is not finite there, DegenerateSlopeError when g'/h' is 0 there
+    (as where g is flat), and ConvergenceError when the inversion of a
     blended mean fails.  Pairs whose g'/h' turns more than once on the box
     (possible only with custom generators) are not supported: they raise
     ConfigurationError.

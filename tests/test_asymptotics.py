@@ -417,6 +417,12 @@ class TestNormalHelpers:
         xs = np.array([0.0, 1.0, 2.0])
         np.testing.assert_allclose(hermite(1, xs), xs ** 2 - 1.0)
 
+    def test_hermite_keeps_the_shape(self):
+        assert isinstance(hermite(3, 2.0), float)
+        xs = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        np.testing.assert_array_equal(hermite(3, xs), xs * (xs * xs * (xs * xs - 10.0) + 15.0))
+        assert hermite(2, np.array([])).shape == (0,)
+
     def test_hermite_order_validated(self):
         for k in (0, 4, -1):
             with pytest.raises(InvalidParameterError):
@@ -481,6 +487,36 @@ class TestEdgeworth:
                 assert edgeworth_corrections(x, 20, mom, third_order) == (0.0, 0.0, 0.0)
             for term in edgeworth_corrections(xs, 20, mom, third_order):
                 assert term[0] == 0.0 and term[-1] == 0.0
+
+    @pytest.mark.parametrize("third_order", ["skew_sq", "kurt_sq"])
+    def test_cdf_is_phi_minus_the_summed_corrections_bit_for_bit(self, third_order):
+        mom = _mom(skew=1.7, exkurt=-0.9)
+        xs = np.concatenate([np.linspace(-9.0, 9.0, 2001), [-math.inf, math.inf, -1e100, 1e100,
+                                                            -1e10, 1e10, 0.0, -0.0]])
+        c1, c2, c3 = edgeworth_corrections(xs, 3, mom, third_order)
+        got = edgeworth_cdf(xs, 3, mom, third_order)
+        np.testing.assert_array_equal(got, phi_cdf(xs) - (c1 + c2 + c3))
+        # the plain formula, term by term, in its order of operations
+        w, x = phi_pdf(xs), np.clip(xs, -1e10, 1e10)
+        c = (mom.skew_g * mom.skew_g if third_order == "skew_sq"
+             else mom.exkurt_g * mom.exkurt_g)
+        plain = (w * mom.skew_g * (x * x - 1.0) / (6.0 * math.sqrt(3)),
+                 w * mom.exkurt_g * (x * (x * x - 3.0)) / (24.0 * 3),
+                 w * c * (x * (x * x * (x * x - 10.0) + 15.0)) / (72.0 * 3))
+        for term, want in zip((c1, c2, c3), plain):
+            np.testing.assert_array_equal(term, want)
+        for i in range(0, xs.size, 97):
+            assert edgeworth_cdf(xs[i], 3, mom, third_order) == got[i]
+            assert edgeworth_corrections(float(xs[i]), 3, mom, third_order) == (
+                c1[i], c2[i], c3[i])
+
+    def test_empty_array_gives_empty_arrays(self):
+        # both raised ValueError: zero-size array to reduction operation minimum
+        mom = _mom(skew=-0.8, exkurt=1.2)
+        for x in ([], np.array([]), np.empty((0, 3))):
+            assert edgeworth_cdf(x, 20, mom).shape == np.shape(x)
+            terms = edgeworth_corrections(x, 20, mom)
+            assert len(terms) == 3 and all(t.shape == np.shape(x) for t in terms)
 
     @pytest.mark.parametrize("x", [math.nan, [0.5, math.nan], np.array([math.nan, math.inf])])
     def test_nan_is_domain_error(self, x):

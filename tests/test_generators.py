@@ -51,6 +51,16 @@ class TestInterval:
         assert g[0] == 1.0 and g[-1] == 2.0 and len(g) == 11
         assert np.all(np.diff(g) > 0)
 
+    @pytest.mark.parametrize("points", [2.5, 11.0, "11", None])
+    def test_grid_size_must_be_an_integer(self, points):
+        # np.linspace raised a bare TypeError
+        with pytest.raises(InvalidParameterError, match="integer"):
+            Interval(1.0, 2.0).grid(points)
+
+    def test_grid_takes_numpy_integers(self):
+        np.testing.assert_array_equal(Interval(1.0, 2.0).grid(np.int64(11)),
+                                      Interval(1.0, 2.0).grid(11))
+
     def test_encloses(self):
         # a box is inside a domain when both its ends are
         Interval(0.0, math.inf).require_interior([1.0, 2.0], "the half-line")  # no raise

@@ -17,6 +17,7 @@ from regmeans import (
     ScenarioConfig,
     Uniform,
     compare_edgeworth,
+    edgeworth_cdf,
     empirical_cdf,
     g_moments,
     ks_statistic,
@@ -91,6 +92,21 @@ class TestKsStatistic:
         with pytest.raises(ConfigurationError, match="vectorized"):
             ks_statistic(np.linspace(-1, 1, 9), cdf)
 
+    @pytest.mark.parametrize("cdf", [lambda t: t * np.nan,
+                                     lambda t: np.where(t == 0.5, np.nan, 0.5)],
+                             ids=["all", "one"])
+    def test_nan_from_the_cdf_is_a_configuration_error(self, cdf):
+        # the sup was a silent NaN
+        with pytest.raises(ConfigurationError, match="NaN"):
+            ks_statistic([0.0, 0.5, 1.0], cdf)
+
+    def test_equals_the_two_sided_formula_bit_for_bit(self):
+        x = np.random.default_rng(3).normal(size=999)
+        f = phi_cdf(np.sort(x))
+        n = x.size
+        want = max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(0, n) / n))
+        assert ks_statistic(x, phi_cdf) == want
+
 
 class TestEmpiricalCdf:
     def test_step_values(self):
@@ -110,6 +126,16 @@ class TestEmpiricalCdf:
     def test_unsorted_input(self):
         F = empirical_cdf([3.0, 1.0, 2.0])
         assert F.at(1.5) == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("values", [[1.0, math.nan], [math.nan], [math.nan, -1.0, 2.0]])
+    def test_nan_value_is_domain_error(self, values):
+        # the NaN was sorted last and counted: at(1.0) was 0.5 for [1, nan]
+        with pytest.raises(DomainError):
+            empirical_cdf(values)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ConfigurationError):
+            empirical_cdf([])
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +287,23 @@ class TestRunScenario:
         assert math.isfinite(rep.edgeworth_sup_gap)
         assert 0.0 <= rep.edgeworth_sup_gap <= 1.0
 
+    # the four mc_small_n scenarios of perfbench, and a skewed g(X) at n = 2
+    @pytest.mark.parametrize("dist, gen, n", [
+        ("gamma:1:1", "identity", 5), ("gamma:1:1", "identity", 20),
+        ("lognormal:0:1", "log", 5), ("lognormal:0:1", "log", 20),
+        ("gamma:5:1", "reciprocal", 2)])
+    def test_gaps_equal_ks_statistic_bit_for_bit(self, dist, gen, n):
+        # one sort and one Phi serve both gaps: the same bits as two
+        # separate ks_statistic calls
+        cfg = _cfg(dist, gen, n=n, replicates=20_000, seed=17)
+        rep = run_scenario(cfg)
+        mom = g_moments(cfg.generator, cfg.dist)
+        assert rep.ks_vs_normal == ks_statistic(rep.statistics, phi_cdf)
+        assert rep.edgeworth_sup_gap == ks_statistic(
+            rep.statistics, lambda t: edgeworth_cdf(t, n, mom))
+        if n == 2:
+            assert mom.skew_g != 0.0
+
 
 # ---------------------------------------------------------------------------
 # Edgeworth comparison table
@@ -279,6 +322,21 @@ class TestCompareEdgeworth:
         mom = g_moments(cfg.generator, cfg.dist)
         comp = compare_edgeworth(rep, mom, n)
         assert comp.sup_gap_edgeworth < comp.sup_gap_phi
+
+    def test_grid_size_must_be_an_integer(self):
+        cfg = _cfg(replicates=50)
+        rep = run_scenario(cfg)
+        mom = g_moments(cfg.generator, cfg.dist)
+        with pytest.raises(InvalidParameterError, match="integer"):
+            compare_edgeworth(rep, mom, cfg.n, steps=2.5)
+
+    def test_edgeworth_column_is_edgeworth_cdf(self):
+        cfg = _cfg(replicates=500)
+        rep = run_scenario(cfg)
+        mom = g_moments(cfg.generator, cfg.dist)
+        comp = compare_edgeworth(rep, mom, cfg.n, steps=41)
+        np.testing.assert_array_equal(comp.edgeworth, edgeworth_cdf(comp.xs, cfg.n, mom))
+        np.testing.assert_array_equal(comp.phi, phi_cdf(comp.xs))
 
     def test_table_is_consistent(self):
         cfg = _cfg(replicates=500)

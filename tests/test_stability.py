@@ -11,6 +11,7 @@ from scipy.optimize import minimize
 
 from regmeans import (
     ConfigurationError,
+    DegenerateSlopeError,
     Generator,
     Interval,
     InvalidParameterError,
@@ -609,3 +610,15 @@ class TestOneInversion:
             verify_stability(ident, self.FLAT, B, n=2)
         with pytest.raises(NumericError, match="not finite"):
             blend_distances(ident, self.FLAT, B, n=2, ts=TS)
+
+    def test_a_flat_g_is_degenerate_slope_error(self):
+        # g'/h' = 0 on the flat piece; blend_distances returned
+        # [0.0, 0.19999999776482..., 0.19999999776482...]
+        flat = Generator("flat", self.FLAT.domain, self.FLAT.forward,
+                         lambda y: np.where(y < 1.4, y, y + 0.2), self.FLAT.derivative,
+                         "increasing")
+        ident = parse_generator("identity")
+        with pytest.raises(DegenerateSlopeError, match="vanishes"):
+            verify_stability(flat, ident, B, n=2)
+        with pytest.raises(DegenerateSlopeError, match="vanishes"):
+            blend_distances(flat, ident, B, n=2, ts=(0.0, 0.5, 1.0))
