@@ -34,7 +34,7 @@ from .errors import (
     InvalidParameterError,
     NumericError,
 )
-from .generators import Generator
+from .generators import Generator, require_count
 
 __all__ = [
     "GMoments",
@@ -269,6 +269,8 @@ def g_moments(g: Generator, dist, method: str = "auto",
     Divergent moments raise DivergenceError naming the offending order.  A
     zero-variance g(X) yields NaN skewness/kurtosis.
     """
+    mc_samples = require_count(mc_samples, "mc_samples", 1)
+    mc_seed = require_count(mc_seed, "mc_seed", 0)
     how = _resolve_method(g, method)
     if how == "monte_carlo":
         y = np.asarray(g.forward(dist.sample(mc_samples, np.random.default_rng(mc_seed))),
@@ -349,16 +351,14 @@ def hermite(k: int, x):
     """The polynomial factors of the first three Edgeworth corrections:
     p1 = x^2-1, p2 = x^3-3x, p3 = x^5-10x^3+15x, in Horner form."""
     if k not in (1, 2, 3):
-        raise InvalidParameterError(f"hermite order must be 1, 2, or 3, got {k}")
+        raise InvalidParameterError(f"hermite order k must be 1, 2, or 3, got {k!r}")
     xa = np.asarray(x, dtype=float)
     x2 = np.multiply(xa, xa, out=np.empty(xa.shape))
     out = _hermite_into(k, xa, x2, np.empty(xa.shape))
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _check_expansion_inputs(n: int, mom: GMoments, third_order: str) -> float:
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+def _check_expansion_inputs(mom: GMoments, third_order: str) -> float:
     if not (math.isfinite(mom.skew_g) and math.isfinite(mom.exkurt_g)):
         raise ConfigurationError("Edgeworth expansion needs finite skewness and kurtosis")
     if third_order == "skew_sq":
@@ -372,7 +372,8 @@ def _expansion(x, n: int, mom: GMoments, third_order: str) -> tuple:
     """The checked inputs of the three terms: x as floats clamped to +-1e10,
     x*x, phi(x), and each term's (k, coef, den), the term being
     ((phi(x) * coef) * p_k(x)) / den."""
-    c3 = _check_expansion_inputs(n, mom, third_order)
+    n = require_count(n, "n", 1)
+    c3 = _check_expansion_inputs(mom, third_order)
     xa = np.asarray(x, dtype=float)
     lo, hi = np.min(xa, initial=math.inf), np.max(xa, initial=-math.inf)
     if np.isnan(lo):  # NaN propagates through min and max alike

@@ -39,7 +39,7 @@ from .asymptotics import _edgeworth_cdf, edgeworth_corrections, g_moments, phi_c
 from .distributions import parse_distribution
 from .errors import ConfigurationError, InvalidParameterError, NumericError
 from .figures import csv_cell, reproduce_figure1, reproduce_figure2, write_hist
-from .generators import Interval, parse_generator
+from .generators import Interval, parse_generator, require_count
 from .means import check_axioms, mean
 from .portfolio import (
     ReturnSeries,
@@ -85,8 +85,7 @@ def _parse_interval(spec: str, what: str, steps: bool = False):
         lo, hi, count = float(parts[0]), float(parts[1]), (int(parts[2]) if steps else 2)
     except ValueError:
         raise InvalidParameterError(f"bad {what} spec {spec!r}") from None
-    if count < 2:
-        raise InvalidParameterError(f"{what} needs steps >= 2, got {spec!r}")
+    require_count(count, f"{what} steps", 2)
     span = Interval(lo, hi)
     if steps and not math.isfinite(span.width):  # its points would be NaN
         raise InvalidParameterError(f"{what} needs a finite width, got {spec!r}")

@@ -450,6 +450,8 @@ _SPEC_FORMS = {
 def parse_distribution(spec: str) -> DistributionModel:
     """Parse "lognormal:2:1", "gamma:100:1", "uniform:1:2", "pareto:10"
     (optional scale: "pareto:10:1.5")."""
+    if not isinstance(spec, str):
+        raise InvalidParameterError(f"distribution spec must be a string, got {spec!r}")
     parts = spec.strip().split(":")
     kind, args = parts[0], parts[1:]
     try:

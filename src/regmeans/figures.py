@@ -28,14 +28,8 @@ import numpy as np
 from .asymptotics import phi_pdf
 from .distributions import parse_distribution
 from .errors import ConfigurationError
-from .generators import parse_generator
-from .simulation import (
-    ScenarioConfig,
-    SimulationReport,
-    check_threads,
-    run_scenario,
-    thread_map,
-)
+from .generators import parse_generator, require_count
+from .simulation import ScenarioConfig, SimulationReport, run_scenario, thread_map
 
 __all__ = ["reproduce_figure1", "reproduce_figure2", "write_hist", "FIGURE1_DISTS",
            "FIGURE1_GENERATORS"]
@@ -88,13 +82,8 @@ def _write_report(path: Path, report: SimulationReport, version: str) -> None:
 def _run_cells(out_dir, seed, n, replicates, threads, dists, generators):
     from . import __version__
 
-    check_threads(threads)  # before the directory is made
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot create output directory {out}: {exc}") from exc
-
+    threads = require_count(threads, "threads", 1)  # every check before the mkdir below
+    seed = require_count(seed, "seed", 0)
     cells = [(d, g) for d in dists for g in generators]
     cfgs = [
         ScenarioConfig(
@@ -106,6 +95,11 @@ def _run_cells(out_dir, seed, n, replicates, threads, dists, generators):
         )
         for index, (dist_spec, gen_spec) in enumerate(cells)
     ]
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {out}: {exc}") from exc
     # Every cell runs before any file is written, so a failing cell leaves
     # no partial output behind.
     reports = thread_map(run_scenario, cfgs, threads)

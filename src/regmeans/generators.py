@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -100,16 +101,22 @@ class Interval:
     def grid(self, points: int) -> np.ndarray:
         """points evenly spaced values from lo to hi.  InvalidParameterError
         unless points is an integer >= 2 and the interval is bounded."""
-        try:
-            points = operator.index(points)
-        except TypeError:
-            raise InvalidParameterError(
-                f"grid size must be an integer, got {points!r}") from None
-        if points < 2:
-            raise InvalidParameterError("grid needs at least 2 points")
         if not self.is_finite:
             raise InvalidParameterError("cannot grid an unbounded interval")
-        return np.linspace(self.lo, self.hi, points)
+        return np.linspace(self.lo, self.hi, require_count(points, "points", 2))
+
+
+def require_count(value, name: str, least: int) -> int:
+    """value as an int when operator.index takes it (an int or a numpy
+    integer; not a float, a string or None) and it is >= least, else
+    InvalidParameterError naming the parameter."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -152,7 +159,7 @@ def make_builtin(kind: str, p: float | None = None) -> Generator:
     there.
     """
     if kind == "power":
-        if p is None or not _MIN_POWER <= p < math.inf:
+        if not (isinstance(p, numbers.Real) and _MIN_POWER <= p < math.inf):
             raise InvalidParameterError(
                 f"power generator requires a finite p >= {_MIN_POWER:g}, got {p}; smaller "
                 "exponents are served by 'log' (the p -> 0 limit) or power_mean")
@@ -196,6 +203,8 @@ def register_generator(name: str, gen: Generator) -> None:
 def parse_generator(spec: str) -> Generator:
     """Parse a generator spec string: "identity", "log", "reciprocal",
     "power:2.0", "exp", or the name of a registered generator."""
+    if not isinstance(spec, str):
+        raise InvalidParameterError(f"generator spec must be a string, got {spec!r}")
     spec = spec.strip()
     if spec.partition(":")[0] in BUILTIN_KINDS:
         return _parse_builtin(spec)
@@ -230,6 +239,7 @@ def invert(g: Generator, y: float, bracket: Interval, tol: float = 1e-12,
     once its width is exhausted at float resolution (the residual is then as
     small as the arithmetic allows).  The bracket must straddle y.
     """
+    max_iter = require_count(max_iter, "max_iter", 1)
     if not bracket.is_finite:
         raise InvalidParameterError("invert needs a finite bracket")
     g.domain.require_interior([bracket.lo, bracket.hi], f"generator {g.name!r}")
@@ -255,7 +265,7 @@ def invert(g: Generator, y: float, bracket: Interval, tol: float = 1e-12,
 
 def min_slope(g: Generator, B: Interval, grid_points: int = 10001) -> float:
     """Grid estimate of inf |g'| on B (an upper bound of the true inf)."""
-    xs = B.grid(grid_points)  # needs grid_points >= 2 and a compact B
+    xs = B.grid(require_count(grid_points, "grid_points", 2))  # and a compact B
     g.domain.require_interior([B.lo, B.hi], f"generator {g.name!r}")
     with np.errstate(all="ignore"):
         m = float(np.min(np.abs(np.asarray(g.derivative(xs), dtype=float))))

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError, NumericError
-from .generators import Generator, Interval, make_builtin
+from .generators import Generator, Interval, make_builtin, require_count
 
 _EPS = float(np.finfo(float).eps)
 _POSITIVE = Interval(0.0, math.inf)
@@ -298,14 +298,12 @@ def check_axioms(g: Generator, n: int, n0: int | None = None, trials: int = 1000
     Failures are recorded in the report, never raised; a generator that
     overflows on the box raises NumericError.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    if n0 is None:
-        n0 = n
-    if not 1 <= n0 <= n:
+    n = require_count(n, "n", 1)
+    n0 = n if n0 is None else require_count(n0, "n0", 1)
+    if n0 > n:
         raise InvalidParameterError(f"n0 must satisfy 1 <= n0 <= n, got n0={n0}, n={n}")
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    trials = require_count(trials, "trials", 1)
+    rng_seed = require_count(rng_seed, "rng_seed", 0)
     if not 0.0 <= tol < math.inf:
         raise InvalidParameterError(f"tol must be finite and >= 0, got {tol}")
     if box is None:

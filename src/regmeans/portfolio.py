@@ -10,6 +10,7 @@ small returns.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,11 +33,14 @@ class ReturnSeries:
     w0: float = 1.0
 
     def __post_init__(self):
-        returns = tuple(float(r) for r in self.returns)
+        try:
+            returns = tuple(float(r) for r in self.returns)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"returns must be numbers, got {self.returns!r}") from None
         object.__setattr__(self, "returns", returns)
         if len(returns) == 0:
             raise ConfigurationError("return series must be nonempty")
-        if not 0.0 < self.w0 < math.inf:
+        if not (isinstance(self.w0, numbers.Real) and 0.0 < self.w0 < math.inf):
             raise InvalidParameterError(f"initial wealth must be positive and finite, got {self.w0}")
         for r in returns:
             if not (1.0 + r > 0.0 and math.isfinite(r)):
@@ -75,7 +79,7 @@ def markowitz_approximation(series: ReturnSeries | Sequence[float], ddof: int = 
     s = _series(series)
     n = len(s.returns)
     if ddof not in (0, 1):
-        raise InvalidParameterError("ddof must be 0 or 1")
+        raise InvalidParameterError(f"ddof must be 0 or 1, got {ddof!r}")
     try:
         rbar = math.fsum(s.returns) / n
         if n - ddof <= 0:

@@ -16,9 +16,9 @@ one thread -> two): Gamma(100,1) x log, n = 1000, 2*10**4 replicates,
 937 -> 638 ms; LogNormal(2,1) x identity, n = 10**4, 292 -> 219 ms;
 Uniform(1,2) x reciprocal, n = 100, 10**5 replicates, 144 -> 150 ms.
 
-Both pools are one ordered map, thread_map, behind one count check,
-check_threads.  SimulationReport.as_dict is the one report schema: the CLI's
-simulate payload and every figure cell's report file.
+Both pools are one ordered map, thread_map, each with its thread count
+checked by generators.require_count.  SimulationReport.as_dict is the one
+report schema: the CLI's simulate payload and every figure cell's report file.
 
 The tail of a run, from the statistics to the two KS gaps, sorts the
 statistics once and evaluates Phi once on the sorted values.  Both gaps,
@@ -34,7 +34,6 @@ went from about 9.8 to 6.2 ms per pass (median of 200 passes).
 from __future__ import annotations
 
 import math
-import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -50,8 +49,8 @@ from .asymptotics import (
     phi_cdf,
 )
 from .distributions import Pareto, Uniform
-from .errors import ConfigurationError, DivergenceError, DomainError, InvalidParameterError
-from .generators import Generator, Interval
+from .errors import ConfigurationError, DivergenceError, DomainError
+from .generators import Generator, Interval, require_count
 from .means import row_means
 
 __all__ = [
@@ -76,14 +75,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name, least in (("n", 2), ("replicates", 1), ("seed", 0)):
-            try:
-                value = operator.index(getattr(self, name))
-            except TypeError:
-                raise InvalidParameterError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}") from None
-            if value < least:
-                raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, require_count(getattr(self, name), name, least))
 
     def echo(self) -> dict:
         return {
@@ -134,15 +126,9 @@ class SimulationReport:
 _BLOCK_ELEMENTS = 2 ** 15
 
 
-def check_threads(threads: int) -> None:
-    """InvalidParameterError unless threads >= 1."""
-    if threads < 1:
-        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
-
-
 def thread_map(fn, items, threads: int) -> list:
-    """[fn(x) for x in items], in order, on up to threads (>= 1, see
-    check_threads) worker threads; one thread runs them inline."""
+    """[fn(x) for x in items], in order, on up to threads (>= 1, checked by
+    the callers) worker threads; one thread runs them inline."""
     if threads == 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
@@ -173,9 +159,9 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> SimulationReport:
     regardless.  A block's draws and transforms release the interpreter lock
     but its set-up does not, so the pool gains where each value is costly to
     draw or transform and about breaks even where it is cheap (figures in
-    the module docstring).  threads < 1 is InvalidParameterError.
+    the module docstring).  threads is an integer >= 1, else InvalidParameterError.
     """
-    check_threads(threads)
+    threads = require_count(threads, "threads", 1)
     g, dist = cfg.generator, cfg.dist
     if not _support_in_domain(g, dist):
         raise ConfigurationError(
@@ -313,7 +299,7 @@ def compare_edgeworth(report: SimulationReport, mom: GMoments, n: int,
     """Tabulate empirical vs normal vs Edgeworth CDFs of the standardized
     statistics on a grid, with the sup gap of each approximation."""
     ecdf = empirical_cdf(report.statistics)
-    xs = grid.grid(steps)
+    xs = grid.grid(require_count(steps, "steps", 2))
     emp = ecdf.at(xs)
     phi = phi_cdf(xs)
     edge = _edgeworth_cdf(xs, n, mom, "skew_sq", phi)

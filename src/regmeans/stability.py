@@ -60,7 +60,7 @@ from .errors import (
     InvalidParameterError,
     NumericError,
 )
-from .generators import Generator, Interval, min_slope, normalize_increasing
+from .generators import Generator, Interval, min_slope, normalize_increasing, require_count
 from .means import means_from_sums
 
 __all__ = [
@@ -120,6 +120,7 @@ def theorem4_bound(g: Generator, h: Generator, B: Interval, grid: int = 201) -> 
     L is specific to g (Lipschitz constant of its inverse); swapping g and h
     changes L but not m, so the bound is deliberately asymmetric.
     """
+    grid = require_count(grid, "grid", 2)
     constant, dist = _bound_parts(*_normalized_pair(g, h, B), B, grid)
     return constant * dist
 
@@ -172,9 +173,14 @@ def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
     never leaves it, so slopes and sup|g-h| on A_box are exactly what the
     bound needs.  Pairs whose g'/h' turns more than once on A_box (possible
     only with custom generators) are not supported: they raise
-    ConfigurationError.
+    ConfigurationError, and a bad n, grid_per_dim or tolerance_factor
+    InvalidParameterError.
     """
-    _check_sizes(n, grid_per_dim)
+    n = require_count(n, "n", 1)
+    grid_per_dim = require_count(grid_per_dim, "grid_per_dim", 2)
+    if not 0.0 <= tolerance_factor < np.inf:
+        raise InvalidParameterError(
+            f"tolerance_factor must be finite and >= 0, got {tolerance_factor}")
     gn, hn = _normalized_pair(g, h, A_box)
     (sup_dist,) = _reduced_sups(gn, hn, A_box, n, [1.0])
     constant, gen_dist = _bound_parts(gn, hn, A_box, grid_per_dim)
@@ -192,13 +198,6 @@ def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
         grid_points=grid_per_dim,
         tolerance_factor=tolerance_factor,
     )
-
-
-def _check_sizes(n: int, grid_per_dim: int) -> None:
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    if grid_per_dim < 2:
-        raise InvalidParameterError(f"grid_per_dim must be >= 2, got {grid_per_dim}")
 
 
 def _ratio(gn: Generator, hn: Generator, x: np.ndarray) -> np.ndarray:
@@ -243,11 +242,18 @@ def _partner(gn: Generator, hn: Generator, box: Interval, turn: float,
     # whether r rises on the piece searched: the two pieces turn opposite ways
     up = left == (_ratio(gn, hn, box.hi) > _ratio(gn, hn, turn))
     c = _ratio(gn, hn, z)
-    lo, hi = np.where(left, turn, box.lo), np.where(left, box.hi, turn)
-    for _ in range(_PARTNER_HALVINGS):
+    return _bisect(lambda mid: (_ratio(gn, hn, mid) < c) == up,
+                   np.where(left, turn, box.lo), np.where(left, box.hi, turn),
+                   _PARTNER_HALVINGS)
+
+
+def _bisect(above, lo: np.ndarray, hi: np.ndarray, halvings: int) -> np.ndarray:
+    """The midpoints of the brackets [lo, hi] after `halvings` halvings, each
+    keeping its upper half where above(mid) holds and its lower half elsewhere."""
+    for _ in range(halvings):
         mid = 0.5 * (lo + hi)
-        above = (_ratio(gn, hn, mid) < c) == up
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        up = above(mid)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -371,14 +377,8 @@ def _invert_blend(gn: Generator, hn: Generator, t: np.ndarray, y: np.ndarray,
             resid = f(z, t, y)
         rows = np.flatnonzero(~(np.abs(resid) <= tol))
         tb, yb = t[rows], y[rows]
-        lo = np.full(rows.size, box.lo)
-        hi = np.full(rows.size, box.hi)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            below = (1.0 - tb) * gf(mid) + tb * hf(mid) < yb
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        z[rows] = 0.5 * (lo + hi)
+        z[rows] = _bisect(lambda mid: (1.0 - tb) * gf(mid) + tb * hf(mid) < yb,
+                          np.full(rows.size, box.lo), np.full(rows.size, box.hi), 100)
         missed = ~(np.abs(f(z[rows], tb, yb)) <= 1e-9 * np.maximum(1.0, np.abs(yb)))
     if np.any(missed):
         raise ConvergenceError("blend inversion failed to converge")
@@ -399,10 +399,15 @@ def blend_distances(g: Generator, h: Generator, A_box: Interval, n: int,
     (as where g is flat), and ConvergenceError when the inversion of a
     blended mean fails.  Pairs whose g'/h' turns more than once on the box
     (possible only with custom generators) are not supported: they raise
-    ConfigurationError.
+    ConfigurationError, and a bad n, grid_per_dim or ts (an iterable of
+    numbers in [0, 1]) InvalidParameterError.
     """
-    _check_sizes(n, grid_per_dim)
-    ts = [float(t) for t in ts]
+    n = require_count(n, "n", 1)
+    require_count(grid_per_dim, "grid_per_dim", 2)
+    try:
+        ts = [float(t) for t in ts]
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"ts must be an iterable of numbers, got {ts!r}") from None
     if any(not 0.0 <= t <= 1.0 for t in ts):
         raise InvalidParameterError(f"blend parameters must lie in [0, 1], got {ts}")
     gn, hn = _normalized_pair(g, h, A_box)

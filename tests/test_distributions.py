@@ -67,6 +67,12 @@ class TestParsing:
         with pytest.raises(InvalidParameterError):
             parse_distribution(bad)
 
+    @pytest.mark.parametrize("spec", [None, 2.0, b"uniform:1:2"])
+    def test_spec_must_be_a_string(self, spec):
+        # None raised a bare AttributeError (no .strip)
+        with pytest.raises(InvalidParameterError, match="string"):
+            parse_distribution(spec)
+
     def test_parameter_validation_direct(self):
         with pytest.raises(InvalidParameterError):
             LogNormal(0.0, -1.0)

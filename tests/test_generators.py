@@ -123,6 +123,18 @@ class TestBuiltins:
         with pytest.raises(InvalidParameterError):
             parse_generator("sinh")
 
+    @pytest.mark.parametrize("spec", [None, 2.0, b"log"])
+    def test_spec_must_be_a_string(self, spec):
+        # None raised a bare AttributeError (no .strip)
+        with pytest.raises(InvalidParameterError, match="string"):
+            parse_generator(spec)
+
+    @pytest.mark.parametrize("p", ["a", "2", [2.0]])
+    def test_power_exponent_must_be_a_number(self, p):
+        # "a" raised a bare TypeError from the comparison with 1e-6
+        with pytest.raises(InvalidParameterError, match="power generator"):
+            make_builtin("power", p)
+
     def test_domains(self):
         assert parse_generator("log").domain.lo == 0.0
         assert parse_generator("exp").domain.lo == -math.inf

@@ -45,6 +45,18 @@ class TestReturnSeries:
         with pytest.raises(InvalidParameterError):
             ReturnSeries((0.1,), w0=-3.0)
 
+    @pytest.mark.parametrize("returns", [5, None, ("a",), (0.1, None)])
+    def test_returns_must_be_numbers(self, returns):
+        # 5 raised a bare TypeError (not iterable), ("a",) a bare ValueError
+        with pytest.raises(ConfigurationError, match="returns must be numbers"):
+            ReturnSeries(returns)
+
+    @pytest.mark.parametrize("w0", ["1", None, [1.0]])
+    def test_initial_wealth_must_be_a_number(self, w0):
+        # "1" raised a bare TypeError from the comparison with 0.0
+        with pytest.raises(InvalidParameterError, match="initial wealth"):
+            ReturnSeries((0.1,), w0=w0)
+
     @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
     def test_non_finite_return_rejected(self, r):
         with pytest.raises(DomainError):

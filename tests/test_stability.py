@@ -175,6 +175,13 @@ class TestVerifyStability:
         with pytest.raises(InvalidParameterError):
             verify_stability(g, h, B, n=2, grid_per_dim=1)
 
+    @pytest.mark.parametrize("factor", [math.nan, -1.0, math.inf])
+    def test_tolerance_factor_must_be_finite_and_nonnegative(self, factor):
+        # NaN and -1 were accepted, and satisfied came out a silent False
+        with pytest.raises(InvalidParameterError, match="tolerance_factor"):
+            verify_stability(parse_generator("identity"), parse_generator("log"), B, n=2,
+                             tolerance_factor=factor)
+
     def test_single_point_vectors_cannot_differ(self):
         # every quasi-arithmetic mean is the identity at n = 1
         rep = verify_stability(parse_generator("identity"), parse_generator("exp"),
@@ -206,6 +213,13 @@ class TestBlendDistances:
         with pytest.raises(InvalidParameterError):
             blend_distances(parse_generator("identity"), parse_generator("log"),
                             B, n=2, ts=(0.0, 1.5), grid_per_dim=21)
+
+    @pytest.mark.parametrize("ts", [None, "ab", 0.5, [0.5, None]])
+    def test_ts_must_be_an_iterable_of_numbers(self, ts):
+        # None and 0.5 raised a bare TypeError, "ab" a bare ValueError
+        with pytest.raises(InvalidParameterError, match="ts must be"):
+            blend_distances(parse_generator("identity"), parse_generator("log"),
+                            B, n=2, ts=ts)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_n_below_one_rejected(self, n):
@@ -421,6 +435,17 @@ class TestTwoPieces:
         got = blend_distances(g, h, box, n=3, ts=TS)
         want = _brute_force(g, h, box, 3, TS, points=13)
         assert all(r >= q - 8.0 * np.spacing(box.hi) for r, q in zip(got, want))
+
+
+class TestBisect:
+    def test_halves_every_bracket_toward_its_root(self):
+        roots = np.array([1.0, 2.0, 5.0])  # the last beyond the bracket: its end
+        got = stability._bisect(lambda mid: mid * mid < roots, np.zeros(3), np.full(3, 2.0), 60)
+        np.testing.assert_allclose(got, [1.0, math.sqrt(2.0), 2.0], rtol=0, atol=4e-16)
+
+    def test_zero_halvings_is_the_midpoint(self):
+        got = stability._bisect(lambda mid: 1 / 0, np.array([1.0]), np.array([2.0]), 0)
+        assert got.tolist() == [1.5]
 
 
 class TestAgainstDirectMeans:
