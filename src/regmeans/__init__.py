@@ -16,7 +16,6 @@ from .asymptotics import (
     edgeworth_corrections,
     expect,
     g_moments,
-    hermite,
     kolmogorov_expectation,
     phi_cdf,
     phi_pdf,
@@ -101,7 +100,7 @@ __all__ = [
     "parse_distribution",
     # asymptotics
     "GMoments", "AsymptoticSpec", "expect", "kolmogorov_expectation",
-    "g_moments", "asymptotic_variance", "phi_cdf", "phi_pdf", "hermite",
+    "g_moments", "asymptotic_variance", "phi_cdf", "phi_pdf",
     "edgeworth_corrections", "edgeworth_cdf",
     # simulation
     "ScenarioConfig", "SimulationReport", "run_scenario", "ks_statistic",

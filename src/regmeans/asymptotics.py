@@ -43,7 +43,6 @@ __all__ = [
     "kolmogorov_expectation",
     "g_moments",
     "asymptotic_variance",
-    "hermite",
     "edgeworth_corrections",
     "edgeworth_cdf",
     "phi_cdf",
@@ -58,7 +57,7 @@ _QUAD_EPSABS = 1e-12
 _QUAD_EPSREL = 1e-11
 _QUAD_LIMIT = 200
 
-_METHODS = ("auto", "closed_form", "quadrature", "monte_carlo")
+_METHODS = ("auto", "closed_form", "quadrature")
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ class GMoments:
     def __post_init__(self):
         if self.var_g < 0:
             raise InvalidParameterError(f"variance must be >= 0, got {self.var_g}")
-        if self.method not in ("closed_form", "quadrature", "monte_carlo"):
+        if self.method not in ("closed_form", "quadrature"):
             raise InvalidParameterError(f"unknown moments method {self.method!r}")
 
 
@@ -222,14 +221,12 @@ def _resolve_method(g: Generator, method: str) -> str:
 
 def _g_stats(g: Generator, dist, how: str, order: int) -> tuple:
     """The first ``order`` (1, 2 or 4) of (mean, variance, skewness, excess
-    kurtosis) of g(X), from closed forms or by quadrature (``how``); only
-    g_moments samples.
+    kurtosis) of g(X), from closed forms or by quadrature (``how``, one of
+    _resolve_method's answers).
 
     Raises DivergenceError naming the first raw moment E[g(X)**k] that
     diverges.  A zero-variance g(X) yields NaN skewness and kurtosis.
     """
-    if how == "monte_carlo":
-        raise InvalidParameterError("use g_moments for the monte_carlo method")
     if how == "closed_form" and g.kind == "log":
         return dist.log_moments()[:order]
     raws = []
@@ -262,26 +259,13 @@ def kolmogorov_expectation(g: Generator, dist, method: str = "auto") -> float:
     return float(g.inverse(mean_g))
 
 
-def g_moments(g: Generator, dist, method: str = "auto",
-              mc_samples: int = 10 ** 6, mc_seed: int = 0) -> GMoments:
+def g_moments(g: Generator, dist, method: str = "auto") -> GMoments:
     """Mean, variance, skewness, and excess kurtosis of g(X).
 
     Divergent moments raise DivergenceError naming the offending order.  A
     zero-variance g(X) yields NaN skewness/kurtosis.
     """
-    mc_samples = require_count(mc_samples, "mc_samples", 1)
-    mc_seed = require_count(mc_seed, "mc_seed", 0)
     how = _resolve_method(g, method)
-    if how == "monte_carlo":
-        y = np.asarray(g.forward(dist.sample(mc_samples, np.random.default_rng(mc_seed))),
-                       dtype=float)
-        m = float(np.mean(y))
-        d = y - m
-        v = float(np.mean(d * d))
-        if v == 0.0:
-            return GMoments(m, 0.0, math.nan, math.nan, "monte_carlo")
-        return GMoments(m, v, float(np.mean(d ** 3)) / v ** 1.5,
-                        float(np.mean(d ** 4)) / (v * v) - 3.0, "monte_carlo")
     return GMoments(*_g_stats(g, dist, how, 4), how)
 
 
@@ -335,7 +319,9 @@ def phi_pdf(x):
 
 
 def _hermite_into(k: int, x, x2, out):
-    """hermite(k, x) into out, given x2 = x*x."""
+    """The polynomial factor of the k-th Edgeworth correction at x, into out,
+    given x2 = x*x: p1 = x^2-1, p2 = x^3-3x, p3 = x^5-10x^3+15x, in Horner
+    form."""
     if k == 1:
         return np.subtract(x2, 1.0, out=out)
     if k == 2:
@@ -347,33 +333,13 @@ def _hermite_into(k: int, x, x2, out):
     return np.multiply(x, out, out=out)
 
 
-def hermite(k: int, x):
-    """The polynomial factors of the first three Edgeworth corrections:
-    p1 = x^2-1, p2 = x^3-3x, p3 = x^5-10x^3+15x, in Horner form."""
-    if k not in (1, 2, 3):
-        raise InvalidParameterError(f"hermite order k must be 1, 2, or 3, got {k!r}")
-    xa = np.asarray(x, dtype=float)
-    x2 = np.multiply(xa, xa, out=np.empty(xa.shape))
-    out = _hermite_into(k, xa, x2, np.empty(xa.shape))
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def _check_expansion_inputs(mom: GMoments, third_order: str) -> float:
-    if not (math.isfinite(mom.skew_g) and math.isfinite(mom.exkurt_g)):
-        raise ConfigurationError("Edgeworth expansion needs finite skewness and kurtosis")
-    if third_order == "skew_sq":
-        return mom.skew_g * mom.skew_g
-    if third_order == "kurt_sq":
-        return mom.exkurt_g * mom.exkurt_g
-    raise InvalidParameterError(f"third_order must be 'skew_sq' or 'kurt_sq', got {third_order!r}")
-
-
-def _expansion(x, n: int, mom: GMoments, third_order: str) -> tuple:
+def _expansion(x, n: int, mom: GMoments) -> tuple:
     """The checked inputs of the three terms: x as floats clamped to +-1e10,
     x*x, phi(x), and each term's (k, coef, den), the term being
     ((phi(x) * coef) * p_k(x)) / den."""
     n = require_count(n, "n", 1)
-    c3 = _check_expansion_inputs(mom, third_order)
+    if not (math.isfinite(mom.skew_g) and math.isfinite(mom.exkurt_g)):
+        raise ConfigurationError("Edgeworth expansion needs finite skewness and kurtosis")
     xa = np.asarray(x, dtype=float)
     lo, hi = np.min(xa, initial=math.inf), np.max(xa, initial=-math.inf)
     if np.isnan(lo):  # NaN propagates through min and max alike
@@ -385,7 +351,7 @@ def _expansion(x, n: int, mom: GMoments, third_order: str) -> tuple:
     w = _pdf_from_square(x2, np.empty(xa.shape))
     rn = math.sqrt(n)
     return xa, x2, w, ((1, mom.skew_g, 6.0 * rn), (2, mom.exkurt_g, 24.0 * n),
-                       (3, c3, 72.0 * n))
+                       (3, mom.skew_g * mom.skew_g, 72.0 * n))
 
 
 def _term_into(out, scratch, k: int, coef: float, den: float, x, x2, w):
@@ -395,24 +361,21 @@ def _term_into(out, scratch, k: int, coef: float, den: float, x, x2, w):
     return np.divide(out, den, out=out)
 
 
-def edgeworth_corrections(x, n: int, mom: GMoments, third_order: str = "skew_sq"):
-    """The three subtracted terms phi(x)*t_k, in expansion order.
-
-    third_order selects the coefficient of the O(1/n) p3 term: the squared
-    skewness ("skew_sq", the classical choice and the default) or the squared
-    excess kurtosis ("kurt_sq", kept for comparison).  Terms are 0, not NaN,
-    out to x = +-inf: x is clamped to +-1e10, beyond which phi(x) is 0.  A
-    NaN value is DomainError.
+def edgeworth_corrections(x, n: int, mom: GMoments):
+    """The three subtracted terms phi(x)*t_k, in expansion order, with the
+    classical coefficients: skew/(6 sqrt(n)) on p1, exkurt/(24 n) on p2 and
+    skew**2/(72 n) on p3.  Terms are 0, not NaN, out to x = +-inf: x is
+    clamped to +-1e10, beyond which phi(x) is 0.  A NaN value is DomainError.
     """
-    xa, x2, w, terms = _expansion(x, n, mom, third_order)
+    xa, x2, w, terms = _expansion(x, n, mom)
     p = np.empty(xa.shape)
     out = tuple(_term_into(np.empty(xa.shape), p, *term, xa, x2, w) for term in terms)
     return tuple(float(c) for c in out) if np.ndim(x) == 0 else out
 
 
-def _edgeworth_cdf(x, n: int, mom: GMoments, third_order: str, phi=None):
+def _edgeworth_cdf(x, n: int, mom: GMoments, phi=None):
     """edgeworth_cdf, given phi = phi_cdf(x) where the caller holds it."""
-    xa, x2, w, terms = _expansion(x, n, mom, third_order)
+    xa, x2, w, terms = _expansion(x, n, mom)
     if phi is None:
         phi = phi_cdf(x)
     total, term, p = (np.empty(xa.shape) for _ in range(3))
@@ -423,9 +386,9 @@ def _edgeworth_cdf(x, n: int, mom: GMoments, third_order: str, phi=None):
     return float(total) if np.ndim(x) == 0 else total
 
 
-def edgeworth_cdf(x, n: int, mom: GMoments, third_order: str = "skew_sq"):
+def edgeworth_cdf(x, n: int, mom: GMoments):
     """Edgeworth-corrected CDF approximation at x (raw, not clamped to [0,1]):
 
-        Phi(x) - phi(x) * [ skew*p1/(6 sqrt(n)) + exkurt*p2/(24 n) + c3*p3/(72 n) ]
+        Phi(x) - phi(x) * [ skew*p1/(6 sqrt(n)) + exkurt*p2/(24 n) + skew**2*p3/(72 n) ]
     """
-    return _edgeworth_cdf(x, n, mom, third_order)
+    return _edgeworth_cdf(x, n, mom)

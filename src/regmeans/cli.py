@@ -168,11 +168,10 @@ def _cmd_edgeworth(args) -> dict:
     mom = g_moments(g, dist)
     span, steps = _parse_interval(args.grid, "grid", steps=True)
     x = span.lo + span.width * np.arange(steps) / (steps - 1)
-    third_order = args.third_order.replace("-", "_")
-    c1, c2, c3 = edgeworth_corrections(x, args.n, mom, third_order)
+    c1, c2, c3 = edgeworth_corrections(x, args.n, mom)
     phi = phi_cdf(x)
     columns = {"x": x, "phi_cdf": phi,
-               "edgeworth_cdf": _edgeworth_cdf(x, args.n, mom, third_order, phi),
+               "edgeworth_cdf": _edgeworth_cdf(x, args.n, mom, phi),
                "correction_1": c1, "correction_2": c2, "correction_3": c3}
     rows = [dict(zip(columns, values))
             for values in zip(*(col.tolist() for col in columns.values()))]
@@ -180,7 +179,7 @@ def _cmd_edgeworth(args) -> dict:
         "command": "edgeworth",
         "rows": rows,
         "metadata": _meta(args, generator=args.generator, dist=args.dist,
-                          n=args.n, grid=args.grid, third_order=args.third_order),
+                          n=args.n, grid=args.grid),
     }
 
 
@@ -291,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lognormal:<mu>:<s2> | gamma:<a>:<b> | uniform:<lo>:<hi> | pareto:<alpha>[:<xm>]")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid", default="-3:3:121", help="lo:hi:steps")
-    p.add_argument("--third-order", choices=("skew-sq", "kurt-sq"), default="skew-sq")
     p.set_defaults(func=_cmd_edgeworth, format="csv")
 
     p = sub.add_parser("simulate", parents=[_common_parent()], help="Monte Carlo scenario run")

@@ -1,13 +1,15 @@
 """The four sampling distributions used by the simulation harness.
 
-Each distribution carries exact pdf/cdf/quantile forms, a seeded sampler,
-and closed-form moment machinery:
+Each distribution carries exact pdf/cdf/quantile forms, a seeded sampler
+sample(n, rng), and closed-form moment machinery:
 
     power_moment(t)  E[X**t] for real t (inf when divergent)
     mgf(t)           E[exp(tX)] (inf when divergent, None when no closed form)
     log_moments()    mean/variance/skewness/excess kurtosis of ln X
 
-Gamma is parameterized shape-rate.  Pareto defaults to scale 1.  Divergent
+Gamma is parameterized shape-rate.  Pareto defaults to scale 1.  A
+parameter that is not a real number, or a sample size n that is not an
+integer >= 1, is InvalidParameterError naming it.  Divergent
 moments are flagged as math.inf, not raised; callers decide whether infinity
 is an error in their context.  A finite moment beyond the float range raises
 NumericError, so inf keeps meaning divergent.  scipy.special is imported
@@ -29,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, NumericError
-from .generators import Interval
+from .generators import Interval, _require_real, require_count
 
 __all__ = [
     "LogNormal",
@@ -121,6 +123,8 @@ class LogNormal:
     sigma2: float
 
     def __post_init__(self):
+        _require_real(self.mu, "mu")
+        _require_real(self.sigma2, "sigma2")
         if not (math.isfinite(self.mu) and 0 < self.sigma2 < math.inf):
             raise InvalidParameterError(f"lognormal needs finite mu, sigma2 > 0, got {self}")
 
@@ -137,7 +141,7 @@ class LogNormal:
         return f"lognormal:{self.mu:g}:{self.sigma2:g}"
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.exp(self.mu + self.sigma * rng.standard_normal(n))
+        return np.exp(self.mu + self.sigma * rng.standard_normal(require_count(n, "n", 1)))
 
     def pdf(self, x):
         def density(v):
@@ -188,6 +192,8 @@ class Gamma:
     rate: float
 
     def __post_init__(self):
+        _require_real(self.shape, "shape")
+        _require_real(self.rate, "rate")
         if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
             raise InvalidParameterError(
                 f"gamma needs finite shape, rate > 0, got ({self.shape}, {self.rate})")
@@ -201,7 +207,7 @@ class Gamma:
         return f"gamma:{self.shape:g}:{self.rate:g}"
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.gamma(self.shape, 1.0 / self.rate, n)
+        return rng.gamma(self.shape, 1.0 / self.rate, require_count(n, "n", 1))
 
     @cached_property
     def _log_norm(self) -> float:
@@ -275,6 +281,8 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
+        _require_real(self.lo, "lo")
+        _require_real(self.hi, "hi")
         if not -math.inf < self.lo < self.hi < math.inf:
             raise InvalidParameterError(f"uniform needs finite lo < hi, got ({self.lo}, {self.hi})")
 
@@ -287,7 +295,7 @@ class Uniform:
         return f"uniform:{self.lo:g}:{self.hi:g}"
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.lo + (self.hi - self.lo) * rng.random(n)
+        return self.lo + (self.hi - self.lo) * rng.random(require_count(n, "n", 1))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -379,6 +387,8 @@ class Pareto:
     scale: float = 1.0
 
     def __post_init__(self):
+        _require_real(self.alpha, "alpha")
+        _require_real(self.scale, "scale")
         if not (0 < self.alpha < math.inf and 0 < self.scale < math.inf):
             raise InvalidParameterError(
                 f"pareto needs finite alpha, scale > 0, got ({self.alpha}, {self.scale})")
@@ -394,7 +404,7 @@ class Pareto:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # inverse CDF with U in (0, 1]: rng.random() is [0, 1), so 1-U never
         # hits the singular endpoint
-        return self.scale * (1.0 - rng.random(n)) ** (-1.0 / self.alpha)
+        return self.scale * (1.0 - rng.random(require_count(n, "n", 1))) ** (-1.0 / self.alpha)
 
     def pdf(self, x):
         return _on_support(x, lambda v: v >= self.scale,

@@ -80,6 +80,8 @@ def _write_report(path: Path, report: SimulationReport, version: str) -> None:
 
 
 def _run_cells(out_dir, seed, n, replicates, threads, dists, generators):
+    """Run the cells and write their files; returns the output directory,
+    the summary rows and the checked seed, n and replicates, as ints."""
     from . import __version__
 
     threads = require_count(threads, "threads", 1)  # every check before the mkdir below
@@ -112,8 +114,8 @@ def _run_cells(out_dir, seed, n, replicates, threads, dists, generators):
         rows.append({
             "dist": dist_spec,
             "generator": gen_spec,
-            "n": n,
-            "replicates": replicates,
+            "n": cfg.n,
+            "replicates": cfg.replicates,
             "seed": cfg.seed,
             "ks": report.ks_vs_normal,
             "empirical_var": report.empirical_var,
@@ -121,7 +123,8 @@ def _run_cells(out_dir, seed, n, replicates, threads, dists, generators):
             "var_ratio": report.empirical_var / report.asymptotic.asym_var,
             "eg": report.asymptotic.eg,
         })
-    return out, rows
+    counts = {"seed": seed, "n": cfgs[0].n, "replicates": cfgs[0].replicates}
+    return out, rows, counts
 
 
 def _write_summary(path: Path, rows) -> None:
@@ -141,8 +144,8 @@ def reproduce_figure1(out_dir, seed: int = 42, n: int = 1000,
 
     threads (>= 1, else InvalidParameterError) is the number of cells run
     at once; the files do not depend on it."""
-    out, rows = _run_cells(out_dir, seed, n, replicates, threads,
-                           FIGURE1_DISTS, FIGURE1_GENERATORS)
+    out, rows, _ = _run_cells(out_dir, seed, n, replicates, threads,
+                              FIGURE1_DISTS, FIGURE1_GENERATORS)
     _write_summary(out / "summary.csv", rows)
     return {"out_dir": str(out), "summary_csv": str(out / "summary.csv"), "cells": rows}
 
@@ -157,8 +160,8 @@ def reproduce_figure2(out_dir, seed: int = 42, n: int = 1000,
     on the ordering.  threads is as in reproduce_figure1."""
     from . import __version__
 
-    out, rows = _run_cells(out_dir, seed, n, replicates, threads,
-                           (FIGURE2_DIST,), FIGURE2_GENERATORS)
+    out, rows, counts = _run_cells(out_dir, seed, n, replicates, threads,
+                                   (FIGURE2_DIST,), FIGURE2_GENERATORS)
     _write_summary(out / "summary.csv", rows)
     ks = {row["generator"]: row["ks"] for row in rows}
     comparison = {
@@ -167,8 +170,7 @@ def reproduce_figure2(out_dir, seed: int = 42, n: int = 1000,
         "ks_log": ks["log"],
         "ordering_ok": ks["log"] < ks["identity"],
         "ks_ratio": ks["identity"] / ks["log"] if ks["log"] > 0 else math.inf,
-        "metadata": {"version": __version__, "seed": seed, "n": n,
-                     "replicates": replicates},
+        "metadata": {"version": __version__, **counts},
     }
     (out / "comparison.json").write_text(
         json.dumps(comparison, indent=2, sort_keys=True) + "\n")

@@ -70,6 +70,8 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
+        _require_real(self.lo, "lo")
+        _require_real(self.hi, "hi")
         if not self.lo < self.hi:
             raise InvalidParameterError(f"interval requires lo < hi, got ({self.lo}, {self.hi})")
 
@@ -117,6 +119,15 @@ def require_count(value, name: str, least: int) -> int:
     if count is None or count < least:
         raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
     return count
+
+
+def _require_real(value, name: str):
+    """value, unconverted, when it is a real number (numbers.Real: an int, a
+    float or a numpy scalar of either; not a string or None), else
+    InvalidParameterError naming the parameter."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError, NumericError
-from .generators import Generator, Interval, make_builtin, require_count
+from .generators import Generator, Interval, _require_real, make_builtin, require_count
 
 _EPS = float(np.finfo(float).eps)
 _POSITIVE = Interval(0.0, math.inf)
@@ -304,7 +304,7 @@ def check_axioms(g: Generator, n: int, n0: int | None = None, trials: int = 1000
         raise InvalidParameterError(f"n0 must satisfy 1 <= n0 <= n, got n0={n0}, n={n}")
     trials = require_count(trials, "trials", 1)
     rng_seed = require_count(rng_seed, "rng_seed", 0)
-    if not 0.0 <= tol < math.inf:
+    if not 0.0 <= _require_real(tol, "tol") < math.inf:
         raise InvalidParameterError(f"tol must be finite and >= 0, got {tol}")
     if box is None:
         box = _default_box(g)

@@ -198,7 +198,7 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> SimulationReport:
     ks = _ks_sup(phi, steps, scratch)
     try:
         mom = g_moments(g, dist)
-        egap = _ks_sup(_edgeworth_cdf(v, cfg.n, mom, "skew_sq", phi), steps, scratch)
+        egap = _ks_sup(_edgeworth_cdf(v, cfg.n, mom, phi), steps, scratch)
     except DivergenceError:
         egap = math.nan  # third/fourth moment of g(X) diverges; expansion undefined
 
@@ -210,7 +210,7 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> SimulationReport:
         empirical_var=emp_var,
         asymptotic=spec,
         edgeworth_sup_gap=egap,
-        metadata={"config": cfg.echo(), "threads": threads, "runtime_ms": runtime_ms},
+        metadata={"config": cfg.echo(), "runtime_ms": runtime_ms},
     )
 
 
@@ -264,11 +264,9 @@ def ks_statistic(values, reference_cdf) -> float:
 
 @dataclass(frozen=True)
 class EmpiricalCdf:
-    """Right-continuous empirical CDF: sorted values with cumulative
-    probabilities i/N."""
+    """Right-continuous empirical CDF of N sorted values: i/N at the i-th."""
 
     values: np.ndarray
-    probs: np.ndarray
 
     def at(self, x):
         idx = np.searchsorted(self.values, x, side="right")
@@ -280,7 +278,7 @@ def empirical_cdf(values) -> EmpiricalCdf:
     """The empirical CDF of values; no value is ConfigurationError and a
     NaN value DomainError."""
     v = _sorted_values(values, "empirical_cdf")
-    return EmpiricalCdf(values=v, probs=_cdf_steps(v.size))
+    return EmpiricalCdf(values=v)
 
 
 @dataclass(frozen=True)
@@ -302,7 +300,7 @@ def compare_edgeworth(report: SimulationReport, mom: GMoments, n: int,
     xs = grid.grid(require_count(steps, "steps", 2))
     emp = ecdf.at(xs)
     phi = phi_cdf(xs)
-    edge = _edgeworth_cdf(xs, n, mom, "skew_sq", phi)
+    edge = _edgeworth_cdf(xs, n, mom, phi)
     return EdgeworthComparison(
         xs=xs, empirical=emp, phi=phi, edgeworth=edge,
         sup_gap_phi=float(np.max(np.abs(emp - phi))),

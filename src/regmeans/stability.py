@@ -60,7 +60,8 @@ from .errors import (
     InvalidParameterError,
     NumericError,
 )
-from .generators import Generator, Interval, min_slope, normalize_increasing, require_count
+from .generators import (Generator, Interval, _require_real, min_slope, normalize_increasing,
+                         require_count)
 from .means import means_from_sums
 
 __all__ = [
@@ -178,7 +179,7 @@ def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
     """
     n = require_count(n, "n", 1)
     grid_per_dim = require_count(grid_per_dim, "grid_per_dim", 2)
-    if not 0.0 <= tolerance_factor < np.inf:
+    if not 0.0 <= _require_real(tolerance_factor, "tolerance_factor") < np.inf:
         raise InvalidParameterError(
             f"tolerance_factor must be finite and >= 0, got {tolerance_factor}")
     gn, hn = _normalized_pair(g, h, A_box)

@@ -30,7 +30,6 @@ from regmeans import (
     edgeworth_corrections,
     expect,
     g_moments,
-    hermite,
     kolmogorov_expectation,
     parse_distribution,
     parse_generator,
@@ -128,9 +127,10 @@ class TestKolmogorovExpectation:
         with pytest.raises(ConfigurationError, match="custom"):
             kolmogorov_expectation(g, dist, method="closed_form")
 
-    @pytest.mark.parametrize("fn", [kolmogorov_expectation, asymptotic_variance])
-    def test_monte_carlo_is_for_g_moments_only(self, fn):
-        with pytest.raises(InvalidParameterError):
+    @pytest.mark.parametrize("fn", [kolmogorov_expectation, asymptotic_variance, g_moments])
+    def test_monte_carlo_is_not_a_method(self, fn):
+        # the moments are closed forms or quadrature; sampling them is gone
+        with pytest.raises(InvalidParameterError, match="method"):
             fn(parse_generator("log"), GAM, method="monte_carlo")
 
     def test_power_two_closed_forms(self):
@@ -299,17 +299,6 @@ class TestGMoments:
         for field in ("mean_g", "var_g", "skew_g", "exkurt_g"):
             assert getattr(quad, field) == pytest.approx(getattr(closed, field), rel=1e-10)
 
-    def test_monte_carlo_close_enough(self):
-        mom = g_moments(parse_generator("identity"), UNI, method="monte_carlo")
-        assert mom.method == "monte_carlo"
-        assert mom.mean_g == pytest.approx(1.5, rel=5e-3)
-        assert mom.var_g == pytest.approx(1.0 / 12.0, rel=2e-2)
-
-    def test_monte_carlo_is_seeded(self):
-        a = g_moments(parse_generator("log"), GAM, method="monte_carlo", mc_samples=10_000)
-        b = g_moments(parse_generator("log"), GAM, method="monte_carlo", mc_samples=10_000)
-        assert a == b
-
     def test_divergence_names_the_order(self):
         # E[X^4] infinite when tail index is 3.5
         with pytest.raises(DivergenceError, match="4"):
@@ -391,7 +380,7 @@ class TestAsymptoticVariance:
 
 
 # ---------------------------------------------------------------------------
-# Normal CDF helpers and Hermite polynomials
+# Normal CDF helpers
 
 class TestNormalHelpers:
     @given(st.floats(min_value=-8.0, max_value=8.0))
@@ -408,25 +397,6 @@ class TestNormalHelpers:
                 phi_cdf(x)
         assert phi_cdf(np.array([])).size == 0
 
-    def test_hermite_values(self):
-        assert hermite(1, 0.0) == -1.0          # x^2 - 1
-        assert hermite(2, 2.0) == 2.0           # x^3 - 3x
-        assert hermite(3, 2.0) == -18.0         # x^5 - 10x^3 + 15x
-
-    def test_hermite_vectorized(self):
-        xs = np.array([0.0, 1.0, 2.0])
-        np.testing.assert_allclose(hermite(1, xs), xs ** 2 - 1.0)
-
-    def test_hermite_keeps_the_shape(self):
-        assert isinstance(hermite(3, 2.0), float)
-        xs = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
-        np.testing.assert_array_equal(hermite(3, xs), xs * (xs * xs * (xs * xs - 10.0) + 15.0))
-        assert hermite(2, np.array([])).shape == (0,)
-
-    def test_hermite_order_validated(self):
-        for k in (0, 4, -1):
-            with pytest.raises(InvalidParameterError):
-                hermite(k, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -461,53 +431,39 @@ class TestEdgeworth:
         assert c_small[1] / c_large[1] == pytest.approx(100.0, rel=1e-12)
         assert c_small[2] / c_large[2] == pytest.approx(100.0, rel=1e-12)
 
-    def test_third_order_variants(self):
-        skew, kurt = 1.2, 0.7
-        base = edgeworth_corrections(0.8, 50, _mom(skew, kurt), "skew_sq")
-        alt = edgeworth_corrections(0.8, 50, _mom(skew, kurt), "kurt_sq")
-        assert base[:2] == alt[:2]
-        assert base[2] / alt[2] == pytest.approx((skew / kurt) ** 2, rel=1e-12)
-
-    def test_third_order_name_validated(self):
-        with pytest.raises(InvalidParameterError):
-            edgeworth_corrections(0.0, 10, _mom(), "cubed")
-
-    @pytest.mark.parametrize("third_order", ["skew_sq", "kurt_sq"])
-    def test_limits_at_infinity(self, third_order):
+    def test_limits_at_infinity(self):
         # phi(x) * p(x) was 0 * inf = NaN at +-inf and where p overflows
         mom = _mom(skew=-0.8, exkurt=1.2)
         for lo, hi in ((-math.inf, math.inf), (-1e100, 1e100)):
-            assert edgeworth_cdf(hi, 20, mom, third_order) == 1.0
-            assert edgeworth_cdf(lo, 20, mom, third_order) == 0.0
+            assert edgeworth_cdf(hi, 20, mom) == 1.0
+            assert edgeworth_cdf(lo, 20, mom) == 0.0
             xs = np.array([lo, -1.0, 0.5, hi])
-            got = edgeworth_cdf(xs, 20, mom, third_order)
+            got = edgeworth_cdf(xs, 20, mom)
             assert got[0] == 0.0 and got[-1] == 1.0
-            assert got[1:3].tolist() == [edgeworth_cdf(x, 20, mom, third_order) for x in xs[1:3]]
+            assert got[1:3].tolist() == [edgeworth_cdf(x, 20, mom) for x in xs[1:3]]
             for x in (lo, hi):
-                assert edgeworth_corrections(x, 20, mom, third_order) == (0.0, 0.0, 0.0)
-            for term in edgeworth_corrections(xs, 20, mom, third_order):
+                assert edgeworth_corrections(x, 20, mom) == (0.0, 0.0, 0.0)
+            for term in edgeworth_corrections(xs, 20, mom):
                 assert term[0] == 0.0 and term[-1] == 0.0
 
-    @pytest.mark.parametrize("third_order", ["skew_sq", "kurt_sq"])
-    def test_cdf_is_phi_minus_the_summed_corrections_bit_for_bit(self, third_order):
+    def test_cdf_is_phi_minus_the_summed_corrections_bit_for_bit(self):
         mom = _mom(skew=1.7, exkurt=-0.9)
         xs = np.concatenate([np.linspace(-9.0, 9.0, 2001), [-math.inf, math.inf, -1e100, 1e100,
                                                             -1e10, 1e10, 0.0, -0.0]])
-        c1, c2, c3 = edgeworth_corrections(xs, 3, mom, third_order)
-        got = edgeworth_cdf(xs, 3, mom, third_order)
+        c1, c2, c3 = edgeworth_corrections(xs, 3, mom)
+        got = edgeworth_cdf(xs, 3, mom)
         np.testing.assert_array_equal(got, phi_cdf(xs) - (c1 + c2 + c3))
         # the plain formula, term by term, in its order of operations
         w, x = phi_pdf(xs), np.clip(xs, -1e10, 1e10)
-        c = (mom.skew_g * mom.skew_g if third_order == "skew_sq"
-             else mom.exkurt_g * mom.exkurt_g)
+        c = mom.skew_g * mom.skew_g
         plain = (w * mom.skew_g * (x * x - 1.0) / (6.0 * math.sqrt(3)),
                  w * mom.exkurt_g * (x * (x * x - 3.0)) / (24.0 * 3),
                  w * c * (x * (x * x * (x * x - 10.0) + 15.0)) / (72.0 * 3))
         for term, want in zip((c1, c2, c3), plain):
             np.testing.assert_array_equal(term, want)
         for i in range(0, xs.size, 97):
-            assert edgeworth_cdf(xs[i], 3, mom, third_order) == got[i]
-            assert edgeworth_corrections(float(xs[i]), 3, mom, third_order) == (
+            assert edgeworth_cdf(xs[i], 3, mom) == got[i]
+            assert edgeworth_corrections(float(xs[i]), 3, mom) == (
                 c1[i], c2[i], c3[i])
 
     def test_empty_array_gives_empty_arrays(self):

@@ -186,7 +186,14 @@ class TestEdgeworthCommand:
                                     "--dist", "gamma:1:1", "--n", "20",
                                     "--grid", "0:1:3", "--format", "json"])
         assert len(payload["rows"]) == 3
-        assert payload["metadata"]["config"]["n"] == 20
+        assert payload["metadata"]["config"] == {"generator": "identity", "dist": "gamma:1:1",
+                                                 "n": 20, "grid": "0:1:3"}
+
+    def test_third_order_option_is_gone(self, capsys):
+        # the O(1/n) term has the classical skew**2 coefficient only
+        assert main(["edgeworth", "--generator", "identity", "--dist", "gamma:1:1",
+                     "--n", "20", "--third-order", "skew-sq"]) == 2
+        assert "--third-order" in capsys.readouterr().err
 
     def test_corrections_match_library(self, capsys):
         code = main(["edgeworth", "--generator", "log", "--dist", "lognormal:2:1",
@@ -233,8 +240,8 @@ class TestSimulateCommand:
 
     def test_payload_matches_a_figure_report(self, tmp_path, capsys):
         # the same config through the CLI and through a figure cell
-        out, rows = figures._run_cells(tmp_path, 42, 30, 20, 1,
-                                       ("gamma:100:1",), ("log",))
+        out, rows, _ = figures._run_cells(tmp_path, 42, 30, 20, 1,
+                                          ("gamma:100:1",), ("log",))
         report = json.loads((out / "gamma-100-1_log.report.json").read_text())
         payload = run_json(capsys, ["simulate", "--dist", "gamma:100:1", "--generator",
                                     "log", "--n", "30", "--replicates", "20",

@@ -4,9 +4,9 @@ InvalidParameterError naming the parameter.
 
 COUNTS holds one row per such parameter.  test_bad_count_is_rejected sends
 each row 2.5, "2", None (unless None is the default) and least - 1, and
-test_every_int_parameter_has_a_row walks regmeans.__all__ and fails on a
-parameter annotated int that has no row, so a new count cannot skip the
-check.
+test_every_int_parameter_has_a_row walks regmeans.__all__, and the public
+methods of its classes, and fails on a parameter annotated int that has no
+row, so a new count cannot skip the check.
 """
 
 import functools
@@ -53,11 +53,6 @@ def _stability(fn, **fixed):
     return call
 
 
-def _moments(out, **counts):
-    log, _, dist, *_ = _fixtures()
-    return rm.g_moments(log, dist, method="monte_carlo", **{"mc_samples": 100, **counts})
-
-
 def _edgeworth(fn):
     def call(out, n):
         return fn(0.5, n, _fixtures()[4])
@@ -70,9 +65,9 @@ def _compare(out, **counts):
 
 
 # (owner, parameter, least, call): call(out, **{parameter: value}), with out
-# a directory that must not exist after a rejected count.  The hermite order
-# and ddof are members of small sets, checked as such; they raised
-# InvalidParameterError on every bad value before require_count existed.
+# a directory that must not exist after a rejected count.  ddof is a member
+# of a small set, checked as such; it raised InvalidParameterError on every
+# bad value before require_count existed.
 COUNTS = [
     ("ScenarioConfig", "n", 2, lambda out, **c: _scenario(**c)),
     ("ScenarioConfig", "replicates", 1, lambda out, **c: _scenario(**c)),
@@ -95,14 +90,15 @@ COUNTS = [
      lambda out, grid_points: rm.min_slope(_fixtures()[0], B, grid_points)),
     ("invert", "max_iter", 1, lambda out, max_iter: rm.invert(_fixtures()[0], 0.5, B,
                                                                  max_iter=max_iter)),
-    ("g_moments", "mc_samples", 1, _moments),
-    ("g_moments", "mc_seed", 0, _moments),
     ("edgeworth_cdf", "n", 1, _edgeworth(rm.edgeworth_cdf)),
     ("edgeworth_corrections", "n", 1, _edgeworth(rm.edgeworth_corrections)),
     ("compare_edgeworth", "n", 1, _compare),
     ("compare_edgeworth", "steps", 2, _compare),
     ("Interval.grid", "points", 2, lambda out, points: B.grid(points)),
-    ("hermite", "k", 1, lambda out, k: rm.hermite(k, 0.5)),
+    *[(f"{cls.__name__}.sample", "n", 1,
+       lambda out, n, dist=cls(*params): dist.sample(n, np.random.default_rng(0)))
+      for cls, params in ((rm.LogNormal, (0.0, 1.0)), (rm.Gamma, (2.0, 1.0)),
+                          (rm.Uniform, (1.0, 2.0)), (rm.Pareto, (3.0,)))],
     ("markowitz_approximation", "ddof", 0,
      lambda out, ddof: rm.markowitz_approximation([0.01, 0.02], ddof)),
 ]
@@ -139,14 +135,26 @@ def test_bad_count_is_rejected(tmp_path, owner, name, call, value):
     assert not out.exists()
 
 
+def _public_callables():
+    """(path, callable) for each public function and class of regmeans,
+    and each public method a public class defines itself."""
+    for public in rm.__all__:
+        obj = getattr(rm, public)
+        if not callable(obj) or (inspect.isclass(obj) and issubclass(obj, Exception)):
+            continue
+        yield public, obj
+        if inspect.isclass(obj):
+            for name, member in vars(obj).items():
+                if inspect.isfunction(member) and not name.startswith("_"):
+                    yield f"{public}.{name}", member
+
+
 def test_every_int_parameter_has_a_row():
     rows = {(owner, name) for owner, name, *_ in COUNTS}
     found = set()
-    for public in rm.__all__:
-        obj = getattr(rm, public)
-        if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, Exception)):
-            found |= {(public, p.name) for p in inspect.signature(obj).parameters.values()
-                      if _is_int(p.annotation)}
+    for path, obj in _public_callables():
+        found |= {(path, p.name) for p in inspect.signature(obj).parameters.values()
+                  if _is_int(p.annotation)}
     assert found - RESULTS - rows == set()
     # and every row names a real parameter, so a rename cannot orphan it
     for owner, name in rows:

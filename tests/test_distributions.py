@@ -73,6 +73,18 @@ class TestParsing:
         with pytest.raises(InvalidParameterError, match="string"):
             parse_distribution(spec)
 
+    @pytest.mark.parametrize("cls,params,name", [
+        pytest.param(cls, params, name, id=f"{cls.__name__}-{name}")
+        for cls, params, name in [
+            (LogNormal, ("0", 1.0), "mu"), (LogNormal, (0.0, None), "sigma2"),
+            (Gamma, ("2", 1.0), "shape"), (Gamma, (2.0, "1"), "rate"),
+            (Uniform, ("1", "2"), "lo"), (Uniform, (1.0, None), "hi"),
+            (Pareto, (None,), "alpha"), (Pareto, (3.0, "1"), "scale")]])
+    def test_parameters_must_be_real_numbers(self, cls, params, name):
+        # each raised a bare TypeError from a comparison or math.isfinite
+        with pytest.raises(InvalidParameterError, match=rf"^{name} must be a real number"):
+            cls(*params)
+
     def test_parameter_validation_direct(self):
         with pytest.raises(InvalidParameterError):
             LogNormal(0.0, -1.0)

@@ -3,6 +3,7 @@
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from regmeans import ConfigurationError, InvalidParameterError, figures
@@ -45,6 +46,19 @@ def test_files_do_not_depend_on_the_thread_count(tmp_path):
     assert len(runs[1]) == 6  # two cells' hist + report, summary, comparison
     assert runs[2] == runs[1]
     assert runs[3] == runs[1]
+
+
+def test_numpy_counts_write_the_bytes_of_python_ints(tmp_path):
+    # np.int64 counts passed the count check, then comparison.json raised a
+    # bare TypeError (not JSON serializable) after every other file was written
+    runs = {}
+    for kind in (int, np.int64):
+        out = tmp_path / kind.__name__
+        result = figures.reproduce_figure2(out, seed=kind(3), n=kind(20),
+                                           replicates=kind(10), threads=kind(1))
+        json.dumps(result)  # the CLI prints the returned rows as well
+        runs[kind] = _files(out)
+    assert runs[np.int64] == runs[int]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -38,6 +38,13 @@ class TestInterval:
         with pytest.raises(InvalidParameterError):
             Interval(1.0, 1.0)
 
+    @pytest.mark.parametrize("lo,hi,name", [("0", "1", "lo"), (None, 1.0, "lo"),
+                                             (0.0, "1", "hi")])
+    def test_endpoints_must_be_real_numbers(self, lo, hi, name):
+        # ("0", "1") was an interval of strings, the others a bare TypeError
+        with pytest.raises(InvalidParameterError, match=rf"^{name} must be a real number"):
+            Interval(lo, hi)
+
     def test_contains_vs_interior(self):
         # the endpoints belong to the interval but not to its interior
         box = Interval(0.0, 1.0)

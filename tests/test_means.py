@@ -339,10 +339,11 @@ class TestCheckAxioms:
         with pytest.raises(ConfigurationError):
             check_axioms(g, n=3, trials=0)
 
-    @pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf, "1e-9", None])
     def test_tolerance_must_be_finite_and_non_negative(self, tol):
-        # a NaN tol failed every tolerance check and reported it, not raised
-        with pytest.raises(InvalidParameterError):
+        # a NaN tol failed every tolerance check and reported it, not raised;
+        # "1e-9" and None raised a bare TypeError from the comparison with 0.0
+        with pytest.raises(InvalidParameterError, match="^tol "):
             check_axioms(parse_generator("log"), n=3, tol=tol)
 
     def test_box_must_fit_domain(self):

@@ -175,9 +175,10 @@ class TestVerifyStability:
         with pytest.raises(InvalidParameterError):
             verify_stability(g, h, B, n=2, grid_per_dim=1)
 
-    @pytest.mark.parametrize("factor", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("factor", [math.nan, -1.0, math.inf, "0", None])
     def test_tolerance_factor_must_be_finite_and_nonnegative(self, factor):
-        # NaN and -1 were accepted, and satisfied came out a silent False
+        # NaN and -1 were accepted, and satisfied came out a silent False;
+        # "0" and None raised a bare TypeError from the comparison with 0.0
         with pytest.raises(InvalidParameterError, match="tolerance_factor"):
             verify_stability(parse_generator("identity"), parse_generator("log"), B, n=2,
                              tolerance_factor=factor)
