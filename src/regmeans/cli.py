@@ -330,8 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default_out=f"figure{number}-out")
 
     for name, what in (("simulate", "the replicate blocks of the scenario"),
-                       ("reproduce-figure1", "the figure cells"),
-                       ("reproduce-figure2", "the figure cells")):
+                       ("reproduce-figure1", "the figure's distributions (each "
+                                             "with all its generators)"),
+                       ("reproduce-figure2", "the distribution's replicate blocks "
+                                             "(for all its generators)")):
         sub.choices[name].add_argument(
             "--threads", type=int, default=1,
             help=f"worker threads (>= 1) that run {what} at once; "

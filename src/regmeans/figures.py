@@ -10,9 +10,12 @@ mean does not.
 All floats in CSV output are serialized with 17 significant digits (by
 csv_cell, which the CLI's CSV output shares) and all randomness derives from
 the master seed, so repeat runs (at any thread count) produce identical data
-files.  The thread pool (simulation.thread_map) runs whole cells side by
-side, each one single-threaded with its own seed; every file is written
-afterwards, in cell order, on the calling thread.  A cell's report file holds
+files.  The unit of work is a distribution: its generators' cells share its
+seed and take their means from the same draws (simulation._run_group), so
+they are dependent by design, each with the law of a standalone run.  The
+thread pool (simulation.thread_map) runs the distributions side by side, the
+threads left over sharing their blocks; every file is written afterwards, in
+cell order, on the calling thread.  A cell's report file holds
 SimulationReport.as_dict, the keys of the CLI's simulate payload.
 """
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +33,7 @@ from .asymptotics import phi_pdf
 from .distributions import parse_distribution
 from .errors import ConfigurationError
 from .generators import parse_generator, require_count
-from .simulation import ScenarioConfig, SimulationReport, run_scenario, thread_map
+from .simulation import ScenarioConfig, SimulationReport, _run_group, thread_map
 
 __all__ = ["reproduce_figure1", "reproduce_figure2", "write_hist", "FIGURE1_DISTS",
            "FIGURE1_GENERATORS"]
@@ -87,27 +91,23 @@ def _run_cells(out_dir, seed, n, replicates, threads, dists, generators):
     threads = require_count(threads, "threads", 1)  # every check before the mkdir below
     seed = require_count(seed, "seed", 0)
     cells = [(d, g) for d in dists for g in generators]
-    cfgs = [
-        ScenarioConfig(
-            dist=parse_distribution(dist_spec),
-            generator=parse_generator(gen_spec),
-            n=n,
-            replicates=replicates,
-            seed=_cell_seed(seed, index),
-        )
-        for index, (dist_spec, gen_spec) in enumerate(cells)
-    ]
+    # one group per distribution, its generators' cells sharing its seed
+    groups = []
+    for index, dist_spec in enumerate(dists):
+        dist, dist_seed = parse_distribution(dist_spec), _cell_seed(seed, index)
+        groups.append([ScenarioConfig(dist, parse_generator(gen_spec), n, replicates, dist_seed)
+                       for gen_spec in generators])
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {out}: {exc}") from exc
     # Every cell runs before any file is written, so a failing cell leaves
-    # no partial output behind.
-    reports = thread_map(run_scenario, cfgs, threads)
-
+    # no partial output behind.  Threads beyond one per group share its blocks.
+    inner = max(1, threads // len(groups))
+    results = thread_map(lambda cfgs: _run_group(cfgs, inner), groups, threads)
     rows = []
-    for (dist_spec, gen_spec), cfg, report in zip(cells, cfgs, reports):
+    for (dist_spec, gen_spec), cfg, report in zip(cells, chain(*groups), chain(*results)):
         stem = _stem(dist_spec, gen_spec)
         write_hist(out / f"{stem}.hist.csv", report)
         _write_report(out / f"{stem}.report.json", report, __version__)
@@ -123,7 +123,7 @@ def _run_cells(out_dir, seed, n, replicates, threads, dists, generators):
             "var_ratio": report.empirical_var / report.asymptotic.asym_var,
             "eg": report.asymptotic.eg,
         })
-    counts = {"seed": seed, "n": cfgs[0].n, "replicates": cfgs[0].replicates}
+    counts = {"seed": seed, "n": groups[0][0].n, "replicates": groups[0][0].replicates}
     return out, rows, counts
 
 
@@ -142,8 +142,9 @@ def reproduce_figure1(out_dir, seed: int = 42, n: int = 1000,
     """Run the 12-cell simulation grid and write hist/report files plus
     summary.csv into out_dir.  Returns the summary rows and file paths.
 
-    threads (>= 1, else InvalidParameterError) is the number of cells run
-    at once; the files do not depend on it."""
+    threads (>= 1, else InvalidParameterError) is the number of
+    distributions run at once, each with its three generators; the files
+    do not depend on it."""
     out, rows, _ = _run_cells(out_dir, seed, n, replicates, threads,
                               FIGURE1_DISTS, FIGURE1_GENERATORS)
     _write_summary(out / "summary.csv", rows)
@@ -157,7 +158,8 @@ def reproduce_figure2(out_dir, seed: int = 42, n: int = 1000,
 
     The comparison reports ks for both generators, whether the geometric
     mean converged faster (ordering_ok), and the KS ratio; it never raises
-    on the ordering.  threads is as in reproduce_figure1."""
+    on the ordering.  Both cells take their means from the same draws, so
+    threads beyond one go to that one distribution's replicate blocks."""
     from . import __version__
 
     out, rows, counts = _run_cells(out_dir, seed, n, replicates, threads,

@@ -2,33 +2,30 @@
 
 Draws replicate samples, computes the quasi-arithmetic mean of each, and
 compares the standardized statistics against their limiting normal law (and
-against the Edgeworth-corrected approximation).  Replicates are drawn in
-fixed-size blocks: each block gets its own RNG stream spawned from the master
-seed, draws a (rows, n) matrix in one call and takes all its row means in one
-vectorized pass.  The block layout depends only on n and the replicate
-count, so the output bits depend on (seed, n, replicates) alone and are
-identical for any thread count.  run_scenario's own threads spread one
-scenario's blocks over a pool; the figure grids instead run whole scenarios
-side by side, each single-threaded (see figures).  With blocks of 2**15
-elements the block pool gains where a value is costly to draw or transform
-and about breaks even where it is cheap.  On a 2-vCPU host (median of 5,
-one thread -> two): Gamma(100,1) x log, n = 1000, 2*10**4 replicates,
-937 -> 638 ms; LogNormal(2,1) x identity, n = 10**4, 292 -> 219 ms;
-Uniform(1,2) x reciprocal, n = 100, 10**5 replicates, 144 -> 150 ms.
+against the Edgeworth-corrected approximation).  The unit of work is one
+distribution with one or more generators (_run_group; run_scenario is the
+one-generator case).  Replicates are drawn in fixed-size blocks: each block
+gets its own RNG stream spawned from the master seed and draws a (rows, n)
+matrix in one call, and every generator takes all its row means from that
+matrix in one vectorized pass, so the generators of one distribution are
+compared on common random numbers.  The block layout depends only on n and
+the replicate count, so each generator's statistics depend on (seed, n,
+replicates) alone: they are those of its own run_scenario, at any thread
+count.  A run's threads spread its blocks over a pool (its gains are in the
+README); the figure grids run their distributions side by side instead
+(see figures).  Both pools are one ordered map, thread_map.
+SimulationReport.as_dict is the one report schema: the CLI's simulate
+payload and every figure cell's report file.
 
-Both pools are one ordered map, thread_map, each with its thread count
-checked by generators.require_count.  SimulationReport.as_dict is the one
-report schema: the CLI's simulate payload and every figure cell's report file.
-
-The tail of a run, from the statistics to the two KS gaps, sorts the
-statistics once and evaluates Phi once on the sorted values.  Both gaps,
-against Phi and against the Edgeworth CDF built on that same Phi, go through
-one kernel, _ks_sup, with one array of steps i/N and one scratch array, and
-the Edgeworth terms are written into reused buffers (see asymptotics).  The
-gaps keep the bits of two ks_statistic calls.  ks_statistic, empirical_cdf
-and run_scenario share one sort-and-check, _sorted_values.  On a 2-vCPU
-host the tails of the four mc_small_n scenarios (20 000 replicates each)
-went from about 9.8 to 6.2 ms per pass (median of 200 passes).
+The tail of a run sorts each generator's statistics once and evaluates Phi
+once on the sorted values.  Both KS gaps, against Phi and against the
+Edgeworth CDF built on that same Phi, go through one kernel, _ks_sup, with
+one array of steps i/N and one scratch array, and the Edgeworth terms are
+written into reused buffers (see asymptotics); the gaps keep the bits of two
+ks_statistic calls.  ks_statistic, empirical_cdf and the tail share one
+sort-and-check, _sorted_values.  On a 2-vCPU host the tails of the four
+mc_small_n scenarios (20 000 replicates each) went from about 9.8 to 6.2 ms
+per pass (median of 200 passes).
 """
 
 from __future__ import annotations
@@ -40,51 +37,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import (
-    AsymptoticSpec,
-    GMoments,
-    _edgeworth_cdf,
-    asymptotic_variance,
-    g_moments,
-    phi_cdf,
-)
-from .distributions import Pareto, Uniform
-from .errors import ConfigurationError, DivergenceError, DomainError
+from .asymptotics import (AsymptoticSpec, GMoments, _edgeworth_cdf, asymptotic_variance,
+                          g_moments, phi_cdf)
+from .distributions import DistributionModel, Pareto, Uniform
+from .errors import ConfigurationError, DivergenceError, DomainError, InvalidParameterError
 from .generators import Generator, Interval, require_count
 from .means import row_means
 
-__all__ = [
-    "ScenarioConfig",
-    "SimulationReport",
-    "run_scenario",
-    "ks_statistic",
-    "EmpiricalCdf",
-    "empirical_cdf",
-    "EdgeworthComparison",
-    "compare_edgeworth",
-]
+__all__ = ["ScenarioConfig", "SimulationReport", "run_scenario", "ks_statistic", "EmpiricalCdf",
+           "empirical_cdf", "EdgeworthComparison", "compare_edgeworth"]
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    dist: object
+    dist: DistributionModel
     generator: Generator
     n: int
     replicates: int
     seed: int
 
     def __post_init__(self):
+        for name, kind, what in (("dist", DistributionModel, "distribution model"),
+                                 ("generator", Generator, "Generator")):
+            if not isinstance(value := getattr(self, name), kind):
+                raise InvalidParameterError(f"{name} must be a {what}, got {value!r}")
         for name, least in (("n", 2), ("replicates", 1), ("seed", 0)):
             object.__setattr__(self, name, require_count(getattr(self, name), name, least))
 
     def echo(self) -> dict:
-        return {
-            "dist": self.dist.spec,
-            "generator": self.generator.name,
-            "n": self.n,
-            "replicates": self.replicates,
-            "seed": self.seed,
-        }
+        return {"dist": self.dist.spec, "generator": self.generator.name, "n": self.n,
+                "replicates": self.replicates, "seed": self.seed}
 
 
 @dataclass
@@ -108,9 +90,9 @@ class SimulationReport:
             "empirical_var": self.empirical_var,
             "ks": self.ks_vs_normal,
             "edgeworth_sup_gap": None if math.isnan(gap) else gap,
-            # wall time, which may be shared with other scenarios in flight:
-            # the one run-varying key; the thread count is deliberately not
-            # here, as the other keys must not depend on it
+            # wall time, shared with other scenarios in flight and, in a group,
+            # including the shared draws: the one run-varying key; the thread
+            # count is deliberately not here, as the others must not depend on it
             "runtime_ms": self.metadata["runtime_ms"],
         }
 
@@ -118,11 +100,11 @@ class SimulationReport:
 # Sample elements per replicate block: rows = max(1, _BLOCK_ELEMENTS // n).
 # Each block pays a fixed 50-80 us, mostly under the interpreter lock: a
 # spawned SeedSequence and default_rng (about 24 us) and the set-up of
-# sample and row_means.  On a 2-vCPU host, 2**15 halves the blocks of
-# Figure 1 against 2**14 (756 -> 384 per pass) and ran the figure 26%
-# faster, two cells at a time.  2**16 was slower than 2**15, by 15% on
-# Figure 1 and 19% at n = 5 and 20: its 512 KiB draws and their
-# temporaries outgrow a core's L2.
+# sample and row_means.  On a 2-vCPU host, when each Figure 1 cell drew its
+# own blocks, 2**15 halved them against 2**14 (756 -> 384 per pass) and ran
+# the figure 26% faster.  2**16 was slower than 2**15, by 15% on Figure 1
+# and 19% at n = 5 and 20: its 512 KiB draws and their temporaries outgrow
+# a core's L2.
 _BLOCK_ELEMENTS = 2 ** 15
 
 
@@ -151,67 +133,73 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> SimulationReport:
     """Run one (distribution x generator) scenario.
 
     Raises ConfigurationError when the distribution's support leaves the
-    generator's domain, and DivergenceError when var(g(X)) diverges — both
-    before any sampling.  Replicates are drawn in blocks of
-    max(1, _BLOCK_ELEMENTS // n) rows, one spawned RNG stream per block, so
-    the statistics depend on (seed, n, replicates) only.  With threads > 1
-    the blocks run on a thread pool; the statistics vector is identical
-    regardless.  A block's draws and transforms release the interpreter lock
-    but its set-up does not, so the pool gains where each value is costly to
-    draw or transform and about breaks even where it is cheap (figures in
-    the module docstring).  threads is an integer >= 1, else InvalidParameterError.
-    """
-    threads = require_count(threads, "threads", 1)
-    g, dist = cfg.generator, cfg.dist
-    if not _support_in_domain(g, dist):
-        raise ConfigurationError(
-            f"support of {dist.spec!r} is not inside the domain of generator {g.name!r}")
-    spec = asymptotic_variance(g, dist)  # raises DivergenceError on infinite var(g(X))
-    if not spec.asym_var > 0:
-        raise DivergenceError("degenerate (zero) asymptotic variance")
+    generator's domain, and DivergenceError when var(g(X)) diverges, both
+    before any sampling.  threads (an integer >= 1, else
+    InvalidParameterError) spread the replicate blocks over a pool; the
+    statistics do not depend on it.  A block's set-up holds the interpreter
+    lock, so the pool gains only where values are costly to draw or
+    transform."""
+    return _run_group([cfg], require_count(threads, "threads", 1))[0]
+
+
+def _run_group(cfgs: list[ScenarioConfig], threads: int = 1) -> list[SimulationReport]:
+    """run_scenario for scenarios that differ only in their generator, from
+    one set of draws: each block is drawn once and every generator's row
+    means are taken from it.  Each report has the bits of its own
+    run_scenario.  Every generator's checks run before any draw."""
+    dist, n, replicates = cfgs[0].dist, cfgs[0].n, cfgs[0].replicates
+    specs = []
+    for cfg in cfgs:
+        g = cfg.generator
+        if not _support_in_domain(g, dist):
+            raise ConfigurationError(
+                f"support of {dist.spec!r} is not inside the domain of generator {g.name!r}")
+        spec = asymptotic_variance(g, dist)  # raises DivergenceError on infinite var(g(X))
+        if not spec.asym_var > 0:
+            raise DivergenceError("degenerate (zero) asymptotic variance")
+        specs.append(spec)
 
     t0 = time.perf_counter()
-    n, rows = cfg.n, max(1, _BLOCK_ELEMENTS // cfg.n)
-    starts = range(0, cfg.replicates, rows)
-    streams = np.random.SeedSequence(cfg.seed).spawn(len(starts))
-    means = np.empty(cfg.replicates, dtype=float)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    starts = range(0, replicates, rows)
+    streams = np.random.SeedSequence(cfgs[0].seed).spawn(len(starts))
+    means = np.empty((len(cfgs), replicates), dtype=float)  # one row per generator
 
     def block(k: int) -> None:
         lo = starts[k]
-        hi = min(lo + rows, cfg.replicates)
+        hi = min(lo + rows, replicates)
         rng = np.random.default_rng(streams[k])
         # a flat draw fills the same values in the same order as shape (rows, n)
         x = dist.sample((hi - lo) * n, rng).reshape(hi - lo, n)
-        means[lo:hi] = row_means(g, x)
+        for cfg, row in zip(cfgs, means):
+            row[lo:hi] = row_means(cfg.generator, x)
 
     thread_map(block, range(len(starts)), threads)
+    draw_s = time.perf_counter() - t0
 
-    scaled = np.subtract(means, spec.eg, out=means)  # sqrt(n)*(M_g - E_g), in place
-    scaled *= math.sqrt(cfg.n)
-    stats = scaled / math.sqrt(spec.asym_var)
-    emp_var = float(np.var(scaled, ddof=1)) if cfg.replicates > 1 else 0.0
+    steps, scratch = _cdf_steps(replicates), np.empty(replicates)
+    reports = []
+    for cfg, spec, scaled in zip(cfgs, specs, means):
+        t1 = time.perf_counter()
+        scaled -= spec.eg  # sqrt(n)*(M_g - E_g), in place on the generator's row
+        scaled *= math.sqrt(n)
+        stats = scaled / math.sqrt(spec.asym_var)
+        emp_var = float(np.var(scaled, ddof=1)) if replicates > 1 else 0.0
 
-    # both KS gaps from one sort and one Phi; the Edgeworth CDF reuses the Phi
-    v = _sorted_values(stats, "run_scenario")
-    phi = phi_cdf(v)
-    steps, scratch = _cdf_steps(v.size), np.empty_like(v)
-    ks = _ks_sup(phi, steps, scratch)
-    try:
-        mom = g_moments(g, dist)
-        egap = _ks_sup(_edgeworth_cdf(v, cfg.n, mom, phi), steps, scratch)
-    except DivergenceError:
-        egap = math.nan  # third/fourth moment of g(X) diverges; expansion undefined
+        # both KS gaps from one sort and one Phi; the Edgeworth CDF reuses the Phi
+        v = _sorted_values(stats, "run_scenario")
+        phi = phi_cdf(v)
+        ks = _ks_sup(phi, steps, scratch)
+        try:
+            mom = g_moments(cfg.generator, dist)
+            egap = _ks_sup(_edgeworth_cdf(v, n, mom, phi), steps, scratch)
+        except DivergenceError:
+            egap = math.nan  # third/fourth moment of g(X) diverges; expansion undefined
 
-    runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return SimulationReport(
-        statistics=stats,
-        scaled_errors=scaled,
-        ks_vs_normal=ks,
-        empirical_var=emp_var,
-        asymptotic=spec,
-        edgeworth_sup_gap=egap,
-        metadata={"config": cfg.echo(), "runtime_ms": runtime_ms},
-    )
+        runtime_ms = (draw_s + time.perf_counter() - t1) * 1000.0
+        reports.append(SimulationReport(stats, scaled, ks, emp_var, spec, egap,
+                                        {"config": cfg.echo(), "runtime_ms": runtime_ms}))
+    return reports
 
 
 def _sorted_values(values, owner: str) -> np.ndarray:
@@ -269,9 +257,15 @@ class EmpiricalCdf:
     values: np.ndarray
 
     def at(self, x):
-        idx = np.searchsorted(self.values, x, side="right")
-        out = np.asarray(idx, dtype=float) / self.values.size
-        return float(out) if np.ndim(x) == 0 else out
+        """The CDF at x, a number or an array; a NaN is DomainError and a
+        non-number (a string, None) InvalidParameterError."""
+        arr = np.asarray(x)
+        if arr.dtype.kind not in "biuf":
+            raise InvalidParameterError(f"empirical CDF needs numbers, got {x!r}")
+        if np.isnan(arr := arr.astype(float, copy=False)).any():
+            raise DomainError("empirical CDF got a NaN point")
+        out = np.searchsorted(self.values, arr, side="right") / self.values.size
+        return float(out) if arr.ndim == 0 else out
 
 
 def empirical_cdf(values) -> EmpiricalCdf:
@@ -295,7 +289,10 @@ def compare_edgeworth(report: SimulationReport, mom: GMoments, n: int,
                       grid: Interval = Interval(-3.0, 3.0),
                       steps: int = 121) -> EdgeworthComparison:
     """Tabulate empirical vs normal vs Edgeworth CDFs of the standardized
-    statistics on a grid, with the sup gap of each approximation."""
+    statistics on a grid, with the sup gap of each approximation.  grid is
+    an Interval, else InvalidParameterError."""
+    if not isinstance(grid, Interval):
+        raise InvalidParameterError(f"grid must be an Interval, got {grid!r}")
     ecdf = empirical_cdf(report.statistics)
     xs = grid.grid(require_count(steps, "steps", 2))
     emp = ecdf.at(xs)

@@ -1,12 +1,15 @@
-"""Figure grids: cells run side by side, files written once in cell order."""
+"""Figure grids: one group of cells per distribution, the groups run side by
+side, files written once in cell order."""
 
+import dataclasses
 import json
 import threading
 
 import numpy as np
 import pytest
 
-from regmeans import ConfigurationError, InvalidParameterError, figures
+from regmeans import (ConfigurationError, InvalidParameterError, ScenarioConfig, figures,
+                      parse_distribution, parse_generator, run_scenario)
 
 
 def _files(out):
@@ -22,19 +25,83 @@ def _files(out):
     return got
 
 
-def test_cells_run_concurrently_without_a_nested_pool(tmp_path, monkeypatch):
-    real = figures.run_scenario
+def test_distribution_groups_run_concurrently_without_a_nested_pool(tmp_path, monkeypatch):
+    real = figures._run_group
     barrier = threading.Barrier(2, timeout=10)
     seen = []
 
-    def waiting(cfg, threads=1):
-        seen.append(threads)
-        barrier.wait()  # breaks unless both cells are in flight at once
-        return real(cfg, threads=threads)
+    def waiting(cfgs, threads=1):
+        seen.append((cfgs[0].dist.spec, len(cfgs), threads))
+        barrier.wait()  # breaks unless two groups are in flight at once
+        return real(cfgs, threads)
 
-    monkeypatch.setattr(figures, "run_scenario", waiting)
-    figures.reproduce_figure2(tmp_path, replicates=50, threads=2)
-    assert seen == [1, 1]
+    monkeypatch.setattr(figures, "_run_group", waiting)
+    figures.reproduce_figure1(tmp_path, n=20, replicates=10, threads=2)
+    assert sorted(seen) == sorted((parse_distribution(d).spec, 3, 1)
+                                  for d in figures.FIGURE1_DISTS)
+
+
+@pytest.mark.parametrize("reproduce", [figures.reproduce_figure1,
+                                       figures.reproduce_figure2])
+def test_cells_have_the_bits_of_a_standalone_run(tmp_path, monkeypatch, reproduce):
+    # n = 1000 puts 32 replicates in a block: 70 replicates are three blocks
+    real, reports, pools = figures._run_group, {}, []
+
+    def recording(cfgs, threads=1):
+        pools.append(threads)
+        group = real(cfgs, threads)
+        reports.update({(c.dist.spec, c.generator.name): r for c, r in zip(cfgs, group)})
+        return group
+
+    monkeypatch.setattr(figures, "_run_group", recording)
+    rows = reproduce(tmp_path, seed=5, n=1000, replicates=70, threads=2)["cells"]
+    assert len(reports) == len(rows)
+    # threads beyond one per group go to the group's block pool
+    assert set(pools) == {max(1, 2 // len(pools))}
+    for row in rows:
+        cfg = ScenarioConfig(parse_distribution(row["dist"]), parse_generator(row["generator"]),
+                             1000, 70, row["seed"])
+        report, alone = reports[cfg.dist.spec, cfg.generator.name], run_scenario(cfg)
+        assert report.metadata["config"] == cfg.echo()
+        np.testing.assert_array_equal(report.statistics, alone.statistics)
+        assert row["ks"] == alone.ks_vs_normal
+        assert report.edgeworth_sup_gap == alone.edgeworth_sup_gap
+
+
+def _counting_draws(monkeypatch):
+    """Make figures parse every distribution as a subclass that records the
+    (spec, size) of each sample call."""
+    real, draws = figures.parse_distribution, []
+
+    def parse(spec):
+        model = real(spec)
+
+        class Counting(type(model)):
+            def sample(self, n, rng):
+                draws.append((spec, n))
+                return super().sample(n, rng)
+
+        return Counting(**{f.name: getattr(model, f.name) for f in dataclasses.fields(model)})
+
+    monkeypatch.setattr(figures, "parse_distribution", parse)
+    return draws
+
+
+def test_each_distribution_is_drawn_once_for_all_its_generators(tmp_path, monkeypatch):
+    draws = _counting_draws(monkeypatch)
+    figures.reproduce_figure1(tmp_path, n=1000, replicates=70, threads=1)
+    # three blocks per distribution, not per cell
+    assert draws == [(d, size) for d in figures.FIGURE1_DISTS
+                     for size in (32_000, 32_000, 6_000)]
+
+
+def test_a_failing_group_draws_nothing(tmp_path, monkeypatch):
+    # the setting of test_a_failing_cell_writes_no_cell_file: identity is
+    # checked and passes, log fails its check before the group's first draw
+    draws = _counting_draws(monkeypatch)
+    with pytest.raises(ConfigurationError):
+        figures._run_cells(tmp_path, 42, 20, 10, 1, ("uniform:-1:1",), ("identity", "log"))
+    assert draws == []
 
 
 def test_files_do_not_depend_on_the_thread_count(tmp_path):

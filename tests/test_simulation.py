@@ -137,6 +137,23 @@ class TestEmpiricalCdf:
         with pytest.raises(ConfigurationError):
             empirical_cdf([])
 
+    @pytest.mark.parametrize("x", [math.nan, [0.5, math.nan], np.array([math.nan])])
+    def test_nan_point_is_domain_error(self, x):
+        # at(nan) was a silent 1.0: searchsorted puts NaN after every value
+        with pytest.raises(DomainError):
+            empirical_cdf([1.0, 2.0]).at(x)
+
+    @pytest.mark.parametrize("x", ["a", "1.5", None, ["a", "b"]])
+    def test_point_that_is_not_a_number_rejected(self, x):
+        with pytest.raises(InvalidParameterError):
+            empirical_cdf([1.0, 2.0]).at(x)
+
+    def test_integer_and_infinite_points(self):
+        F = empirical_cdf([1.0, 2.0])
+        assert F.at(1) == 0.5
+        assert F.at(np.int64(2)) == 1.0
+        np.testing.assert_array_equal(F.at([-math.inf, math.inf]), [0.0, 1.0])
+
 
 # ---------------------------------------------------------------------------
 # Scenario runs
@@ -266,6 +283,15 @@ class TestRunScenario:
         with pytest.raises(InvalidParameterError, match=field):
             _cfg(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [("dist", "gamma:2:1"), ("dist", None),
+                                             ("generator", "log"), ("generator", None)])
+    def test_config_takes_a_distribution_and_a_generator(self, field, value):
+        # a spec string got as far as run_scenario, then raised a bare
+        # AttributeError ('str' object has no attribute 'support')
+        with pytest.raises(InvalidParameterError, match=field):
+            ScenarioConfig(**{"dist": Gamma(2.0, 1.0), "generator": parse_generator("log"),
+                              "n": 5, "replicates": 10, "seed": 1, field: value})
+
     def test_config_keeps_numpy_integers_as_ints(self):
         cfg = _cfg(n=np.int64(20), replicates=np.int32(10), seed=np.uint8(3))
         assert cfg.echo() == {"dist": "gamma:100:1", "generator": "log", "n": 20,
@@ -329,6 +355,15 @@ class TestCompareEdgeworth:
         mom = g_moments(cfg.generator, cfg.dist)
         with pytest.raises(InvalidParameterError, match="integer"):
             compare_edgeworth(rep, mom, cfg.n, steps=2.5)
+
+    @pytest.mark.parametrize("grid", [None, (-3.0, 3.0), "-3,3"])
+    def test_grid_must_be_an_interval(self, grid):
+        # grid=None raised a bare AttributeError ('NoneType' has no 'grid')
+        cfg = _cfg(replicates=50)
+        rep = run_scenario(cfg)
+        mom = g_moments(cfg.generator, cfg.dist)
+        with pytest.raises(InvalidParameterError, match="grid"):
+            compare_edgeworth(rep, mom, cfg.n, grid=grid)
 
     def test_edgeworth_column_is_edgeworth_cdf(self):
         cfg = _cfg(replicates=500)
