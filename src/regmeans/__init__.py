@@ -67,7 +67,6 @@ from .portfolio import (
 )
 from .simulation import (
     EdgeworthComparison,
-    EmpiricalCdf,
     ScenarioConfig,
     SimulationReport,
     compare_edgeworth,
@@ -104,7 +103,7 @@ __all__ = [
     "edgeworth_corrections", "edgeworth_cdf",
     # simulation
     "ScenarioConfig", "SimulationReport", "run_scenario", "ks_statistic",
-    "EmpiricalCdf", "empirical_cdf", "EdgeworthComparison", "compare_edgeworth",
+    "empirical_cdf", "EdgeworthComparison", "compare_edgeworth",
     # stability
     "StabilityReport", "theorem4_bound", "verify_stability", "blend_distances",
     # portfolio

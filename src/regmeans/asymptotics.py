@@ -6,14 +6,21 @@ For X ~ dist and a generator g, the population counterpart of the mean is
 
 and the scaled estimation error sqrt(n)*(M_g - E_g) is asymptotically normal
 with variance var(g(X)) / g'(E_g)**2.  This module computes those quantities
-(closed forms for the built-in generators, adaptive quadrature for custom
-ones), plus the Edgeworth refinement of the normal CDF driven by the
-skewness and excess kurtosis of g(X).
+(closed forms for the built-in generators, quadrature for custom ones),
+plus the Edgeworth refinement of the normal CDF driven by the skewness and
+excess kurtosis of g(X).
 
 All of them rest on the first four moments of g(X), and one routine,
 ``_g_stats``, computes those: E_g needs the mean, the limiting variance the
-mean and variance, the Edgeworth terms all four.  It standardizes raw
-moments with distributions.moments_from_raw, as Uniform.log_moments does.
+mean and variance, the Edgeworth terms all four.  Closed forms give raw
+moments, quadrature the mean and central moments; both are standardized by
+distributions._standardize.
+
+The quadrature is one tanh-sinh rule in quantile space for every law
+(Takahasi and Mori, 1974; Trefethen and Weideman, 2014): E[fn(X)] is the
+integral of fn(Q(u)) over (0, 1), a trapezoid sum in t after u = 1/(1 +
+exp(-pi sinh t)), whose error squares as the step halves for an integrand
+smooth inside the support.  fn is called on arrays of nodes.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Gamma, LogNormal, Uniform, moments_from_raw
+from .distributions import _standardize, moments_from_raw
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -34,7 +41,7 @@ from .errors import (
     InvalidParameterError,
     NumericError,
 )
-from .generators import Generator, require_count
+from .generators import Generator, _vectorized, require_count
 
 __all__ = [
     "GMoments",
@@ -51,11 +58,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Quadrature targets (relative accuracy is what matters: values span e**16).
-_QUAD_EPSABS = 1e-12
-_QUAD_EPSREL = 1e-11
-_QUAD_LIMIT = 200
 
 _METHODS = ("auto", "closed_form", "quadrature")
 
@@ -91,105 +93,95 @@ class AsymptoticSpec:
 # ---------------------------------------------------------------------------
 # Quadrature
 
-def _tail_slope(fn, pick) -> float:
-    """Log-log slope of |fn(pick(u))| against u as u -> 0, where pick is a
-    distribution's quantile (lower end) or isf (upper end): fn(Q(u)) ~ u**slope
-    there.  Probes reach u=1e-60 via the quantile/isf closed forms, far beyond
-    where quadrature samples.  Overflow gives -inf; an integrand that vanishes
-    at the probes gives 0."""
-    u1, u2 = 1e-54, 1e-60
-    try:
-        # overflow to inf is the divergence signal, not an error
-        h1 = abs(float(fn(float(pick(u1)))))
-        h2 = abs(float(fn(float(pick(u2)))))
-    except OverflowError:
-        return -math.inf
-    if not (math.isfinite(h1) and math.isfinite(h2)):
-        return -math.inf
-    if h1 == 0.0 or h2 == 0.0:
-        return 0.0
-    return (math.log(h2) - math.log(h1)) / (math.log(u2) - math.log(u1))
+_STEP = 0.125        # the first step h of the rule
+_HALVINGS = 7        # halvings of h before ConvergenceError
+_T_END = 6.1         # the last node: d = 1/(1 + exp(pi sinh 6.1)) ~ 1e-304
+_RTOL = 1e-11        # agreement of two steps, relative to sum(w |term|)
+_DIVERGES = -(1.0 - 1e-3)  # a tail slope at or below this is not integrable
 
 
-def _run_quad(fn, lo, hi, **kwargs):
-    # imported on first use: scipy.integrate adds about 27 MB and 0.3 s to a
-    # process, and only quadrature needs it
-    from scipy.integrate import quad
+def _tail_slope(dist, fn) -> float:
+    """The smaller of the log-log slopes of |fn(Q(u))| against u as u -> 0,
+    Q being dist.quantile at the lower end and dist.isf at the upper:
+    fn(Q(u)) ~ u**slope there, not integrable at slope -1 or below.  The
+    probes are u = 1e-54 and 1e-60.  A value that is not finite at a probe
+    (an overflow) gives -inf; one that vanishes gives 0."""
+    u = np.array([1e-54, 1e-60])
+    h = np.abs(_vectorized(fn, np.concatenate([dist.quantile(u), dist.isf(u)]), "fn"))
+    slopes = [-math.inf if not np.all(np.isfinite(end)) else
+              0.0 if np.any(end == 0.0) else
+              (math.log(end[1]) - math.log(end[0])) / math.log(u[1] / u[0])
+              for end in (h[:2], h[2:])]
+    return min(slopes)
 
-    out = quad(fn, lo, hi, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
-               limit=_QUAD_LIMIT, full_output=1, **kwargs)
-    value = out[0]
-    if len(out) > 3:  # QUADPACK attached a failure message
-        raise ConvergenceError(f"quadrature did not converge: {out[3]}")
-    if not math.isfinite(value):
-        raise ConvergenceError("quadrature produced a non-finite value")
-    return float(value)
+
+def _nodes(dist, h: float, first: bool) -> tuple:
+    """The nodes x and the weights w/h of the tanh-sinh rule of step h in
+    quantile space that the rule of step 2h lacks (all of them on the first
+    step).  Node t sits at distance d = 1/(1 + exp(pi sinh|t|)) from the
+    nearer end of (0, 1), held as d itself: quantile(d) below 1/2 and
+    isf(d) above, since quantile(1 - d) rounds to the end for tiny d."""
+    t = np.arange(0 if first else 1, int(_T_END / h) + 1, 1 if first else 2) * h
+    d = 1.0 / (1.0 + np.exp(np.pi * np.sinh(t)))
+    w = np.pi * np.cosh(t) * d * (1.0 - d)
+    k = int(first)  # t = 0 is one node, not two
+    return (np.concatenate([dist.quantile(d), dist.isf(d[k:])]),
+            np.concatenate([w, w[k:]]))
+
+
+def _moments(dist, fn, order: int) -> tuple:
+    """The mean of fn(X) and its central moments of orders 2 to ``order``,
+    all from one evaluation of fn per step: raw moments lose digits to
+    cancellation.  The step halves from 1/8 until every sum agrees with the
+    previous step's to _RTOL of its sum of |terms|; ConvergenceError after
+    _HALVINGS halvings, or at once for a tail so heavy (a slope of about
+    -0.95 or below) that the nodes do not reach where it fades.  A node
+    whose quantile rounds onto an end of dist.support, where fn is not
+    finite, carries no mass: the tail screen has shown the integrand
+    integrable there."""
+    ends = (dist.support.lo, dist.support.hi)
+    h, y, w, last = _STEP, [], [], None
+    for step in range(_HALVINGS + 1):
+        xs, ws = _nodes(dist, h, step == 0)
+        ys = _vectorized(fn, xs, "fn")
+        void = ~np.isfinite(ys) & np.isin(xs, ends)
+        y = np.concatenate([y, np.where(void, 0.0, ys)])
+        w = np.concatenate([w, np.where(void, 0.0, ws)])
+        mean = h * np.sum(w * y)
+        terms = np.array([w * y] + [w * (y - mean) ** k for k in range(2, order + 1)])
+        sums, scale = h * np.sum(terms, axis=1), h * np.sum(np.abs(terms), axis=1)
+        if not np.all(np.isfinite(scale)):
+            raise ConvergenceError("quadrature produced a non-finite value")
+        # past the screen, the tail beyond the first step's outermost nodes
+        # (t = -6 and 6) is at most about 1.6 times their term: a term there
+        # that is not negligible is a tail the rule would cut off
+        if step == 0 and np.any(np.abs(terms[:, [len(y) // 2, -1]]).T > _RTOL * scale):
+            raise ConvergenceError("the integrand is not negligible at the rule's last nodes")
+        if last is not None and np.all(np.abs(sums - last) <= _RTOL * scale):
+            return tuple(float(s) for s in sums)
+        h, last = 0.5 * h, sums
+    raise ConvergenceError(f"quadrature did not converge in {_HALVINGS} halvings of the step")
 
 
 def expect(dist, fn) -> float:
-    """E[fn(X)] by adaptive quadrature.
+    """E[fn(X)] by tanh-sinh quadrature in quantile space, the one rule for
+    every law, built-in or duck-typed (anything with support, spec, and
+    quantile and isf that take arrays).
 
-    The integration variable is chosen per family (Gaussian z-space for
-    LogNormal, a windowed x-space for Gamma, quantile space for Pareto,
-    direct x-space for Uniform; quantile space for anything duck-typed).
-    Because the windowed/z-space forms truncate tails that carry negligible
-    probability mass, a tail-exponent screen runs first and raises
-    DivergenceError for integrands those tails cannot absorb: a slope <= -1
-    means the quantile-space integrand is non-integrable at that end.
-
-    QUADPACK calls the integrand one node at a time, so the cost per node
-    sets the cost of a call.  In quantile space each node is one
-    dist.quantile or dist.isf call on a Python float, which the built-in
-    families answer with float arithmetic, not a 0-d array; a quantile whose
-    power overflows is inf there, as in the array path, never OverflowError.
+    fn must be vectorized: it is called on arrays of nodes, and a
+    scalar-only fn is ConfigurationError.  The rule converges double
+    exponentially for an integrand that is smooth inside the support; a
+    kink, as in a piecewise fn, is ConvergenceError, not a value.  A
+    tail-exponent screen runs first and raises DivergenceError for an
+    integrand that one end of the quantile space cannot absorb.
     """
     # float errors are values here: overflow is the tail screen's divergence
-    # signal and a non-finite quadrature is ConvergenceError, underflow a
-    # zero, so a caller's np.errstate leaves the result as it is
+    # signal and a non-finite sum is ConvergenceError, underflow a zero, so
+    # a caller's np.errstate leaves the result as it is
     with np.errstate(all="ignore"):
-        lower, upper = (_tail_slope(fn, pick) for pick in (dist.quantile, dist.isf))
-        if min(lower, upper) <= -(1.0 - 1e-3):
+        if _tail_slope(dist, fn) <= _DIVERGES:
             raise DivergenceError(f"E[fn(X)] diverges for {dist.spec!r}")
-
-        if isinstance(dist, LogNormal):
-            mu, sig = dist.mu, dist.sigma
-
-            def integrand(z):
-                e = -0.5 * z * z
-                if e < -745.0:  # Gaussian weight underflows first
-                    return 0.0
-                return fn(math.exp(mu + sig * z)) * _INV_SQRT2PI * math.exp(e)
-
-            return _run_quad(integrand, -np.inf, np.inf)
-
-        if isinstance(dist, Gamma):
-            lo = float(dist.quantile(1e-15))
-            hi = float(dist.isf(1e-15))
-            mode = dist.shape / dist.rate
-            points = [mode] if lo < mode < hi else None
-            return _run_quad(lambda x: fn(x) * dist.pdf(x), lo, hi, points=points)
-
-        if isinstance(dist, Uniform):
-            w = dist.hi - dist.lo
-            return _run_quad(lambda x: fn(x) / w, dist.lo, dist.hi)
-
-        # Pareto and any duck-typed distribution: integrate in quantile space,
-        # where the density cancels; endpoints carry no mass.  Each half goes
-        # through the function that resolves its end: quantile(u) below 1/2, and
-        # above it isf, since quantile(1 - p) rounds to quantile(1) for tiny p.
-        # The upper tail fn(isf(p)) ~ p**upper is an endpoint singularity that
-        # defeats QAGS' extrapolation (pareto:10:1, x**8); p = v**k with
-        # k >= 1/(1 + upper) turns it into the bounded k v**(k-1) fn(isf(v**k)).
-        k = max(1, math.ceil(1.0 / (1.0 + upper)))
-
-        def lower_half(u):
-            return fn(float(dist.quantile(u))) if u > 0.0 else 0.0
-
-        def upper_half(v):
-            p = v ** k
-            return fn(float(dist.isf(p))) * k * v ** (k - 1) if p > 0.0 else 0.0
-
-        return _run_quad(lower_half, 0.0, 0.5) + _run_quad(upper_half, 0.0, 0.5 ** (1.0 / k))
+        return _moments(dist, fn, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -229,22 +221,29 @@ def _g_stats(g: Generator, dist, how: str, order: int) -> tuple:
     """
     if how == "closed_form" and g.kind == "log":
         return dist.log_moments()[:order]
+    if how == "quadrature":
+        with np.errstate(all="ignore"):  # as in expect
+            slope = _tail_slope(dist, g.forward)
+            for k in range(1, order + 1):
+                if k * slope <= _DIVERGES:  # |g**k| has k times the slope of |g|
+                    raise _divergent(g, dist, k)
+            mean, *central = _moments(dist, g.forward, order)
+        if g.kind == "exp" and mean < sys.float_info.min:
+            # as Uniform.mgf rules: a 0 or a subnormal has lost its digits
+            raise NumericError(f"E[g(X)] underflows the normal float range for "
+                               f"g={g.name!r}, dist={dist.spec!r}")
+        return _standardize(mean, central)
     raws = []
     for k in range(1, order + 1):
-        if how == "closed_form":
-            r = _closed_g_raw(g, dist, k)
-        else:
-            r = expect(dist, lambda x: g.forward(x) ** k)
-            if g.kind == "exp" and r < sys.float_info.min:
-                # as Uniform.mgf rules: a 0 or a subnormal has lost its digits
-                raise NumericError(
-                    f"E[g(X)**{k}] underflows the normal float range for "
-                    f"g={g.name!r}, dist={dist.spec!r}")
+        r = _closed_g_raw(g, dist, k)
         if math.isinf(r):
-            raise DivergenceError(
-                f"E[g(X)**{k}] diverges for g={g.name!r}, dist={dist.spec!r}")
+            raise _divergent(g, dist, k)
         raws.append(r)
     return moments_from_raw(raws)
+
+
+def _divergent(g: Generator, dist, k: int) -> DivergenceError:
+    return DivergenceError(f"E[g(X)**{k}] diverges for g={g.name!r}, dist={dist.spec!r}")
 
 
 def kolmogorov_expectation(g: Generator, dist, method: str = "auto") -> float:
@@ -292,7 +291,7 @@ def asymptotic_variance(g: Generator, dist, method: str = "auto") -> AsymptoticS
 def phi_cdf(x):
     """Standard normal CDF via the complementary error function.  A NaN
     value is DomainError."""
-    from scipy.special import erfc  # imported on first use, as quad is
+    from scipy.special import erfc  # imported on first use
 
     xa = np.asarray(x, dtype=float)
     out = np.negative(xa, out=np.empty(xa.shape))

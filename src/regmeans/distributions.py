@@ -16,9 +16,8 @@ NumericError, so inf keeps meaning divergent.  scipy.special is imported
 inside the methods that use it: it costs about 0.35 s and 19 MB at import,
 and sampling and taking means never need it.
 
-quantile and isf answer a Python float without a 0-d array: quadrature in
-quantile space (asymptotics.expect on a Pareto) calls them once per node.
-Like the array path, they return inf where a power overflows (see _at_u).
+pdf, cdf, quantile and isf take a number (giving a float) or an array; the
+quadrature in asymptotics calls quantile and isf on arrays of nodes.
 """
 
 from __future__ import annotations
@@ -53,25 +52,35 @@ def _on_support(x, inside, f):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def moments_from_raw(raws) -> tuple:
-    """The first len(raws) (1, 2 or 4) of (mean, variance, skewness, excess
-    kurtosis) of Y from its raw moments E[Y**k], k = 1, 2, ...  A variance
-    that rounds below zero is zero, and a zero variance gives NaN skewness
-    and kurtosis.  The central moments are divided by the variance one
-    factor at a time: var**1.5 and var**2 underflow where var is a normal
-    float."""
-    r1 = raws[0]
-    if len(raws) == 1:
-        return (r1,)
-    var = max(raws[1] - r1 * r1, 0.0)
-    if len(raws) == 2:
-        return r1, var
+def _standardize(mean: float, central) -> tuple:
+    """(mean, variance, skewness, excess kurtosis) of Y, cut to 1 +
+    len(central) entries, from its mean and its central moments of orders
+    2, 3, 4 (none, the first, or all three).  A variance that rounds below
+    zero is zero, and a zero variance gives NaN skewness and kurtosis.  The
+    central moments are divided by the variance one factor at a time:
+    var**1.5 and var**2 underflow where var is a normal float."""
+    if not central:
+        return (mean,)
+    var = max(central[0], 0.0)
+    if len(central) == 1:
+        return mean, var
     if var == 0.0:
-        return r1, var, math.nan, math.nan
-    r2, r3, r4 = raws[1:]
-    c3 = r3 - 3.0 * r1 * r2 + 2.0 * r1 ** 3
-    c4 = r4 - 4.0 * r1 * r3 + 6.0 * r1 * r1 * r2 - 3.0 * r1 ** 4
-    return r1, var, c3 / var / math.sqrt(var), c4 / var / var - 3.0
+        return mean, var, math.nan, math.nan
+    c3, c4 = central[1:]
+    return mean, var, c3 / var / math.sqrt(var), c4 / var / var - 3.0
+
+
+def moments_from_raw(raws) -> tuple:
+    """_standardize from the raw moments E[Y**k], k = 1, ..., len(raws)
+    (1, 2 or 4)."""
+    r1, central = raws[0], []
+    if len(raws) > 1:
+        central.append(raws[1] - r1 * r1)
+    if len(raws) == 4:
+        r2, r3, r4 = raws[1:]
+        central += [r3 - 3.0 * r1 * r2 + 2.0 * r1 ** 3,
+                    r4 - 4.0 * r1 * r3 + 6.0 * r1 * r1 * r2 - 3.0 * r1 ** 4]
+    return _standardize(r1, central)
 
 
 def _overflow(what: str, spec: str) -> NumericError:
@@ -90,29 +99,15 @@ def _normal(v: float, what: str, spec: str) -> float:
 
 def _at_u(u, f):
     """f at the values of u, which must lie strictly in (0, 1); a float for
-    a scalar u.
-
-    A Python float, one quadrature node, skips the 0-d array round trip and
-    goes through f as a float, with the same check and message.  Python's
-    float power differs from numpy's by at most 2 ulp on some nodes
-    (Pareto); the other families' formulas give the same bits.
-    Where a float power overflows, Python raises OverflowError and numpy
-    rounds to inf; the scalar path returns that inf (only Pareto's positive
-    quantiles take a power).
-    """
+    a scalar u.  A quantile beyond the float range (a power that
+    overflows) is inf."""
+    arr = np.asarray(u, dtype=float)
     # NaN compares False everywhere, so it fails both checks
-    if type(u) is float:
-        if 0.0 < u < 1.0:
-            try:
-                return float(f(u))
-            except OverflowError:
-                return math.inf
-    else:
-        arr = np.asarray(u, dtype=float)
-        if np.all((arr > 0.0) & (arr < 1.0)):
-            out = f(arr)
-            return out if out.ndim else float(out)
-    raise InvalidParameterError("quantile argument must lie strictly in (0, 1)")
+    if not np.all((arr > 0.0) & (arr < 1.0)):
+        raise InvalidParameterError("quantile argument must lie strictly in (0, 1)")
+    with np.errstate(over="ignore"):
+        out = f(arr)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -217,15 +212,8 @@ class Gamma:
 
     def pdf(self, x):
         c, a, r = self._log_norm, self.shape - 1.0, self.rate
-        if isinstance(x, (int, float)):
-            # quadrature asks for one node at a time: math, not a 1-element array
-            if not x > 0:
-                return 0.0
-            try:
-                return math.exp(c + a * math.log(x) - r * x)
-            except OverflowError:
-                return math.inf  # as np.exp rounds it
-        return _on_support(x, lambda v: v > 0, lambda v: np.exp(c + a * np.log(v) - r * v))
+        with np.errstate(over="ignore"):  # x**(shape - 1) beyond the float range is inf
+            return _on_support(x, lambda v: v > 0, lambda v: np.exp(c + a * np.log(v) - r * v))
 
     def cdf(self, x):
         from scipy.special import gammainc

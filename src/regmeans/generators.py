@@ -130,6 +130,19 @@ def _require_real(value, name: str):
     return value
 
 
+def _vectorized(fn, x: np.ndarray, what: str) -> np.ndarray:
+    """fn(x) as a float array of x's shape, else ConfigurationError naming
+    what: fn must map the array elementwise."""
+    try:
+        y = np.asarray(fn(x), dtype=float)
+    except (TypeError, ValueError) as exc:  # a scalar-only fn, e.g. one built on math
+        raise ConfigurationError(f"{what} must be vectorized: {exc}") from None
+    if y.shape != x.shape:
+        raise ConfigurationError(
+            f"{what} mapped {x.size} values to shape {y.shape}; it must be vectorized")
+    return y
+
+
 @dataclass(frozen=True)
 class Generator:
     """A strictly monotone generator g with inverse and derivative.

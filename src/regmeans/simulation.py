@@ -41,10 +41,10 @@ from .asymptotics import (AsymptoticSpec, GMoments, _edgeworth_cdf, asymptotic_v
                           g_moments, phi_cdf)
 from .distributions import DistributionModel, Pareto, Uniform
 from .errors import ConfigurationError, DivergenceError, DomainError, InvalidParameterError
-from .generators import Generator, Interval, require_count
+from .generators import Generator, Interval, _vectorized, require_count
 from .means import row_means
 
-__all__ = ["ScenarioConfig", "SimulationReport", "run_scenario", "ks_statistic", "EmpiricalCdf",
+__all__ = ["ScenarioConfig", "SimulationReport", "run_scenario", "ks_statistic",
            "empirical_cdf", "EdgeworthComparison", "compare_edgeworth"]
 
 
@@ -236,14 +236,7 @@ def ks_statistic(values, reference_cdf) -> float:
     to an array of their shape, with no NaN, else ConfigurationError.  A NaN
     value is DomainError."""
     v = _sorted_values(values, "ks_statistic")
-    try:
-        f = np.asarray(reference_cdf(v), dtype=float)
-    except (TypeError, ValueError) as exc:  # a scalar-only CDF, e.g. one built on math
-        raise ConfigurationError(f"reference CDF must be vectorized: {exc}") from None
-    if f.shape != v.shape:
-        raise ConfigurationError(
-            f"reference CDF mapped {v.shape[0]} values to shape {f.shape}; "
-            "it must be vectorized")
+    f = _vectorized(reference_cdf, v, "reference CDF")
     d = _ks_sup(f, _cdf_steps(v.size), np.empty_like(v))
     if math.isnan(d):
         raise ConfigurationError("reference CDF returned NaN for a value that is not NaN")
@@ -251,8 +244,9 @@ def ks_statistic(values, reference_cdf) -> float:
 
 
 @dataclass(frozen=True)
-class EmpiricalCdf:
-    """Right-continuous empirical CDF of N sorted values: i/N at the i-th."""
+class _EmpiricalCdf:
+    """Right-continuous empirical CDF of N sorted values: i/N at the i-th.
+    It trusts values to be sorted floats, so only empirical_cdf builds it."""
 
     values: np.ndarray
 
@@ -268,11 +262,11 @@ class EmpiricalCdf:
         return float(out) if arr.ndim == 0 else out
 
 
-def empirical_cdf(values) -> EmpiricalCdf:
+def empirical_cdf(values) -> _EmpiricalCdf:
     """The empirical CDF of values; no value is ConfigurationError and a
     NaN value DomainError."""
     v = _sorted_values(values, "empirical_cdf")
-    return EmpiricalCdf(values=v)
+    return _EmpiricalCdf(values=v)
 
 
 @dataclass(frozen=True)

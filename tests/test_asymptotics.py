@@ -1,5 +1,6 @@
 """Generalized expectations, limiting variances, and the Edgeworth expansion."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -13,11 +14,14 @@ from scipy import stats
 
 from regmeans import (
     ConfigurationError,
+    ConvergenceError,
     DegenerateSlopeError,
     DivergenceError,
     DomainError,
     Gamma,
+    Generator,
     GMoments,
+    Interval,
     InvalidParameterError,
     LogNormal,
     NumericError,
@@ -52,7 +56,14 @@ class TestExpect:
         assert expect(UNI, lambda x: x) == pytest.approx(1.5, abs=1e-10)
 
     def test_log_integrand(self):
-        assert expect(LN, math.log) == pytest.approx(2.0, abs=1e-9)
+        assert expect(LN, np.log) == pytest.approx(2.0, abs=1e-9)
+
+    def test_scalar_only_integrand_is_configuration_error(self):
+        # the rule calls fn on arrays of nodes
+        with pytest.raises(ConfigurationError, match="vectorized"):
+            expect(LN, math.log)
+        with pytest.raises(ConfigurationError, match="vectorized"):
+            expect(LN, lambda x: 1.0)
 
     def test_divergent_integrand_flagged(self):
         with pytest.raises(DivergenceError):
@@ -64,31 +75,48 @@ class TestExpect:
         # an endpoint singularity that plain QAGS gave up on at t = 8
         assert expect(PAR, lambda x: x ** t) == pytest.approx(10.0 / (10.0 - t), rel=1e-12)
 
-    def test_pareto_nodes_take_no_array_round_trip(self, monkeypatch):
-        # every quantile-space node is one quantile/isf call; a float node
-        # must not go through np.asarray
-        from regmeans import distributions
+    @pytest.mark.parametrize("t", [9.6, 9.9, 9.95])
+    def test_tail_the_nodes_do_not_reach_is_convergence_error(self, t):
+        # integrable, but (1-u)**(-t/10) still matters beyond the rule's
+        # last nodes (u near 1e-300): cut off there, 9.7 lost 7.5e-10
+        with pytest.raises(ConvergenceError):
+            expect(PAR, lambda x: x ** t)
 
-        counts = {"nodes": 0, "asarray": 0}
-        at_u, asarray = distributions._at_u, np.asarray
+    def test_quadrature_evaluates_g_once_per_step(self):
+        # one call on the tail screen's four probes, then one per step of
+        # the rule on the nodes it adds: every moment comes from the same
+        # values, and no node is evaluated twice
+        log, sizes = parse_generator("log"), []
 
-        def counting_at_u(u, f):
-            counts["nodes"] += 1
-            return at_u(u, f)
+        def forward(x):
+            sizes.append(np.size(x))
+            return log.forward(x)
 
-        def counting_asarray(*args, **kwargs):
-            counts["asarray"] += 1
-            return asarray(*args, **kwargs)
+        g_moments(dataclasses.replace(log, forward=forward), GAM, method="quadrature")
+        screen, *steps = sizes
+        assert screen == 4
+        assert 2 <= len(steps) <= 1 + asymptotics._HALVINGS
+        h = asymptotics._STEP / 2 ** (len(steps) - 1)
+        assert sum(steps) == 2 * int(asymptotics._T_END / h) + 1
 
-        class CountingNumpy:
-            def __getattr__(self, name):
-                return counting_asarray if name == "asarray" else getattr(np, name)
+    def test_log_gamma_below_shape_one_matches_the_closed_form(self):
+        # nodes whose quantile rounds to 0 carry no mass; log(0) made it inf
+        g, dist = parse_generator("log"), Gamma(0.5, 2.0)
+        closed = g_moments(g, dist, method="closed_form")
+        quad = g_moments(g, dist, method="quadrature")
+        for field in ("mean_g", "var_g", "skew_g", "exkurt_g"):
+            assert getattr(quad, field) == pytest.approx(getattr(closed, field), rel=1e-12)
 
-        monkeypatch.setattr(distributions, "_at_u", counting_at_u)
-        monkeypatch.setattr(distributions, "np", CountingNumpy())
-        g_moments(parse_generator("log"), PAR, method="quadrature")
-        assert counts["nodes"] > 1000
-        assert counts["asarray"] == 0
+    @pytest.mark.parametrize("fn", [kolmogorov_expectation, asymptotic_variance, g_moments])
+    def test_kinked_generator_is_convergence_error(self, fn):
+        # slope 1 below 1.5 and 2 above: the rule converges only for a
+        # smooth integrand, and a kink must not come back as a value
+        g = Generator("kink", Interval(-math.inf, math.inf),
+                      lambda x: np.where(x < 1.5, x, 2.0 * x - 1.5),
+                      lambda y: np.where(y < 1.5, y, 0.5 * (y + 1.5)),
+                      lambda x: np.where(x < 1.5, 1.0, 2.0), "increasing")
+        with pytest.raises(ConvergenceError):
+            fn(g, UNI)
 
 
 def test_quadrature_is_imported_on_first_use():
@@ -98,10 +126,14 @@ def test_quadrature_is_imported_on_first_use():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, regmeans; regmeans.mean(regmeans.parse_generator('log'), [1.0, 2.0]); "
             "print('scipy.integrate' in sys.modules); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "regmeans.g_moments(regmeans.parse_generator('log'), "
+            "regmeans.parse_distribution('gamma:2:1'), method='quadrature'); "
+            "print('scipy.integrate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.splitlines() == ["False", "[]"]
+    # quadrature needs no scipy.integrate either: its rule is in asymptotics
+    assert out.stdout.splitlines() == ["False", "[]", "False"]
 
 
 class TestKolmogorovExpectation:
@@ -364,20 +396,6 @@ class TestAsymptoticVariance:
         spec = asymptotic_variance(parse_generator("identity"), GAM)
         assert spec.asym_var == pytest.approx(100.0, rel=1e-9)
         assert spec.gprime_at_eg == 1.0
-
-    def test_quadrature_integrates_each_moment_once(self, monkeypatch):
-        # E[g] and E[g**2]; E[g] is not integrated a second time for E_g
-        calls = []
-        real = asymptotics.expect
-
-        def counting(dist, fn):
-            calls.append(fn)
-            return real(dist, fn)
-
-        monkeypatch.setattr(asymptotics, "expect", counting)
-        asymptotic_variance(parse_generator("log"), GAM, method="quadrature")
-        assert len(calls) == 2
-
 
 # ---------------------------------------------------------------------------
 # Normal CDF helpers

@@ -127,6 +127,16 @@ class TestEmpiricalCdf:
         F = empirical_cdf([3.0, 1.0, 2.0])
         assert F.at(1.5) == pytest.approx(1 / 3)
 
+    def test_only_empirical_cdf_builds_it(self):
+        # the class trusts its values to be sorted: built directly from
+        # [3, 1, 2] it answered 2/3 at 1.5, where the CDF is 1/3
+        import regmeans
+
+        for module in (regmeans, simulation):
+            assert not hasattr(module, "EmpiricalCdf")
+            assert "EmpiricalCdf" not in module.__all__
+        assert empirical_cdf(np.array([3.0, 1.0, 2.0])).at(1.5) == 1 / 3
+
     @pytest.mark.parametrize("values", [[1.0, math.nan], [math.nan], [math.nan, -1.0, 2.0]])
     def test_nan_value_is_domain_error(self, values):
         # the NaN was sorted last and counted: at(1.0) was 0.5 for [1, nan]
