@@ -12,9 +12,13 @@ parameter that is not a real number, or a sample size n that is not an
 integer >= 1, is InvalidParameterError naming it.  Divergent
 moments are flagged as math.inf, not raised; callers decide whether infinity
 is an error in their context.  A finite moment beyond the float range raises
-NumericError, so inf keeps meaning divergent.  scipy.special is imported
-inside the methods that use it: it costs about 0.35 s and 19 MB at import,
-and sampling and taking means never need it.
+NumericError, so inf keeps meaning divergent.  The moments need no
+scipy: Gamma's take math.lgamma, exact products at integer orders and the
+digamma series of _polygamma.  Only the cdf, quantile and isf methods of
+LogNormal and Gamma import scipy.special, on first use: after regmeans it
+takes 0.20-0.27 s and raises the resident set from about 30 to 53 MB (3
+runs on a 2-vCPU host).  Quadrature and its tail screen call them;
+sampling, means and the Monte Carlo harness do not.
 
 pdf, cdf, quantile and isf take a number (giving a float) or an array; the
 quadrature in asymptotics calls quantile and isf on arrays of nodes.
@@ -108,6 +112,36 @@ def _at_u(u, f):
     with np.errstate(over="ignore"):
         out = f(arr)
     return out if out.ndim else float(out)
+
+
+# Integer orders of Gamma.power_moment up to this size are exact products.
+_EXACT_ORDERS = 1024
+
+# B_2k, k = 1..10, for the asymptotic series of the polygamma functions
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+              43867 / 798, -174611 / 330)
+
+
+def _polygamma(n: int, x: float) -> float:
+    """psi^(n)(x), the n-th derivative of digamma, for n in 0..3 and x > 0.
+    The recurrence psi^(n)(x) = psi^(n)(x + 1) - (-1)^n n! / x^(n+1) takes
+    x up to y >= 12, where ten terms of the asymptotic series (Abramowitz
+    and Stegun 6.3.18 and 6.4.11) reach a double; every term is summed by
+    math.fsum, so a value near digamma's root, about 1.4616, keeps its
+    absolute accuracy.  Raises OverflowError where x**-(n+1) does."""
+    sign, fact = (-1.0) ** (n + 1), math.factorial(n)
+    m = max(0, math.ceil(12.0 - x))
+    terms = [sign * fact * (x + i) ** -(n + 1) for i in range(m)]
+    y = x + m
+    if n == 0:
+        terms += [math.log(y), -0.5 / y]
+        terms += [-b / (2 * k) * y ** (-2 * k) for k, b in enumerate(_BERNOULLI, 1)]
+    else:
+        # (-1)^(n-1) [(n-1)!/y^n + n!/(2 y^(n+1)) + sum B_2k (2k+n-1)!/((2k)! y^(2k+n))]
+        terms += [sign * math.factorial(n - 1) * y ** -n, sign * 0.5 * fact * y ** -(n + 1)]
+        terms += [sign * b * math.factorial(2 * k + n - 1) / math.factorial(2 * k)
+                  * y ** -(2 * k + n) for k, b in enumerate(_BERNOULLI, 1)]
+    return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -206,9 +240,10 @@ class Gamma:
 
     @cached_property
     def _log_norm(self) -> float:
-        from scipy.special import gammaln
-
-        return self.shape * math.log(self.rate) - float(gammaln(self.shape))
+        try:
+            return self.shape * math.log(self.rate) - math.lgamma(self.shape)
+        except OverflowError:  # lgamma beyond the float range, a shape above 1e305
+            raise _overflow("lgamma(shape)", self.spec) from None
 
     def pdf(self, x):
         c, a, r = self._log_norm, self.shape - 1.0, self.rate
@@ -231,15 +266,28 @@ class Gamma:
         return _at_u(u, lambda v: gammainccinv(self.shape, v) / self.rate)
 
     def power_moment(self, t: float) -> float:
-        from scipy.special import gammaln
-
+        """Gamma(shape + t) / (Gamma(shape) rate**t).  At an integer t up to
+        _EXACT_ORDERS in size it is the product of the factors (shape + i) /
+        rate, or rate / (shape - 1 - i) at t < 0, one rounding each; the
+        lgamma difference of other orders cancels, and at shape 1000 it kept
+        only 9 digits of the variance."""
         if self.shape + t <= 0:
             return math.inf  # not integrable at the origin
+        what = f"E[X**{t:g}]"
         try:
-            return _normal(math.exp(gammaln(self.shape + t) - gammaln(self.shape)
-                                    - t * math.log(self.rate)), f"E[X**{t:g}]", self.spec)
+            if float(t).is_integer() and abs(t) <= _EXACT_ORDERS:
+                m = 1.0
+                for i in range(int(abs(t))):
+                    m *= ((self.shape + i) / self.rate if t > 0
+                          else self.rate / (self.shape - 1.0 - i))
+            else:
+                m = math.exp(math.lgamma(self.shape + t) - math.lgamma(self.shape)
+                             - t * math.log(self.rate))
         except OverflowError:
-            raise _overflow(f"E[X**{t:g}]", self.spec) from None
+            raise _overflow(what, self.spec) from None
+        if math.isinf(m):
+            raise _overflow(what, self.spec)
+        return _normal(m, what, self.spec)
 
     def mgf(self, t: float):
         if t >= self.rate:
@@ -247,17 +295,18 @@ class Gamma:
         return (1.0 - t / self.rate) ** (-self.shape)
 
     def log_moments(self):
-        from scipy.special import digamma, polygamma
-
         # a shape near the float's smallest sends digamma to -inf and the
         # polygammas to inf: NumericError, not a moment of inf or NaN
-        v = float(polygamma(1, self.shape))
-        out = (
-            float(digamma(self.shape)) - math.log(self.rate),
-            v,
-            float(polygamma(2, self.shape)) / v / math.sqrt(v),
-            float(polygamma(3, self.shape)) / v / v,
-        )
+        try:
+            v = _polygamma(1, self.shape)
+            out = (
+                _polygamma(0, self.shape) - math.log(self.rate),
+                v,
+                _polygamma(2, self.shape) / v / math.sqrt(v),
+                _polygamma(3, self.shape) / v / v,
+            )
+        except OverflowError:
+            raise _overflow("a moment of ln X", self.spec) from None
         if not all(math.isfinite(m) for m in out):
             raise _overflow("a moment of ln X", self.spec)
         return out

@@ -1,5 +1,6 @@
 """Generalized expectations, limiting variances, and the Edgeworth expansion."""
 
+import ast
 import dataclasses
 import math
 import os
@@ -119,21 +120,60 @@ class TestExpect:
             fn(g, UNI)
 
 
-def test_quadrature_is_imported_on_first_use():
-    # a process that only takes means never loads scipy.integrate, nor any
-    # other scipy module (scipy.special is imported where it is used too)
+def _fresh_process(code: str) -> list:
+    """The lines that code prints in a fresh interpreter importing regmeans
+    from this checkout."""
     src = str(Path(asymptotics.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    return out.stdout.splitlines()
+
+
+def test_means_and_quadrature_load_no_scipy():
+    # a process that only takes means loads no scipy module, and quadrature
+    # needs no scipy.integrate: its rule is in asymptotics
     code = ("import sys, regmeans; regmeans.mean(regmeans.parse_generator('log'), [1.0, 2.0]); "
-            "print('scipy.integrate' in sys.modules); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
             "regmeans.g_moments(regmeans.parse_generator('log'), "
             "regmeans.parse_distribution('gamma:2:1'), method='quadrature'); "
             "print('scipy.integrate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
-    # quadrature needs no scipy.integrate either: its rule is in asymptotics
-    assert out.stdout.splitlines() == ["False", "[]", "False"]
+    assert _fresh_process(code) == ["[]", "False"]
+
+
+def test_monte_carlo_loads_no_scipy_special(tmp_path):
+    # Figure 1, a run, its moments and its Edgeworth table need only phi_cdf
+    # and the closed-form Gamma moments, none of them from scipy.special,
+    # which costs about 0.2 s and 17 MB at import
+    code = "\n".join([
+        "import sys, regmeans as rm",
+        f"rm.reproduce_figure1({str(tmp_path)!r}, seed=1, n=20, replicates=40)",
+        "for d, g in (('gamma:1:1', 'identity'), ('gamma:100:1', 'log')):",
+        "    cfg = rm.ScenarioConfig(rm.parse_distribution(d), rm.parse_generator(g), 5, 2000, 1)",
+        "    mom = rm.g_moments(cfg.generator, cfg.dist)",
+        "    rm.compare_edgeworth(rm.run_scenario(cfg), mom, cfg.n)",
+        "print('scipy.special' in sys.modules)",
+    ])
+    assert _fresh_process(code) == ["False"]
+
+
+def _run_at_import(node):
+    """The nodes under node that run when its module is imported: all but
+    the bodies of functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _run_at_import(child)
+
+
+def test_scipy_is_imported_only_inside_functions():
+    # a scipy import that runs with the module loads it for every user
+    for path in sorted(Path(asymptotics.__file__).parent.glob("*.py")):
+        for node in _run_at_import(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(n.split(".")[0] == "scipy" for n in names), (
+                f"{path.name}:{node.lineno} imports scipy at import time")
 
 
 class TestKolmogorovExpectation:
@@ -229,6 +269,23 @@ class TestKolmogorovExpectation:
     def test_quadrature_exp_moment_below_the_normal_range_is_numeric_error(self, fn, lo, hi):
         with pytest.raises(NumericError, match="underflows"):
             fn(parse_generator("exp"), Uniform(lo, hi), method="quadrature")
+
+    def test_gamma_moments_at_a_large_shape(self):
+        # exact products of raw moments: the lgamma differences left the
+        # variance, skewness and excess kurtosis 1.1e-9, 2.0e-7 and 1.3e-4 off
+        mom = g_moments(parse_generator("identity"), Gamma(1000.0, 1.0))
+        assert mom.var_g == 1000.0
+        assert mom.skew_g == pytest.approx(2.0 / math.sqrt(1000.0), rel=1e-15)
+        assert mom.exkurt_g == pytest.approx(0.006, rel=4e-14)
+
+    @pytest.mark.parametrize("spec", ["identity", "reciprocal", "power:2"])
+    def test_gamma_integer_moments_need_no_lgamma(self, spec, monkeypatch):
+        def refuse(x):
+            raise AssertionError(f"lgamma({x})")
+
+        monkeypatch.setattr(math, "lgamma", refuse)
+        g_moments(parse_generator(spec), Gamma(10.0, 2.0))
+        asymptotic_variance(parse_generator(spec), Gamma(10.0, 2.0))
 
     @pytest.mark.parametrize("dist", [LN, GAM, PAR], ids=lambda d: d.spec)
     def test_exp_heavy_tails_diverge(self, dist):
@@ -397,6 +454,13 @@ class TestAsymptoticVariance:
         assert spec.asym_var == pytest.approx(100.0, rel=1e-9)
         assert spec.gprime_at_eg == 1.0
 
+    @pytest.mark.parametrize("dist", ["uniform:1:1e200", "lognormal:700:1"])
+    def test_limiting_variance_beyond_the_float_range_is_numeric_error(self, dist):
+        # g'(E_g) = 1/E_g is about 1e-200 and e**-700: its square underflowed
+        # to 0 and var / 0 raised a bare ZeroDivisionError
+        with pytest.raises(NumericError, match="overflows"):
+            asymptotic_variance(parse_generator("log"), parse_distribution(dist))
+
 # ---------------------------------------------------------------------------
 # Normal CDF helpers
 
@@ -410,10 +474,61 @@ class TestNormalHelpers:
         assert phi_pdf(x) == pytest.approx(stats.norm.pdf(x), abs=1e-14)
 
     def test_phi_cdf_nan_is_domain_error(self):
-        for x in (math.nan, [0.0, math.nan], np.array([[math.nan]])):
+        big = np.linspace(-5.0, 5.0, 4001)
+        big[1234] = math.nan
+        for x in (math.nan, [0.0, math.nan], np.array([[math.nan]]), big):
             with pytest.raises(DomainError):
                 phi_cdf(x)
         assert phi_cdf(np.array([])).size == 0
+
+    def test_phi_cdf_is_within_4_ulp_of_the_c_library(self):
+        # the numpy port of fdlibm's erfc against the C library's (math.erfc)
+        # on [-40, 40], both tails included; scipy's erfc is up to about 500
+        # ulp off the C library's above 6
+        xs = np.linspace(-40.0, 40.0, 200_001)
+        want = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in xs.tolist()])
+        ulps = np.abs(phi_cdf(xs).view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 4
+
+    def test_erfc_is_within_4_ulp_at_the_region_ends(self):
+        ends = [0.25, *asymptotics._ERFC_CUTS, 6.0, 2.0 ** -57, 5e-324, 0.0]
+        a = np.array(ends + [-e for e in ends])
+        a = np.sort(np.concatenate([a, np.nextafter(a, -np.inf), np.nextafter(a, np.inf)]))
+        want = np.array([math.erfc(v) for v in a.tolist()])
+        got = a.copy()
+        with np.errstate(all="ignore"):
+            asymptotics._erfc(got)
+        assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4
+
+    def test_phi_cdf_at_the_infinities(self):
+        xs = np.linspace(-3.0, 3.0, 121)
+        xs[0], xs[-1] = -math.inf, math.inf
+        got = phi_cdf(xs)
+        assert (got[0], got[-1]) == (0.0, 1.0)
+        assert (phi_cdf(-math.inf), phi_cdf(math.inf)) == (0.0, 1.0)
+
+    def test_phi_cdf_is_the_same_whatever_the_errstate(self):
+        # the far lower tail and subnormal x underflow; they are values
+        xs = np.concatenate([np.linspace(-40.0, 40.0, 1999), [5e-324, -5e-324]])
+        plain = phi_cdf(xs)
+        with np.errstate(all="raise"):
+            strict = phi_cdf(xs)
+        np.testing.assert_array_equal(plain.view(np.int64), strict.view(np.int64))
+
+    def test_phi_cdf_bits_do_not_depend_on_the_order_or_the_company(self):
+        # sorted values are cut into slices, others sorted first; a value
+        # alone leaves the other regions empty
+        ends = np.array([0.25, *asymptotics._ERFC_CUTS]) * -math.sqrt(2.0)
+        xs = np.sort(np.concatenate([np.linspace(-9.0, 9.0, 5001), ends, -ends,
+                                     np.nextafter(ends, 0.0), np.nextafter(-ends, 0.0)]))
+        want = phi_cdf(xs)
+        perm = np.random.default_rng(0).permutation(xs.size)
+        np.testing.assert_array_equal(phi_cdf(xs[::-1]), want[::-1])
+        np.testing.assert_array_equal(phi_cdf(xs[perm]), want[perm])
+        np.testing.assert_array_equal(phi_cdf(xs[:5013].reshape(3, -1).T),
+                                      want[:5013].reshape(3, -1).T)
+        np.testing.assert_array_equal([phi_cdf(x) for x in xs[::7]], want[::7])
+        np.testing.assert_array_equal([phi_cdf(x) for x in xs[-18:]], want[-18:])
 
 
 

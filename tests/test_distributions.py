@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, stats
 
+from regmeans.distributions import _polygamma
 from regmeans import (
     DomainError,
     Gamma,
@@ -332,6 +333,15 @@ class TestMoments:
         with pytest.raises(NumericError, match="underflows"):
             dist.power_moment(t)
 
+    def test_gamma_integer_power_moments_are_exact_products(self):
+        # Gamma(k + t) / Gamma(k) / rate**t at integer t, no lgamma difference
+        d = Gamma(1000.0, 1.0)
+        assert [d.power_moment(t) for t in (1.0, 2.0, 3.0, 4.0)] == [
+            1000.0, 1000.0 * 1001.0, 1000.0 * 1001.0 * 1002.0, 1000.0 * 1001.0 * 1002.0 * 1003.0]
+        assert Gamma(4.0, 2.0).power_moment(-3.0) == 8.0 / 6.0  # rate**3 / (3 2 1)
+        assert Gamma(2.5, 1.0).power_moment(0.5) == pytest.approx(
+            math.gamma(3.0) / math.gamma(2.5), rel=1e-14)
+
     def test_gamma_log_moments_at_a_tiny_shape_are_numeric_error(self):
         # digamma(1e-320) is -inf: the moments were (-inf, inf, nan, nan)
         with pytest.raises(NumericError, match="overflows"):
@@ -381,3 +391,34 @@ class TestMoments:
         for t in (-1.5, 0.5, 3.0):
             assert d.power_moment(t) == pytest.approx(
                 math.exp(2.0 * t + 0.5 * t * t), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# Special functions of the Gamma moments
+
+class TestPolygamma:
+    # the shapes of Gamma.log_moments, and digamma's root at about 1.4616
+    XS = np.concatenate([np.geomspace(1e-3, 1e6, 2001), np.linspace(1.40, 1.52, 241)]).tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_orders_one_to_three_match_scipy(self, n):
+        from scipy.special import polygamma
+
+        errs = [abs(_polygamma(n, x) / float(polygamma(n, x)) - 1.0) for x in self.XS]
+        assert max(errs) <= 1e-15
+
+    def test_digamma_matches_scipy(self):
+        from scipy.special import digamma
+
+        errs = [abs(_polygamma(0, x) - float(digamma(x))) / max(1.0, abs(float(digamma(x))))
+                for x in self.XS]
+        assert max(errs) <= 1e-15
+
+    def test_gamma_log_moments_match_scipy(self):
+        from scipy.special import digamma, polygamma
+
+        for shape in (0.5, 1.0, 100.0, 1e5):
+            v = float(polygamma(1, shape))
+            want = (float(digamma(shape)) - math.log(2.0), v,
+                    float(polygamma(2, shape)) / v / math.sqrt(v), float(polygamma(3, shape)) / v / v)
+            assert Gamma(shape, 2.0).log_moments() == pytest.approx(want, rel=1e-14)
