@@ -232,6 +232,13 @@ def _g_stats(g: Generator, dist, how: str, order: int) -> tuple:
             # as Uniform.mgf rules: a 0 or a subnormal has lost its digits
             raise NumericError(f"E[g(X)] underflows the normal float range for "
                                f"g={g.name!r}, dist={dist.spec!r}")
+        # a strictly monotone g of a continuous X has positive even central
+        # moments: a 0 or a subnormal one has lost its digits, as the closed
+        # forms' raw moments rule (identity x lognormal:-700:1 gave var 0)
+        for k, c in zip((2, 4), central[::2]):
+            if c < sys.float_info.min:
+                raise NumericError(f"the central moment of order {k} of g(X) underflows the "
+                                   f"normal float range for g={g.name!r}, dist={dist.spec!r}")
         return _standardize(mean, central)
     raws = []
     for k in range(1, order + 1):
@@ -537,12 +544,14 @@ def edgeworth_corrections(x, n: int, mom: GMoments):
     return tuple(float(c) for c in out) if np.ndim(x) == 0 else out
 
 
-def _edgeworth_cdf(x, n: int, mom: GMoments, phi=None):
-    """edgeworth_cdf, given phi = phi_cdf(x) where the caller holds it."""
+def _edgeworth_cdf(x, n: int, mom: GMoments, phi=None, scratch=None):
+    """edgeworth_cdf, given phi = phi_cdf(x) where the caller holds it, and
+    scratch, an array of x's shape that it may overwrite, where it has one."""
     xa, x2, w, terms = _expansion(x, n, mom)
     if phi is None:
         phi = phi_cdf(x)
-    total, term, p = (np.empty(xa.shape) for _ in range(3))
+    total, term = np.empty(xa.shape), np.empty(xa.shape)
+    p = np.empty(xa.shape) if scratch is None else scratch
     _term_into(total, p, *terms[0], xa, x2, w)
     for spec in terms[1:]:  # (c1 + c2) + c3
         np.add(total, _term_into(term, p, *spec, xa, x2, w), out=total)

@@ -1,7 +1,7 @@
 """The four sampling distributions used by the simulation harness.
 
 Each distribution carries exact pdf/cdf/quantile forms, a seeded sampler
-sample(n, rng), and closed-form moment machinery:
+sample(n, rng, *, out=None), and closed-form moment machinery:
 
     power_moment(t)  E[X**t] for real t (inf when divergent)
     mgf(t)           E[exp(tX)] (inf when divergent, None when no closed form)
@@ -22,6 +22,10 @@ sampling, means and the Monte Carlo harness do not.
 
 pdf, cdf, quantile and isf take a number (giving a float) or an array; the
 quadrature in asymptotics calls quantile and isf on arrays of nodes.
+
+sample draws into out where given (the Monte Carlo harness passes each
+worker's kept buffer), else into a new array, and transforms the draws in
+place, with the bits of the plain formulas and no temporary array.
 """
 
 from __future__ import annotations
@@ -101,6 +105,21 @@ def _normal(v: float, what: str, spec: str) -> float:
     return v
 
 
+def _draw_buffer(n, out) -> np.ndarray:
+    """The array a sampler fills with n draws: out, which must be a
+    writable, aligned, C-contiguous float64 array of shape (n,), else
+    InvalidParameterError; a new array when out is None."""
+    n = require_count(n, "n", 1)
+    if out is None:
+        return np.empty(n)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (n,)
+            and out.flags.carray):
+        raise InvalidParameterError(
+            f"out must be a writable, aligned, contiguous float64 array of shape ({n},), "
+            f"got {out!r:.80}")
+    return out
+
+
 def _at_u(u, f):
     """f at the values of u, which must lie strictly in (0, 1); a float for
     a scalar u.  A quantile beyond the float range (a power that
@@ -169,8 +188,11 @@ class LogNormal:
     def spec(self) -> str:
         return f"lognormal:{self.mu:g}:{self.sigma2:g}"
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.exp(self.mu + self.sigma * rng.standard_normal(require_count(n, "n", 1)))
+    def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
+        x = rng.standard_normal(out=_draw_buffer(n, out))
+        x *= self.sigma
+        x += self.mu
+        return np.exp(x, out=x)
 
     def pdf(self, x):
         def density(v):
@@ -235,8 +257,11 @@ class Gamma:
     def spec(self) -> str:
         return f"gamma:{self.shape:g}:{self.rate:g}"
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.gamma(self.shape, 1.0 / self.rate, require_count(n, "n", 1))
+    def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
+        # rng.gamma(k, s) is s * standard_gamma(k), bit for bit
+        x = rng.standard_gamma(self.shape, out=_draw_buffer(n, out))
+        x *= 1.0 / self.rate
+        return x
 
     @cached_property
     def _log_norm(self) -> float:
@@ -331,8 +356,11 @@ class Uniform:
     def spec(self) -> str:
         return f"uniform:{self.lo:g}:{self.hi:g}"
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.lo + (self.hi - self.lo) * rng.random(require_count(n, "n", 1))
+    def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
+        x = rng.random(out=_draw_buffer(n, out))
+        x *= self.hi - self.lo
+        x += self.lo
+        return x
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -438,10 +466,14 @@ class Pareto:
     def spec(self) -> str:
         return f"pareto:{self.alpha:g}:{self.scale:g}"
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
         # inverse CDF with U in (0, 1]: rng.random() is [0, 1), so 1-U never
         # hits the singular endpoint
-        return self.scale * (1.0 - rng.random(require_count(n, "n", 1))) ** (-1.0 / self.alpha)
+        x = rng.random(out=_draw_buffer(n, out))
+        np.subtract(1.0, x, out=x)
+        x **= -1.0 / self.alpha
+        x *= self.scale
+        return x
 
     def pdf(self, x):
         return _on_support(x, lambda v: v >= self.scale,

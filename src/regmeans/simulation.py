@@ -13,16 +13,23 @@ the replicate count, so each generator's statistics depend on (seed, n,
 replicates) alone: they are those of its own run_scenario, at any thread
 count.  A run's threads spread its blocks over a pool (its gains are in the
 README); the figure grids run their distributions side by side instead
-(see figures).  Both pools are one ordered map, thread_map.
+(see figures).  Both pools are one ordered map, thread_map.  Each worker
+thread draws its blocks into one buffer of a block's size, kept for the
+run (sample's out): glibc returns freed memory at the top of its heap to
+the system, so fresh draw arrays were faulted in again block after block.
+On a 2-vCPU host this and the tail's shared scratch below took the minor
+page faults of an mc_small_n pass (four runs of 20 000 replicates) from
+about 2730 to 890.
 SimulationReport.as_dict is the one report schema: the CLI's simulate
 payload and every figure cell's report file.
 
 The tail of a run sorts each generator's statistics once and evaluates Phi
 once on the sorted values.  Both KS gaps, against Phi and against the
 Edgeworth CDF built on that same Phi, go through one kernel, _ks_sup, with
-one array of steps i/N and one scratch array, and the Edgeworth terms are
-written into reused buffers (see asymptotics); the gaps keep the bits of two
-ks_statistic calls.  ks_statistic, empirical_cdf and the tail share one
+one array of steps i/N and one scratch array, which also holds the
+Edgeworth polynomial factors; the Edgeworth terms are written into reused
+buffers (see asymptotics), and the gaps keep the bits of two ks_statistic
+calls.  ks_statistic, empirical_cdf and the tail share one
 sort-and-check, _sorted_values.  On a 2-vCPU host the tails of the four
 mc_small_n scenarios (20 000 replicates each) went from about 9.8 to 6.2 ms
 per pass (median of 200 passes).
@@ -31,6 +38,7 @@ per pass (median of 200 passes).
 from __future__ import annotations
 
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -102,9 +110,13 @@ class SimulationReport:
 # spawned SeedSequence and default_rng (about 24 us) and the set-up of
 # sample and row_means.  On a 2-vCPU host, when each Figure 1 cell drew its
 # own blocks, 2**15 halved them against 2**14 (756 -> 384 per pass) and ran
-# the figure 26% faster.  2**16 was slower than 2**15, by 15% on Figure 1
-# and 19% at n = 5 and 20: its 512 KiB draws and their temporaries outgrow
-# a core's L2.
+# the figure 26% faster.  2**16 was then slower than 2**15, by 15% on
+# Figure 1 and 19% at n = 5 and 20.  Cache size does not explain it (the
+# 2-vCPU host of these figures has 2 MiB of L2 per core); the page faults of
+# fresh 512 KiB draws and their temporaries more likely did.  With the kept
+# draw buffer, 2**16 measured about even with 2**15 (mc_small_n passes and
+# single-threaded Figure 1, three runs each).  The block layout sets every
+# Monte Carlo byte, so it stays.
 _BLOCK_ELEMENTS = 2 ** 15
 
 
@@ -164,13 +176,17 @@ def _run_group(cfgs: list[ScenarioConfig], threads: int = 1) -> list[SimulationR
     starts = range(0, replicates, rows)
     streams = np.random.SeedSequence(cfgs[0].seed).spawn(len(starts))
     means = np.empty((len(cfgs), replicates), dtype=float)  # one row per generator
+    local = threading.local()  # each worker thread's draw buffer, kept for the run
 
     def block(k: int) -> None:
         lo = starts[k]
         hi = min(lo + rows, replicates)
         rng = np.random.default_rng(streams[k])
+        if (buf := getattr(local, "buf", None)) is None:
+            buf = local.buf = np.empty(min(rows, replicates) * n)
         # a flat draw fills the same values in the same order as shape (rows, n)
-        x = dist.sample((hi - lo) * n, rng).reshape(hi - lo, n)
+        size = (hi - lo) * n
+        x = dist.sample(size, rng, out=buf[:size]).reshape(hi - lo, n)
         for cfg, row in zip(cfgs, means):
             row[lo:hi] = row_means(cfg.generator, x)
 
@@ -192,7 +208,7 @@ def _run_group(cfgs: list[ScenarioConfig], threads: int = 1) -> list[SimulationR
         ks = _ks_sup(phi, steps, scratch)
         try:
             mom = g_moments(cfg.generator, dist)
-            egap = _ks_sup(_edgeworth_cdf(v, n, mom, phi), steps, scratch)
+            egap = _ks_sup(_edgeworth_cdf(v, n, mom, phi, scratch), steps, scratch)
         except DivergenceError:
             egap = math.nan  # third/fourth moment of g(X) diverges; expansion undefined
 

@@ -350,6 +350,17 @@ class TestGMoments:
         with pytest.raises(NumericError, match="underflows"):
             g_moments(parse_generator("reciprocal"), LogNormal(700.0, 1.0))
 
+    @pytest.mark.parametrize("fn, dist, order", [
+        (g_moments, "lognormal:-700:1", 2),            # about 1e-608: var_g was 0.0, NaN shape
+        (asymptotic_variance, "lognormal:-700:1", 2),
+        (g_moments, "lognormal:-200:1", 4),            # about 1e-344: exkurt_g was -3.0
+    ])
+    def test_quadrature_central_moment_below_the_normal_range_is_numeric_error(
+            self, fn, dist, order):
+        # as the closed form's raw moments rule it ("E[X**2] underflows")
+        with pytest.raises(NumericError, match=f"order {order} .* underflows"):
+            fn(parse_generator("identity"), parse_distribution(dist), method="quadrature")
+
     def test_log_pareto_variance_beyond_the_float_range(self):
         # alpha ** -2 raised a bare OverflowError
         with pytest.raises(NumericError):
@@ -410,7 +421,14 @@ class TestGMoments:
         default = outcome()
         with np.errstate(all="raise"):
             assert outcome() == default
-        assert not isinstance(default, type) or issubclass(default, DivergenceError)
+        # the error each case raises, if any: the tail screen's divergence, or
+        # central moments of lognormal:-700:1 that underflow (var_g was 0.0)
+        errors = {("log", "gamma:0.001:1"): DivergenceError,
+                  ("reciprocal", "lognormal:-700:1"): DivergenceError,
+                  ("identity", "lognormal:-700:1"): NumericError,
+                  ("power:2.0", "lognormal:-700:1"): NumericError,
+                  ("exp", "lognormal:-700:1"): NumericError}
+        assert default is errors[g, dist] if (g, dist) in errors else isinstance(default, str)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -64,6 +64,8 @@ def _compare(out, **counts):
     return rm.compare_edgeworth(report, mom, **{"n": 5, **counts})
 
 
+SAMPLERS = (rm.LogNormal(0.0, 1.0), rm.Gamma(2.0, 1.0), rm.Uniform(1.0, 2.0), rm.Pareto(3.0))
+
 # (owner, parameter, least, call): call(out, **{parameter: value}), with out
 # a directory that must not exist after a rejected count.  ddof is a member
 # of a small set, checked as such; it raised InvalidParameterError on every
@@ -95,10 +97,9 @@ COUNTS = [
     ("compare_edgeworth", "n", 1, _compare),
     ("compare_edgeworth", "steps", 2, _compare),
     ("Interval.grid", "points", 2, lambda out, points: B.grid(points)),
-    *[(f"{cls.__name__}.sample", "n", 1,
-       lambda out, n, dist=cls(*params): dist.sample(n, np.random.default_rng(0)))
-      for cls, params in ((rm.LogNormal, (0.0, 1.0)), (rm.Gamma, (2.0, 1.0)),
-                          (rm.Uniform, (1.0, 2.0)), (rm.Pareto, (3.0,)))],
+    *[(f"{type(dist).__name__}.sample", "n", 1,
+       lambda out, n, dist=dist: dist.sample(n, np.random.default_rng(0)))
+      for dist in SAMPLERS],
     ("markowitz_approximation", "ddof", 0,
      lambda out, ddof: rm.markowitz_approximation([0.01, 0.02], ddof)),
 ]
@@ -133,6 +134,45 @@ def test_bad_count_is_rejected(tmp_path, owner, name, call, value):
     with pytest.raises(InvalidParameterError, match=rf"\b{name}\b"):
         call(out, **{name: value})
     assert not out.exists()
+
+
+def _unaligned(n):
+    return np.frombuffer(bytearray(8 * n + 1), dtype=float, offset=1)
+
+
+def _read_only(n):
+    a = np.empty(n)
+    a.flags.writeable = False
+    return a
+
+
+# a sampler's out for n = 4 draws that is not a writable, aligned,
+# C-contiguous float64 array of shape (4,): numpy's samplers raise a bare
+# ValueError or TypeError for most, and fill a longer or 2-D one whole
+BAD_OUTS = {
+    "list": lambda n: [0.0] * n,
+    "longer": lambda n: np.empty(n + 1),
+    "2-D": lambda n: np.empty((n, 1)),
+    "float32": lambda n: np.empty(n, dtype=np.float32),
+    "int64": lambda n: np.empty(n, dtype=np.int64),
+    "big-endian": lambda n: np.empty(n, dtype=">f8"),
+    "strided": lambda n: np.empty(2 * n)[::2],
+    "read-only": _read_only,
+    "unaligned": _unaligned,
+}
+
+
+@pytest.mark.parametrize("dist", SAMPLERS, ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize("kind", BAD_OUTS)
+def test_bad_sample_out_is_rejected(dist, kind):
+    with pytest.raises(InvalidParameterError, match=r"^out must be"):
+        dist.sample(4, np.random.default_rng(0), out=BAD_OUTS[kind](4))
+
+
+@pytest.mark.parametrize("dist", SAMPLERS, ids=lambda d: type(d).__name__)
+def test_sample_checks_n_before_out(dist):
+    with pytest.raises(InvalidParameterError, match=r"^n must be"):
+        dist.sample(2.5, np.random.default_rng(0), out=np.empty(2))
 
 
 def _public_callables():

@@ -123,6 +123,36 @@ class TestSampling:
         x = dist.sample(200_000, np.random.default_rng(17))
         assert np.mean(x) == pytest.approx(mean_, rel=0.02)
 
+    # every family, Gamma at shapes below, at and above 1, and Pareto with
+    # exponents -1/alpha of -0.1, -1, -0.5 and -2
+    OUT_CASES = [LogNormal(0.0, 1.0), LogNormal(-3.0, 0.25), Gamma(0.5, 1.0), Gamma(1.0, 1.0),
+                 Gamma(100.0, 1.0), Gamma(2.5, 3.7), Uniform(1.0, 2.0), Uniform(-3.0, 7.1),
+                 Pareto(10.0, 1.0), Pareto(1.0, 1.0), Pareto(2.0, 1.0), Pareto(0.5, 1.5)]
+
+    @pytest.mark.parametrize("dist", OUT_CASES, ids=_ids(OUT_CASES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_out_holds_the_bits_of_a_fresh_draw(self, dist, seed):
+        fresh = dist.sample(1000, np.random.default_rng(seed))
+        buf = np.full(1003, np.nan)
+        got = dist.sample(1000, np.random.default_rng(seed), out=buf[:1000])
+        assert np.shares_memory(got, buf) and got.shape == (1000,)
+        assert got.tobytes() == fresh.tobytes()
+        assert np.isnan(buf[1000:]).all()  # nothing written past out
+
+    @pytest.mark.parametrize("dist", OUT_CASES, ids=_ids(OUT_CASES))
+    def test_draws_keep_the_bits_of_the_plain_formula(self, dist):
+        # the in-place draws are numpy's own samplers written out, op for op
+        rng, got = np.random.default_rng(11), dist.sample(1000, np.random.default_rng(11))
+        if isinstance(dist, LogNormal):
+            want = np.exp(dist.mu + dist.sigma * rng.standard_normal(1000))
+        elif isinstance(dist, Gamma):
+            want = rng.gamma(dist.shape, 1.0 / dist.rate, 1000)
+        elif isinstance(dist, Uniform):
+            want = dist.lo + (dist.hi - dist.lo) * rng.random(1000)
+        else:
+            want = dist.scale * (1.0 - rng.random(1000)) ** (-1.0 / dist.alpha)
+        assert got.tobytes() == want.tobytes()
+
     def test_gamma_rate_convention(self):
         # rate, not scale: Gamma(2, 4) has mean 1/2
         x = Gamma(2.0, 4.0).sample(200_000, np.random.default_rng(2))

@@ -77,9 +77,9 @@ def _counting_draws(monkeypatch):
         model = real(spec)
 
         class Counting(type(model)):
-            def sample(self, n, rng):
+            def sample(self, n, rng, *, out=None):
                 draws.append((spec, n))
-                return super().sample(n, rng)
+                return super().sample(n, rng, out=out)
 
         return Counting(**{f.name: getattr(model, f.name) for f in dataclasses.fields(model)})
 

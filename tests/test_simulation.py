@@ -1,6 +1,8 @@
 """Monte Carlo scenario harness, KS statistic, and empirical CDFs."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,22 @@ from regmeans import (
     run_scenario,
 )
 from regmeans import simulation
+
+
+def test_no_allocator_tuning_in_the_library():
+    # the Monte Carlo path keeps its page faults down by reusing its own
+    # buffers; a library must not retune its host's allocator (mallopt
+    # through ctypes) to do it
+    for path in sorted(Path(simulation.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(n.split(".")[0] == "ctypes" for n in names), (
+                f"{path.name}:{node.lineno} imports ctypes")
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                assert name != "mallopt", f"{path.name}:{node.lineno} calls mallopt"
 
 
 def _cfg(dist="gamma:100:1", gen="log", n=200, replicates=300, seed=11):
@@ -211,9 +229,9 @@ class TestRunScenario:
         calls = []
 
         class CountingGamma(Gamma):
-            def sample(self, n, rng):
+            def sample(self, n, rng, *, out=None):
                 calls.append(n)
-                return super().sample(n, rng)
+                return super().sample(n, rng, out=out)
 
         n = 20
         rows = simulation._BLOCK_ELEMENTS // n
@@ -229,9 +247,9 @@ class TestRunScenario:
         calls = []
 
         class CountingUniform(Uniform):
-            def sample(self, n, rng):
+            def sample(self, n, rng, *, out=None):
                 calls.append(n)
-                return super().sample(n, rng)
+                return super().sample(n, rng, out=out)
 
         cfg = ScenarioConfig(dist=CountingUniform(1.0, 2.0),
                              generator=parse_generator("identity"),
@@ -240,6 +258,25 @@ class TestRunScenario:
         assert len(calls) == 32
         assert all(type(size) is int for size in calls)
         assert sum(calls) == 1000 * 1000
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blocks_are_drawn_into_one_buffer_per_worker(self, threads):
+        buffers = []
+
+        class CountingUniform(Uniform):
+            def sample(self, n, rng, *, out=None):
+                buffers.append(out.__array_interface__["data"][0])
+                return super().sample(n, rng, out=out)
+
+        kept = ScenarioConfig(dist=CountingUniform(1.0, 2.0),
+                              generator=parse_generator("identity"),
+                              n=1000, replicates=8 * 32 + 5, seed=4)
+        report = run_scenario(kept, threads=threads)
+        assert len(buffers) == 9 and len(set(buffers)) <= threads
+        # a block leaves nothing behind for the next: the bits of fresh arrays
+        fresh = run_scenario(ScenarioConfig(Uniform(1.0, 2.0), kept.generator, 1000,
+                                            kept.replicates, 4))
+        assert report.statistics.tobytes() == fresh.statistics.tobytes()
 
     def test_different_seeds_differ(self):
         a = run_scenario(_cfg(seed=1))
