@@ -49,7 +49,6 @@ from .generators import (
     min_slope,
     normalize_increasing,
     parse_generator,
-    register_generator,
 )
 from .means import (
     AxiomCheck,
@@ -89,8 +88,7 @@ __all__ = [
     "DivergenceError", "DegenerateSlopeError",
     # generators
     "Interval", "Generator", "make_builtin", "parse_generator",
-    "register_generator", "invert", "min_slope", "normalize_increasing",
-    "affine_transform",
+    "invert", "min_slope", "normalize_increasing", "affine_transform",
     # means
     "mean", "power_mean", "exp_mean_stable", "check_axioms",
     "AxiomCheck", "AxiomReport",

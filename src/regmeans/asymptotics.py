@@ -277,7 +277,9 @@ def g_moments(g: Generator, dist, method: str = "auto") -> GMoments:
 
 def asymptotic_variance(g: Generator, dist, method: str = "auto") -> AsymptoticSpec:
     """E_g(X), g'(E_g(X)), and var(g(X)) / g'(E_g(X))**2.  A limiting
-    variance beyond the float range is NumericError."""
+    variance beyond the float range is NumericError, and so is one below the
+    smallest normal float: it is positive for a strictly monotone g of a
+    continuous X, so a 0 or a subnormal has lost its digits."""
     mean_g, var_g = _g_stats(g, dist, _resolve_method(g, method), 2)
     eg = float(g.inverse(mean_g))
     gp = float(g.derivative(eg))
@@ -286,10 +288,28 @@ def asymptotic_variance(g: Generator, dist, method: str = "auto") -> AsymptoticS
     gp2 = gp * gp
     # below the normal range gp * gp has lost digits (or is 0): divide by gp twice
     asym_var = var_g / gp2 if gp2 >= sys.float_info.min else var_g / gp / gp
-    if math.isinf(asym_var):
-        raise NumericError(f"the limiting variance overflows a float for g={g.name!r}, "
-                           f"dist={dist.spec!r}")
+    if math.isinf(asym_var) or asym_var < sys.float_info.min:
+        how = "overflows a float" if math.isinf(asym_var) else "underflows the normal float range"
+        raise NumericError(f"the limiting variance {how} for g={g.name!r}, dist={dist.spec!r}")
     return AsymptoticSpec(eg=eg, gprime_at_eg=gp, asym_var=asym_var)
+
+
+# ---------------------------------------------------------------------------
+# Points, as phi_cdf, phi_pdf, the Edgeworth terms and the empirical CDF take them
+
+def _real_points(x, owner: str) -> tuple[np.ndarray, float]:
+    """x as a float array and its least value (inf for no value).  Values
+    that are not real numbers (strings, None, other objects, complex) are
+    InvalidParameterError and a NaN is DomainError, naming owner.  The NaN
+    check is the one min reduction, whose value callers reuse."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"{owner} needs real numbers, got {x!r:.80}")
+    arr = arr.astype(float, copy=False)
+    lo = float(np.min(arr, initial=math.inf))  # NaN propagates through min
+    if math.isnan(lo):
+        raise DomainError(f"{owner} got a NaN value")
+    return arr, lo
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +471,9 @@ def phi_cdf(x):
     Math. Comp. 23, 1969).  On 10 million random points of [-40, 40], both
     tails included, it was within 4 ulp of 0.5 math.erfc(-x/sqrt(2)), with
     the C library's (glibc) erfc; scipy's is up to about 500 ulp off that
-    above 6.  It is 0 and 1 at -inf and inf.  A NaN value is DomainError."""
-    xa = np.asarray(x, dtype=float)
+    above 6.  It is 0 and 1 at -inf and inf.  A value that is not a real
+    number is InvalidParameterError and a NaN is DomainError."""
+    xa, _ = _real_points(x, "phi_cdf")
     out = np.negative(xa, out=np.empty(xa.shape)).ravel()
     # underflow is a value here (a subnormal x, a tail beyond 1e-308), so a
     # caller's np.errstate leaves the result as it is
@@ -460,8 +481,6 @@ def phi_cdf(x):
         np.divide(out, _SQRT2, out=out)
         _erfc(out)
         np.multiply(out, 0.5, out=out)
-    if np.isnan(np.min(out, initial=0.0)):  # NaN only from a NaN x; no temporary
-        raise DomainError("phi_cdf got a NaN value")
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(xa.shape)
 
 
@@ -483,7 +502,9 @@ def _pdf_from_square(x2, out):
 
 
 def phi_pdf(x):
-    xa = np.asarray(x, dtype=float)
+    """Standard normal density; a value that is not a real number is
+    InvalidParameterError and a NaN is DomainError, as in phi_cdf."""
+    xa, _ = _real_points(x, "phi_pdf")
     out = np.square(xa, out=np.empty(xa.shape))
     _pdf_from_square(out, out)
     return float(out) if np.ndim(x) == 0 else out
@@ -511,10 +532,8 @@ def _expansion(x, n: int, mom: GMoments) -> tuple:
     n = require_count(n, "n", 1)
     if not (math.isfinite(mom.skew_g) and math.isfinite(mom.exkurt_g)):
         raise ConfigurationError("Edgeworth expansion needs finite skewness and kurtosis")
-    xa = np.asarray(x, dtype=float)
-    lo, hi = np.min(xa, initial=math.inf), np.max(xa, initial=-math.inf)
-    if np.isnan(lo):  # NaN propagates through min and max alike
-        raise DomainError("Edgeworth expansion got a NaN value")
+    xa, lo = _real_points(x, "Edgeworth expansion")
+    hi = np.max(xa, initial=-math.inf)
     if lo < -1e10 or hi > 1e10:  # a copy only where needed
         xa = np.clip(xa, -1e10, 1e10)
     x2 = np.multiply(xa, xa, out=np.empty(xa.shape))
@@ -536,7 +555,8 @@ def edgeworth_corrections(x, n: int, mom: GMoments):
     """The three subtracted terms phi(x)*t_k, in expansion order, with the
     classical coefficients: skew/(6 sqrt(n)) on p1, exkurt/(24 n) on p2 and
     skew**2/(72 n) on p3.  Terms are 0, not NaN, out to x = +-inf: x is
-    clamped to +-1e10, beyond which phi(x) is 0.  A NaN value is DomainError.
+    clamped to +-1e10, beyond which phi(x) is 0.  A value that is not a real
+    number is InvalidParameterError and a NaN is DomainError.
     """
     xa, x2, w, terms = _expansion(x, n, mom)
     p = np.empty(xa.shape)

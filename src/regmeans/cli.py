@@ -33,9 +33,7 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .asymptotics import edgeworth_corrections, g_moments, phi_cdf
+from .asymptotics import _edgeworth_cdf, edgeworth_corrections, g_moments, phi_cdf
 from .distributions import parse_distribution
 from .errors import ConfigurationError, InvalidParameterError, NumericError
 from .figures import csv_cell, reproduce_figure1, reproduce_figure2, write_hist
@@ -167,11 +165,10 @@ def _cmd_edgeworth(args) -> dict:
     dist = parse_distribution(args.dist)
     mom = g_moments(g, dist)
     span, steps = _parse_interval(args.grid, "grid", steps=True)
-    x = span.lo + span.width * np.arange(steps) / (steps - 1)
+    x = span.grid(steps)  # the grid of compare_edgeworth
     c1, c2, c3 = edgeworth_corrections(x, args.n, mom)
     phi = phi_cdf(x)
-    # the expansion's own order of sums, as edgeworth_cdf adds them
-    columns = {"x": x, "phi_cdf": phi, "edgeworth_cdf": phi - ((c1 + c2) + c3),
+    columns = {"x": x, "phi_cdf": phi, "edgeworth_cdf": _edgeworth_cdf(x, args.n, mom, phi),
                "correction_1": c1, "correction_2": c2, "correction_3": c3}
     rows = [dict(zip(columns, values))
             for values in zip(*(col.tolist() for col in columns.values()))]

@@ -1,27 +1,27 @@
 """The four sampling distributions used by the simulation harness.
 
-Each distribution carries exact pdf/cdf/quantile forms, a seeded sampler
-sample(n, rng, *, out=None), and closed-form moment machinery:
+Each distribution carries a seeded sampler sample(n, rng, *, out=None),
+exact quantile forms and closed-form moment machinery:
 
+    quantile(u)      Q(u); isf(u) is Q(1 - u) without the cancellation
     power_moment(t)  E[X**t] for real t (inf when divergent)
     mgf(t)           E[exp(tX)] (inf when divergent, None when no closed form)
     log_moments()    mean/variance/skewness/excess kurtosis of ln X
 
 Gamma is parameterized shape-rate.  Pareto defaults to scale 1.  A
 parameter that is not a real number, or a sample size n that is not an
-integer >= 1, is InvalidParameterError naming it.  Divergent
-moments are flagged as math.inf, not raised; callers decide whether infinity
-is an error in their context.  A finite moment beyond the float range raises
-NumericError, so inf keeps meaning divergent.  The moments need no
-scipy: Gamma's take math.lgamma, exact products at integer orders and the
-digamma series of _polygamma.  Only the cdf, quantile and isf methods of
-LogNormal and Gamma import scipy.special, on first use: after regmeans it
-takes 0.20-0.27 s and raises the resident set from about 30 to 53 MB (3
-runs on a 2-vCPU host).  Quadrature and its tail screen call them;
-sampling, means and the Monte Carlo harness do not.
-
-pdf, cdf, quantile and isf take a number (giving a float) or an array; the
-quadrature in asymptotics calls quantile and isf on arrays of nodes.
+integer >= 1, is InvalidParameterError naming it.  spec writes each
+parameter in its shortest round-trip form: parse_distribution(d.spec) == d.
+Divergent moments are flagged as math.inf, not raised; callers decide
+whether infinity is an error in their context.  A finite moment beyond the
+float range raises NumericError, so inf keeps meaning divergent.  The
+moments need no scipy: Gamma's take math.lgamma, exact products at integer
+orders and the digamma series of _polygamma.  Only the quantile and isf
+methods of LogNormal and Gamma import scipy.special, on first use: after
+regmeans it takes 0.20-0.27 s and raises the resident set from about 30 to
+53 MB (3 runs on a 2-vCPU host).  Quadrature and its tail screen call them,
+on arrays of nodes (a number gives a float); sampling, means and the Monte
+Carlo harness do not.
 
 sample draws into out where given (the Monte Carlo harness passes each
 worker's kept buffer), else into a new array, and transforms the draws in
@@ -33,12 +33,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, NumericError
-from .generators import Interval, _require_real, require_count
+from .generators import Interval, _require_real, _spec_number, require_count
 
 __all__ = [
     "LogNormal",
@@ -48,16 +47,6 @@ __all__ = [
     "DistributionModel",
     "parse_distribution",
 ]
-
-
-def _on_support(x, inside, f):
-    """f on the values of x where inside holds, 0 elsewhere; a float for a
-    scalar x."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(arr)
-    ok = inside(arr)
-    out[ok] = f(arr[ok])
-    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def _standardize(mean: float, central) -> tuple:
@@ -186,24 +175,13 @@ class LogNormal:
 
     @property
     def spec(self) -> str:
-        return f"lognormal:{self.mu:g}:{self.sigma2:g}"
+        return f"lognormal:{_spec_number(self.mu)}:{_spec_number(self.sigma2)}"
 
     def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
         x = rng.standard_normal(out=_draw_buffer(n, out))
         x *= self.sigma
         x += self.mu
         return np.exp(x, out=x)
-
-    def pdf(self, x):
-        def density(v):
-            z = (np.log(v) - self.mu) / self.sigma
-            return np.exp(-0.5 * z * z) / (v * self.sigma * math.sqrt(2 * math.pi))
-        return _on_support(x, lambda v: v > 0, density)
-
-    def cdf(self, x):
-        from scipy.special import ndtr
-
-        return _on_support(x, lambda v: v > 0, lambda v: ndtr((np.log(v) - self.mu) / self.sigma))
 
     def quantile(self, u):
         from scipy.special import ndtri
@@ -255,30 +233,13 @@ class Gamma:
 
     @property
     def spec(self) -> str:
-        return f"gamma:{self.shape:g}:{self.rate:g}"
+        return f"gamma:{_spec_number(self.shape)}:{_spec_number(self.rate)}"
 
     def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
         # rng.gamma(k, s) is s * standard_gamma(k), bit for bit
         x = rng.standard_gamma(self.shape, out=_draw_buffer(n, out))
         x *= 1.0 / self.rate
         return x
-
-    @cached_property
-    def _log_norm(self) -> float:
-        try:
-            return self.shape * math.log(self.rate) - math.lgamma(self.shape)
-        except OverflowError:  # lgamma beyond the float range, a shape above 1e305
-            raise _overflow("lgamma(shape)", self.spec) from None
-
-    def pdf(self, x):
-        c, a, r = self._log_norm, self.shape - 1.0, self.rate
-        with np.errstate(over="ignore"):  # x**(shape - 1) beyond the float range is inf
-            return _on_support(x, lambda v: v > 0, lambda v: np.exp(c + a * np.log(v) - r * v))
-
-    def cdf(self, x):
-        from scipy.special import gammainc
-
-        return _on_support(x, lambda v: v > 0, lambda v: gammainc(self.shape, self.rate * v))
 
     def quantile(self, u):
         from scipy.special import gammaincinv
@@ -354,23 +315,13 @@ class Uniform:
 
     @property
     def spec(self) -> str:
-        return f"uniform:{self.lo:g}:{self.hi:g}"
+        return f"uniform:{_spec_number(self.lo)}:{_spec_number(self.hi)}"
 
     def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
         x = rng.random(out=_draw_buffer(n, out))
         x *= self.hi - self.lo
         x += self.lo
         return x
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where((x >= self.lo) & (x <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
-        return out if out.ndim else float(out)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return out if out.ndim else float(out)
 
     def quantile(self, u):
         return _at_u(u, lambda v: self.lo + (self.hi - self.lo) * v)
@@ -464,7 +415,7 @@ class Pareto:
 
     @property
     def spec(self) -> str:
-        return f"pareto:{self.alpha:g}:{self.scale:g}"
+        return f"pareto:{_spec_number(self.alpha)}:{_spec_number(self.scale)}"
 
     def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
         # inverse CDF with U in (0, 1]: rng.random() is [0, 1), so 1-U never
@@ -474,14 +425,6 @@ class Pareto:
         x **= -1.0 / self.alpha
         x *= self.scale
         return x
-
-    def pdf(self, x):
-        return _on_support(x, lambda v: v >= self.scale,
-                           lambda v: self.alpha * self.scale ** self.alpha / v ** (self.alpha + 1))
-
-    def cdf(self, x):
-        return _on_support(x, lambda v: v >= self.scale,
-                           lambda v: 1.0 - (self.scale / v) ** self.alpha)
 
     def quantile(self, u):
         return _at_u(u, lambda v: self.scale * (1.0 - v) ** (-1.0 / self.alpha))

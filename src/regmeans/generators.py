@@ -11,7 +11,9 @@ cover the classical means:
     exp         exponential mean        domain (-inf, inf)
 
 All three callables are elementwise: they accept floats or numpy arrays.
-Generators are immutable; every operation here is pure.
+Generators are immutable; every operation here is pure.  parse_generator
+reads the built-in specs only; a custom generator is a Generator object,
+passed as such wherever a generator is taken.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "Generator",
     "make_builtin",
     "parse_generator",
-    "register_generator",
     "invert",
     "min_slope",
     "normalize_increasing",
@@ -130,6 +131,13 @@ def _require_real(value, name: str):
     return value
 
 
+def _spec_number(value: float) -> str:
+    """value in the shortest form that parses back to the same float (its
+    repr), less a trailing ".0": 2.0 is "2", 2.1234567 and 1.0000001 stay."""
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _vectorized(fn, x: np.ndarray, what: str) -> np.ndarray:
     """fn(x) as a float array of x's shape, else ConfigurationError naming
     what: fn must map the array elementwise."""
@@ -201,7 +209,7 @@ def make_builtin(kind: str, p: float | None = None) -> Generator:
                          lambda x: -1.0 / (x * x), "decreasing", kind="reciprocal")
     if kind == "power":
         pf = float(p)
-        return Generator(f"power:{pf:g}", _POSITIVE, lambda x: x ** pf,
+        return Generator(f"power:{_spec_number(pf)}", _POSITIVE, lambda x: x ** pf,
                          lambda y: y ** (1.0 / pf),
                          lambda x: pf * x ** (pf - 1.0), "increasing",
                          kind="power", param=pf)
@@ -210,35 +218,20 @@ def make_builtin(kind: str, p: float | None = None) -> Generator:
     raise ConfigurationError(f"unknown generator kind {kind!r}")
 
 
-_REGISTRY: dict[str, Generator] = {}
-
-
-def register_generator(name: str, gen: Generator) -> None:
-    """Register a programmatic generator so parse_generator can find it.
-    The name must be non-empty and free of surrounding whitespace, which
-    parse_generator strips."""
-    if not name or name != name.strip():
-        raise InvalidParameterError(f"generator name must be non-empty and stripped, got {name!r}")
-    if name.split(":")[0] in BUILTIN_KINDS:
-        raise InvalidParameterError(f"cannot shadow built-in kind in {name!r}")
-    _REGISTRY[name] = gen
-
-
 def parse_generator(spec: str) -> Generator:
-    """Parse a generator spec string: "identity", "log", "reciprocal",
-    "power:2.0", "exp", or the name of a registered generator."""
+    """Parse a built-in generator spec string: "identity", "log",
+    "reciprocal", "power:2.0" or "exp", surrounding whitespace ignored.
+    Anything else is InvalidParameterError."""
     if not isinstance(spec, str):
         raise InvalidParameterError(f"generator spec must be a string, got {spec!r}")
     spec = spec.strip()
     if spec.partition(":")[0] in BUILTIN_KINDS:
         return _parse_builtin(spec)
-    if spec in _REGISTRY:
-        return _REGISTRY[spec]
     raise InvalidParameterError(f"unknown generator spec {spec!r}")
 
 
-# Generators are immutable and register_generator refuses builtin heads, so a
-# builtin spec always parses to the same generator; a raising spec is not cached.
+# Generators are immutable, so a builtin spec always parses to the same
+# generator; a raising spec is not cached.
 @functools.lru_cache(maxsize=256)
 def _parse_builtin(spec: str) -> Generator:
     head, _, tail = spec.partition(":")
@@ -264,13 +257,15 @@ def invert(g: Generator, y: float, bracket: Interval, tol: float = 1e-12,
     small as the arithmetic allows).  The bracket must straddle y.
     """
     max_iter = require_count(max_iter, "max_iter", 1)
+    _require_real(y, "y")
+    _require_real(tol, "tol")
     if not bracket.is_finite:
         raise InvalidParameterError("invert needs a finite bracket")
     g.domain.require_interior([bracket.lo, bracket.hi], f"generator {g.name!r}")
     a, b = bracket.lo, bracket.hi
     fa, fb = float(g.forward(a)), float(g.forward(b))
-    # signs, not the product of the differences, which underflows to 0
-    if (fa > y and fb > y) or (fa < y and fb < y):
+    # comparisons, not the product of the differences (it underflows); NaN fails
+    if not min(fa, fb) <= y <= max(fa, fb):
         raise OutOfRangeError(f"y={y} outside the image [{min(fa, fb)}, {max(fa, fb)}] of the bracket")
     rising = fb >= fa
     for _ in range(max_iter):
@@ -323,8 +318,10 @@ def normalize_increasing(g: Generator) -> Generator:
 
 def affine_transform(g: Generator, a: float, b: float) -> Generator:
     """The generator a*g + b (a != 0); defines the same mean as g."""
-    if a == 0:
-        raise InvalidParameterError("affine transform requires a != 0")
+    _require_real(a, "a")
+    _require_real(b, "b")
+    if not (a != 0 and math.isfinite(a) and math.isfinite(b)):
+        raise InvalidParameterError(f"affine transform requires finite a != 0 and b, got {a}, {b}")
     fwd, inv, der = g.forward, g.inverse, g.derivative
     direction = g.monotone_direction if a > 0 else (
         "decreasing" if g.increasing else "increasing")

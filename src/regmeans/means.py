@@ -212,7 +212,7 @@ def power_mean(p: float, x: Sequence[float] | np.ndarray) -> float:
     exponent too small for x**p to differ from 1 on the sample.  Like mean,
     the result is clipped into [min(x), max(x)].
     """
-    if not math.isfinite(p):
+    if not math.isfinite(_require_real(p, "p")):
         raise InvalidParameterError(f"power mean needs a finite exponent, got {p}")
     arr, lo, hi = _sample(x, _POSITIVE, "power mean")
     logs = np.log(arr)

@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import (AsymptoticSpec, GMoments, _edgeworth_cdf, asymptotic_variance,
-                          g_moments, phi_cdf)
+from .asymptotics import (AsymptoticSpec, GMoments, _edgeworth_cdf, _real_points,
+                          asymptotic_variance, g_moments, phi_cdf)
 from .distributions import DistributionModel, Pareto, Uniform
 from .errors import ConfigurationError, DivergenceError, DomainError, InvalidParameterError
 from .generators import Generator, Interval, _vectorized, require_count
@@ -166,10 +166,9 @@ def _run_group(cfgs: list[ScenarioConfig], threads: int = 1) -> list[SimulationR
         if not _support_in_domain(g, dist):
             raise ConfigurationError(
                 f"support of {dist.spec!r} is not inside the domain of generator {g.name!r}")
-        spec = asymptotic_variance(g, dist)  # raises DivergenceError on infinite var(g(X))
-        if not spec.asym_var > 0:
-            raise DivergenceError("degenerate (zero) asymptotic variance")
-        specs.append(spec)
+        # DivergenceError on infinite var(g(X)), NumericError on a limiting
+        # variance beyond the float range or below the normal range
+        specs.append(asymptotic_variance(g, dist))
 
     t0 = time.perf_counter()
     rows = max(1, _BLOCK_ELEMENTS // n)
@@ -269,11 +268,7 @@ class _EmpiricalCdf:
     def at(self, x):
         """The CDF at x, a number or an array; a NaN is DomainError and a
         non-number (a string, None) InvalidParameterError."""
-        arr = np.asarray(x)
-        if arr.dtype.kind not in "biuf":
-            raise InvalidParameterError(f"empirical CDF needs numbers, got {x!r}")
-        if np.isnan(arr := arr.astype(float, copy=False)).any():
-            raise DomainError("empirical CDF got a NaN point")
+        arr, _ = _real_points(x, "empirical CDF")
         out = np.searchsorted(self.values, arr, side="right") / self.values.size
         return float(out) if arr.ndim == 0 else out
 

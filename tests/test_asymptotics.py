@@ -479,6 +479,13 @@ class TestAsymptoticVariance:
         with pytest.raises(NumericError, match="overflows"):
             asymptotic_variance(parse_generator("log"), parse_distribution(dist))
 
+    @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
+    def test_limiting_variance_below_the_normal_range_is_numeric_error(self, method):
+        # g'(E_g) = 1/E_g is about 1e304, so var / g'**2 is about 1e-608: it
+        # was asym_var = 0.0, which run_scenario took for a degenerate variance
+        with pytest.raises(NumericError, match="limiting variance underflows"):
+            asymptotic_variance(parse_generator("log"), LogNormal(-700.0, 1.0), method=method)
+
 # ---------------------------------------------------------------------------
 # Normal CDF helpers
 

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from regmeans import Interval, __version__, figures, parse_generator, verify_stability
+from regmeans import (Interval, __version__, edgeworth_cdf, figures, g_moments,
+                      parse_distribution, parse_generator, verify_stability)
 from regmeans.cli import main
 
 
@@ -203,6 +204,17 @@ class TestEdgeworthCommand:
         for row in csv.DictReader(out.splitlines()):
             assert float(row["correction_1"]) == 0.0
             assert float(row["edgeworth_cdf"]) == float(row["phi_cdf"])
+
+    def test_table_is_the_library_on_the_grid_of_compare_edgeworth(self, capsys):
+        # x was lo + width * arange / (steps - 1), off Interval.grid at 36 of
+        # the 121 default points, and the Edgeworth column was re-added by hand
+        assert main(["edgeworth", "--generator", "identity", "--dist", "gamma:1:1",
+                     "--n", "20"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        xs = Interval(-3.0, 3.0).grid(121)
+        mom = g_moments(parse_generator("identity"), parse_distribution("gamma:1:1"))
+        assert [float(row["x"]) for row in rows] == xs.tolist()
+        assert [float(row["edgeworth_cdf"]) for row in rows] == edgeworth_cdf(xs, 20, mom).tolist()
 
     def test_bad_grid_spec(self, capsys):
         assert main(["edgeworth", "--generator", "identity", "--dist", "gamma:1:1",

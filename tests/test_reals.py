@@ -1,0 +1,94 @@
+"""The real-number contract, as tests/test_counts.py is the count contract.
+
+REALS holds one row per real scalar parameter that a comparison would
+otherwise meet first: each row is sent a string, None and a list, and must
+raise InvalidParameterError naming the parameter, not a bare TypeError.
+
+POINTS holds one row per function that takes a number or an array of
+points: a value that is not a real number is InvalidParameterError, a NaN is
+DomainError, and a real value passes, whichever of them is asked.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+
+import regmeans as rm
+from regmeans import DomainError, Interval, InvalidParameterError
+
+B = Interval(1.0, 2.0)
+
+
+@functools.cache
+def _log():
+    return rm.parse_generator("log")
+
+
+@functools.cache
+def _mom():
+    return rm.g_moments(_log(), rm.parse_distribution("gamma:2:1"))
+
+
+# (owner, parameter, call): call(value) passes value as that parameter
+REALS = [
+    ("power_mean", "p", lambda p: rm.power_mean(p, [1.0, 2.0])),
+    ("affine_transform", "a", lambda a: rm.affine_transform(_log(), a, 0.0)),
+    ("affine_transform", "b", lambda b: rm.affine_transform(_log(), 2.0, b)),
+    ("invert", "y", lambda y: rm.invert(_log(), y, B)),
+    ("invert", "tol", lambda tol: rm.invert(_log(), 0.5, B, tol=tol)),
+]
+
+
+@pytest.mark.parametrize("owner,name,call", [pytest.param(*row, id=f"{row[0]}-{row[1]}")
+                                             for row in REALS])
+@pytest.mark.parametrize("value", ["2", None, [2.0]], ids=repr)
+def test_bad_real_is_rejected(owner, name, call, value):
+    with pytest.raises(InvalidParameterError, match=rf"^{name} must be a real number"):
+        call(value)
+
+
+@pytest.mark.parametrize("owner,name,call", [pytest.param(*row, id=f"{row[0]}-{row[1]}")
+                                             for row in REALS])
+@pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.25)], ids=repr)
+def test_real_passes(owner, name, call, value):
+    call(value)
+
+
+# (owner, call): call(x) evaluates owner at the points x
+POINTS = [
+    ("phi_cdf", rm.phi_cdf),
+    ("phi_pdf", rm.phi_pdf),
+    ("edgeworth_corrections", lambda x: rm.edgeworth_corrections(x, 5, _mom())),
+    ("edgeworth_cdf", lambda x: rm.edgeworth_cdf(x, 5, _mom())),
+    ("empirical_cdf.at", lambda x: rm.empirical_cdf([1.0, 2.0]).at(x)),
+]
+
+
+def _points(values):
+    return [pytest.param(call, x, id=f"{owner}-{x!r}") for owner, call in POINTS
+            for x in values]
+
+
+# phi_cdf("1.5") answered 0.933 and phi_pdf(None) a NaN
+@pytest.mark.parametrize("call,x", _points(["1.5", None, ["a", "b"], [1.0, None], b"1", 1j]))
+def test_points_that_are_not_real_numbers_are_rejected(call, x):
+    with pytest.raises(InvalidParameterError, match="needs real numbers"):
+        call(x)
+
+
+# phi_pdf(nan) answered a NaN
+@pytest.mark.parametrize("call,x", _points([math.nan, [0.0, math.nan], np.array([[math.nan]])]))
+def test_nan_point_is_domain_error(call, x):
+    with pytest.raises(DomainError, match="got a NaN value"):
+        call(x)
+
+
+@pytest.mark.parametrize("call,x", _points([0.5, 1, True, [0.0, 1.0], np.float32(0.5),
+                                             np.array([[-math.inf, math.inf]])]))
+def test_real_points_pass(call, x):
+    out = call(x)
+    for part in out if isinstance(out, tuple) else (out,):
+        assert np.shape(part) == np.shape(x)
+        assert not np.isnan(part).any()

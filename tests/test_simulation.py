@@ -16,6 +16,7 @@ from regmeans import (
     Gamma,
     InvalidParameterError,
     LogNormal,
+    NumericError,
     ScenarioConfig,
     Uniform,
     compare_edgeworth,
@@ -292,6 +293,13 @@ class TestRunScenario:
             seed=0,
         )
         with pytest.raises(DivergenceError):
+            run_scenario(cfg)
+
+    def test_limiting_variance_below_the_normal_range_is_numeric_error(self):
+        # it raised DivergenceError "degenerate (zero) asymptotic variance"
+        cfg = ScenarioConfig(LogNormal(-700.0, 1.0), parse_generator("log"), n=5,
+                             replicates=10, seed=0)
+        with pytest.raises(NumericError, match="limiting variance underflows"):
             run_scenario(cfg)
 
     def test_support_outside_domain_rejected(self):
