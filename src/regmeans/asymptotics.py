@@ -14,7 +14,8 @@ All of them rest on the first four moments of g(X), and one routine,
 ``_g_stats``, computes those: E_g needs the mean, the limiting variance the
 mean and variance, the Edgeworth terms all four.  Closed forms give raw
 moments, quadrature the mean and central moments; both are standardized by
-distributions._standardize.
+distributions._standardize, and every moment that is not a usable float is
+NumericError by the one rule of distributions._in_range.
 
 The quadrature is one tanh-sinh rule in quantile space for every law
 (Takahasi and Mori, 1974; Trefethen and Weideman, 2014): E[fn(X)] is the
@@ -26,12 +27,11 @@ smooth inside the support.  fn is called on arrays of nodes.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _standardize, moments_from_raw
+from .distributions import Uniform, _central, _in_range, _standardize
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -39,9 +39,8 @@ from .errors import (
     DivergenceError,
     DomainError,
     InvalidParameterError,
-    NumericError,
 )
-from .generators import Generator, _vectorized, require_count
+from .generators import Generator, _real_array, _vectorized, require_count
 
 __all__ = [
     "GMoments",
@@ -65,8 +64,7 @@ _METHODS = ("auto", "closed_form", "quadrature")
 @dataclass(frozen=True)
 class GMoments:
     """First four moments of g(X): mean, variance, skewness, excess
-    kurtosis, plus how they were computed.  Skewness/kurtosis are NaN for a
-    degenerate (zero-variance) g(X)."""
+    kurtosis, plus how they were computed."""
 
     mean_g: float
     var_g: float
@@ -188,9 +186,12 @@ def expect(dist, fn) -> float:
 # Closed-form dispatch
 
 def _closed_g_raw(g: Generator, dist, k: int) -> float:
-    """E[g(X)**k] in closed form; math.inf when divergent.  For the
-    built-in kinds other than log (log works from cumulants directly); every
-    distribution has an mgf closed form at t = k > 0."""
+    """E[g(X)**k] in closed form; math.inf when divergent.  Every
+    distribution has an mgf closed form at t = k > 0.  Log is here for a
+    Uniform, whose moments of ln X come from raw ones; _g_stats takes the
+    other laws' log_moments."""
+    if g.kind == "log":
+        return dist._log_raw(k)
     if g.kind == "identity":
         return dist.power_moment(float(k))
     if g.kind == "reciprocal":
@@ -217,10 +218,18 @@ def _g_stats(g: Generator, dist, how: str, order: int) -> tuple:
     _resolve_method's answers).
 
     Raises DivergenceError naming the first raw moment E[g(X)**k] that
-    diverges.  A zero-variance g(X) yields NaN skewness and kurtosis.
+    diverges.  A strictly monotone g of a continuous X has a positive
+    variance and fourth central moment, and exp(X) a positive mean: on every
+    path each that is asked for goes through distributions._in_range, so
+    one lost to cancellation or underflow is NumericError, not a zero
+    variance with NaN shape.
     """
-    if how == "closed_form" and g.kind == "log":
-        return dist.log_moments()[:order]
+    where = f"g={g.name!r}, dist={dist.spec!r}"
+    if how == "closed_form" and g.kind == "log" and not isinstance(dist, Uniform):
+        # ln X's shape is the law's own closed form, not a quotient of
+        # central moments: the variance is the one to rule on
+        stats = dist.log_moments()[:order]
+        return _standardize(stats[0], stats[1:2], "g(X)", where) + stats[2:]
     if how == "quadrature":
         with np.errstate(all="ignore"):  # as in expect
             slope = _tail_slope(dist, g.forward)
@@ -228,25 +237,17 @@ def _g_stats(g: Generator, dist, how: str, order: int) -> tuple:
                 if k * slope <= _DIVERGES:  # |g**k| has k times the slope of |g|
                     raise _divergent(g, dist, k)
             mean, *central = _moments(dist, g.forward, order)
-        if g.kind == "exp" and mean < sys.float_info.min:
-            # as Uniform.mgf rules: a 0 or a subnormal has lost its digits
-            raise NumericError(f"E[g(X)] underflows the normal float range for "
-                               f"g={g.name!r}, dist={dist.spec!r}")
-        # a strictly monotone g of a continuous X has positive even central
-        # moments: a 0 or a subnormal one has lost its digits, as the closed
-        # forms' raw moments rule (identity x lognormal:-700:1 gave var 0)
-        for k, c in zip((2, 4), central[::2]):
-            if c < sys.float_info.min:
-                raise NumericError(f"the central moment of order {k} of g(X) underflows the "
-                                   f"normal float range for g={g.name!r}, dist={dist.spec!r}")
-        return _standardize(mean, central)
-    raws = []
-    for k in range(1, order + 1):
-        r = _closed_g_raw(g, dist, k)
-        if math.isinf(r):
-            raise _divergent(g, dist, k)
-        raws.append(r)
-    return moments_from_raw(raws)
+    else:
+        raws = []
+        for k in range(1, order + 1):
+            r = _closed_g_raw(g, dist, k)
+            if math.isinf(r):
+                raise _divergent(g, dist, k)
+            raws.append(r)
+        mean, central = _central(raws)
+    if g.kind == "exp":
+        _in_range(lambda: mean, "E[g(X)]", where)
+    return _standardize(mean, central, "g(X)", where)
 
 
 def _divergent(g: Generator, dist, k: int) -> DivergenceError:
@@ -269,28 +270,29 @@ def g_moments(g: Generator, dist, method: str = "auto") -> GMoments:
     """Mean, variance, skewness, and excess kurtosis of g(X).
 
     Divergent moments raise DivergenceError naming the offending order.  A
-    zero-variance g(X) yields NaN skewness/kurtosis.
+    moment that is not a usable float is NumericError, a variance or fourth
+    central moment lost to cancellation or underflow included: no zero
+    variance with NaN skewness and kurtosis.
     """
     how = _resolve_method(g, method)
     return GMoments(*_g_stats(g, dist, how, 4), how)
 
 
 def asymptotic_variance(g: Generator, dist, method: str = "auto") -> AsymptoticSpec:
-    """E_g(X), g'(E_g(X)), and var(g(X)) / g'(E_g(X))**2.  A limiting
-    variance beyond the float range is NumericError, and so is one below the
-    smallest normal float: it is positive for a strictly monotone g of a
-    continuous X, so a 0 or a subnormal has lost its digits."""
+    """E_g(X), g'(E_g(X)), and var(g(X)) / g'(E_g(X))**2.  The limiting
+    variance is positive for a strictly monotone g of a continuous X, so it
+    goes through distributions._in_range: beyond the float range or below
+    the smallest normal float it is NumericError."""
     mean_g, var_g = _g_stats(g, dist, _resolve_method(g, method), 2)
     eg = float(g.inverse(mean_g))
     gp = float(g.derivative(eg))
     if not math.isfinite(gp) or gp == 0.0:
         raise DegenerateSlopeError(f"g'(E_g) = {gp} for generator {g.name!r}")
-    gp2 = gp * gp
-    # below the normal range gp * gp has lost digits (or is 0): divide by gp twice
-    asym_var = var_g / gp2 if gp2 >= sys.float_info.min else var_g / gp / gp
-    if math.isinf(asym_var) or asym_var < sys.float_info.min:
-        how = "overflows a float" if math.isinf(asym_var) else "underflows the normal float range"
-        raise NumericError(f"the limiting variance {how} for g={g.name!r}, dist={dist.spec!r}")
+    # gp * gp is below the normal range, where it has lost digits (or is 0),
+    # just when |gp| < 2**-511: divide by gp twice there
+    asym_var = _in_range(
+        lambda: var_g / (gp * gp) if abs(gp) >= 2.0 ** -511 else var_g / gp / gp,
+        "the limiting variance", f"g={g.name!r}, dist={dist.spec!r}")
     return AsymptoticSpec(eg=eg, gprime_at_eg=gp, asym_var=asym_var)
 
 
@@ -299,13 +301,10 @@ def asymptotic_variance(g: Generator, dist, method: str = "auto") -> AsymptoticS
 
 def _real_points(x, owner: str) -> tuple[np.ndarray, float]:
     """x as a float array and its least value (inf for no value).  Values
-    that are not real numbers (strings, None, other objects, complex) are
-    InvalidParameterError and a NaN is DomainError, naming owner.  The NaN
-    check is the one min reduction, whose value callers reuse."""
-    arr = np.asarray(x)
-    if arr.dtype.kind not in "biuf":
-        raise InvalidParameterError(f"{owner} needs real numbers, got {x!r:.80}")
-    arr = arr.astype(float, copy=False)
+    that are not real numbers are InvalidParameterError (generators.
+    _real_array) and a NaN is DomainError, naming owner.  The NaN check is
+    the one min reduction, whose value callers reuse."""
+    arr = _real_array(x, owner)
     lo = float(np.min(arr, initial=math.inf))  # NaN propagates through min
     if math.isnan(lo):
         raise DomainError(f"{owner} got a NaN value")

@@ -13,10 +13,14 @@ parameter that is not a real number, or a sample size n that is not an
 integer >= 1, is InvalidParameterError naming it.  spec writes each
 parameter in its shortest round-trip form: parse_distribution(d.spec) == d.
 Divergent moments are flagged as math.inf, not raised; callers decide
-whether infinity is an error in their context.  A finite moment beyond the
-float range raises NumericError, so inf keeps meaning divergent.  The
-moments need no scipy: Gamma's take math.lgamma, exact products at integer
-orders and the digamma series of _polygamma.  Only the quantile and isf
+whether infinity is an error in their context.  One rule, _in_range, decides
+when a finite moment is not a usable float, for the closed forms here and
+for every moment of g(X) in asymptotics: one beyond the float range raises
+NumericError ("overflows a float"), so inf keeps meaning divergent, and so
+does a positive one below the smallest normal float ("underflows the normal
+float range"), a 0 or a subnormal that has lost its digits.  The moments
+need no scipy: Gamma's take math.lgamma, exact products at integer orders
+and the digamma series of _polygamma.  Only the quantile and isf
 methods of LogNormal and Gamma import scipy.special, on first use: after
 regmeans it takes 0.20-0.27 s and raises the resident set from about 30 to
 53 MB (3 runs on a 2-vCPU host).  Quadrature and its tail screen call them,
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, NumericError
-from .generators import Interval, _require_real, _spec_number, require_count
+from .generators import Interval, _real_array, _require_real, _spec_number, require_count
 
 __all__ = [
     "LogNormal",
@@ -49,27 +53,48 @@ __all__ = [
 ]
 
 
-def _standardize(mean: float, central) -> tuple:
-    """(mean, variance, skewness, excess kurtosis) of Y, cut to 1 +
-    len(central) entries, from its mean and its central moments of orders
-    2, 3, 4 (none, the first, or all three).  A variance that rounds below
-    zero is zero, and a zero variance gives NaN skewness and kurtosis.  The
+def _in_range(compute, what: str, where: str, positive: bool = True):
+    """compute(), the moment named what of the law or pair named where, when
+    it is a usable float (a tuple of floats may pass positive=False).  The
+    one place that rules on it: an OverflowError, an inf or a NaN from a
+    finite moment is NumericError "overflows a float", not inf, which
+    callers would take for a divergent moment; a positive moment below the
+    smallest normal float, a 0 or a subnormal that has lost its digits, is
+    NumericError "underflows the normal float range"."""
+    try:
+        v = compute()
+    except OverflowError:
+        v = math.inf
+    if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
+        raise NumericError(f"{what} overflows a float for {where}")
+    if positive and v < sys.float_info.min:
+        raise NumericError(f"{what} underflows the normal float range for {where}")
+    return v
+
+
+def _standardize(mean: float, central, of: str, where: str) -> tuple:
+    """(mean, variance, skewness, excess kurtosis) of Y (named of), cut to 1
+    + len(central) entries, from its mean and its central moments of orders
+    2, 3, 4 (none, the first, or all three).  The even ones are positive for
+    a Y that is not constant, so each goes through _in_range first: one that
+    cancelled or underflowed to 0 or a subnormal is NumericError.  The
     central moments are divided by the variance one factor at a time:
     var**1.5 and var**2 underflow where var is a normal float."""
+    for k, c in zip((2, 4), central[::2]):
+        _in_range(lambda: c, f"the central moment of order {k} of {of}", where)
     if not central:
         return (mean,)
-    var = max(central[0], 0.0)
+    var = central[0]
     if len(central) == 1:
         return mean, var
-    if var == 0.0:
-        return mean, var, math.nan, math.nan
     c3, c4 = central[1:]
     return mean, var, c3 / var / math.sqrt(var), c4 / var / var - 3.0
 
 
-def moments_from_raw(raws) -> tuple:
-    """_standardize from the raw moments E[Y**k], k = 1, ..., len(raws)
-    (1, 2 or 4)."""
+def _central(raws) -> tuple:
+    """(E[Y], [its central moments of orders 2 to len(raws)]) from the raw
+    moments E[Y**k], k = 1, ..., len(raws) (1, 2 or 4), as _standardize
+    takes them."""
     r1, central = raws[0], []
     if len(raws) > 1:
         central.append(raws[1] - r1 * r1)
@@ -77,21 +102,7 @@ def moments_from_raw(raws) -> tuple:
         r2, r3, r4 = raws[1:]
         central += [r3 - 3.0 * r1 * r2 + 2.0 * r1 ** 3,
                     r4 - 4.0 * r1 * r3 + 6.0 * r1 * r1 * r2 - 3.0 * r1 ** 4]
-    return _standardize(r1, central)
-
-
-def _overflow(what: str, spec: str) -> NumericError:
-    """A finite moment beyond the float range: NumericError, not inf, which
-    callers would take for a divergent moment."""
-    return NumericError(f"{what} overflows a float for {spec!r}")
-
-
-def _normal(v: float, what: str, spec: str) -> float:
-    """v, a positive closed-form moment, unless it fell below the smallest
-    normal float: a 0 or a subnormal has lost its digits, so NumericError."""
-    if v < sys.float_info.min:
-        raise NumericError(f"{what} underflows the normal float range for {spec!r}")
-    return v
+    return r1, central
 
 
 def _draw_buffer(n, out) -> np.ndarray:
@@ -110,10 +121,10 @@ def _draw_buffer(n, out) -> np.ndarray:
 
 
 def _at_u(u, f):
-    """f at the values of u, which must lie strictly in (0, 1); a float for
-    a scalar u.  A quantile beyond the float range (a power that
-    overflows) is inf."""
-    arr = np.asarray(u, dtype=float)
+    """f at the values of u, which must be real numbers strictly in (0, 1),
+    else InvalidParameterError; a float for a scalar u.  A quantile beyond
+    the float range (a power that overflows) is inf."""
+    arr = _real_array(u, "quantile argument")
     # NaN compares False everywhere, so it fails both checks
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise InvalidParameterError("quantile argument must lie strictly in (0, 1)")
@@ -196,11 +207,8 @@ class LogNormal:
         return _at_u(u, lambda v: np.exp(self.mu - self.sigma * ndtri(v)))
 
     def power_moment(self, t: float) -> float:
-        try:
-            return _normal(math.exp(t * self.mu + 0.5 * t * t * self.sigma2),
-                           f"E[X**{t:g}]", self.spec)
-        except OverflowError:
-            raise _overflow(f"E[X**{t:g}]", self.spec) from None
+        return _in_range(lambda: math.exp(t * self.mu + 0.5 * t * t * self.sigma2),
+                         f"E[X**{t:g}]", repr(self.spec))
 
     def mgf(self, t: float):
         if t > 0:
@@ -259,43 +267,33 @@ class Gamma:
         only 9 digits of the variance."""
         if self.shape + t <= 0:
             return math.inf  # not integrable at the origin
-        what = f"E[X**{t:g}]"
-        try:
+
+        def moment():
             if float(t).is_integer() and abs(t) <= _EXACT_ORDERS:
                 m = 1.0
                 for i in range(int(abs(t))):
                     m *= ((self.shape + i) / self.rate if t > 0
                           else self.rate / (self.shape - 1.0 - i))
-            else:
-                m = math.exp(math.lgamma(self.shape + t) - math.lgamma(self.shape)
-                             - t * math.log(self.rate))
-        except OverflowError:
-            raise _overflow(what, self.spec) from None
-        if math.isinf(m):
-            raise _overflow(what, self.spec)
-        return _normal(m, what, self.spec)
+                return m
+            return math.exp(math.lgamma(self.shape + t) - math.lgamma(self.shape)
+                            - t * math.log(self.rate))
+        return _in_range(moment, f"E[X**{t:g}]", repr(self.spec))
 
     def mgf(self, t: float):
         if t >= self.rate:
             return math.inf
-        return (1.0 - t / self.rate) ** (-self.shape)
+        return _in_range(lambda: (1.0 - t / self.rate) ** (-self.shape),
+                         f"E[exp({t:g} X)]", repr(self.spec))
 
     def log_moments(self):
         # a shape near the float's smallest sends digamma to -inf and the
         # polygammas to inf: NumericError, not a moment of inf or NaN
-        try:
+        def moments():
             v = _polygamma(1, self.shape)
-            out = (
-                _polygamma(0, self.shape) - math.log(self.rate),
-                v,
-                _polygamma(2, self.shape) / v / math.sqrt(v),
-                _polygamma(3, self.shape) / v / v,
-            )
-        except OverflowError:
-            raise _overflow("a moment of ln X", self.spec) from None
-        if not all(math.isfinite(m) for m in out):
-            raise _overflow("a moment of ln X", self.spec)
-        return out
+            return (_polygamma(0, self.shape) - math.log(self.rate), v,
+                    _polygamma(2, self.shape) / v / math.sqrt(v),
+                    _polygamma(3, self.shape) / v / v)
+        return _in_range(moments, "a moment of ln X", repr(self.spec), positive=False)
 
 
 @dataclass(frozen=True)
@@ -338,9 +336,10 @@ class Uniform:
             else:
                 raise DomainError(
                     f"E[X**{t}] undefined for uniform support [{self.lo}, {self.hi}]")
-        what = f"E[X**{t:g}]"
+        what, where = f"E[X**{t:g}]", repr(self.spec)
         if t == -1:
-            return _normal(math.log(self.hi / self.lo) / (self.hi - self.lo), what, self.spec)
+            return _in_range(lambda: math.log(self.hi / self.lo) / (self.hi - self.lo),
+                             what, where)
         # (hi**s - lo**s) / (s (hi - lo)) with s = t + 1, led by the end u
         # whose power dominates: u**t times f, the mean of (x/u)**t over the
         # support, at most 1 in size
@@ -351,41 +350,36 @@ class Uniform:
         # on a narrow support 1 - w**s cancels: log1p keeps it
         lead = -math.expm1(s * math.log1p((v - u) / u)) if w > 0.5 else 1.0 - w ** s
         f = u / (u - v) * lead / s
-        try:
-            try:
-                m = u ** t * f
-            except OverflowError:
-                # u**t alone is beyond the float range; the moment may not be
-                half = abs(u) ** (0.5 * t)
-                m = (-1.0 if u < 0.0 else 1.0) ** t * (half * f * half)
-        except OverflowError:
-            raise _overflow(what, self.spec) from None
-        if math.isinf(m):
-            raise _overflow(what, self.spec)
-        return _normal(m, what, self.spec) if self.lo > 0 else m
+
+        def moment():
+            if t * math.log2(abs(u)) < 1000.0:  # |u**t| < 2**1000: a float
+                return u ** t * f
+            # u**t alone may be beyond the float range where the moment is not
+            half = abs(u) ** (0.5 * t)
+            return (-1.0 if u < 0.0 else 1.0) ** t * (half * f * half)
+        # a support reaching 0 or below has moments of either sign
+        return _in_range(moment, what, where, positive=self.lo > 0)
 
     def mgf(self, t: float):
         """E[exp(tX)] = exp(a) (1 - exp(-s)) / s, a the larger of t lo and
         t hi and s = |t| (hi - lo), summed in logs: expm1 keeps a narrow
         support accurate, and exp(a) alone may overflow where the mgf does
-        not.  An mgf beyond the float range is NumericError, not inf, which
-        callers would take for a divergent moment; so is one below the
-        smallest normal float, a 0 or a subnormal that has lost digits."""
+        not."""
         a, s = max(t * self.lo, t * self.hi), abs(t) * (self.hi - self.lo)
-        try:
-            # s = 0: t = 0, or |t| (hi - lo) below the smallest float;
-            # log(inf) = inf: an overflowing width gives exp(-inf) = 0
-            v = math.exp(a if s == 0.0 else a + math.log(-math.expm1(-s)) - math.log(s))
-        except OverflowError:
-            raise _overflow(f"E[exp({t:g} X)]", self.spec) from None
-        return _normal(v, f"E[exp({t:g} X)]", self.spec)
+        # s = 0: t = 0, or |t| (hi - lo) below the smallest float;
+        # log(inf) = inf: an overflowing width gives exp(-inf) = 0
+        return _in_range(
+            lambda: math.exp(a if s == 0.0 else a + math.log(-math.expm1(-s)) - math.log(s)),
+            f"E[exp({t:g} X)]", repr(self.spec))
 
     def log_moments(self):
-        if self.lo <= 0:
-            raise DomainError("ln X needs strictly positive support")
-        return moments_from_raw([self._log_raw(k) for k in range(1, 5)])
+        return _standardize(*_central([self._log_raw(k) for k in range(1, 5)]), "ln X",
+                            repr(self.spec))
 
     def _log_raw(self, k: int) -> float:
+        if self.lo <= 0:
+            raise DomainError("ln X needs strictly positive support")
+
         # E[(ln X)^k] via the antiderivative of (ln x)^k:
         #   x * sum_{i=0..k} (-1)^(k-i) (k!/i!) (ln x)^i
         def anti(x: float) -> float:
@@ -435,11 +429,8 @@ class Pareto:
     def power_moment(self, t: float) -> float:
         if t >= self.alpha:
             return math.inf  # tail of order alpha: E[X**t] diverges at t >= alpha
-        try:
-            return _normal(self.alpha * self.scale ** t / (self.alpha - t),
-                           f"E[X**{t:g}]", self.spec)
-        except OverflowError:
-            raise _overflow(f"E[X**{t:g}]", self.spec) from None
+        return _in_range(lambda: self.alpha * self.scale ** t / (self.alpha - t),
+                         f"E[X**{t:g}]", repr(self.spec))
 
     def mgf(self, t: float):
         if t > 0:
@@ -450,11 +441,8 @@ class Pareto:
 
     def log_moments(self):
         # ln X = ln(scale) + Exponential(alpha)
-        try:
-            var = self.alpha ** -2
-        except OverflowError:
-            raise _overflow("var(ln X)", self.spec) from None
-        return (math.log(self.scale) + 1.0 / self.alpha, var, 2.0, 6.0)
+        return _in_range(lambda: (math.log(self.scale) + 1.0 / self.alpha, self.alpha ** -2,
+                                  2.0, 6.0), "a moment of ln X", repr(self.spec), positive=False)
 
 
 DistributionModel = LogNormal | Gamma | Uniform | Pareto

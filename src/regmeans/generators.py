@@ -131,6 +131,21 @@ def _require_real(value, name: str):
     return value
 
 
+def _real_array(x, owner: str) -> np.ndarray:
+    """x as a float array when it holds real numbers (a bool, integer or
+    float dtype), else InvalidParameterError naming owner: a string, bytes,
+    None or another object, a complex value, or a ragged list that numpy
+    cannot convert.  A NaN passes; each caller finds it in a reduction it
+    makes anyway."""
+    try:
+        arr = np.asarray(x)
+    except (TypeError, ValueError):  # a ragged list
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"{owner} needs real numbers, got {x!r:.80}")
+    return arr.astype(float, copy=False)
+
+
 def _spec_number(value: float) -> str:
     """value in the shortest form that parses back to the same float (its
     repr), less a trailing ".0": 2.0 is "2", 2.1234567 and 1.0000001 stay."""
@@ -297,23 +312,13 @@ def min_slope(g: Generator, B: Interval, grid_points: int = 10001) -> float:
 
 
 def normalize_increasing(g: Generator) -> Generator:
-    """Return g itself if increasing, else the negated (increasing) form.
+    """Return g itself if increasing, else the negated (increasing) form
+    -1*g+0 of affine_transform.
 
     The quasi-arithmetic mean is invariant under g -> -g, so the negated
     generator defines exactly the same mean.
     """
-    if g.increasing:
-        return g
-    fwd, inv, der = g.forward, g.inverse, g.derivative
-    return Generator(
-        name=f"neg_{g.name}",
-        domain=g.domain,
-        forward=lambda x: -fwd(x),
-        inverse=lambda y: inv(-y),
-        derivative=lambda x: -der(x),
-        monotone_direction="increasing",
-        kind="custom",
-    )
+    return g if g.increasing else affine_transform(g, -1.0, 0.0)
 
 
 def affine_transform(g: Generator, a: float, b: float) -> Generator:

@@ -28,7 +28,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError, NumericError
-from .generators import Generator, Interval, _require_real, make_builtin, require_count
+from .generators import (Generator, Interval, _real_array, _require_real, make_builtin,
+                         require_count)
 
 _EPS = float(np.finfo(float).eps)
 _POSITIVE = Interval(0.0, math.inf)
@@ -57,12 +58,10 @@ __all__ = [
 def _sample(x: Sequence[float] | np.ndarray, domain: Interval,
             owner: str) -> tuple[np.ndarray, float, float]:
     """(x, min x, max x), x as a nonempty 1-D float array with every value
-    inside the open domain, else ConfigurationError (DomainError for NaN and
+    inside the open domain, else ConfigurationError (InvalidParameterError
+    for values that are not real numbers, DomainError for NaN and
     infinities)."""
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{owner} needs a flat sequence of numbers") from None
+    arr = _real_array(x, owner)
     if arr.ndim != 1:
         if arr.ndim:
             raise ConfigurationError("sample must be one-dimensional")

@@ -49,7 +49,7 @@ from .asymptotics import (AsymptoticSpec, GMoments, _edgeworth_cdf, _real_points
                           asymptotic_variance, g_moments, phi_cdf)
 from .distributions import DistributionModel, Pareto, Uniform
 from .errors import ConfigurationError, DivergenceError, DomainError, InvalidParameterError
-from .generators import Generator, Interval, _vectorized, require_count
+from .generators import Generator, Interval, _real_array, _vectorized, require_count
 from .means import row_means
 
 __all__ = ["ScenarioConfig", "SimulationReport", "run_scenario", "ks_statistic",
@@ -218,9 +218,10 @@ def _run_group(cfgs: list[ScenarioConfig], threads: int = 1) -> list[SimulationR
 
 
 def _sorted_values(values, owner: str) -> np.ndarray:
-    """values flattened and sorted, as floats.  No value is
-    ConfigurationError and a NaN value DomainError, naming owner."""
-    v = np.sort(np.asarray(values, dtype=float).ravel())
+    """values flattened and sorted, as floats.  Values that are not real
+    numbers are InvalidParameterError, no value is ConfigurationError and a
+    NaN value DomainError, naming owner."""
+    v = np.sort(_real_array(values, owner).ravel())
     if v.size == 0:
         raise ConfigurationError(f"{owner} needs at least one value")
     if np.isnan(v[-1]):  # the sort puts NaNs last

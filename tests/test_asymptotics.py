@@ -41,7 +41,7 @@ from regmeans import (
     phi_cdf,
     phi_pdf,
 )
-from regmeans import asymptotics
+from regmeans import asymptotics, distributions
 
 LN = LogNormal(2.0, 1.0)
 GAM = Gamma(100.0, 1.0)
@@ -166,6 +166,28 @@ def _run_at_import(node):
             yield from _run_at_import(child)
 
 
+def _rules_on_range(node) -> bool:
+    """node catches OverflowError or compares with sys.float_info.min."""
+    if isinstance(node, ast.ExceptHandler) and node.type is not None:
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        return any(ast.unparse(c) == "OverflowError" for c in caught)
+    return isinstance(node, ast.Compare) and any(
+        ast.unparse(side) == "sys.float_info.min" for side in [node.left, *node.comparators])
+
+
+def test_the_range_rule_is_made_only_in_its_helper():
+    # copies of the rule in each closed form and moment drifted apart
+    rulings = []
+    for path in (Path(distributions.__file__), Path(asymptotics.__file__)):
+        tree = ast.parse(path.read_text())
+        helper = {id(n) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "_in_range" for n in ast.walk(f)}
+        for node in filter(_rules_on_range, ast.walk(tree)):
+            assert id(node) in helper, f"{path.name}:{node.lineno} rules on a float's range"
+            rulings.append(node)
+    assert len(rulings) == 2  # the helper's own catch and comparison
+
+
 def test_scipy_is_imported_only_inside_functions():
     # a scipy import that runs with the module loads it for every user
     for path in sorted(Path(asymptotics.__file__).parent.glob("*.py")):
@@ -222,11 +244,17 @@ class TestKolmogorovExpectation:
         got = kolmogorov_expectation(parse_generator("exp"), Uniform(0.0, 710.0))
         assert got == pytest.approx(710.0 - math.log(710.0), rel=1e-13)
 
-    @pytest.mark.parametrize("fn", [g_moments, asymptotic_variance])
-    def test_exp_moment_beyond_the_float_range_is_numeric_error(self, fn):
+    @pytest.mark.parametrize("fn, dist", [
         # E[exp(2X)] = (e**800 - 1) / 800 is finite but no float: not divergent
-        with pytest.raises(NumericError) as info:
-            fn(parse_generator("exp"), Uniform(0.0, 400.0))
+        pytest.param(g_moments, Uniform(0.0, 400.0), id="g_moments"),
+        pytest.param(asymptotic_variance, Uniform(0.0, 400.0), id="asymptotic_variance"),
+        # E[exp(X)] = 1001**1000: Gamma.mgf raised a bare OverflowError
+        *(pytest.param(fn, Gamma(1000.0, 1.001), id=f"{fn.__name__}-gamma:1000:1.001")
+          for fn in (kolmogorov_expectation, asymptotic_variance, g_moments)),
+    ])
+    def test_exp_moment_beyond_the_float_range_is_numeric_error(self, fn, dist):
+        with pytest.raises(NumericError, match="overflows") as info:
+            fn(parse_generator("exp"), dist)
         assert not isinstance(info.value, DivergenceError)
 
     @pytest.mark.parametrize("fn", [g_moments, asymptotic_variance])
@@ -248,9 +276,22 @@ class TestKolmogorovExpectation:
         with pytest.raises(NumericError):
             kolmogorov_expectation(parse_generator("log"), Gamma(1e-320, 1.0))
 
-    def test_representable_mean_below_an_overflowing_second_moment(self):
-        got = kolmogorov_expectation(parse_generator("identity"), LogNormal(700.0, 1.0))
-        assert got == 1.6721859620674984e304  # exp(700.5)
+    @pytest.mark.parametrize("g, dist, want, rel", [
+        pytest.param("identity", "lognormal:700:1", 1.6721859620674984e304, 0.0,  # exp(700.5)
+                     id="identity-lognormal:700:1"),
+        # the variance of ln X cancels to 0 here, and an order-1 request
+        # never asks for it; the mean of ln X loses about 1e-9 to cancellation
+        pytest.param("log", "uniform:1e6:1000001", 1000000.5, 2e-9, id="log-uniform:1e6:1000001"),
+        pytest.param("log", "pareto:1e200:1", 1.0, 0.0, id="log-pareto:1e200:1"),
+    ])
+    def test_representable_mean_below_an_overflowing_second_moment(self, g, dist, want, rel):
+        got = kolmogorov_expectation(parse_generator(g), parse_distribution(dist))
+        assert got == pytest.approx(want, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("fn", [kolmogorov_expectation, g_moments])
+    def test_log_of_a_uniform_reaching_zero_is_domain_error(self, fn):
+        with pytest.raises(DomainError, match="strictly positive"):
+            fn(parse_generator("log"), Uniform(-2.0, 3.0), method="closed_form")
 
     @pytest.mark.parametrize("fn, lo, hi", [
         (kolmogorov_expectation, -800.0, -750.0),  # E[e**X] underflows to 0
@@ -350,16 +391,30 @@ class TestGMoments:
         with pytest.raises(NumericError, match="underflows"):
             g_moments(parse_generator("reciprocal"), LogNormal(700.0, 1.0))
 
-    @pytest.mark.parametrize("fn, dist, order", [
-        (g_moments, "lognormal:-700:1", 2),            # about 1e-608: var_g was 0.0, NaN shape
-        (asymptotic_variance, "lognormal:-700:1", 2),
-        (g_moments, "lognormal:-200:1", 4),            # about 1e-344: exkurt_g was -3.0
+    @pytest.mark.parametrize("fn, g, dist, order, method", [
+        # about 1e-608: var_g was 0.0, NaN shape
+        pytest.param(g_moments, "identity", "lognormal:-700:1", 2, "quadrature",
+                     id="g_moments-lognormal:-700:1-2"),
+        pytest.param(asymptotic_variance, "identity", "lognormal:-700:1", 2, "quadrature",
+                     id="asymptotic_variance-lognormal:-700:1-2"),
+        # about 1e-344: exkurt_g was -3.0
+        pytest.param(g_moments, "identity", "lognormal:-200:1", 4, "quadrature",
+                     id="g_moments-lognormal:-200:1-4"),
+        # closed forms whose variance cancels or underflows to 0: var_g was
+        # 0.0 with NaN shape (skewness 2 and excess kurtosis 6 for log x
+        # pareto); quadrature does not converge on the first two supports
+        *(pytest.param(g_moments, g, dist, 2, method, id=f"{g}-{dist}-{method}")
+          for g, dist, methods in [("identity", "gamma:1e20:1", ["closed_form"]),
+                                   ("identity", "uniform:1e8:100000001", ["closed_form"]),
+                                   ("exp", "gamma:2:1e300", ["closed_form", "quadrature"]),
+                                   ("log", "pareto:1e200:1", ["closed_form", "quadrature"])]
+          for method in methods),
     ])
     def test_quadrature_central_moment_below_the_normal_range_is_numeric_error(
-            self, fn, dist, order):
-        # as the closed form's raw moments rule it ("E[X**2] underflows")
+            self, fn, g, dist, order, method):
+        # the closed forms' raw moments rule it too ("E[X**2] underflows")
         with pytest.raises(NumericError, match=f"order {order} .* underflows"):
-            fn(parse_generator("identity"), parse_distribution(dist), method="quadrature")
+            fn(parse_generator(g), parse_distribution(dist), method=method)
 
     def test_log_pareto_variance_beyond_the_float_range(self):
         # alpha ** -2 raised a bare OverflowError

@@ -357,6 +357,11 @@ class TestMoments:
         with pytest.raises(NumericError, match="overflows"):
             Gamma(1e-320, 1.0).log_moments()
 
+    def test_uniform_log_moments_whose_variance_cancels_are_numeric_error(self):
+        # the raw moments of ln X cancel to a variance of 0: (13.8, 0.0, nan, nan)
+        with pytest.raises(NumericError, match="order 2 of ln X underflows"):
+            Uniform(1e6, 1e6 + 1.0).log_moments()
+
     def test_uniform_mgf_on_a_narrow_support(self):
         # e**(t hi) - e**(t lo) cancels to about 1e-4 relative here
         assert Uniform(1.0, 1.0 + 1e-12).mgf(1.0) == pytest.approx(math.e, rel=1e-11)

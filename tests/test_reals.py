@@ -6,7 +6,9 @@ raise InvalidParameterError naming the parameter, not a bare TypeError.
 
 POINTS holds one row per function that takes a number or an array of
 points: a value that is not a real number is InvalidParameterError, a NaN is
-DomainError, and a real value passes, whichever of them is asked.
+DomainError, and a real value passes, whichever of them is asked.  ARRAYS
+holds the other entry points that take an array of values, through the same
+check (generators._real_array).
 """
 
 import functools
@@ -71,8 +73,10 @@ def _points(values):
             for x in values]
 
 
-# phi_cdf("1.5") answered 0.933 and phi_pdf(None) a NaN
-@pytest.mark.parametrize("call,x", _points(["1.5", None, ["a", "b"], [1.0, None], b"1", 1j]))
+# phi_cdf("1.5") answered 0.933 and phi_pdf(None) a NaN; a ragged list was
+# numpy's bare ValueError
+@pytest.mark.parametrize("call,x", _points(["1.5", None, ["a", "b"], [1.0, None], b"1", 1j,
+                                             [[0.5, 0.6], [0.7]]]))
 def test_points_that_are_not_real_numbers_are_rejected(call, x):
     with pytest.raises(InvalidParameterError, match="needs real numbers"):
         call(x)
@@ -92,3 +96,34 @@ def test_real_points_pass(call, x):
     for part in out if isinstance(out, tuple) else (out,):
         assert np.shape(part) == np.shape(x)
         assert not np.isnan(part).any()
+
+
+# (owner, call): call(x) passes x as the array of values
+ARRAYS = [
+    ("empirical_cdf", rm.empirical_cdf),
+    ("ks_statistic", lambda x: rm.ks_statistic(x, rm.phi_cdf)),
+    ("quantile", lambda x: rm.Uniform(1.0, 2.0).quantile(x)),
+    ("isf", lambda x: rm.Uniform(1.0, 2.0).isf(x)),
+    ("mean", lambda x: rm.mean(_log(), x)),
+]
+
+
+# empirical_cdf(["a"]) and quantile("a") raised numpy's bare ValueError,
+# ks_statistic([1j], ...) and quantile(0.5+0j) a bare TypeError, and
+# mean(identity, "12") answered 12.0
+@pytest.mark.parametrize("call", [pytest.param(call, id=owner) for owner, call in ARRAYS])
+@pytest.mark.parametrize("x", ["a", "0.5", ["0.5", "0.6"], 0.5 + 0j, [1j], None,
+                               [[0.5, 0.6], [0.7]]], ids=repr)
+def test_values_that_are_not_real_numbers_are_rejected(call, x):
+    with pytest.raises(InvalidParameterError, match="needs real numbers"):
+        call(x)
+
+
+# empirical_cdf(None) said "got a NaN value"; quantile and isf take a NaN as
+# outside (0, 1), InvalidParameterError (tests/test_distributions.py)
+@pytest.mark.parametrize("call", [pytest.param(call, id=owner) for owner, call in ARRAYS
+                                  if owner not in ("quantile", "isf")])
+@pytest.mark.parametrize("x", [math.nan, [0.5, math.nan]], ids=repr)
+def test_nan_value_is_domain_error(call, x):
+    with pytest.raises(DomainError):
+        call(x)
