@@ -338,8 +338,12 @@ class Uniform:
                     f"E[X**{t}] undefined for uniform support [{self.lo}, {self.hi}]")
         what, where = f"E[X**{t:g}]", repr(self.spec)
         if t == -1:
-            return _in_range(lambda: math.log(self.hi / self.lo) / (self.hi - self.lo),
-                             what, where)
+            # log(hi/lo) as log1p of the relative width, which keeps a narrow
+            # support's digits, or where that overflows, as a log difference
+            rel = (self.hi - self.lo) / self.lo
+            log_ratio = (math.log1p(rel) if math.isfinite(rel)
+                         else math.log(self.hi) - math.log(self.lo))
+            return _in_range(lambda: log_ratio / (self.hi - self.lo), what, where)
         # (hi**s - lo**s) / (s (hi - lo)) with s = t + 1, led by the end u
         # whose power dominates: u**t times f, the mean of (x/u)**t over the
         # support, at most 1 in size

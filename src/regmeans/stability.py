@@ -34,9 +34,10 @@ sign:
 r monotone on a piece makes h'/g' monotone there too, and with it
 g'/k_t' = 1/((1-t) + t h'/g'), so the blends share the pieces of r and
 reduce the same way, with the same partner y.  Each family of count
-triples is maximised over z on a grid and then on finer grids about its
-best point, and the triples are streamed in blocks of at most _BLOCK_ROWS
-rows.
+triples is maximised over z in three evaluations of its rows: on a grid, on
+a narrow stencil about the peak of the quartic through the best grid z and
+two neighbours each side, and at the peak of the quartic through the
+stencil.  The triples are streamed in blocks of at most _BLOCK_ROWS rows.
 
 The blended means invert k_t = (1-t) g + t h, increasing on the box.  M_t
 lies between M_g and M_h, so each row starts at (1-t) M_g + t M_h, and the
@@ -44,7 +45,9 @@ rows of every interior t go through one clamped Newton iteration together.
 
 Decreasing generators are negated to increasing form first; the mean is
 invariant under g -> -g, so nothing changes numerically.  Generators that
-are not monotone on the box are rejected.
+are not monotone on the box are rejected.  Overflow and underflow surface
+through finiteness checks, not float errors: each public function runs
+under one np.errstate(all="ignore"), and the helpers below assume it.
 """
 
 from __future__ import annotations
@@ -53,23 +56,13 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    DegenerateSlopeError,
-    InvalidParameterError,
-    NumericError,
-)
+from .errors import (ConfigurationError, ConvergenceError, DegenerateSlopeError,
+                     InvalidParameterError, NumericError)
 from .generators import (Generator, Interval, _require_real, min_slope, normalize_increasing,
                          require_count)
 from .means import means_from_sums
 
-__all__ = [
-    "StabilityReport",
-    "theorem4_bound",
-    "verify_stability",
-    "blend_distances",
-]
+__all__ = ["StabilityReport", "theorem4_bound", "verify_stability", "blend_distances"]
 
 
 @dataclass(frozen=True)
@@ -78,9 +71,10 @@ class StabilityReport:
 
     generator_distance and the bound's slopes are estimates on a grid of
     grid_points.  sup_mean_distance is the maximum of the reduced problem,
-    located to about 4e-9 of the box in each free value (see the module
-    docstring); it is attained by a row of the box, not a certified upper
-    bound.  `satisfied` compares with a relative slack of tolerance_factor.
+    its free value refined from a grid by two quartic peaks (see the module
+    docstring): at a smooth interior maximiser it is off by rounding only.
+    It is attained by a row of the box, not a certified upper bound.
+    `satisfied` compares with a relative slack of tolerance_factor.
     """
 
     g_name: str
@@ -122,7 +116,8 @@ def theorem4_bound(g: Generator, h: Generator, B: Interval, grid: int = 201) -> 
     changes L but not m, so the bound is deliberately asymmetric.
     """
     grid = require_count(grid, "grid", 2)
-    constant, dist = _bound_parts(*_normalized_pair(g, h, B), B, grid)
+    with np.errstate(all="ignore"):
+        constant, dist = _bound_parts(*_normalized_pair(g, h, B)[:2], B, grid)
     return constant * dist
 
 
@@ -130,37 +125,37 @@ def theorem4_bound(g: Generator, h: Generator, B: Interval, grid: int = 201) -> 
 # monotonicity and the pieces of g'/h' are checked.
 _BLOCK_ROWS = 2 ** 15
 _AXIS_POINTS = 4097
-# The first grid of the free value, then _ZOOM_ROUNDS grids of _ZOOM_POINTS
-# across the two cells beside the best point: each round shrinks the cell
-# 16-fold, to about 4e-9 of the box after five.  A partner y is located to
-# 2**-53 of the box.
+# The grid of the free value, then five z _STENCIL grid steps apart about
+# the peak of the quartic through its best five: at a smooth interior
+# maximiser the stencil's own quartic peaks close enough that the sup moves
+# by rounding only.  A partner y is located to 2**-53 of the box.
 _Z_POINTS = 257
-_ZOOM_POINTS = 33
-_ZOOM_ROUNDS = 5
+_STENCIL = 2.0 ** -4
 _PARTNER_HALVINGS = 53
+# From five values one unit apart to the slope of the quartic through them
+# at u: its coefficients of 1, u, u**2 and u**3, times 12.
+_SLOPE = np.array([[1.0, -8.0, 0.0, 8.0, -1.0], [-1.0, 16.0, -30.0, 16.0, -1.0],
+                   [-3.0, 6.0, 0.0, -6.0, 3.0], [2.0, -8.0, 12.0, -8.0, 2.0]])
 
 
 def _forward(gen: Generator, x: np.ndarray) -> np.ndarray:
-    # overflow to inf is caught by the callers' finiteness checks; underflow
-    # to a subnormal or zero is a value like any other
-    with np.errstate(all="ignore"):
-        return np.asarray(gen.forward(x), dtype=float)
+    return np.asarray(gen.forward(x), dtype=float)
 
 
-def _normalized_pair(g: Generator, h: Generator, box: Interval) -> tuple[Generator, Generator]:
-    """g and h in increasing form.  Raises NumericError when either decreases
-    on the _AXIS_POINTS axis: the blend inversion rests on monotonicity."""
+def _normalized_pair(g: Generator, h: Generator,
+                     box: Interval) -> tuple[Generator, Generator, np.ndarray]:
+    """g and h in increasing form, and the _AXIS_POINTS axis they were read
+    on, for _ratio_pieces to read g'/h' on.  Raises NumericError when either
+    decreases on the axis: the blend inversion rests on monotonicity."""
     gn, hn = normalize_increasing(g), normalize_increasing(h)
     for gen in (gn, hn):
         gen.domain.require_interior([box.lo, box.hi], f"generator {gen.name!r}")
     axis = box.grid(_AXIS_POINTS)
     for gen in (gn, hn):
         # inf - inf is NaN, which passes: overflow is the callers' check
-        with np.errstate(invalid="ignore"):
-            decreases = np.any(np.diff(_forward(gen, axis)) < 0)
-        if decreases:
+        if np.any(np.diff(_forward(gen, axis)) < 0):
             raise NumericError(f"generator {gen.name!r} is not increasing on {box}")
-    return gn, hn
+    return gn, hn, axis
 
 
 def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
@@ -182,35 +177,28 @@ def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
     if not 0.0 <= _require_real(tolerance_factor, "tolerance_factor") < np.inf:
         raise InvalidParameterError(
             f"tolerance_factor must be finite and >= 0, got {tolerance_factor}")
-    gn, hn = _normalized_pair(g, h, A_box)
-    (sup_dist,) = _reduced_sups(gn, hn, A_box, n, [1.0])
-    constant, gen_dist = _bound_parts(gn, hn, A_box, grid_per_dim)
+    with np.errstate(all="ignore"):
+        gn, hn, axis = _normalized_pair(g, h, A_box)
+        (sup_dist,) = _reduced_sups(gn, hn, A_box, n, [1.0], axis)
+        constant, gen_dist = _bound_parts(gn, hn, A_box, grid_per_dim)
     bound = constant * gen_dist
-    return StabilityReport(
-        g_name=g.name,
-        h_name=h.name,
-        sup_mean_distance=sup_dist,
-        generator_distance=gen_dist,
-        bound_constant=constant,
-        bound=bound,
-        satisfied=sup_dist <= bound * (1.0 + tolerance_factor),
-        box=(A_box.lo, A_box.hi),
-        n=n,
-        grid_points=grid_per_dim,
-        tolerance_factor=tolerance_factor,
-    )
+    return StabilityReport(g_name=g.name, h_name=h.name, sup_mean_distance=sup_dist,
+                           generator_distance=gen_dist, bound_constant=constant, bound=bound,
+                           satisfied=sup_dist <= bound * (1.0 + tolerance_factor),
+                           box=(A_box.lo, A_box.hi), n=n, grid_points=grid_per_dim,
+                           tolerance_factor=tolerance_factor)
 
 
 def _ratio(gn: Generator, hn: Generator, x: np.ndarray) -> np.ndarray:
     # r = g'/h' at x; a non-finite r is _ratio_pieces' check
-    with np.errstate(all="ignore"):
-        return np.broadcast_to(np.asarray(gn.derivative(x), dtype=float)
-                               / np.asarray(hn.derivative(x), dtype=float), np.shape(x))
+    return np.broadcast_to(np.asarray(gn.derivative(x), dtype=float)
+                           / np.asarray(hn.derivative(x), dtype=float), np.shape(x))
 
 
-def _ratio_pieces(gn: Generator, hn: Generator, box: Interval) -> tuple[int, float]:
-    """The number of monotone pieces of r = g'/h' on the _AXIS_POINTS axis,
-    and the axis point where the first piece ends.
+def _ratio_pieces(gn: Generator, hn: Generator, axis: np.ndarray,
+                  box: Interval) -> tuple[int, float]:
+    """The number of monotone pieces of r = g'/h' on the axis of the box
+    (see _normalized_pair), and the axis point where the first piece ends.
 
     A step of r within 4 eps of the larger |r| at its two ends counts as
     neither sign, so a constant r, and one that only rounds apart from a
@@ -218,7 +206,6 @@ def _ratio_pieces(gn: Generator, hn: Generator, box: Interval) -> tuple[int, flo
     axis, and DegenerateSlopeError when it is 0 there: M_g then rests on the
     inverse of a g that is not strictly increasing.
     """
-    axis = box.grid(_AXIS_POINTS)
     r = _ratio(gn, hn, axis)
     if not np.all(np.isfinite(r)):
         raise NumericError(f"g'/h' of {gn.name!r} and {hn.name!r} is not finite on {box}")
@@ -258,6 +245,22 @@ def _bisect(above, lo: np.ndarray, hi: np.ndarray, halvings: int) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+def _peak(f: np.ndarray) -> np.ndarray:
+    """Where the quartic through five values one unit apart (last axis)
+    peaks, as an offset from the middle one: two Newton steps on its slope
+    from the highest value, within a unit of it, and none where it does not
+    bend down.  Two, since a value near a peak moves by the square of the
+    offset's error."""
+    s0, s1, s2, s3 = np.moveaxis(f @ _SLOPE.T, -1, 0)
+    u = np.argmax(f, axis=-1) - 2.0
+    lo, hi = u - 1.0, u + 1.0
+    for _ in range(2):
+        bend = s1 + u * (2.0 * s2 + 3.0 * s3 * u)
+        u = np.where(bend < 0.0, np.minimum(np.maximum(
+            u - (s0 + u * (s1 + u * (s2 + s3 * u))) / bend, lo), hi), u)
+    return u[..., None]
+
+
 def _counts(n: int, lo: int, hi: int) -> tuple:
     """(k_a, k_b, k_z) of the count triples lo..hi-1, as columns.
 
@@ -274,60 +277,58 @@ def _counts(n: int, lo: int, hi: int) -> tuple:
 
 
 def _reduced_sups(gn: Generator, hn: Generator, box: Interval, n: int,
-                  ts: list) -> list[float]:
+                  ts: list, axis: np.ndarray) -> list[float]:
     """sup |M_g - M_t| over box**n for each t of ts (M_1 is M_h): the
     maximum over rows of k_a copies of a, k_b of b and k_z >= 1 of one z,
     and where g'/h' turns once on the box, also over rows of n - 1 such
     coordinates and the partner y of z (see the module docstring).
 
     Each triple's rows sum g as k_a g(a) + k_b g(b) + k_z g(z) [+ g(y)].
-    Its z runs over _Z_POINTS, then over finer grids about the best z,
-    separately for each t; the rows of all t go through g and its inverse
-    together, and those of all interior t through one call of
-    _invert_blend, each with its own t.  Raises ConfigurationError when
-    g'/h' turns more than once on the box.
+    A block of triples is evaluated three times, the rows of all t together
+    and those of all interior t in one call of _invert_blend: on the grid of
+    _Z_POINTS z, on five z about the peak of the quartic through each t's
+    best five grid values, and at the peak of the quartic through those
+    five.  axis is the one _normalized_pair read g and h on.  Raises
+    ConfigurationError when g'/h' turns more than once on the box.
     """
-    pieces, turn = _ratio_pieces(gn, hn, box)
+    pieces, turn = _ratio_pieces(gn, hn, axis, box)
     if pieces > 2:
         raise ConfigurationError(
             f"g'/h' of {gn.name!r} and {hn.name!r} has {pieces} monotone pieces on {box}; "
             "the reduction serves at most 2")
     active = [t for t in ts if t > 0.0]
-    inner = [j for j, t in enumerate(active) if t < 1.0]
-    tb = np.array(active)[inner][:, None, None]
-    ends = np.array([box.lo, box.hi])
-    (ga, gb), (ha, hb) = _forward(gn, ends), _forward(hn, ends)
+    tb = np.array(active)[:, None, None]
+    inner = tb[:, 0, 0] < 1.0
+    (ga, gb), (ha, hb) = (_forward(gen, axis[[0, -1]]) for gen in (gn, hn))
 
     def distances(k, z, partner):
         # |M_g - M_t| of shape (len(active), triples, points); z of leading
         # size 1 gives all t the same rows
         ka, kb, kz = k
-        with np.errstate(all="ignore"):
-            gsum = ka * ga + kb * gb + kz * _forward(gn, z)
-            hsum = ka * ha + kb * hb + kz * _forward(hn, z)
-            if partner is not None:
-                y = partner(z)
-                gsum = gsum + _forward(gn, y)
-                hsum = hsum + _forward(hn, y)
-        shape = (len(active),) + gsum.shape[1:]
-        sg, mg, sh, mh = (np.broadcast_to(v.reshape(gsum.shape), shape) for v in (
-            *means_from_sums(gn.inverse, gsum.ravel(), n),
-            *means_from_sums(hn.inverse, hsum.ravel(), n)))
-        mt = mh.copy()
-        if inner:
+        gsum = ka * ga + kb * gb + kz * _forward(gn, z)
+        hsum = ka * ha + kb * hb + kz * _forward(hn, z)
+        if partner is not None:
+            y = partner(z)
+            gsum = gsum + _forward(gn, y)
+            hsum = hsum + _forward(hn, y)
+        sg, mg = means_from_sums(gn.inverse, gsum, n)
+        sh, mh = means_from_sums(hn.inverse, hsum, n)
+        mt = np.broadcast_to(mh, (len(active),) + mh.shape[1:]).copy()
+        if inner.any():
             # every interior t in one inversion, each row started between
             # M_g and M_h, where M_t lies
-            y = (1.0 - tb) * sg[inner] + tb * sh[inner]
-            start = (1.0 - tb) * mg[inner] + tb * mh[inner]
-            mt[inner] = _invert_blend(gn, hn, np.broadcast_to(tb, y.shape).ravel(), y.ravel(),
-                                      start.ravel(), box).reshape(y.shape)
+            y = ((1.0 - tb) * sg + tb * sh)[inner]
+            start = ((1.0 - tb) * mg + tb * mh)[inner]
+            mt[inner] = _invert_blend(gn, hn, np.broadcast_to(tb[inner], y.shape).ravel(),
+                                      y.ravel(), start.ravel(), box).reshape(y.shape)
         return np.abs(mg - mt)
 
     sups = np.zeros(len(active))
-    per_block = max(1, _BLOCK_ROWS // max(_Z_POINTS, len(active) * _ZOOM_POINTS))
-    zoom = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
-    # (coordinates counted by the triples, the extra coordinate y as a
-    # function of z)
+    per_block = max(1, _BLOCK_ROWS // max(_Z_POINTS, 5 * len(active)))
+    grid, five = box.grid(_Z_POINTS), np.arange(-2, 3)
+    step = box.width / (_Z_POINTS - 1)
+    width = _STENCIL * step
+    # (coordinates the triples count, the extra coordinate y as a function of z)
     families = [(n, None)]
     if pieces == 2:
         families.append((n - 1, lambda z: _partner(gn, hn, box, turn, z)))
@@ -335,16 +336,14 @@ def _reduced_sups(gn: Generator, hn: Generator, box: Interval, n: int,
         triples = m * (m + 1) // 2
         for lo in range(0, triples, per_block):
             k = _counts(m, lo, min(triples, lo + per_block))
-            z = box.grid(_Z_POINTS)[None, None, :]
-            step = box.width / (_Z_POINTS - 1)
-            for _ in range(_ZOOM_ROUNDS):
-                d = distances(k, z, partner)
-                sups = np.maximum(sups, np.max(d, axis=(1, 2)))
-                best = np.take_along_axis(np.broadcast_to(z, d.shape),
-                                          np.argmax(d, axis=2)[..., None], axis=2)
-                z = np.clip(best + step * zoom, box.lo, box.hi)
-                step /= (_ZOOM_POINTS - 1) // 2
-            sups = np.maximum(sups, np.max(distances(k, z, partner), axis=(1, 2)))
+            d = distances(k, grid[None, None, :], partner)
+            # five grid z about the best of each t and triple
+            i = np.clip(np.argmax(d, axis=2), 2, _Z_POINTS - 3)[..., None]
+            z = grid[i] + step * _peak(np.take_along_axis(d, i + five, axis=2))
+            z = np.clip(z, box.lo + 2.0 * width, box.hi - 2.0 * width)
+            near = distances(k, np.clip(z + width * five, box.lo, box.hi), partner)
+            last = distances(k, np.clip(z + width * _peak(near), box.lo, box.hi), partner)
+            sups = np.max([sups, *(np.max(e, axis=(1, 2)) for e in (d, near, last))], axis=0)
     by_t = dict(zip(active, sups.tolist()))
     return [by_t.get(t, 0.0) for t in ts]
 
@@ -366,22 +365,20 @@ def _invert_blend(gn: Generator, hn: Generator, t: np.ndarray, y: np.ndarray,
         return (1.0 - t) * gf(z) + t * hf(z) - y
 
     tol = 1e-13 * np.maximum(1.0, np.abs(y))
-    with np.errstate(all="ignore"):
-        z = np.clip(start, box.lo, box.hi)
+    z = np.clip(start, box.lo, box.hi)
+    resid = f(z, t, y)
+    for _ in range(30):
+        far = ~(np.abs(resid) <= tol)
+        if not far.any():
+            return z
+        step = np.clip(z - resid / ((1.0 - t) * gd(z) + t * hd(z)), box.lo, box.hi)
+        z = np.where(far, step, z)
         resid = f(z, t, y)
-        for _ in range(30):
-            far = ~(np.abs(resid) <= tol)
-            if not np.any(far):
-                return z
-            step = np.clip(z - resid / ((1.0 - t) * gd(z) + t * hd(z)), box.lo, box.hi)
-            z = np.where(far, step, z)
-            resid = f(z, t, y)
-        rows = np.flatnonzero(~(np.abs(resid) <= tol))
-        tb, yb = t[rows], y[rows]
-        z[rows] = _bisect(lambda mid: (1.0 - tb) * gf(mid) + tb * hf(mid) < yb,
-                          np.full(rows.size, box.lo), np.full(rows.size, box.hi), 100)
-        missed = ~(np.abs(f(z[rows], tb, yb)) <= 1e-9 * np.maximum(1.0, np.abs(yb)))
-    if np.any(missed):
+    rows = np.flatnonzero(~(np.abs(resid) <= tol))
+    tb, yb = t[rows], y[rows]
+    z[rows] = _bisect(lambda mid: (1.0 - tb) * gf(mid) + tb * hf(mid) < yb,
+                      np.full(rows.size, box.lo), np.full(rows.size, box.hi), 100)
+    if np.any(~(np.abs(f(z[rows], tb, yb)) <= 1e-9 * np.maximum(1.0, np.abs(yb)))):
         raise ConvergenceError("blend inversion failed to converge")
     return z
 
@@ -411,5 +408,6 @@ def blend_distances(g: Generator, h: Generator, A_box: Interval, n: int,
         raise InvalidParameterError(f"ts must be an iterable of numbers, got {ts!r}") from None
     if any(not 0.0 <= t <= 1.0 for t in ts):
         raise InvalidParameterError(f"blend parameters must lie in [0, 1], got {ts}")
-    gn, hn = _normalized_pair(g, h, A_box)
-    return _reduced_sups(gn, hn, A_box, n, ts)
+    with np.errstate(all="ignore"):
+        gn, hn, axis = _normalized_pair(g, h, A_box)
+        return _reduced_sups(gn, hn, A_box, n, ts, axis)

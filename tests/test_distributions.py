@@ -1,5 +1,6 @@
 """Scenario distributions: sampling, quantiles, moment formulas."""
 
+import decimal
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from regmeans import (
     NumericError,
     Pareto,
     Uniform,
+    kolmogorov_expectation,
     parse_distribution,
     parse_generator,
 )
@@ -333,6 +335,25 @@ class TestMoments:
         d = 1.000001 - 1.0
         want = 1.0 + 1.25 * d + 0.625 * d * d + 0.078125 * d ** 3
         assert Uniform(1.0, 1.000001).power_moment(2.5) == pytest.approx(want, rel=1e-14)
+
+    def test_uniform_reciprocal_moment_on_a_narrow_support(self):
+        # log(hi / lo) rounds hi / lo first: 9.999999889e-9, 6.1e-9 off; the
+        # series of log1p(d) / d in d = 1e-8 (hi - lo = 1 exactly) is not
+        d = 1.0 / 1e8
+        want = d * (1.0 - d / 2.0 + d * d / 3.0)
+        got = Uniform(1e8, 1e8 + 1.0).power_moment(-1.0)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_uniform_reciprocal_moment_on_a_wide_support(self):
+        # hi / lo = 1e310 overflowed: NumericError for an E[1/X] of about 7.14e-8
+        lo, hi = 1e-300, 1e10
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            want = float((decimal.Decimal(hi).ln() - decimal.Decimal(lo).ln())
+                         / (decimal.Decimal(hi) - decimal.Decimal(lo)))
+        assert Uniform(lo, hi).power_moment(-1.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+        got = kolmogorov_expectation(parse_generator("reciprocal"), Uniform(lo, hi))
+        assert got == pytest.approx(1.0 / want, rel=1e-12)
 
     @pytest.mark.parametrize("dist, t", [(LogNormal(700.0, 1.0), -2.0), (Gamma(2.0, 1e300), 2.0),
                                          (Pareto(10.0, 1e-200), 2.0), (Uniform(1e200, 2e200), -2.0)],
