@@ -204,11 +204,9 @@ def _cmd_simulate(args) -> dict:
 def _cmd_stability(args) -> dict:
     g = parse_generator(args.g)
     h = parse_generator(args.h)
-    report = verify_stability(g, h, _parse_interval(args.box, "box"), n=args.n,
-                              grid_per_dim=args.grid)
+    report = verify_stability(g, h, _parse_interval(args.box, "box"), n=args.n)
     payload = {"command": "stability", **report.as_dict()}
-    payload["metadata"] = _meta(args, g=args.g, h=args.h, box=args.box,
-                                n=args.n, grid=args.grid)
+    payload["metadata"] = _meta(args, g=args.g, h=args.h, box=args.box, n=args.n)
     return payload
 
 
@@ -304,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True)
     p.add_argument("--box", default="1:2", help="evaluation interval lo:hi")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--grid", type=int, default=201,
-                   help="points of the bound's grid")
     p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("portfolio", parents=[_common_parent()],

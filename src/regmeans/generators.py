@@ -302,12 +302,19 @@ def min_slope(g: Generator, B: Interval, grid_points: int = 10001) -> float:
     xs = B.grid(require_count(grid_points, "grid_points", 2))  # and a compact B
     g.domain.require_interior([B.lo, B.hi], f"generator {g.name!r}")
     with np.errstate(all="ignore"):
-        m = float(np.min(np.abs(np.asarray(g.derivative(xs), dtype=float))))
+        return _least_slope(g.derivative(xs), g.name, B)
+
+
+def _least_slope(slopes, name: str, B: Interval) -> float:
+    """min |g'| over slopes, the g' of generator `name` on B (under the
+    caller's np.errstate): NumericError if it is not finite, and
+    DegenerateSlopeError if it is at most _DEGENERATE_TOL."""
+    m = float(np.min(np.abs(np.asarray(slopes, dtype=float))))
     if not math.isfinite(m):
-        raise NumericError(f"slope of generator {g.name!r} is not finite on [{B.lo}, {B.hi}]")
+        raise NumericError(f"slope of generator {name!r} is not finite on [{B.lo}, {B.hi}]")
     if m <= _DEGENERATE_TOL:
         raise DegenerateSlopeError(
-            f"generator {g.name!r} has vanishing slope on [{B.lo}, {B.hi}] (min |g'| = {m:g})")
+            f"generator {name!r} has vanishing slope on [{B.lo}, {B.hi}] (min |g'| = {m:g})")
     return m
 
 

@@ -121,7 +121,7 @@ def _kernel(x: np.ndarray, forward: Callable, inverse: Callable) -> float:
 def _row_kernel(rows: np.ndarray, forward: Callable, inverse: Callable) -> np.ndarray:
     with np.errstate(all="ignore"):
         sums = np.sum(np.asarray(forward(rows), dtype=float), axis=1)
-    return means_from_sums(inverse, sums, rows.shape[1])[1]
+        return means_from_sums(inverse, sums, rows.shape[1])[1]
 
 
 def _anchored(g: Generator, x: np.ndarray, kernel: Callable,
@@ -192,13 +192,12 @@ def means_from_sums(inverse: Callable, sums: np.ndarray, n: int) -> tuple[np.nda
     """(sums / n, inverse(sums / n)) for per-row sums of g over n values.
 
     Raises NumericError when a sum or a mean is not finite, that is when g or
-    its inverse overflowed.
+    its inverse overflowed.  Callers hold np.errstate(all="ignore").
     """
     if not np.all(np.isfinite(sums)):
         raise NumericError(_OVERFLOW)
-    with np.errstate(all="ignore"):
-        avg = sums / n
-        m = np.asarray(inverse(avg), dtype=float)
+    avg = sums / n
+    m = np.asarray(inverse(avg), dtype=float)
     if not np.all(np.isfinite(m)):
         raise NumericError(_OVERFLOW)
     return avg, m

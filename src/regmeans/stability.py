@@ -5,17 +5,16 @@ slope m > 0, the means satisfy
 
     sup |M_g(x) - M_h(x)|  <=  (L + 1/m) * sup |g - h|
 
-with L a Lipschitz constant of g_inv (estimated as 1/min_slope(g)).  The
-right side is measured on a grid of B.  The left side, and the distances
-sup |M_g - M_t| to the means of the blends k_t = (1-t) g + t h, are the
-maxima of a reduced problem.
+with L a Lipschitz constant of g_inv, 1/min |g'|.  Each certificate reads g,
+h, g' and h' once on an axis of _AXIS_POINTS points of B, the right side
+there.  The left side, and the distances sup |M_g - M_t| to the means of the
+blends k_t = (1-t) g + t h, are the maxima of a reduced problem.
 
 Since dM_g/dx_i = g'(x_i) / (n g'(M_g)), every coordinate of a maximiser of
 +-(M_g - M_h) strictly inside B solves r(x_i) = g'(M_g) / h'(M_h), with
 r = g'/h' (the Karush-Kuhn-Tucker conditions for a box).  Each monotone
-piece of r holds at most one root.  The pieces are counted on an axis of
-_AXIS_POINTS points, a step of r within rounding of zero counting as neither
-sign:
+piece of r holds at most one root.  The pieces are counted on the axis, a
+step of r within rounding of zero counting as neither sign:
 
 - At most one piece (r monotone, or constant, where M_g = M_h up to
   rounding): the sup is taken over rows of k_a copies of a, k_b copies of b
@@ -52,13 +51,14 @@ under one np.errstate(all="ignore"), and the helpers below assume it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import (ConfigurationError, ConvergenceError, DegenerateSlopeError,
                      InvalidParameterError, NumericError)
-from .generators import (Generator, Interval, _require_real, min_slope, normalize_increasing,
+from .generators import (Generator, Interval, _least_slope, _require_real, normalize_increasing,
                          require_count)
 from .means import means_from_sums
 
@@ -69,9 +69,9 @@ __all__ = ["StabilityReport", "theorem4_bound", "verify_stability", "blend_dista
 class StabilityReport:
     """Measured sup-norm distance of two means against the Lipschitz bound.
 
-    generator_distance and the bound's slopes are estimates on a grid of
-    grid_points.  sup_mean_distance is the maximum of the reduced problem,
-    its free value refined from a grid by two quartic peaks (see the module
+    generator_distance and the bound's slopes are read on the certificate's
+    axis.  sup_mean_distance is the maximum of the reduced problem, its free
+    value refined from a grid by two quartic peaks (see the module
     docstring): at a smooth interior maximiser it is off by rounding only.
     It is attained by a row of the box, not a certified upper bound.
     `satisfied` compares with a relative slack of tolerance_factor.
@@ -86,7 +86,6 @@ class StabilityReport:
     satisfied: bool
     box: tuple
     n: int
-    grid_points: int
     tolerance_factor: float
 
     def as_dict(self) -> dict:
@@ -95,34 +94,7 @@ class StabilityReport:
         return d
 
 
-def _bound_parts(gn: Generator, hn: Generator, B: Interval,
-                 grid: int) -> tuple[float, float]:
-    """(L + 1/m, sup|g-h|) for g, h in increasing form (see _normalized_pair)
-    on B.  Raises NumericError when g or h overflows on the grid."""
-    xs = B.grid(grid)
-    gx, hx = _forward(gn, xs), _forward(hn, xs)
-    if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(hx))):
-        raise NumericError(f"{gn.name!r} or {hn.name!r} is not finite on {B}")
-    g_slope = min_slope(gn, B, grid)
-    L = 1.0 / g_slope
-    m = min(g_slope, min_slope(hn, B, grid))
-    return L + 1.0 / m, float(np.max(np.abs(gx - hx)))
-
-
-def theorem4_bound(g: Generator, h: Generator, B: Interval, grid: int = 201) -> float:
-    """(L + 1/m) * sup|g - h| on B, all three factors estimated on the grid.
-
-    L is specific to g (Lipschitz constant of its inverse); swapping g and h
-    changes L but not m, so the bound is deliberately asymmetric.
-    """
-    grid = require_count(grid, "grid", 2)
-    with np.errstate(all="ignore"):
-        constant, dist = _bound_parts(*_normalized_pair(g, h, B)[:2], B, grid)
-    return constant * dist
-
-
-# Evaluation rows per block, and points of the axis on which the generators'
-# monotonicity and the pieces of g'/h' are checked.
+# Evaluation rows per block, and points of the axis the pair is read on.
 _BLOCK_ROWS = 2 ** 15
 _AXIS_POINTS = 4097
 # The grid of the free value, then five z _STENCIL grid steps apart about
@@ -136,26 +108,53 @@ _PARTNER_HALVINGS = 53
 # at u: its coefficients of 1, u, u**2 and u**3, times 12.
 _SLOPE = np.array([[1.0, -8.0, 0.0, 8.0, -1.0], [-1.0, 16.0, -30.0, 16.0, -1.0],
                    [-3.0, 6.0, 0.0, -6.0, 3.0], [2.0, -8.0, 12.0, -8.0, 2.0]])
+# g and h in increasing form, the axis, and g, h, g' and h' read on it
+_Pair = namedtuple("_Pair", "gn hn axis g h dg dh")
 
 
 def _forward(gen: Generator, x: np.ndarray) -> np.ndarray:
     return np.asarray(gen.forward(x), dtype=float)
 
 
-def _normalized_pair(g: Generator, h: Generator,
-                     box: Interval) -> tuple[Generator, Generator, np.ndarray]:
-    """g and h in increasing form, and the _AXIS_POINTS axis they were read
-    on, for _ratio_pieces to read g'/h' on.  Raises NumericError when either
-    decreases on the axis: the blend inversion rests on monotonicity."""
+def _normalized_pair(g: Generator, h: Generator, box: Interval) -> _Pair:
+    """g and h in increasing form, read once on the _AXIS_POINTS axis of the
+    box.  Raises NumericError when either decreases on the axis: the blend
+    inversion rests on monotonicity."""
     gn, hn = normalize_increasing(g), normalize_increasing(h)
     for gen in (gn, hn):
         gen.domain.require_interior([box.lo, box.hi], f"generator {gen.name!r}")
     axis = box.grid(_AXIS_POINTS)
+    values = []
     for gen in (gn, hn):
+        values.append(_forward(gen, axis))
         # inf - inf is NaN, which passes: overflow is the callers' check
-        if np.any(np.diff(_forward(gen, axis)) < 0):
+        if np.any(np.diff(values[-1]) < 0):
             raise NumericError(f"generator {gen.name!r} is not increasing on {box}")
-    return gn, hn, axis
+    values += [np.broadcast_to(np.asarray(gen.derivative(axis), dtype=float), axis.shape)
+               for gen in (gn, hn)]
+    return _Pair(gn, hn, axis, *values)
+
+
+def _bound_parts(pair: _Pair, box: Interval) -> tuple[float, float]:
+    """(L + 1/m, sup|g-h|) on the axis of the pair, with L = 1/min |g'| and
+    m = min(min |g'|, min |h'|).  Raises NumericError when g or h overflows
+    there, and as generators._least_slope."""
+    if not (np.all(np.isfinite(pair.g)) and np.all(np.isfinite(pair.h))):
+        raise NumericError(f"{pair.gn.name!r} or {pair.hn.name!r} is not finite on {box}")
+    g_slope = _least_slope(pair.dg, pair.gn.name, box)
+    m = min(g_slope, _least_slope(pair.dh, pair.hn.name, box))
+    return 1.0 / g_slope + 1.0 / m, float(np.max(np.abs(pair.g - pair.h)))
+
+
+def theorem4_bound(g: Generator, h: Generator, B: Interval) -> float:
+    """(L + 1/m) * sup|g - h| on B, all three read on the certificates' axis.
+
+    L is specific to g (Lipschitz constant of its inverse); swapping g and h
+    changes L but not m, so the bound is deliberately asymmetric.
+    """
+    with np.errstate(all="ignore"):
+        constant, dist = _bound_parts(_normalized_pair(g, h, B), B)
+    return constant * dist
 
 
 def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
@@ -164,29 +163,28 @@ def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
     """Find sup |M_g - M_h| over A_box**n and compare with the bound.
 
     The sup is the maximum of the reduced problem (see the module
-    docstring); grid_per_dim sets the bound's grid.  The generator-side
-    interval is A_box as well: by internality the mean of points in the box
-    never leaves it, so slopes and sup|g-h| on A_box are exactly what the
-    bound needs.  Pairs whose g'/h' turns more than once on A_box (possible
-    only with custom generators) are not supported: they raise
-    ConfigurationError, and a bad n, grid_per_dim or tolerance_factor
-    InvalidParameterError.
+    docstring).  The generator-side interval is A_box as well: by
+    internality the mean of points in the box never leaves it, so slopes
+    and sup|g-h| on A_box are what the bound needs.  grid_per_dim is
+    deprecated: it is checked but sets nothing, and stays while perfbench's
+    certify workload passes it.  Pairs whose g'/h' turns more than once on
+    A_box (possible only with custom generators) raise ConfigurationError,
+    and a bad n, grid_per_dim or tolerance_factor InvalidParameterError.
     """
     n = require_count(n, "n", 1)
-    grid_per_dim = require_count(grid_per_dim, "grid_per_dim", 2)
+    require_count(grid_per_dim, "grid_per_dim", 2)
     if not 0.0 <= _require_real(tolerance_factor, "tolerance_factor") < np.inf:
         raise InvalidParameterError(
             f"tolerance_factor must be finite and >= 0, got {tolerance_factor}")
     with np.errstate(all="ignore"):
-        gn, hn, axis = _normalized_pair(g, h, A_box)
-        (sup_dist,) = _reduced_sups(gn, hn, A_box, n, [1.0], axis)
-        constant, gen_dist = _bound_parts(gn, hn, A_box, grid_per_dim)
+        pair = _normalized_pair(g, h, A_box)
+        (sup_dist,) = _reduced_sups(pair, A_box, n, [1.0])
+        constant, gen_dist = _bound_parts(pair, A_box)
     bound = constant * gen_dist
     return StabilityReport(g_name=g.name, h_name=h.name, sup_mean_distance=sup_dist,
                            generator_distance=gen_dist, bound_constant=constant, bound=bound,
                            satisfied=sup_dist <= bound * (1.0 + tolerance_factor),
-                           box=(A_box.lo, A_box.hi), n=n, grid_points=grid_per_dim,
-                           tolerance_factor=tolerance_factor)
+                           box=(A_box.lo, A_box.hi), n=n, tolerance_factor=tolerance_factor)
 
 
 def _ratio(gn: Generator, hn: Generator, x: np.ndarray) -> np.ndarray:
@@ -195,10 +193,9 @@ def _ratio(gn: Generator, hn: Generator, x: np.ndarray) -> np.ndarray:
                            / np.asarray(hn.derivative(x), dtype=float), np.shape(x))
 
 
-def _ratio_pieces(gn: Generator, hn: Generator, axis: np.ndarray,
-                  box: Interval) -> tuple[int, float]:
-    """The number of monotone pieces of r = g'/h' on the axis of the box
-    (see _normalized_pair), and the axis point where the first piece ends.
+def _ratio_pieces(pair: _Pair, box: Interval) -> tuple[int, float]:
+    """The number of monotone pieces of r = g'/h' on the axis of the pair,
+    and the axis point where the first piece ends.
 
     A step of r within 4 eps of the larger |r| at its two ends counts as
     neither sign, so a constant r, and one that only rounds apart from a
@@ -206,7 +203,8 @@ def _ratio_pieces(gn: Generator, hn: Generator, axis: np.ndarray,
     axis, and DegenerateSlopeError when it is 0 there: M_g then rests on the
     inverse of a g that is not strictly increasing.
     """
-    r = _ratio(gn, hn, axis)
+    gn, hn, axis = pair[:3]
+    r = pair.dg / pair.dh
     if not np.all(np.isfinite(r)):
         raise NumericError(f"g'/h' of {gn.name!r} and {hn.name!r} is not finite on {box}")
     if not np.all(r):
@@ -276,8 +274,7 @@ def _counts(n: int, lo: int, hi: int) -> tuple:
     return ka[:, None], (m - ka)[:, None], (n - m)[:, None]
 
 
-def _reduced_sups(gn: Generator, hn: Generator, box: Interval, n: int,
-                  ts: list, axis: np.ndarray) -> list[float]:
+def _reduced_sups(pair: _Pair, box: Interval, n: int, ts: list) -> list[float]:
     """sup |M_g - M_t| over box**n for each t of ts (M_1 is M_h): the
     maximum over rows of k_a copies of a, k_b of b and k_z >= 1 of one z,
     and where g'/h' turns once on the box, also over rows of n - 1 such
@@ -288,10 +285,11 @@ def _reduced_sups(gn: Generator, hn: Generator, box: Interval, n: int,
     and those of all interior t in one call of _invert_blend: on the grid of
     _Z_POINTS z, on five z about the peak of the quartic through each t's
     best five grid values, and at the peak of the quartic through those
-    five.  axis is the one _normalized_pair read g and h on.  Raises
-    ConfigurationError when g'/h' turns more than once on the box.
+    five.  g(a), g(b), h(a) and h(b) are the ends of the pair's axis.
+    Raises ConfigurationError when g'/h' turns more than once on the box.
     """
-    pieces, turn = _ratio_pieces(gn, hn, axis, box)
+    gn, hn = pair.gn, pair.hn
+    pieces, turn = _ratio_pieces(pair, box)
     if pieces > 2:
         raise ConfigurationError(
             f"g'/h' of {gn.name!r} and {hn.name!r} has {pieces} monotone pieces on {box}; "
@@ -299,7 +297,7 @@ def _reduced_sups(gn: Generator, hn: Generator, box: Interval, n: int,
     active = [t for t in ts if t > 0.0]
     tb = np.array(active)[:, None, None]
     inner = tb[:, 0, 0] < 1.0
-    (ga, gb), (ha, hb) = (_forward(gen, axis[[0, -1]]) for gen in (gn, hn))
+    ga, gb, ha, hb = pair.g[0], pair.g[-1], pair.h[0], pair.h[-1]
 
     def distances(k, z, partner):
         # |M_g - M_t| of shape (len(active), triples, points); z of leading
@@ -391,7 +389,7 @@ def blend_distances(g: Generator, h: Generator, A_box: Interval, n: int,
     shrinking to 0 as t -> 0; they are non-decreasing in t (up to rounding).
     Each is the maximum of the reduced problem (see the module docstring).
     grid_per_dim is deprecated: it is checked as verify_stability checks it
-    but sets nothing, since the reduction walks no grid of its own size.
+    but sets nothing, and stays while perfbench's certify workload passes it.
     Raises NumericError when g or h overflows or decreases on the box, or
     g'/h' is not finite there, DegenerateSlopeError when g'/h' is 0 there
     (as where g is flat), and ConvergenceError when the inversion of a
@@ -409,5 +407,4 @@ def blend_distances(g: Generator, h: Generator, A_box: Interval, n: int,
     if any(not 0.0 <= t <= 1.0 for t in ts):
         raise InvalidParameterError(f"blend parameters must lie in [0, 1], got {ts}")
     with np.errstate(all="ignore"):
-        gn, hn, axis = _normalized_pair(g, h, A_box)
-        return _reduced_sups(gn, hn, A_box, n, ts, axis)
+        return _reduced_sups(_normalized_pair(g, h, A_box), A_box, n, ts)

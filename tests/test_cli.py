@@ -278,7 +278,7 @@ class TestSimulateCommand:
 class TestStabilityCommand:
     def test_certificate_payload(self, capsys):
         payload = run_json(capsys, ["stability", "--g", "identity", "--h", "log",
-                                    "--box", "1:2", "--n", "2", "--grid", "51"])
+                                    "--box", "1:2", "--n", "2"])
         assert payload["satisfied"] is True
         assert payload["bound"] == pytest.approx(3.0 * (2.0 - math.log(2.0)), rel=1e-9)
         assert payload["sup_mean_distance"] <= payload["bound"]
@@ -287,11 +287,16 @@ class TestStabilityCommand:
         assert main(["stability", "--g", "identity", "--h", "log",
                      "--box", "2:1"]) == 2
 
+    def test_grid_is_not_an_option(self, capsys):
+        # the bound is read on the certificate's own axis, which takes no size
+        assert main(["stability", "--g", "identity", "--h", "log", "--grid", "21"]) == 2
+        assert "--grid" in capsys.readouterr().err
+
     def test_seed_leaves_the_certificate_where_the_ratio_turns(self, capsys):
         # g'/h' = 2x e^(-x) peaks at x = 1, inside the box: the sup is that of
         # the reduced rows with one more interior value, and nothing is drawn
         argv = ["stability", "--g", "power:2.0", "--h", "exp", "--box", "0.5:3",
-                "--n", "5", "--grid", "21"]
+                "--n", "5"]
         a = run_json(capsys, argv + ["--seed", "1"])
         b = run_json(capsys, argv + ["--seed", "2"])
         assert a.pop("metadata")["seed"] == 1 and b.pop("metadata")["seed"] == 2
@@ -302,7 +307,7 @@ class TestStabilityCommand:
 
     def test_seed_leaves_the_reduced_certificate(self, capsys):
         # g'/h' = x is monotone: the sup is exact and no point is drawn
-        argv = ["stability", "--g", "identity", "--h", "log", "--n", "5", "--grid", "21"]
+        argv = ["stability", "--g", "identity", "--h", "log", "--n", "5"]
         a = run_json(capsys, argv + ["--seed", "1"])
         b = run_json(capsys, argv + ["--seed", "2"])
         assert a["sup_mean_distance"] == b["sup_mean_distance"]
@@ -315,7 +320,7 @@ class TestStabilityCommand:
 
     def test_csv_writes_the_box_as_a_json_cell(self, capsys):
         code = main(["stability", "--g", "identity", "--h", "log", "--box", "1:2",
-                     "--n", "2", "--grid", "21", "--format", "csv"])
+                     "--n", "2", "--format", "csv"])
         assert code == 0
         (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
         assert row["box"] == "[1.0, 2.0]"

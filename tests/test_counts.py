@@ -86,8 +86,6 @@ COUNTS = [
     ("verify_stability", "grid_per_dim", 2, _stability(rm.verify_stability)),
     ("blend_distances", "n", 1, _stability(rm.blend_distances, ts=[0.5])),
     ("blend_distances", "grid_per_dim", 2, _stability(rm.blend_distances, ts=[0.5])),
-    ("theorem4_bound", "grid", 2,
-     lambda out, grid: rm.theorem4_bound(_fixtures()[0], _fixtures()[1], B, grid)),
     ("min_slope", "grid_points", 2,
      lambda out, grid_points: rm.min_slope(_fixtures()[0], B, grid_points)),
     ("invert", "max_iter", 1, lambda out, max_iter: rm.invert(_fixtures()[0], 0.5, B,
@@ -105,8 +103,7 @@ COUNTS = [
 ]
 
 # int fields of the reports the library itself fills in, not inputs
-RESULTS = {("AxiomReport", "trials"), ("StabilityReport", "n"),
-           ("StabilityReport", "grid_points")}
+RESULTS = {("AxiomReport", "trials"), ("StabilityReport", "n")}
 
 
 def _owner(path: str):

@@ -1,6 +1,7 @@
 """Perturbation bound for the mean when the generator is replaced."""
 
 import contextlib
+import functools
 import itertools
 import math
 import warnings
@@ -104,7 +105,7 @@ def _four_free_values(g, h, box, n, points=65):
 
 def _pieces(g, h, box):
     with np.errstate(all="ignore"):
-        return stability._ratio_pieces(*stability._normalized_pair(g, h, box), box)[0]
+        return stability._ratio_pieces(stability._normalized_pair(g, h, box), box)[0]
 
 
 class TestBound:
@@ -129,6 +130,70 @@ class TestBound:
         bound = theorem4_bound(parse_generator("reciprocal"), parse_generator("log"), B)
         d = math.log(2.0) + 0.5  # sup|-1/x - ln x| on [1,2], attained at 2
         assert bound == pytest.approx(8.0 * d, rel=1e-6)
+
+    def test_an_interior_peak_of_g_minus_h(self):
+        # |g - h| = 0.1 |sin 3x| peaks at pi/2 and h' = 1 + 0.3 cos 3x dips to
+        # 0.7 at pi/3, both inside the box and off any short grid of it
+        h = Generator("wave", Interval(-10.0, 10.0), lambda x: x + 0.1 * np.sin(3.0 * x),
+                      None, lambda x: 1.0 + 0.3 * np.cos(3.0 * x), "increasing")
+        bound = theorem4_bound(parse_generator("identity"), h, B)
+        assert bound == pytest.approx((1.0 + 1.0 / 0.7) * 0.1, rel=1e-7, abs=0.0)
+
+    @pytest.mark.parametrize("flat_is_g", [True, False])
+    def test_a_flat_generator_is_degenerate_slope_error(self, flat_is_g):
+        # the slope rule of min_slope: min |g'| = 0 on [1.4, 1.6]
+        pair = (TestOneInversion.FLAT, parse_generator("identity"))
+        with pytest.raises(DegenerateSlopeError, match="vanishing slope"):
+            theorem4_bound(*(pair if flat_is_g else pair[::-1]), B)
+
+
+class TestOneRead:
+    """A certificate reads g, h, g' and h' on its axis once, and g and h
+    again only in its rows: three evaluations per block of them."""
+
+    @staticmethod
+    def _counted(spec, calls):
+        """The builtin spec as a custom generator that logs (spec, callable,
+        shape of x) to calls."""
+        gen = parse_generator(spec)
+
+        def forward(x):
+            calls.append((spec, "forward", np.shape(x)))
+            return gen.forward(x)
+
+        def derivative(x):
+            calls.append((spec, "derivative", np.shape(x)))
+            return gen.derivative(x)
+        return Generator(spec, gen.domain, forward, gen.inverse, derivative, "increasing")
+
+    def test_the_bound_reads_each_generator_on_the_axis_once(self):
+        calls = []
+        theorem4_bound(self._counted("identity", calls), self._counted("log", calls), B)
+        axis = (stability._AXIS_POINTS,)
+        assert sorted(calls) == sorted((spec, kind, axis) for spec in ("identity", "log")
+                                       for kind in ("forward", "derivative"))
+
+    def test_verify_reads_each_generator_on_the_axis_once(self, monkeypatch):
+        calls = []
+        counted = functools.partial(self._counted, calls=calls)
+        blocks = []
+        counts = stability._counts
+
+        def counting(m, lo, hi):
+            blocks.append(m)
+            return counts(m, lo, hi)
+
+        monkeypatch.setattr(stability, "_counts", counting)
+        # g'/h' = x is monotone on the box: the rows have no partner
+        verify_stability(counted("identity"), counted("log"), B, n=2)
+        axis = (stability._AXIS_POINTS,)
+        assert blocks == [2]
+        for spec in ("identity", "log"):
+            assert [(kind, shape) for s, kind, shape in calls
+                    if s == spec and kind == "derivative"] == [("derivative", axis)]
+            forward = [shape for s, kind, shape in calls if s == spec and kind == "forward"]
+            assert forward.count(axis) == 1
+            assert len(forward) == 1 + 3 * len(blocks)
 
 
 class TestVerifyStability:
@@ -321,7 +386,7 @@ class TestReducedPath:
     def test_never_below_the_brute_force(self, pair):
         g, h = (parse_generator(s) for s in pair)
         for box in TestRatioPieces.BOXES:
-            gn, hn, zs = stability._normalized_pair(g, h, box)
+            gn, hn, zs = stability._normalized_pair(g, h, box)[:3]
             # count-weighted sums round apart from left-to-right row sums, and
             # a blended mean is Newton's, stopped within 1e-13 max(1, |y|) of
             # the blend's value: that over the blend's least slope apart
