@@ -16,7 +16,7 @@ Every JSON payload carries a metadata block with version, seed, and a config
 echo.  CSV output uses '.' decimals and 17 significant digits.
 
 The output decisions the figure files also make have one owner each: CSV
-cells are figures.csv_cell, the simulate payload is SimulationReport.as_dict
+tables are figures.csv_table, the simulate payload is SimulationReport.as_dict
 (the keys of a figure cell's report file), and --threads runs through
 simulation.thread_map.  One parser, _parse_interval, reads --box and --grid,
 and one handler serves both reproduce-figure commands.
@@ -25,18 +25,16 @@ and one handler serves both reproduce-figure commands.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
 import sys
 from pathlib import Path
 
-from .asymptotics import edgeworth_corrections, g_moments, phi_cdf
+from .asymptotics import edgeworth_cdf, edgeworth_corrections, g_moments, phi_cdf
 from .distributions import parse_distribution
 from .errors import ConfigurationError, InvalidParameterError, NumericError
-from .figures import csv_cell, reproduce_figure1, reproduce_figure2, write_hist
+from .figures import csv_table, reproduce_figure1, reproduce_figure2, write_hist
 from .generators import Interval, parse_generator, require_count
 from .means import check_axioms, mean
 from .portfolio import (
@@ -112,25 +110,16 @@ def _flatten(d: dict, prefix: str = "") -> dict:
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    rows = payload.get("rows")
-    if rows:
-        cols = list(rows[0])
-        w.writerow(cols)
-        for row in rows:
-            w.writerow([csv_cell(row[c]) for c in cols])
-    else:
-        flat = _flatten({k: v for k, v in payload.items() if k != "metadata"})
-        w.writerow(list(flat))
-        w.writerow([csv_cell(v) for v in flat.values()])
-    return buf.getvalue()
+    # a payload without rows is one row, its nested keys flattened
+    rows = payload.get("rows") or [
+        _flatten({k: v for k, v in payload.items() if k != "metadata"})]
+    return csv_table(rows)
 
 
 def _emit(args, payload: dict) -> None:
     text = _render(payload, args.format)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, newline="")
     else:
         sys.stdout.write(text)
 
@@ -167,9 +156,7 @@ def _cmd_edgeworth(args) -> dict:
     span, steps = _parse_interval(args.grid, "grid", steps=True)
     x = span.grid(steps)  # the grid of compare_edgeworth
     c1, c2, c3 = edgeworth_corrections(x, args.n, mom)
-    phi = phi_cdf(x)
-    # edgeworth_cdf's own order of operations, so the same bits
-    columns = {"x": x, "phi_cdf": phi, "edgeworth_cdf": phi - ((c1 + c2) + c3),
+    columns = {"x": x, "phi_cdf": phi_cdf(x), "edgeworth_cdf": edgeworth_cdf(x, args.n, mom),
                "correction_1": c1, "correction_2": c2, "correction_3": c3}
     rows = [dict(zip(columns, values))
             for values in zip(*(col.tolist() for col in columns.values()))]

@@ -5,7 +5,8 @@ exact quantile forms and closed-form moment machinery:
 
     quantile(u)      Q(u); isf(u) is Q(1 - u) without the cancellation
     power_moment(t)  E[X**t] for real t (inf when divergent)
-    mgf(t)           E[exp(tX)] (inf when divergent, None when no closed form)
+    mgf(t)           E[exp(tX)] (inf when divergent; ConfigurationError where
+                     there is no closed form: t < 0 or NaN for LogNormal, Pareto)
     log_moments()    mean/variance/skewness/excess kurtosis of ln X
 
 Gamma is parameterized shape-rate.  Pareto defaults to scale 1.  A
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, NumericError
+from .errors import ConfigurationError, DomainError, InvalidParameterError, NumericError
 from .generators import Interval, _real_array, _require_real, _spec_number, require_count
 
 __all__ = [
@@ -215,7 +216,8 @@ class LogNormal:
             return math.inf  # heavier than every exponential tail
         if t == 0:
             return 1.0
-        return None  # finite for t < 0, but no closed form
+        raise ConfigurationError(f"no closed form for E[exp(tX)] at t < 0 or NaN: "
+                                 f"t={t!r} for {self.spec!r}")  # finite at t < 0
 
     def log_moments(self):
         return (self.mu, self.sigma2, 0.0, 0.0)
@@ -441,7 +443,8 @@ class Pareto:
             return math.inf  # polynomial tail beats every exp(tx)
         if t == 0:
             return 1.0
-        return None
+        raise ConfigurationError(f"no closed form for E[exp(tX)] at t < 0 or NaN: "
+                                 f"t={t!r} for {self.spec!r}")
 
     def log_moments(self):
         # ln X = ln(scale) + Exponential(alpha)

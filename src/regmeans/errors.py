@@ -5,6 +5,17 @@ any numerics run — CLI exit code 2) and NumericError (the computation itself
 failed or the requested quantity does not exist — CLI exit code 3).
 """
 
+__all__ = [
+    "RegularMeanError",
+    "ConfigurationError",
+    "DomainError",
+    "InvalidParameterError",
+    "NumericError",
+    "ConvergenceError",
+    "DivergenceError",
+    "DegenerateSlopeError",
+]
+
 
 class RegularMeanError(Exception):
     """Base class for all errors raised by this package."""
@@ -16,10 +27,6 @@ class ConfigurationError(RegularMeanError):
 
 class DomainError(ConfigurationError):
     """A value lies outside the domain it is required to be in."""
-
-
-class OutOfRangeError(DomainError):
-    """A target value is outside the image of a function on its bracket."""
 
 
 class InvalidParameterError(ConfigurationError):

@@ -8,7 +8,7 @@ variance 6.25) where the arithmetic mean converges slowly but the geometric
 mean does not.
 
 All floats in CSV output are serialized with 17 significant digits (by
-csv_cell, which the CLI's CSV output shares) and all randomness derives from
+csv_table, which the CLI's CSV output shares) and all randomness derives from
 the master seed, so repeat runs (at any thread count) produce identical data
 files.  The unit of work is a distribution: its generators' cells share its
 seed and take their means from the same draws (simulation._run_group), so
@@ -22,6 +22,7 @@ SimulationReport.as_dict, the keys of the CLI's simulate payload.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from itertools import chain
@@ -35,8 +36,7 @@ from .errors import ConfigurationError
 from .generators import parse_generator, require_count
 from .simulation import ScenarioConfig, SimulationReport, _run_group, thread_map
 
-__all__ = ["reproduce_figure1", "reproduce_figure2", "write_hist", "FIGURE1_DISTS",
-           "FIGURE1_GENERATORS"]
+__all__ = ["reproduce_figure1", "reproduce_figure2"]
 
 FIGURE1_DISTS = ("lognormal:2:1", "gamma:100:1", "uniform:1:2", "pareto:10:1")
 FIGURE1_GENERATORS = ("identity", "log", "reciprocal")
@@ -55,6 +55,19 @@ def csv_cell(x) -> str:
     return "" if x is None else str(x)
 
 
+def csv_table(rows) -> str:
+    """rows, dicts with the keys of the first, as CSV text: a header of
+    those keys, then each row's values through csv_cell.  Lines end in
+    \r\n; a file takes the text with newline="", so its bytes are these."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    cols = list(rows[0])
+    w.writerow(cols)
+    for row in rows:
+        w.writerow([csv_cell(row[c]) for c in cols])
+    return buf.getvalue()
+
+
 def _cell_seed(master_seed: int, index: int) -> int:
     ss = np.random.SeedSequence(master_seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
@@ -69,12 +82,9 @@ def write_hist(path: Path, report: SimulationReport) -> None:
     [-4, 4] in 40 bins, with the standard normal density at each midpoint."""
     counts, edges = np.histogram(report.statistics, bins=_HIST_BINS, range=_HIST_RANGE)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    dens = phi_pdf(mids)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_lo", "bin_hi", "count", "normal_density_at_mid"])
-        for lo, hi, c, d in zip(edges[:-1], edges[1:], counts, dens):
-            w.writerow([csv_cell(lo), csv_cell(hi), int(c), csv_cell(d)])
+    rows = [{"bin_lo": lo, "bin_hi": hi, "count": int(c), "normal_density_at_mid": d}
+            for lo, hi, c, d in zip(edges[:-1], edges[1:], counts, phi_pdf(mids))]
+    path.write_text(csv_table(rows), newline="")
 
 
 def _write_report(path: Path, report: SimulationReport, version: str) -> None:
@@ -127,16 +137,6 @@ def _run_cells(out_dir, seed, n, replicates, threads, dists, generators):
     return out, rows, counts
 
 
-def _write_summary(path: Path, rows) -> None:
-    cols = ["dist", "generator", "n", "replicates", "seed", "ks",
-            "empirical_var", "asym_var", "var_ratio", "eg"]
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for row in rows:
-            w.writerow([csv_cell(row[c]) for c in cols])
-
-
 def reproduce_figure1(out_dir, seed: int = 42, n: int = 1000,
                       replicates: int = 1000, threads: int = 1) -> dict:
     """Run the 12-cell simulation grid and write hist/report files plus
@@ -147,7 +147,7 @@ def reproduce_figure1(out_dir, seed: int = 42, n: int = 1000,
     do not depend on it."""
     out, rows, _ = _run_cells(out_dir, seed, n, replicates, threads,
                               FIGURE1_DISTS, FIGURE1_GENERATORS)
-    _write_summary(out / "summary.csv", rows)
+    (out / "summary.csv").write_text(csv_table(rows), newline="")
     return {"out_dir": str(out), "summary_csv": str(out / "summary.csv"), "cells": rows}
 
 
@@ -164,7 +164,7 @@ def reproduce_figure2(out_dir, seed: int = 42, n: int = 1000,
 
     out, rows, counts = _run_cells(out_dir, seed, n, replicates, threads,
                                    (FIGURE2_DIST,), FIGURE2_GENERATORS)
-    _write_summary(out / "summary.csv", rows)
+    (out / "summary.csv").write_text(csv_table(rows), newline="")
     ks = {row["generator"]: row["ks"] for row in rows}
     comparison = {
         "dist": FIGURE2_DIST,

@@ -29,12 +29,10 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    ConvergenceError,
     DegenerateSlopeError,
     DomainError,
     InvalidParameterError,
     NumericError,
-    OutOfRangeError,
 )
 
 __all__ = [
@@ -42,7 +40,6 @@ __all__ = [
     "Generator",
     "make_builtin",
     "parse_generator",
-    "invert",
     "min_slope",
     "normalize_increasing",
     "affine_transform",
@@ -261,40 +258,6 @@ def _parse_builtin(spec: str) -> Generator:
     if tail:
         raise InvalidParameterError(f"generator {head!r} takes no parameter (got {spec!r})")
     return make_builtin(head)
-
-
-def invert(g: Generator, y: float, bracket: Interval, tol: float = 1e-12,
-           max_iter: int = 200) -> float:
-    """Numerically invert g at y by bisection on the bracket.
-
-    Returns x with |g(x) - y| <= tol, or the midpoint of the final bracket
-    once its width is exhausted at float resolution (the residual is then as
-    small as the arithmetic allows).  The bracket must straddle y.
-    """
-    max_iter = require_count(max_iter, "max_iter", 1)
-    _require_real(y, "y")
-    _require_real(tol, "tol")
-    if not bracket.is_finite:
-        raise InvalidParameterError("invert needs a finite bracket")
-    g.domain.require_interior([bracket.lo, bracket.hi], f"generator {g.name!r}")
-    a, b = bracket.lo, bracket.hi
-    fa, fb = float(g.forward(a)), float(g.forward(b))
-    # comparisons, not the product of the differences (it underflows); NaN fails
-    if not min(fa, fb) <= y <= max(fa, fb):
-        raise OutOfRangeError(f"y={y} outside the image [{min(fa, fb)}, {max(fa, fb)}] of the bracket")
-    rising = fb >= fa
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        fm = float(g.forward(mid))
-        if abs(fm - y) <= tol:
-            return mid
-        if b - a <= 4.0 * np.finfo(float).eps * max(1.0, abs(mid)):
-            return mid
-        if (fm < y) == rising:
-            a = mid
-        else:
-            b = mid
-    raise ConvergenceError(f"bisection failed to reach tol={tol} in {max_iter} iterations")
 
 
 def min_slope(g: Generator, B: Interval, grid_points: int = 10001) -> float:

@@ -88,8 +88,6 @@ COUNTS = [
     ("blend_distances", "grid_per_dim", 2, _stability(rm.blend_distances, ts=[0.5])),
     ("min_slope", "grid_points", 2,
      lambda out, grid_points: rm.min_slope(_fixtures()[0], B, grid_points)),
-    ("invert", "max_iter", 1, lambda out, max_iter: rm.invert(_fixtures()[0], 0.5, B,
-                                                                 max_iter=max_iter)),
     ("edgeworth_cdf", "n", 1, _edgeworth(rm.edgeworth_cdf)),
     ("edgeworth_corrections", "n", 1, _edgeworth(rm.edgeworth_corrections)),
     ("compare_edgeworth", "n", 1, _compare),

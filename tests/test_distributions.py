@@ -10,6 +10,7 @@ from scipy import stats
 
 from regmeans.distributions import _polygamma
 from regmeans import (
+    ConfigurationError,
     DomainError,
     Gamma,
     InvalidParameterError,
@@ -286,7 +287,10 @@ class TestMoments:
 
     def test_mgf_three_valued(self):
         assert LogNormal(2.0, 1.0).mgf(1.0) == math.inf
-        assert LogNormal(2.0, 1.0).mgf(-1.0) is None  # finite but no closed form
+        for law in (LogNormal(2.0, 1.0), Pareto(10.0, 1.0)):  # finite, no closed form
+            for t in (-1.0, math.nan):
+                with pytest.raises(ConfigurationError, match="no closed form"):
+                    law.mgf(t)
         assert Gamma(2.0, 3.0).mgf(1.0) == pytest.approx((1 - 1 / 3) ** -2, rel=1e-12)
         assert Gamma(2.0, 3.0).mgf(3.0) == math.inf
         assert Pareto(10.0, 1.0).mgf(1.0) == math.inf

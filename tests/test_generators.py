@@ -1,4 +1,4 @@
-"""Generator parsing, inversion, slope estimates, and transforms."""
+"""Generator parsing, slope estimates, and transforms."""
 
 import contextlib
 import math
@@ -8,16 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from regmeans import (
-    ConvergenceError,
     DegenerateSlopeError,
     DomainError,
     Generator,
     Interval,
     InvalidParameterError,
     NumericError,
-    OutOfRangeError,
     affine_transform,
-    invert,
     make_builtin,
     mean,
     min_slope,
@@ -182,47 +179,6 @@ class TestRegistry:
             with pytest.raises(InvalidParameterError):
                 parse_generator(spec)
         assert _parse_builtin.cache_info().currsize == cached
-
-
-# ---------------------------------------------------------------------------
-# Inversion
-
-class TestInvert:
-    def test_cube_root(self):
-        g = parse_generator("power:3.0")
-        assert invert(g, 8.0, Interval(0.5, 4.0)) == pytest.approx(2.0, abs=1e-10)
-
-    def test_target_outside_bracket(self):
-        g = parse_generator("identity")
-        with pytest.raises(OutOfRangeError):
-            invert(g, 5.0, Interval(0.0, 1.0))
-
-    def test_target_outside_a_tiny_bracket(self):
-        # (g(a) - y) * (g(b) - y) = 1e-200 * 2e-200 underflows to 0, which
-        # read as a bracket that straddles y
-        with pytest.raises(OutOfRangeError):
-            invert(parse_generator("identity"), 0.0, Interval(1e-200, 2e-200), tol=0.0)
-
-    def test_nan_target_is_out_of_range(self):
-        # bisection answered 1.0000000000000004, an end of the bracket
-        with pytest.raises(OutOfRangeError):
-            invert(parse_generator("log"), math.nan, Interval(1.0, 2.0))
-
-    def test_decreasing_generator(self):
-        g = parse_generator("reciprocal")
-        assert invert(g, 0.25, Interval(1.0, 10.0)) == pytest.approx(4.0, abs=1e-10)
-
-    def test_bracket_must_sit_in_domain(self):
-        g = parse_generator("log")
-        with pytest.raises(DomainError):
-            invert(g, 0.0, Interval(-1.0, 2.0))
-
-    @given(st.floats(min_value=0.2, max_value=5.0))
-    def test_matches_closed_form_inverse(self, x):
-        g = parse_generator("log")
-        y = g.forward(x)
-        root = invert(g, y, Interval(0.05, 8.0))
-        assert root == pytest.approx(x, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
