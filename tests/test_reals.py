@@ -36,6 +36,10 @@ REALS = [
     ("power_mean", "p", lambda p: rm.power_mean(p, [1.0, 2.0])),
     ("affine_transform", "a", lambda a: rm.affine_transform(_log(), a, 0.0)),
     ("affine_transform", "b", lambda b: rm.affine_transform(_log(), 2.0, b)),
+    ("check_axioms", "tol", lambda tol: rm.check_axioms(_log(), n=3, trials=10, tol=tol)),
+    ("verify_stability", "tolerance_factor",
+     lambda f: rm.verify_stability(_log(), rm.parse_generator("identity"),
+                                   rm.Interval(1.0, 2.0), n=2, tolerance_factor=f)),
 ]
 
 
