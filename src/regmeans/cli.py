@@ -16,10 +16,11 @@ Every JSON payload carries a metadata block with version, seed, and a config
 echo.  CSV output uses '.' decimals and 17 significant digits.
 
 The output decisions the figure files also make have one owner each: CSV
-tables are figures.csv_table, the simulate payload is SimulationReport.as_dict
-(the keys of a figure cell's report file), and --threads runs through
-simulation.thread_map.  One parser, _parse_interval, reads --box and --grid,
-and one handler serves both reproduce-figure commands.
+tables are figures.csv_table, JSON text is figures.json_text, the simulate
+payload is SimulationReport.as_dict (the keys of a figure cell's report
+file), and --threads runs through simulation.thread_map.  One parser,
+_parse_interval, reads --box and --grid, and one handler serves both
+reproduce-figure commands.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ import re
 import sys
 from pathlib import Path
 
+from . import __version__
 from .asymptotics import edgeworth_cdf, edgeworth_corrections, g_moments, phi_cdf
 from .distributions import parse_distribution
 from .errors import ConfigurationError, InvalidParameterError, NumericError
-from .figures import csv_table, reproduce_figure1, reproduce_figure2, write_hist
+from .figures import csv_table, json_text, reproduce_figure1, reproduce_figure2, write_hist
 from .generators import Interval, parse_generator, require_count
 from .means import check_axioms, mean
 from .portfolio import (
@@ -89,8 +91,6 @@ def _parse_interval(spec: str, what: str, steps: bool = False):
 
 
 def _meta(args, **config) -> dict:
-    from . import __version__
-
     return {"version": __version__, "seed": getattr(args, "seed", None), "config": config}
 
 
@@ -109,7 +109,7 @@ def _flatten(d: dict, prefix: str = "") -> dict:
 
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json_text(payload)
     # a payload without rows is one row, its nested keys flattened
     rows = payload.get("rows") or [
         _flatten({k: v for k, v in payload.items() if k != "metadata"})]

@@ -1,7 +1,13 @@
 """The four sampling distributions used by the simulation harness.
 
-Each distribution carries a seeded sampler sample(n, rng, *, out=None),
-exact quantile forms and closed-form moment machinery:
+Each law is a frozen dataclass of real-number fields on one base, _Law,
+which checks them (a field that is not a real number is
+InvalidParameterError naming it, one outside the law's range rule _valid
+"<kind> needs <_needs>, got (...)") and writes spec, the kind and each field
+in its shortest round-trip form: parse_distribution(d.spec) == d, and the
+parser's usage texts are read off the same fields.  Each carries a seeded
+sampler sample(n, rng, *, out=None), exact quantile forms and closed-form
+moment machinery:
 
     quantile(u)      Q(u); isf(u) is Q(1 - u) without the cancellation
     power_moment(t)  E[X**t] for real t (inf when divergent)
@@ -9,10 +15,8 @@ exact quantile forms and closed-form moment machinery:
                      there is no closed form: t < 0 or NaN for LogNormal, Pareto)
     log_moments()    mean/variance/skewness/excess kurtosis of ln X
 
-Gamma is parameterized shape-rate.  Pareto defaults to scale 1.  A
-parameter that is not a real number, or a sample size n that is not an
-integer >= 1, is InvalidParameterError naming it.  spec writes each
-parameter in its shortest round-trip form: parse_distribution(d.spec) == d.
+Gamma is parameterized shape-rate.  Pareto defaults to scale 1.  A sample
+size n that is not an integer >= 1 is InvalidParameterError.
 Divergent moments are flagged as math.inf, not raised; callers decide
 whether infinity is an error in their context.  One rule, _in_range, decides
 when a finite moment is not a usable float, for the closed forms here and
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -164,30 +168,47 @@ def _polygamma(n: int, x: float) -> float:
     return math.fsum(terms)
 
 
+class _Law:
+    """The protocol of a law (see the module docstring).  Each law declares
+    kind, _needs and _valid; _attains_lo is true where its sampler can
+    return support.lo exactly."""
+
+    _attains_lo = False
+
+    def __post_init__(self):
+        values = [_require_real(getattr(self, f.name), f.name) for f in fields(self)]
+        if not self._valid():
+            raise InvalidParameterError(
+                f"{self.kind} needs {self._needs}, got ({', '.join(map(str, values))})")
+
+    @property
+    def spec(self) -> str:
+        return ":".join([self.kind, *(_spec_number(getattr(self, f.name)) for f in fields(self))])
+
+    def mgf(self, t: float):
+        """A heavy tail's E[exp(tX)]; Gamma and Uniform have their own."""
+        if t >= 0:
+            return math.inf if t > 0 else 1.0  # heavier than every exponential tail
+        raise ConfigurationError(f"no closed form for E[exp(tX)] at t < 0 or NaN: "
+                                 f"t={t!r} for {self.spec!r}")
+
+
 @dataclass(frozen=True)
-class LogNormal:
+class LogNormal(_Law):
     """ln X ~ Normal(mu, sigma2); sigma2 is the *variance* of ln X."""
 
     mu: float
     sigma2: float
 
-    def __post_init__(self):
-        _require_real(self.mu, "mu")
-        _require_real(self.sigma2, "sigma2")
-        if not (math.isfinite(self.mu) and 0 < self.sigma2 < math.inf):
-            raise InvalidParameterError(f"lognormal needs finite mu, sigma2 > 0, got {self}")
+    kind, _needs = "lognormal", "finite mu, sigma2 > 0"
+    support = Interval(0.0, math.inf)
+
+    def _valid(self) -> bool:
+        return math.isfinite(self.mu) and 0 < self.sigma2 < math.inf
 
     @property
     def sigma(self) -> float:
         return math.sqrt(self.sigma2)
-
-    @property
-    def support(self) -> Interval:
-        return Interval(0.0, math.inf)
-
-    @property
-    def spec(self) -> str:
-        return f"lognormal:{_spec_number(self.mu)}:{_spec_number(self.sigma2)}"
 
     def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
         x = rng.standard_normal(out=_draw_buffer(n, out))
@@ -211,39 +232,22 @@ class LogNormal:
         return _in_range(lambda: math.exp(t * self.mu + 0.5 * t * t * self.sigma2),
                          f"E[X**{t:g}]", repr(self.spec))
 
-    def mgf(self, t: float):
-        if t > 0:
-            return math.inf  # heavier than every exponential tail
-        if t == 0:
-            return 1.0
-        raise ConfigurationError(f"no closed form for E[exp(tX)] at t < 0 or NaN: "
-                                 f"t={t!r} for {self.spec!r}")  # finite at t < 0
-
     def log_moments(self):
         return (self.mu, self.sigma2, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
-class Gamma:
+class Gamma(_Law):
     """Shape-rate parameterization: density ~ x**(shape-1) exp(-rate*x)."""
 
     shape: float
     rate: float
 
-    def __post_init__(self):
-        _require_real(self.shape, "shape")
-        _require_real(self.rate, "rate")
-        if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
-            raise InvalidParameterError(
-                f"gamma needs finite shape, rate > 0, got ({self.shape}, {self.rate})")
+    kind, _needs = "gamma", "finite shape, rate > 0"
+    support = Interval(0.0, math.inf)
 
-    @property
-    def support(self) -> Interval:
-        return Interval(0.0, math.inf)
-
-    @property
-    def spec(self) -> str:
-        return f"gamma:{_spec_number(self.shape)}:{_spec_number(self.rate)}"
+    def _valid(self) -> bool:
+        return 0 < self.shape < math.inf and 0 < self.rate < math.inf
 
     def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
         # rng.gamma(k, s) is s * standard_gamma(k), bit for bit
@@ -299,23 +303,18 @@ class Gamma:
 
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_Law):
     lo: float
     hi: float
 
-    def __post_init__(self):
-        _require_real(self.lo, "lo")
-        _require_real(self.hi, "hi")
-        if not -math.inf < self.lo < self.hi < math.inf:
-            raise InvalidParameterError(f"uniform needs finite lo < hi, got ({self.lo}, {self.hi})")
+    kind, _needs, _attains_lo = "uniform", "finite lo < hi", True
+
+    def _valid(self) -> bool:
+        return -math.inf < self.lo < self.hi < math.inf
 
     @property
     def support(self) -> Interval:
         return Interval(self.lo, self.hi)
-
-    @property
-    def spec(self) -> str:
-        return f"uniform:{_spec_number(self.lo)}:{_spec_number(self.hi)}"
 
     def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
         x = rng.random(out=_draw_buffer(n, out))
@@ -396,26 +395,20 @@ class Uniform:
 
 
 @dataclass(frozen=True)
-class Pareto:
+class Pareto(_Law):
     """Standard Pareto: cdf 1 - (scale/x)**alpha on [scale, inf)."""
 
     alpha: float
     scale: float = 1.0
 
-    def __post_init__(self):
-        _require_real(self.alpha, "alpha")
-        _require_real(self.scale, "scale")
-        if not (0 < self.alpha < math.inf and 0 < self.scale < math.inf):
-            raise InvalidParameterError(
-                f"pareto needs finite alpha, scale > 0, got ({self.alpha}, {self.scale})")
+    kind, _needs, _attains_lo = "pareto", "finite alpha, scale > 0", True
+
+    def _valid(self) -> bool:
+        return 0 < self.alpha < math.inf and 0 < self.scale < math.inf
 
     @property
     def support(self) -> Interval:
         return Interval(self.scale, math.inf)
-
-    @property
-    def spec(self) -> str:
-        return f"pareto:{_spec_number(self.alpha)}:{_spec_number(self.scale)}"
 
     def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
         # inverse CDF with U in (0, 1]: rng.random() is [0, 1), so 1-U never
@@ -438,14 +431,6 @@ class Pareto:
         return _in_range(lambda: self.alpha * self.scale ** t / (self.alpha - t),
                          f"E[X**{t:g}]", repr(self.spec))
 
-    def mgf(self, t: float):
-        if t > 0:
-            return math.inf  # polynomial tail beats every exp(tx)
-        if t == 0:
-            return 1.0
-        raise ConfigurationError(f"no closed form for E[exp(tX)] at t < 0 or NaN: "
-                                 f"t={t!r} for {self.spec!r}")
-
     def log_moments(self):
         # ln X = ln(scale) + Exponential(alpha)
         return _in_range(lambda: (math.log(self.scale) + 1.0 / self.alpha, self.alpha ** -2,
@@ -453,15 +438,7 @@ class Pareto:
 
 
 DistributionModel = LogNormal | Gamma | Uniform | Pareto
-
-
-# kind -> (class, spec form, accepted parameter counts)
-_SPEC_FORMS = {
-    "lognormal": (LogNormal, "lognormal:<mu>:<sigma2>", (2,)),
-    "gamma": (Gamma, "gamma:<shape>:<rate>", (2,)),
-    "uniform": (Uniform, "uniform:<lo>:<hi>", (2,)),
-    "pareto": (Pareto, "pareto:<alpha>[:<scale>]", (1, 2)),
-}
+_LAWS = {law.kind: law for law in DistributionModel.__args__}
 
 
 def parse_distribution(spec: str) -> DistributionModel:
@@ -475,9 +452,12 @@ def parse_distribution(spec: str) -> DistributionModel:
         vals = [float(a) for a in args]
     except ValueError:
         raise InvalidParameterError(f"bad distribution parameters in {spec!r}") from None
-    if kind not in _SPEC_FORMS:
+    if kind not in _LAWS:
         raise InvalidParameterError(f"unknown distribution kind {kind!r}")
-    cls, form, arities = _SPEC_FORMS[kind]
-    if len(vals) not in arities:
-        raise InvalidParameterError(f"{kind} spec is {form}")
-    return cls(*vals)
+    params = fields(law := _LAWS[kind])
+    if not sum(f.default is MISSING for f in params) <= len(vals) <= len(params):
+        # a field with a default may be left out: [:<name>]
+        form = "".join(f":<{f.name}>" if f.default is MISSING else f"[:<{f.name}>]"
+                       for f in params)
+        raise InvalidParameterError(f"{kind} spec is {kind}{form}")
+    return law(*vals)

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .asymptotics import phi_pdf
 from .distributions import parse_distribution
 from .errors import ConfigurationError
@@ -68,6 +69,11 @@ def csv_table(rows) -> str:
     return buf.getvalue()
 
 
+def json_text(payload) -> str:
+    """payload as JSON text: indent 2, sorted keys, a trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _cell_seed(master_seed: int, index: int) -> int:
     ss = np.random.SeedSequence(master_seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
@@ -87,17 +93,9 @@ def write_hist(path: Path, report: SimulationReport) -> None:
     path.write_text(csv_table(rows), newline="")
 
 
-def _write_report(path: Path, report: SimulationReport, version: str) -> None:
-    payload = {**report.as_dict(),
-               "metadata": {"version": version, "seed": report.metadata["config"]["seed"]}}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _run_cells(out_dir, seed, n, replicates, threads, dists, generators):
     """Run the cells and write their files; returns the output directory,
     the summary rows and the checked seed, n and replicates, as ints."""
-    from . import __version__
-
     threads = require_count(threads, "threads", 1)  # every check before the mkdir below
     seed = require_count(seed, "seed", 0)
     cells = [(d, g) for d in dists for g in generators]
@@ -120,7 +118,8 @@ def _run_cells(out_dir, seed, n, replicates, threads, dists, generators):
     for (dist_spec, gen_spec), cfg, report in zip(cells, chain(*groups), chain(*results)):
         stem = _stem(dist_spec, gen_spec)
         write_hist(out / f"{stem}.hist.csv", report)
-        _write_report(out / f"{stem}.report.json", report, __version__)
+        meta = {"version": __version__, "seed": cfg.seed}
+        (out / f"{stem}.report.json").write_text(json_text({**report.as_dict(), "metadata": meta}))
         rows.append({
             "dist": dist_spec,
             "generator": gen_spec,
@@ -160,8 +159,6 @@ def reproduce_figure2(out_dir, seed: int = 42, n: int = 1000,
     mean converged faster (ordering_ok), and the KS ratio; it never raises
     on the ordering.  Both cells take their means from the same draws, so
     threads beyond one go to that one distribution's replicate blocks."""
-    from . import __version__
-
     out, rows, counts = _run_cells(out_dir, seed, n, replicates, threads,
                                    (FIGURE2_DIST,), FIGURE2_GENERATORS)
     (out / "summary.csv").write_text(csv_table(rows), newline="")
@@ -174,7 +171,6 @@ def reproduce_figure2(out_dir, seed: int = 42, n: int = 1000,
         "ks_ratio": ks["identity"] / ks["log"] if ks["log"] > 0 else math.inf,
         "metadata": {"version": __version__, **counts},
     }
-    (out / "comparison.json").write_text(
-        json.dumps(comparison, indent=2, sort_keys=True) + "\n")
+    (out / "comparison.json").write_text(json_text(comparison))
     return {"out_dir": str(out), "summary_csv": str(out / "summary.csv"),
             "comparison": comparison, "cells": rows}

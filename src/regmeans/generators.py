@@ -128,6 +128,13 @@ def _require_real(value, name: str):
     return value
 
 
+def _require_interval(value, name: str) -> Interval:
+    """value if it is an Interval, else InvalidParameterError naming it."""
+    if not isinstance(value, Interval):
+        raise InvalidParameterError(f"{name} must be an Interval, got {value!r}")
+    return value
+
+
 def _real_array(x, owner: str) -> np.ndarray:
     """x as a float array when it holds real numbers (a bool, integer or
     float dtype), else InvalidParameterError naming owner: a string, bytes,
@@ -169,7 +176,8 @@ class Generator:
 
     ``kind`` is one of the built-in kind names or "custom"; closed-form
     moments and the anchored exp and power means key off it.  ``param`` is
-    the exponent for power generators, None otherwise.
+    the exponent of a power generator, a real number >= 1e-6, else None.
+    Any other kind, param or direction is InvalidParameterError.
     """
 
     name: str
@@ -181,9 +189,29 @@ class Generator:
     kind: str = "custom"
     param: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in (*BUILTIN_KINDS, "custom"):
+            raise InvalidParameterError(f"unknown generator kind {self.kind!r}")
+        if self.monotone_direction not in ("increasing", "decreasing"):
+            raise InvalidParameterError(f"monotone_direction must be 'increasing' or "
+                                        f"'decreasing', got {self.monotone_direction!r}")
+        _check_param(self.kind, self.param)
+
     @property
     def increasing(self) -> bool:
         return self.monotone_direction == "increasing"
+
+
+def _check_param(kind: str, p) -> None:
+    """InvalidParameterError unless p is a power generator's exponent, a
+    real number in [_MIN_POWER, inf), or None for every other kind."""
+    if kind == "power":
+        if not (isinstance(p, numbers.Real) and _MIN_POWER <= p < math.inf):
+            raise InvalidParameterError(
+                f"power generator requires a finite p >= {_MIN_POWER:g}, got {p}; smaller "
+                "exponents are served by 'log' (the p -> 0 limit) or power_mean")
+    elif p is not None:
+        raise InvalidParameterError(f"generator kind {kind!r} takes no parameter")
 
 
 def _ones_like(x):
@@ -200,16 +228,9 @@ def make_builtin(kind: str, p: float | None = None) -> Generator:
     """Construct one of the built-in generators.
 
     ``p`` is only meaningful for kind="power" and must be at least 1e-6
-    there.
+    there (Generator's own check, run before p is read).
     """
-    if kind == "power":
-        if not (isinstance(p, numbers.Real) and _MIN_POWER <= p < math.inf):
-            raise InvalidParameterError(
-                f"power generator requires a finite p >= {_MIN_POWER:g}, got {p}; smaller "
-                "exponents are served by 'log' (the p -> 0 limit) or power_mean")
-    elif p is not None:
-        raise InvalidParameterError(f"generator kind {kind!r} takes no parameter")
-
+    _check_param(kind, p)
     if kind == "identity":
         return Generator("identity", _REAL_LINE, lambda x: x * 1.0, lambda y: y * 1.0,
                          _ones_like, "increasing", kind="identity")
@@ -262,7 +283,8 @@ def _parse_builtin(spec: str) -> Generator:
 
 def min_slope(g: Generator, B: Interval, grid_points: int = 10001) -> float:
     """Grid estimate of inf |g'| on B (an upper bound of the true inf)."""
-    xs = B.grid(require_count(grid_points, "grid_points", 2))  # and a compact B
+    # a compact Interval B
+    xs = _require_interval(B, "B").grid(require_count(grid_points, "grid_points", 2))
     g.domain.require_interior([B.lo, B.hi], f"generator {g.name!r}")
     with np.errstate(all="ignore"):
         return _least_slope(g.derivative(xs), g.name, B)

@@ -8,8 +8,10 @@ which specializes to the arithmetic, geometric, harmonic, power, and
 exponential means for the built-in generators, each through one sample check
 and one forward-sum-inverse kernel whose sum is correctly rounded (equal to
 ``math.fsum``); exp and power means are anchored where g cannot overflow,
-at the maximum (the minimum for a power p < 0) that the sample check has
-already found, and a single sample's last step runs on floats.
+at the maximum (the minimum for power_mean's p < 0) that the sample check
+has already found, and a single sample's last step runs on floats.
+``mean(power:p, x)`` and ``power_mean(p, x)`` take one path, which keeps
+its digits near p = 0 through expm1 and log1p.
 ``check_axioms`` verifies the four characterizing properties numerically:
 per-coordinate monotonicity, symmetry, idempotence on constant samples, and
 invariance when a leading block is replaced by its own mean.  ``row_means``
@@ -28,8 +30,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError, NumericError
-from .generators import (Generator, Interval, _real_array, _require_real, make_builtin,
-                         require_count)
+from .generators import (Generator, Interval, _real_array, _require_interval, _require_real,
+                         make_builtin, require_count)
 
 _EPS = float(np.finfo(float).eps)
 _POSITIVE = Interval(0.0, math.inf)
@@ -124,19 +126,15 @@ def _row_kernel(rows: np.ndarray, forward: Callable, inverse: Callable) -> np.nd
         return means_from_sums(inverse, sums, rows.shape[1])[1]
 
 
-def _anchored(g: Generator, x: np.ndarray, kernel: Callable,
-              lo: float | None = None, hi: float | None = None):
+def _anchored(g: Generator, x: np.ndarray, kernel: Callable, hi: float | None = None):
     """M_g along the last axis of x.  Exp means are shift-equivariant and
     power means scale-equivariant, so both are taken relative to an anchor
-    c where g cannot overflow: the maximum, or the minimum for a power
-    p < 0.  A 1-D sample passes the min and max that _sample found as lo and
-    hi; rows leave them out and are anchored row by row."""
+    c where g cannot overflow: the maximum, as a power generator's p is
+    positive.  A 1-D sample passes the max that _sample found as hi; rows
+    leave it out and are anchored row by row."""
     if g.kind not in ("exp", "power"):
         return kernel(x, g.forward, g.inverse)
-    if g.kind == "power" and g.param < 0:
-        c = x.min(axis=-1) if lo is None else lo
-    else:
-        c = x.max(axis=-1) if hi is None else hi
+    c = x.max(axis=-1) if hi is None else hi
     if g.kind == "power":
         return _power(g.param, np.log(x), c, np.log(c), kernel)
     shift = c if x.ndim == 1 else c[:, None]
@@ -145,9 +143,9 @@ def _anchored(g: Generator, x: np.ndarray, kernel: Callable,
 
 def _power(p: float, logs: np.ndarray, c, log_c, kernel: Callable):
     """M_p(x) = c * M_p(x / c) along the last axis of logs = log x, with c
-    the anchor (see _anchored) and log_c = log c.  x / c and M / c go
-    through logs: on a sample that spans more than the float range they
-    leave it.
+    the anchor (the maximum, or the minimum for p < 0) and log_c = log c.
+    x / c and M / c go through logs: on a sample that spans more than the
+    float range they leave it.
 
     A 1-D sample has a float c and gets a float back, through one branch of
     the tail; rows get one mean each, every branch computed and one kept.
@@ -177,7 +175,9 @@ def mean(g: Generator, x: Sequence[float] | np.ndarray) -> float:
     arr, lo, hi = _sample(x, g.domain, f"generator {g.name!r}")
     if arr.size == 1:
         return float(arr[0])
-    return min(max(_anchored(g, arr, _kernel, lo, hi), lo), hi)
+    m = (_power_sample(g.param, arr, lo, hi) if g.kind == "power"
+         else _anchored(g, arr, _kernel, hi))
+    return min(max(m, lo), hi)
 
 
 def row_means(g: Generator, rows: np.ndarray) -> np.ndarray:
@@ -213,30 +213,34 @@ def power_mean(p: float, x: Sequence[float] | np.ndarray) -> float:
     if not math.isfinite(_require_real(p, "p")):
         raise InvalidParameterError(f"power mean needs a finite exponent, got {p}")
     arr, lo, hi = _sample(x, _POSITIVE, "power mean")
+    return min(max(_power_sample(p, arr, lo, hi), lo), hi)
+
+
+def _power_sample(p: float, arr: np.ndarray, lo: float, hi: float) -> float:
+    """M_p of a 1-D sample arr of positive values with min lo and max hi,
+    the one path of mean(power:p) and power_mean(p), before the clip into
+    [lo, hi] that every branch needs, as each ends in exp."""
     logs = np.log(arr)
     # floats, whose products underflow silently under any np.errstate
-    log_lo, log_hi = float(np.log(lo)), float(np.log(hi))
+    log_lo, log_hi = math.log(lo), math.log(hi)
     top = abs(p) * max(-log_lo, log_hi)  # max |log x|
     if top < _EPS:
         # x**p is within an ulp of 1 for every x: only the p -> 0 limit is
         # resolvable, and dividing an underflowed sum by p cannot recover it
-        m = _kernel(logs, lambda t: t, np.exp)
-    elif top < 0.1:
+        return _kernel(logs, lambda t: t, np.exp)
+    if top < 0.1:
         # near p = 0 the mean of x**p rounds to about 1 and loses the O(p)
         # signal; expm1/log1p keeps full relative precision
-        m = _kernel(logs, lambda t: np.expm1(p * t), lambda y: np.exp(np.log1p(y) / p))
-    else:
-        c, log_c = (hi, log_hi) if p > 0 else (lo, log_lo)
-        m = _power(p, logs, c, log_c, _kernel)
-    # every branch ends in exp, which can leave [min x, max x] by |log x| ulp
-    return min(max(m, lo), hi)
+        return _kernel(logs, lambda t: np.expm1(p * t), lambda y: np.exp(np.log1p(y) / p))
+    c, log_c = (hi, log_hi) if p > 0 else (lo, log_lo)
+    return _power(p, logs, c, log_c, _kernel)
 
 
 def exp_mean_stable(x: Sequence[float] | np.ndarray) -> float:
     """log((1/n) sum exp(xi)), the exponential mean, clipped into
     [min(x), max(x)]; it never overflows for finite inputs."""
     arr, lo, hi = _sample(x, _EXP.domain, "exponential mean")
-    return min(max(_anchored(_EXP, arr, _kernel, lo, hi), lo), hi)
+    return min(max(_anchored(_EXP, arr, _kernel, hi), lo), hi)
 
 
 class AxiomCheck(NamedTuple):
@@ -304,8 +308,7 @@ def check_axioms(g: Generator, n: int, n0: int | None = None, trials: int = 1000
     rng_seed = require_count(rng_seed, "rng_seed", 0)
     if not 0.0 <= _require_real(tol, "tol") < math.inf:
         raise InvalidParameterError(f"tol must be finite and >= 0, got {tol}")
-    if box is None:
-        box = _default_box(g)
+    box = _default_box(g) if box is None else _require_interval(box, "box")
     g.domain.require_interior([box.lo, box.hi], f"generator {g.name!r}")
 
     rng = np.random.default_rng(rng_seed)

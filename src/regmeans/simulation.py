@@ -47,9 +47,10 @@ import numpy as np
 
 from .asymptotics import (AsymptoticSpec, GMoments, _edgeworth_cdf, _real_points,
                           asymptotic_variance, g_moments, phi_cdf)
-from .distributions import DistributionModel, Pareto, Uniform
+from .distributions import DistributionModel
 from .errors import ConfigurationError, DivergenceError, DomainError, InvalidParameterError
-from .generators import Generator, Interval, _real_array, _vectorized, require_count
+from .generators import (Generator, Interval, _real_array, _require_interval, _vectorized,
+                         require_count)
 from .means import row_means
 
 __all__ = ["ScenarioConfig", "SimulationReport", "run_scenario", "ks_statistic",
@@ -131,14 +132,9 @@ def thread_map(fn, items, threads: int) -> list:
 
 def _support_in_domain(g: Generator, dist) -> bool:
     dom, sup = g.domain, dist.support
-    # Uniform/Pareto samplers can emit the lower support endpoint exactly;
-    # the continuous-start families cannot.
-    attains_lo = isinstance(dist, (Uniform, Pareto))
-    if dom.lo != -math.inf and (sup.lo < dom.lo or (sup.lo == dom.lo and attains_lo)):
-        return False
-    if dom.hi != math.inf and sup.hi > dom.hi:
-        return False
-    return True
+    # the domain is open: a sampler that can return support.lo exactly
+    # (_attains_lo) needs it inside
+    return (sup.lo > dom.lo or (sup.lo == dom.lo and not dist._attains_lo)) and sup.hi <= dom.hi
 
 
 def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> SimulationReport:
@@ -297,10 +293,8 @@ def compare_edgeworth(report: SimulationReport, mom: GMoments, n: int,
     """Tabulate empirical vs normal vs Edgeworth CDFs of the standardized
     statistics on a grid, with the sup gap of each approximation.  grid is
     an Interval, else InvalidParameterError."""
-    if not isinstance(grid, Interval):
-        raise InvalidParameterError(f"grid must be an Interval, got {grid!r}")
     ecdf = empirical_cdf(report.statistics)
-    xs = grid.grid(require_count(steps, "steps", 2))
+    xs = _require_interval(grid, "grid").grid(require_count(steps, "steps", 2))
     emp = ecdf.at(xs)
     phi = phi_cdf(xs)
     edge = _edgeworth_cdf(xs, n, mom, phi)

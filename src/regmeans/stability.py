@@ -58,8 +58,8 @@ import numpy as np
 
 from .errors import (ConfigurationError, ConvergenceError, DegenerateSlopeError,
                      InvalidParameterError, NumericError)
-from .generators import (Generator, Interval, _least_slope, _require_real, normalize_increasing,
-                         require_count)
+from .generators import (Generator, Interval, _least_slope, _require_interval, _require_real,
+                         normalize_increasing, require_count)
 from .means import means_from_sums
 
 __all__ = ["StabilityReport", "theorem4_bound", "verify_stability", "blend_distances"]
@@ -153,7 +153,7 @@ def theorem4_bound(g: Generator, h: Generator, B: Interval) -> float:
     changes L but not m, so the bound is deliberately asymmetric.
     """
     with np.errstate(all="ignore"):
-        constant, dist = _bound_parts(_normalized_pair(g, h, B), B)
+        constant, dist = _bound_parts(_normalized_pair(g, h, _require_interval(B, "B")), B)
     return constant * dist
 
 
@@ -169,8 +169,10 @@ def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
     deprecated: it is checked but sets nothing, and stays while perfbench's
     certify workload passes it.  Pairs whose g'/h' turns more than once on
     A_box (possible only with custom generators) raise ConfigurationError,
-    and a bad n, grid_per_dim or tolerance_factor InvalidParameterError.
+    and a bad A_box, n, grid_per_dim or tolerance_factor
+    InvalidParameterError.
     """
+    _require_interval(A_box, "A_box")
     n = require_count(n, "n", 1)
     require_count(grid_per_dim, "grid_per_dim", 2)
     if not 0.0 <= _require_real(tolerance_factor, "tolerance_factor") < np.inf:
@@ -395,9 +397,10 @@ def blend_distances(g: Generator, h: Generator, A_box: Interval, n: int,
     (as where g is flat), and ConvergenceError when the inversion of a
     blended mean fails.  Pairs whose g'/h' turns more than once on the box
     (possible only with custom generators) are not supported: they raise
-    ConfigurationError, and a bad n, grid_per_dim or ts (an iterable of
-    numbers in [0, 1]) InvalidParameterError.
+    ConfigurationError, and a bad A_box, n, grid_per_dim or ts (an iterable
+    of numbers in [0, 1]) InvalidParameterError.
     """
+    _require_interval(A_box, "A_box")
     n = require_count(n, "n", 1)
     require_count(grid_per_dim, "grid_per_dim", 2)
     try:

@@ -1,13 +1,17 @@
 """Scenario distributions: sampling, quantiles, moment formulas."""
 
+import ast
 import decimal
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+from regmeans import simulation
 from regmeans.distributions import _polygamma
 from regmeans import (
     ConfigurationError,
@@ -120,6 +124,54 @@ class TestParsing:
             Uniform(2.0, 2.0)
         with pytest.raises(InvalidParameterError):
             Pareto(10.0, -1.0)
+
+
+class TestLawProtocol:
+    """Each law declares its fields, its kind and its range rule once; the
+    field check, spec, the usage text of a bad spec and the heavy tails' mgf
+    are the base's.  TestParsing holds parse_distribution(d.spec) == d and
+    the InvalidParameterError naming a field that is not a real number."""
+
+    # (law, its usage text, arities it does not take, out-of-range fields)
+    LAWS = [
+        (LogNormal, "lognormal:<mu>:<sigma2>", (0, 1, 3), (0.0, 0.0)),
+        (Gamma, "gamma:<shape>:<rate>", (0, 1, 3), (1.0, -1.0)),
+        (Uniform, "uniform:<lo>:<hi>", (0, 1, 3), (2.0, 2.0)),
+        (Pareto, "pareto:<alpha>[:<scale>]", (0, 3), (0.0, 1.0)),
+    ]
+
+    @pytest.fixture(params=LAWS, ids=[row[0].__name__ for row in LAWS])
+    def law(self, request):
+        return request.param
+
+    def test_wrong_arity_gives_the_usage_text(self, law):
+        _, usage, arities, _ = law
+        kind = usage.partition(":")[0]
+        for k in arities:
+            with pytest.raises(InvalidParameterError,
+                               match=rf"^{kind} spec is {re.escape(usage)}$"):
+                parse_distribution(":".join([kind, *["1"] * k]))
+
+    def test_an_out_of_range_law_says_what_it_needs(self, law):
+        cls, *_, bad = law
+        got = re.escape(", ".join(map(str, bad)))
+        with pytest.raises(InvalidParameterError, match=rf"^{cls.kind} needs .*, got \({got}\)$"):
+            cls(*bad)
+
+    def test_the_base_owns_the_check_and_the_spec(self, law):
+        cls = law[0]
+        assert "spec" not in vars(cls) and "__post_init__" not in vars(cls)
+        assert ("mgf" in vars(cls)) == (cls in (Gamma, Uniform))
+
+    def test_simulation_names_no_law_class(self):
+        # which samplers can return support.lo is the laws' own _attains_lo
+        laws = {"LogNormal", "Gamma", "Uniform", "Pareto"}
+        tree = ast.parse(Path(simulation.__file__).read_text())
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom) else
+                     [node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else [])
+            assert not laws & set(names), f"simulation.py:{node.lineno} names {names}"
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +339,7 @@ class TestMoments:
 
     def test_mgf_three_valued(self):
         assert LogNormal(2.0, 1.0).mgf(1.0) == math.inf
+        assert LogNormal(2.0, 1.0).mgf(0.0) == Pareto(10.0, 1.0).mgf(0.0) == 1.0
         for law in (LogNormal(2.0, 1.0), Pareto(10.0, 1.0)):  # finite, no closed form
             for t in (-1.0, math.nan):
                 with pytest.raises(ConfigurationError, match="no closed form"):

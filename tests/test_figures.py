@@ -153,3 +153,13 @@ def test_thread_count_below_one_rejected(tmp_path, reproduce, threads):
     with pytest.raises(InvalidParameterError, match="threads"):
         reproduce(out, n=20, replicates=10, threads=threads)
     assert not out.exists()
+
+
+def test_every_json_file_is_json_text(tmp_path):
+    # one writer: indent 2, sorted keys, a trailing newline
+    assert figures.json_text({"b": 1.5, "a": [None, True]}) == (
+        '{\n  "a": [\n    null,\n    true\n  ],\n  "b": 1.5\n}\n')
+    figures.reproduce_figure2(tmp_path, n=20, replicates=10)
+    for path in tmp_path.glob("*.json"):
+        text = path.read_text()
+        assert text == figures.json_text(json.loads(text)), path.name

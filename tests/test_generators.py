@@ -126,6 +126,30 @@ class TestBuiltins:
         with pytest.raises(InvalidParameterError):
             parse_generator("sinh")
 
+    _LOG = ("log", Interval(0.0, math.inf), np.log, np.exp, lambda x: 1.0 / x)
+
+    @pytest.mark.parametrize("kind,param,direction,match", [
+        ("power", None, "increasing", "power generator requires"),   # a bare TypeError in mean
+        ("power", "2", "increasing", "power generator requires"),
+        ("power", 1e-9, "increasing", "power generator requires"),
+        ("power", math.inf, "increasing", "power generator requires"),
+        ("power", -1.0, "increasing", "power generator requires"),
+        ("log", 2.0, "increasing", "takes no parameter"),
+        ("custom", 2.0, "increasing", "takes no parameter"),
+        ("sinh", None, "increasing", "unknown generator kind"),
+        ("log", None, "down", "monotone_direction"),              # was read as decreasing
+        ("log", None, None, "monotone_direction"),
+    ])
+    def test_generator_checks_its_own_fields(self, kind, param, direction, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            Generator(*self._LOG, direction, kind=kind, param=param)
+
+    @pytest.mark.parametrize("kind,param,direction", [
+        ("custom", None, "decreasing"), ("log", None, "increasing"), ("power", 1e-6, "increasing"),
+        ("power", 3, "increasing")])
+    def test_generator_fields_in_range_pass(self, kind, param, direction):
+        assert Generator(*self._LOG, direction, kind=kind, param=param).param == param
+
     @pytest.mark.parametrize("spec", [None, 2.0, b"log"])
     def test_spec_must_be_a_string(self, spec):
         # None raised a bare AttributeError (no .strip)

@@ -1,5 +1,6 @@
 """Quasi-arithmetic means, stable variants, and the four axioms."""
 
+import decimal
 import math
 
 import numpy as np
@@ -231,8 +232,11 @@ def test_the_contract_holds_when_every_float_error_raises(entry, xs, p):
 _POWER_1E6 = parse_generator("power:1e-6")
 
 
+# the true mean of [5e-324] * 9 + [1.7e308] at p = 1e-6 is 7.7409328375004389e-261:
+# mean shares power_mean's expm1/log1p path (1.9e-13 off), row_means anchors
+# (2.3e-11 off)
 @pytest.mark.parametrize("call, want", [
-    (lambda: mean(_POWER_1E6, [5e-324] * 9 + [1.7e308]), 7.740932837318841e-261),
+    (lambda: mean(_POWER_1E6, [5e-324] * 9 + [1.7e308]), 7.74093283750189e-261),
     (lambda: power_mean(2e-3, [5e-324] * 9 + [1.7e308]), 9.631856135956368e-106),
     (lambda: row_means(_POWER_1E6, np.array([[5e-324] * 9 + [1.7e308]] * 2)), 7.740932837318841e-261),
     (lambda: mean(_POWER_1E6, [5e-324] * 99 + [1.0]), None),     # a subnormal mean
@@ -290,13 +294,37 @@ def test_the_float_tail_keeps_the_bits_of_the_array_tail():
     branches = {"p > 0": set(), "p < 0": set()}  # |r| < 700 seen, per sign of p
     for x in samples:
         for p in (1e-3, 0.5, 2.0, 7.0):
-            want = _anchored_power_mean(p, x, branches["p > 0"])
+            # mean(power:p) takes power_mean's path, near p = 0 included
+            want = _recomputed_power_mean(p, x, branches["p > 0"])
             assert mean(parse_generator(f"power:{p}"), x).hex() == want.hex()
-            assert power_mean(p, x).hex() == _recomputed_power_mean(p, x, set()).hex()
+            assert power_mean(p, x).hex() == want.hex()
         for p in (-1e-3, -1.0, -3.0):
             want = _recomputed_power_mean(p, x, branches["p < 0"])
             assert power_mean(p, x).hex() == want.hex()
     assert branches == {"p > 0": {True, False}, "p < 0": {True, False}}
+
+
+def _power_mean_reference(p, x):
+    """((1/n) sum x**p)**(1/p) at 50 digits, rounded to a float."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        q = decimal.Decimal(p)
+        total = sum(decimal.Decimal(float(v)) ** q for v in x)
+        return float((total / len(x)) ** (1 / q))
+
+
+def test_mean_and_power_mean_share_one_path():
+    # mean(power:1e-6) was anchored without the expm1/log1p branch: up to
+    # 1.5e-10 off on these samples, where power_mean is 4.4e-16 off
+    rng = np.random.default_rng(7)
+    samples = [rng.uniform(1.0, 10.0, rng.integers(2, 50)) for _ in range(60)]
+    for p in (1e-6, 1e-3, 0.5, 2.0):
+        g = make_builtin("power", p)
+        for x in samples:
+            got = mean(g, x)
+            assert got.hex() == power_mean(p, x).hex()
+            if p == 1e-6:
+                want = _power_mean_reference(p, x)
+                assert abs(got - want) <= 1e-14 * want
 
 
 class TestCheckAxioms:

@@ -4,6 +4,10 @@ REALS holds one row per real scalar parameter that a comparison would
 otherwise meet first: each row is sent a string, None and a list, and must
 raise InvalidParameterError naming the parameter, not a bare TypeError.
 
+BOXES holds one row per parameter that takes an Interval: a tuple or a
+list of ends, or a string, must raise InvalidParameterError naming the
+parameter, not a bare AttributeError.
+
 POINTS holds one row per function that takes a number or an array of
 points: a value that is not a real number is InvalidParameterError, a NaN is
 DomainError, and a real value passes, whichever of them is asked.  ARRAYS
@@ -56,6 +60,40 @@ def test_bad_real_is_rejected(owner, name, call, value):
 @pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.25)], ids=repr)
 def test_real_passes(owner, name, call, value):
     call(value)
+
+
+@functools.cache
+def _report():
+    return rm.run_scenario(rm.ScenarioConfig(rm.parse_distribution("gamma:2:1"), _log(), n=5,
+                                             replicates=50, seed=1))
+
+
+@functools.cache
+def _identity():
+    return rm.parse_generator("identity")
+
+
+# (owner, parameter, call): call(box) passes box as that parameter
+BOXES = [
+    ("check_axioms", "box", lambda box: rm.check_axioms(_log(), n=2, trials=10, box=box)),
+    ("verify_stability", "A_box", lambda box: rm.verify_stability(_log(), _identity(), box, n=2)),
+    ("blend_distances", "A_box",
+     lambda box: rm.blend_distances(_log(), _identity(), box, n=2, ts=[0.5])),
+    ("theorem4_bound", "B", lambda box: rm.theorem4_bound(_log(), _identity(), box)),
+    ("min_slope", "B", lambda box: rm.min_slope(_log(), box)),
+    ("compare_edgeworth", "grid",
+     lambda box: rm.compare_edgeworth(_report(), _mom(), 5, grid=box)),
+]
+
+
+@pytest.mark.parametrize("owner,name,call", [pytest.param(*row, id=f"{row[0]}-{row[1]}")
+                                             for row in BOXES])
+@pytest.mark.parametrize("box", [(1.0, 2.0), [1.0, 2.0], "1:2"], ids=repr)
+def test_box_that_is_not_an_interval_is_rejected(owner, name, call, box):
+    # each but compare_edgeworth raised a bare AttributeError (no .lo); None
+    # is check_axioms' default box
+    with pytest.raises(InvalidParameterError, match=rf"^{name} must be an Interval"):
+        call(box)
 
 
 # (owner, call): call(x) evaluates owner at the points x
