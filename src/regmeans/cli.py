@@ -36,7 +36,7 @@ from . import __version__
 from .asymptotics import edgeworth_cdf, edgeworth_corrections, g_moments, phi_cdf
 from .distributions import parse_distribution
 from .errors import ConfigurationError, InvalidParameterError, NumericError
-from .figures import csv_table, json_text, reproduce_figure1, reproduce_figure2, write_hist
+from .figures import csv_table, hist_text, json_text, reproduce_figure1, reproduce_figure2
 from .generators import Interval, parse_generator, require_count
 from .means import check_axioms, mean
 from .portfolio import (
@@ -178,7 +178,7 @@ def _cmd_simulate(args) -> dict:
     )
     report = run_scenario(cfg, threads=args.threads)
     if args.hist:
-        write_hist(Path(args.hist), report)
+        Path(args.hist).write_text(hist_text(report), newline="")
     return {
         "command": "simulate",
         **report.as_dict(),

@@ -128,11 +128,17 @@ def _require_real(value, name: str):
     return value
 
 
+def _require_instance(value, kind, name: str, what: str):
+    """value if it is an instance of kind (a class or a tuple of classes),
+    else InvalidParameterError "<name> must be <what>, got <value>"."""
+    if not isinstance(value, kind):
+        raise InvalidParameterError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def _require_interval(value, name: str) -> Interval:
     """value if it is an Interval, else InvalidParameterError naming it."""
-    if not isinstance(value, Interval):
-        raise InvalidParameterError(f"{name} must be an Interval, got {value!r}")
-    return value
+    return _require_instance(value, Interval, name, "an Interval")
 
 
 def _real_array(x, owner: str) -> np.ndarray:
@@ -228,7 +234,8 @@ def make_builtin(kind: str, p: float | None = None) -> Generator:
     """Construct one of the built-in generators.
 
     ``p`` is only meaningful for kind="power" and must be at least 1e-6
-    there (Generator's own check, run before p is read).
+    there (Generator's own check, run before p is read).  An unknown kind
+    is InvalidParameterError, as in Generator and parse_generator.
     """
     _check_param(kind, p)
     if kind == "identity":
@@ -248,7 +255,7 @@ def make_builtin(kind: str, p: float | None = None) -> Generator:
                          kind="power", param=pf)
     if kind == "exp":
         return Generator("exp", _REAL_LINE, np.exp, np.log, np.exp, "increasing", kind="exp")
-    raise ConfigurationError(f"unknown generator kind {kind!r}")
+    raise InvalidParameterError(f"unknown generator kind {kind!r}")
 
 
 def parse_generator(spec: str) -> Generator:

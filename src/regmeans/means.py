@@ -11,7 +11,8 @@ and one forward-sum-inverse kernel whose sum is correctly rounded (equal to
 at the maximum (the minimum for power_mean's p < 0) that the sample check
 has already found, and a single sample's last step runs on floats.
 ``mean(power:p, x)`` and ``power_mean(p, x)`` take one path, which keeps
-its digits near p = 0 through expm1 and log1p.
+its digits near p = 0 through expm1 and log1p; ``row_means`` picks the same
+branch row by row.
 ``check_axioms`` verifies the four characterizing properties numerically:
 per-coordinate monotonicity, symmetry, idempotence on constant samples, and
 invariance when a leading block is replaced by its own mean.  ``row_means``
@@ -127,16 +128,13 @@ def _row_kernel(rows: np.ndarray, forward: Callable, inverse: Callable) -> np.nd
 
 
 def _anchored(g: Generator, x: np.ndarray, kernel: Callable, hi: float | None = None):
-    """M_g along the last axis of x.  Exp means are shift-equivariant and
-    power means scale-equivariant, so both are taken relative to an anchor
-    c where g cannot overflow: the maximum, as a power generator's p is
-    positive.  A 1-D sample passes the max that _sample found as hi; rows
-    leave it out and are anchored row by row."""
-    if g.kind not in ("exp", "power"):
+    """M_g along the last axis of x for every kind but power.  Exp means are
+    shift-equivariant, so they are taken relative to an anchor c where g
+    cannot overflow: the maximum.  A 1-D sample passes the max that _sample
+    found as hi; rows leave it out and are anchored row by row."""
+    if g.kind != "exp":
         return kernel(x, g.forward, g.inverse)
     c = x.max(axis=-1) if hi is None else hi
-    if g.kind == "power":
-        return _power(g.param, np.log(x), c, np.log(c), kernel)
     shift = c if x.ndim == 1 else c[:, None]
     return c + kernel(x, lambda t: g.forward(t - shift), g.inverse)
 
@@ -185,6 +183,14 @@ def row_means(g: Generator, rows: np.ndarray) -> np.ndarray:
     and NumericError, but summed pairwise with np.sum instead of math.fsum:
     it agrees with ``mean`` to rounding rather than bit for bit."""
     g.domain.require_interior(rows, f"generator {g.name!r}")
+    return row_means_in_domain(g, rows)
+
+
+def row_means_in_domain(g: Generator, rows: np.ndarray) -> np.ndarray:
+    """row_means for rows whose values the caller has already found inside
+    g's domain.  Each row's value depends on that row alone."""
+    if g.kind == "power":
+        return _power_rows(g.param, rows)
     return _anchored(g, rows, _row_kernel)
 
 
@@ -225,15 +231,43 @@ def _power_sample(p: float, arr: np.ndarray, lo: float, hi: float) -> float:
     log_lo, log_hi = math.log(lo), math.log(hi)
     top = abs(p) * max(-log_lo, log_hi)  # max |log x|
     if top < _EPS:
-        # x**p is within an ulp of 1 for every x: only the p -> 0 limit is
-        # resolvable, and dividing an underflowed sum by p cannot recover it
-        return _kernel(logs, lambda t: t, np.exp)
+        return _kernel(logs, *_FLAT)
     if top < 0.1:
-        # near p = 0 the mean of x**p rounds to about 1 and loses the O(p)
-        # signal; expm1/log1p keeps full relative precision
-        return _kernel(logs, lambda t: np.expm1(p * t), lambda y: np.exp(np.log1p(y) / p))
+        return _kernel(logs, *_near_zero(p))
     c, log_c = (hi, log_hi) if p > 0 else (lo, log_lo)
     return _power(p, logs, c, log_c, _kernel)
+
+
+# x**p is within an ulp of 1 for every x (|p log x| < eps): only the p -> 0
+# limit, the geometric mean, is resolvable, and dividing an underflowed sum
+# by p cannot recover it.  Forward and inverse act on log x.
+_FLAT = ((lambda t: t), np.exp)
+
+
+def _near_zero(p: float) -> tuple[Callable, Callable]:
+    """Forward and inverse on log x of a power mean near p = 0 (|p log x|
+    below 0.1), where the mean of x**p rounds to about 1 and loses the O(p)
+    signal; expm1/log1p keeps full relative precision."""
+    return (lambda t: np.expm1(p * t)), (lambda y: np.exp(np.log1p(y) / p))
+
+
+def _power_rows(p: float, rows: np.ndarray) -> np.ndarray:
+    """M_p of every row of positive values, p > 0: each row takes the
+    branch of _power_sample that its own min and max choose."""
+    c = rows.max(axis=-1)
+    logs, log_c = np.log(rows), np.log(c)
+    with np.errstate(over="ignore"):  # a huge p is far from 0 at inf
+        top = p * np.maximum(-np.log(rows.min(axis=-1)), log_c)
+    far = top >= 0.1
+    if far.all():
+        return _power(p, logs, c, log_c, _row_kernel)
+    m = np.empty(top.shape)
+    for pick, fns in ((top < _EPS, _FLAT), ((top >= _EPS) & ~far, _near_zero(p))):
+        if pick.any():
+            m[pick] = _row_kernel(logs[pick], *fns)
+    if far.any():
+        m[far] = _power(p, logs[far], c[far], log_c[far], _row_kernel)
+    return m
 
 
 def exp_mean_stable(x: Sequence[float] | np.ndarray) -> float:

@@ -6,18 +6,34 @@ against the Edgeworth-corrected approximation).  The unit of work is one
 distribution with one or more generators (_run_group; run_scenario is the
 one-generator case).  Replicates are drawn in fixed-size blocks: each block
 gets its own RNG stream spawned from the master seed and draws a (rows, n)
-matrix in one call, and every generator takes all its row means from that
-matrix in one vectorized pass, so the generators of one distribution are
-compared on common random numbers.  The block layout depends only on n and
-the replicate count, so each generator's statistics depend on (seed, n,
-replicates) alone: they are those of its own run_scenario, at any thread
-count.  A run's threads spread its blocks over a pool (its gains are in the
+matrix in one call.  The block layout depends only on n and the replicate
+count, so each generator's statistics depend on (seed, n, replicates)
+alone: they are those of its own run_scenario, at any thread count.
+
+A task of the pool covers two consecutive blocks (one where two would
+leave a thread idle), drawn into consecutive rows of one matrix.  One min
+and one max of that matrix decide every generator's domain, and each
+generator takes the row means of all its rows in one vectorized pass, so
+the generators of one distribution are compared on common random numbers.
+Each row's mean depends on that row alone, so the statistics keep the bits
+of one reduction per block.  Every numpy call of a worker gives up the
+interpreter lock and must take it back, so fewer and longer calls are what
+the pool gains by.  Against one block per task and a domain check per
+generator and block, this and the file text built on the figures' workers
+took the Figure 1 grid on two threads from a median of 80.0 to 68.0 ms on
+a 2-vCPU host (10 interleaved benchmark runs each).  Four blocks per task
+gained more but cost about 4 MB of peak memory (10% of a Figure 1 run), so
+the task stays at two.  Only a value outside a domain (or a NaN) takes the
+checked path of row_means, block by block, so the error names the first
+offending block's value.
+
+A run's threads spread its tasks over a pool (its gains are in the
 README); the figure grids run their distributions side by side instead
 (see figures).  Both pools are one ordered map, thread_map.  Each worker
-thread draws its blocks into one buffer of a block's size, kept for the
-run (sample's out): glibc returns freed memory at the top of its heap to
-the system, so fresh draw arrays were faulted in again block after block.
-On a 2-vCPU host this and the tail's shared scratch below took the minor
+thread draws its tasks into one buffer of two blocks, kept for the run
+(sample's out): glibc returns freed memory at the top of its heap to the
+system, so fresh draw arrays were faulted in again block after block.  On
+a 2-vCPU host this and the tail's shared scratch below took the minor
 page faults of an mc_small_n pass (four runs of 20 000 replicates) from
 about 2730 to 890.
 SimulationReport.as_dict is the one report schema: the CLI's simulate
@@ -48,10 +64,10 @@ import numpy as np
 from .asymptotics import (AsymptoticSpec, GMoments, _edgeworth_cdf, _real_points,
                           asymptotic_variance, g_moments, phi_cdf)
 from .distributions import DistributionModel
-from .errors import ConfigurationError, DivergenceError, DomainError, InvalidParameterError
-from .generators import (Generator, Interval, _real_array, _require_interval, _vectorized,
-                         require_count)
-from .means import row_means
+from .errors import ConfigurationError, DivergenceError, DomainError
+from .generators import (Generator, Interval, _real_array, _require_instance, _require_interval,
+                         _vectorized, require_count)
+from .means import row_means, row_means_in_domain
 
 __all__ = ["ScenarioConfig", "SimulationReport", "run_scenario", "ks_statistic",
            "empirical_cdf", "EdgeworthComparison", "compare_edgeworth"]
@@ -66,10 +82,8 @@ class ScenarioConfig:
     seed: int
 
     def __post_init__(self):
-        for name, kind, what in (("dist", DistributionModel, "distribution model"),
-                                 ("generator", Generator, "Generator")):
-            if not isinstance(value := getattr(self, name), kind):
-                raise InvalidParameterError(f"{name} must be a {what}, got {value!r}")
+        _require_instance(self.dist, DistributionModel, "dist", "a distribution model")
+        _require_instance(self.generator, Generator, "generator", "a Generator")
         for name, least in (("n", 2), ("replicates", 1), ("seed", 0)):
             object.__setattr__(self, name, require_count(getattr(self, name), name, least))
 
@@ -117,7 +131,8 @@ class SimulationReport:
 # fresh 512 KiB draws and their temporaries more likely did.  With the kept
 # draw buffer, 2**16 measured about even with 2**15 (mc_small_n passes and
 # single-threaded Figure 1, three runs each).  The block layout sets every
-# Monte Carlo byte, so it stays.
+# Monte Carlo byte, so it stays; a pool task of two blocks (_run_group)
+# halves the row-mean calls without changing it.
 _BLOCK_ELEMENTS = 2 ** 15
 
 
@@ -138,7 +153,8 @@ def _support_in_domain(g: Generator, dist) -> bool:
 
 
 def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> SimulationReport:
-    """Run one (distribution x generator) scenario.
+    """Run one (distribution x generator) scenario, cfg a ScenarioConfig
+    (else InvalidParameterError).
 
     Raises ConfigurationError when the distribution's support leaves the
     generator's domain, and DivergenceError when var(g(X)) diverges, both
@@ -147,6 +163,7 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> SimulationReport:
     statistics do not depend on it.  A block's set-up holds the interpreter
     lock, so the pool gains only where values are costly to draw or
     transform."""
+    cfg = _require_instance(cfg, ScenarioConfig, "cfg", "a ScenarioConfig")
     return _run_group([cfg], require_count(threads, "threads", 1))[0]
 
 
@@ -170,22 +187,38 @@ def _run_group(cfgs: list[ScenarioConfig], threads: int = 1) -> list[SimulationR
     rows = max(1, _BLOCK_ELEMENTS // n)
     starts = range(0, replicates, rows)
     streams = np.random.SeedSequence(cfgs[0].seed).spawn(len(starts))
+    # two blocks per task, unless that leaves a thread idle
+    per = 2 if -(-len(starts) // 2) >= threads else 1
     means = np.empty((len(cfgs), replicates), dtype=float)  # one row per generator
+    gens = [cfg.generator for cfg in cfgs]
     local = threading.local()  # each worker thread's draw buffer, kept for the run
 
-    def block(k: int) -> None:
-        lo = starts[k]
-        hi = min(lo + rows, replicates)
-        rng = np.random.default_rng(streams[k])
+    def task(k0: int) -> None:
+        blocks = starts[k0:k0 + per]
+        lo, hi = blocks[0], min(blocks[-1] + rows, replicates)
         if (buf := getattr(local, "buf", None)) is None:
-            buf = local.buf = np.empty(min(rows, replicates) * n)
-        # a flat draw fills the same values in the same order as shape (rows, n)
-        size = (hi - lo) * n
-        x = dist.sample(size, rng, out=buf[:size]).reshape(hi - lo, n)
-        for cfg, row in zip(cfgs, means):
-            row[lo:hi] = row_means(cfg.generator, x)
+            buf = local.buf = np.empty(min(per * rows, replicates) * n)
+        # each block from its own stream, into consecutive rows; a flat draw
+        # fills the same values in the same order as shape (rows, n)
+        for k, start in enumerate(blocks, k0):
+            a, b = (start - lo) * n, (min(start + rows, replicates) - lo) * n
+            dist.sample(b - a, np.random.default_rng(streams[k]), out=buf[a:b])
+        x = buf[:(hi - lo) * n].reshape(hi - lo, n)
+        # one min and one max decide every generator's domain
+        x_lo = float(np.minimum.reduce(x, axis=None))
+        x_hi = float(np.maximum.reduce(x, axis=None))
+        if all(x_lo > g.domain.lo and x_hi < g.domain.hi for g in gens):
+            for g, row in zip(gens, means):
+                row[lo:hi] = row_means_in_domain(g, x)
+            return
+        # a value outside a domain (or a NaN): block by block, as row_means
+        # checks, so the error is that of the first offending block
+        for start in blocks:
+            end = min(start + rows, replicates)
+            for g, row in zip(gens, means):
+                row[start:end] = row_means(g, x[start - lo:end - lo])
 
-    thread_map(block, range(len(starts)), threads)
+    thread_map(task, range(0, len(starts), per), threads)
     draw_s = time.perf_counter() - t0
 
     steps, scratch = _cdf_steps(replicates), np.empty(replicates)
@@ -291,8 +324,11 @@ def compare_edgeworth(report: SimulationReport, mom: GMoments, n: int,
                       grid: Interval = Interval(-3.0, 3.0),
                       steps: int = 121) -> EdgeworthComparison:
     """Tabulate empirical vs normal vs Edgeworth CDFs of the standardized
-    statistics on a grid, with the sup gap of each approximation.  grid is
-    an Interval, else InvalidParameterError."""
+    statistics on a grid, with the sup gap of each approximation.  report
+    is a SimulationReport, mom a GMoments and grid an Interval, else
+    InvalidParameterError."""
+    _require_instance(report, SimulationReport, "report", "a SimulationReport")
+    _require_instance(mom, GMoments, "mom", "a GMoments")
     ecdf = empirical_cdf(report.statistics)
     xs = _require_interval(grid, "grid").grid(require_count(steps, "steps", 2))
     emp = ecdf.at(xs)

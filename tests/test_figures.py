@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from regmeans import (ConfigurationError, InvalidParameterError, ScenarioConfig, figures,
-                      parse_distribution, parse_generator, run_scenario)
+                      parse_distribution, parse_generator, run_scenario, simulation)
 
 
 def _files(out):
@@ -93,6 +93,27 @@ def test_each_distribution_is_drawn_once_for_all_its_generators(tmp_path, monkey
     # three blocks per distribution, not per cell
     assert draws == [(d, size) for d in figures.FIGURE1_DISTS
                      for size in (32_000, 32_000, 6_000)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_row_mean_reduction_per_generator_per_task(tmp_path, monkeypatch, threads):
+    # a seeded Figure 1 grid: per distribution 32 blocks of 32 rows in 16
+    # tasks of two blocks (the last 40 rows), 3 generators, 4 distributions;
+    # one min and one max per task decide every domain, so the checked
+    # per-block path never runs
+    rows, reduce = [], simulation.row_means_in_domain
+
+    def counting(g, x):
+        rows.append(x.shape[0])
+        return reduce(g, x)
+
+    def checked(g, x):
+        raise AssertionError("a per-block domain check on in-domain draws")
+
+    monkeypatch.setattr(simulation, "row_means_in_domain", counting)
+    monkeypatch.setattr(simulation, "row_means", checked)
+    figures.reproduce_figure1(tmp_path, seed=42, n=1000, replicates=1000, threads=threads)
+    assert sorted(rows) == [40] * 12 + [64] * (15 * 12)
 
 
 def test_a_failing_group_draws_nothing(tmp_path, monkeypatch):

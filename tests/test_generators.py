@@ -125,6 +125,9 @@ class TestBuiltins:
     def test_unknown_kind(self):
         with pytest.raises(InvalidParameterError):
             parse_generator("sinh")
+        # make_builtin raised the ConfigurationError above the other two's class
+        with pytest.raises(InvalidParameterError, match="unknown generator kind 'sinh'"):
+            make_builtin("sinh")
 
     _LOG = ("log", Interval(0.0, math.inf), np.log, np.exp, lambda x: 1.0 / x)
 

@@ -233,12 +233,12 @@ _POWER_1E6 = parse_generator("power:1e-6")
 
 
 # the true mean of [5e-324] * 9 + [1.7e308] at p = 1e-6 is 7.7409328375004389e-261:
-# mean shares power_mean's expm1/log1p path (1.9e-13 off), row_means anchors
-# (2.3e-11 off)
+# mean shares power_mean's expm1/log1p path (1.9e-13 off), and row_means takes
+# it row by row (the same value; anchored, as before, it was 2.3e-11 off)
 @pytest.mark.parametrize("call, want", [
     (lambda: mean(_POWER_1E6, [5e-324] * 9 + [1.7e308]), 7.74093283750189e-261),
     (lambda: power_mean(2e-3, [5e-324] * 9 + [1.7e308]), 9.631856135956368e-106),
-    (lambda: row_means(_POWER_1E6, np.array([[5e-324] * 9 + [1.7e308]] * 2)), 7.740932837318841e-261),
+    (lambda: row_means(_POWER_1E6, np.array([[5e-324] * 9 + [1.7e308]] * 2)), 7.74093283750189e-261),
     (lambda: mean(_POWER_1E6, [5e-324] * 99 + [1.0]), None),     # a subnormal mean
     (lambda: power_mean(-2e-3, [5e-324] * 99 + [1.0]), None),
     (lambda: row_means(parse_generator("exp"), np.array([[-1000.0, 0.0]])), None),
@@ -398,6 +398,23 @@ class TestRowMeans:
         got = row_means(parse_generator("power:1e-6"), rows)
         want = [power_mean(1e-6, r) for r in rows]
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+    def test_each_row_takes_its_own_power_branch(self):
+        # |p log x| below eps (the geometric mean), below 0.1 (expm1/log1p)
+        # and above (anchored at the max), in one matrix
+        g = parse_generator("power:0.05")
+        rows = np.array([[1.0, 1.0 + 4e-15, 1.0], [1.0, 2.0, 3.0], [1.0, 10.0, 100.0]])
+        got = row_means(g, rows)
+        for row, m in zip(rows, got):
+            assert row_means(g, row[None, :])[0] == m
+            assert m == pytest.approx(mean(g, row), rel=1e-15)
+
+    def test_power_axioms_keep_their_numbers(self):
+        # p = 2 on the default box [0.5, 2] is anchored in every row, as before
+        report = check_axioms(parse_generator("power:2.0"), n=5, trials=1000)
+        assert [c.worst_violation for c in (report.a1_monotone, report.a2_symmetric,
+                                            report.a3_idempotent, report.a4_replacement)] == [
+            -1.0541335905278615e-05, 2.220446049250313e-16, 0.0, 0.0]
 
     @pytest.mark.parametrize("spec, bad", [("log", 0.0), ("reciprocal", -1.0),
                                            ("log", math.nan), ("identity", math.inf)])

@@ -6,7 +6,8 @@ raise InvalidParameterError naming the parameter, not a bare TypeError.
 
 BOXES holds one row per parameter that takes an Interval: a tuple or a
 list of ends, or a string, must raise InvalidParameterError naming the
-parameter, not a bare AttributeError.
+parameter, not a bare AttributeError.  OBJECTS does the same for the other
+parameters that take one of the library's objects, or a path.
 
 POINTS holds one row per function that takes a number or an array of
 points: a value that is not a real number is InvalidParameterError, a NaN is
@@ -94,6 +95,29 @@ def test_box_that_is_not_an_interval_is_rejected(owner, name, call, box):
     # is check_axioms' default box
     with pytest.raises(InvalidParameterError, match=rf"^{name} must be an Interval"):
         call(box)
+
+
+# (owner, parameter, call): call(value) passes value as that parameter, one
+# that takes an object of the library's own (or a path)
+OBJECTS = [
+    ("run_scenario", "cfg", lambda cfg: rm.run_scenario(cfg)),
+    ("compare_edgeworth", "report", lambda report: rm.compare_edgeworth(report, _mom(), 5)),
+    ("compare_edgeworth", "mom", lambda mom: rm.compare_edgeworth(_report(), mom, 5)),
+    ("reproduce_figure1", "out_dir",
+     lambda out: rm.reproduce_figure1(out, n=20, replicates=10)),
+    ("reproduce_figure2", "out_dir",
+     lambda out: rm.reproduce_figure2(out, n=20, replicates=10)),
+]
+
+
+@pytest.mark.parametrize("owner,name,call", [pytest.param(*row, id=f"{row[0]}-{row[1]}")
+                                             for row in OBJECTS])
+@pytest.mark.parametrize("value", [None, 3, ["gamma:2:1"]], ids=repr)
+def test_object_of_the_wrong_type_is_rejected(owner, name, call, value):
+    # the first three raised a bare AttributeError, reproduce_figure1 and 2
+    # a bare TypeError from Path
+    with pytest.raises(InvalidParameterError, match=rf"^{name} must be a"):
+        call(value)
 
 
 # (owner, call): call(x) evaluates owner at the points x

@@ -1,6 +1,7 @@
 """Monte Carlo scenario harness, KS statistic, and empirical CDFs."""
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -30,6 +31,8 @@ from regmeans import (
     run_scenario,
 )
 from regmeans import simulation
+from regmeans.asymptotics import asymptotic_variance
+from regmeans.means import row_means
 
 
 def test_no_allocator_tuning_in_the_library():
@@ -187,6 +190,21 @@ class TestEmpiricalCdf:
 # ---------------------------------------------------------------------------
 # Scenario runs
 
+def _per_block_statistics(cfg):
+    """cfg's standardized statistics with each block drawn from its own
+    stream and its row means taken alone, as row_means checks them."""
+    rows = max(1, simulation._BLOCK_ELEMENTS // cfg.n)
+    starts = range(0, cfg.replicates, rows)
+    streams = np.random.SeedSequence(cfg.seed).spawn(len(starts))
+    means = np.concatenate([
+        row_means(cfg.generator,
+                  cfg.dist.sample(min(rows, cfg.replicates - lo) * cfg.n,
+                                  np.random.default_rng(stream)).reshape(-1, cfg.n))
+        for lo, stream in zip(starts, streams)])
+    spec = asymptotic_variance(cfg.generator, cfg.dist)
+    return (means - spec.eg) * math.sqrt(cfg.n) / math.sqrt(spec.asym_var)
+
+
 class TestRunScenario:
     def test_report_shape(self):
         cfg = _cfg(replicates=64)
@@ -262,22 +280,76 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_blocks_are_drawn_into_one_buffer_per_worker(self, threads):
-        buffers = []
+        # each draw's out is a view of the array that owns its memory; the
+        # owners are held here, so a freed buffer's address cannot be reused
+        # by a fresh one and pass for it
+        owners, offsets = [], []
 
         class CountingUniform(Uniform):
             def sample(self, n, rng, *, out=None):
-                buffers.append(out.__array_interface__["data"][0])
+                owner = out if out.base is None else out.base
+                owners.append(owner)
+                offsets.append(out.__array_interface__["data"][0]
+                               - owner.__array_interface__["data"][0])
                 return super().sample(n, rng, out=out)
 
         kept = ScenarioConfig(dist=CountingUniform(1.0, 2.0),
                               generator=parse_generator("identity"),
                               n=1000, replicates=8 * 32 + 5, seed=4)
         report = run_scenario(kept, threads=threads)
-        assert len(buffers) == 9 and len(set(buffers)) <= threads
+        block = 32 * 1000 * 8  # bytes of one block of 32 rows
+        assert len(owners) == 9 and len({id(b) for b in owners}) <= threads
+        # two blocks per buffer, each task's blocks in consecutive rows (in
+        # any order across threads): five tasks, the last of one block
+        assert all(b.nbytes == 2 * block for b in owners)
+        assert sorted(offsets) == [0] * 5 + [block] * 4
         # a block leaves nothing behind for the next: the bits of fresh arrays
         fresh = run_scenario(ScenarioConfig(Uniform(1.0, 2.0), kept.generator, 1000,
                                             kept.replicates, 4))
         assert report.statistics.tobytes() == fresh.statistics.tobytes()
+
+    # (n, replicates): four blocks, the last of one row; three blocks, so a
+    # last task of one block, the last block partial; n > 2**15, one row per
+    # block and five blocks
+    @pytest.mark.parametrize("n, replicates", [(200, 3 * 163 + 1), (200, 2 * 163 + 7),
+                                               (2 ** 15 + 3, 5)])
+    @pytest.mark.parametrize("dist, gen", [("gamma:100:1", "log"), ("pareto:3", "power:1e-6")])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_tasks_keep_the_bits_of_one_reduction_per_block(self, n, replicates, dist, gen,
+                                                            threads):
+        cfg = _cfg(dist, gen, n=n, replicates=replicates, seed=5)
+        got = run_scenario(cfg, threads=threads).statistics
+        assert got.tobytes() == _per_block_statistics(cfg).tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_group_keeps_the_bits_of_one_reduction_per_block(self, threads):
+        cfgs = [_cfg("uniform:1:2", gen, n=200, replicates=2 * 163 + 7, seed=6)
+                for gen in ("identity", "log", "reciprocal")]
+        for cfg, report in zip(cfgs, simulation._run_group(cfgs, threads)):
+            assert report.statistics.tobytes() == _per_block_statistics(cfg).tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_value_outside_the_domain_in_the_second_block_of_a_task(self, threads):
+        # block 1 is the second block of the first task; block 3, the second
+        # of the next, offends too, but the error is the first block's
+        class Leaky(Uniform):
+            def sample(self, n, rng, *, out=None):
+                x = super().sample(n, rng, out=out)
+                k = rng.bit_generator.seed_seq.spawn_key[0]
+                if k in (1, 3):
+                    x[7] = (0.0, -0.5)[k == 3]
+                return x
+
+        cfg = ScenarioConfig(Leaky(1.0, 2.0), parse_generator("log"), n=200,
+                             replicates=4 * 163, seed=0)
+        with pytest.raises(DomainError) as caught:
+            run_scenario(cfg, threads=threads)
+        assert str(caught.value) == "value 0.0 outside domain (0.0, inf) of generator 'log'"
+        # in a group, the first generator that the first offending block fails
+        cfgs = [dataclasses.replace(cfg, generator=parse_generator(gen))
+                for gen in ("identity", "reciprocal", "log")]
+        with pytest.raises(DomainError, match=r"^value 0\.0 .* of generator 'reciprocal'$"):
+            simulation._run_group(cfgs, threads)
 
     def test_different_seeds_differ(self):
         a = run_scenario(_cfg(seed=1))
