@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Uniform, _central, _in_range, _standardize
+from .distributions import DistributionModel, Uniform, _central, _in_range, _standardize
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -40,7 +40,7 @@ from .errors import (
     DomainError,
     InvalidParameterError,
 )
-from .generators import Generator, _real_array, _vectorized, require_count
+from .generators import Generator, _real_array, _require_instance, _vectorized, require_count
 
 __all__ = [
     "GMoments",
@@ -203,6 +203,7 @@ def _closed_g_raw(g: Generator, dist, k: int) -> float:
 
 def _resolve_method(g: Generator, method: str) -> str:
     # every distribution has closed forms for every built-in generator kind
+    _require_instance(g, Generator, "g", "a Generator")
     if method not in _METHODS:
         raise InvalidParameterError(f"method must be one of {_METHODS}, got {method!r}")
     if g.kind != "custom":
@@ -224,7 +225,11 @@ def _g_stats(g: Generator, dist, how: str, order: int) -> tuple:
     one lost to cancellation or underflow is NumericError, not a zero
     variance with NaN shape.
     """
-    where = f"g={g.name!r}, dist={dist.spec!r}"
+    _require_instance(dist, DistributionModel, "dist", "a distribution model")
+
+    def where() -> str:  # worded only for an error (see distributions._in_range)
+        return f"g={g.name!r}, dist={dist.spec!r}"
+
     if how == "closed_form" and g.kind == "log" and not isinstance(dist, Uniform):
         # ln X's shape is the law's own closed form, not a quotient of
         # central moments: the variance is the one to rule on
@@ -246,7 +251,7 @@ def _g_stats(g: Generator, dist, how: str, order: int) -> tuple:
             raws.append(r)
         mean, central = _central(raws)
     if g.kind == "exp":
-        _in_range(lambda: mean, "E[g(X)]", where)
+        _in_range(lambda: mean, lambda: "E[g(X)]", where)
     return _standardize(mean, central, "g(X)", where)
 
 
@@ -292,7 +297,7 @@ def asymptotic_variance(g: Generator, dist, method: str = "auto") -> AsymptoticS
     # just when |gp| < 2**-511: divide by gp twice there
     asym_var = _in_range(
         lambda: var_g / (gp * gp) if abs(gp) >= 2.0 ** -511 else var_g / gp / gp,
-        "the limiting variance", f"g={g.name!r}, dist={dist.spec!r}")
+        lambda: "the limiting variance", lambda: f"g={g.name!r}, dist={dist.spec!r}")
     return AsymptoticSpec(eg=eg, gprime_at_eg=gp, asym_var=asym_var)
 
 
@@ -529,6 +534,7 @@ def _expansion(x, n: int, mom: GMoments) -> tuple:
     x*x, phi(x), and each term's (k, coef, den), the term being
     ((phi(x) * coef) * p_k(x)) / den."""
     n = require_count(n, "n", 1)
+    _require_instance(mom, GMoments, "mom", "a GMoments")
     if not (math.isfinite(mom.skew_g) and math.isfinite(mom.exkurt_g)):
         raise ConfigurationError("Edgeworth expansion needs finite skewness and kurtosis")
     xa, lo = _real_points(x, "Edgeworth expansion")

@@ -58,35 +58,38 @@ __all__ = [
 ]
 
 
-def _in_range(compute, what: str, where: str, positive: bool = True):
+def _in_range(compute, what, where, positive: bool = True):
     """compute(), the moment named what of the law or pair named where, when
     it is a usable float (a tuple of floats may pass positive=False).  The
     one place that rules on it: an OverflowError, an inf or a NaN from a
     finite moment is NumericError "overflows a float", not inf, which
     callers would take for a divergent moment; a positive moment below the
     smallest normal float, a 0 or a subnormal that has lost its digits, is
-    NumericError "underflows the normal float range"."""
+    NumericError "underflows the normal float range".  what and where are
+    functions that return the words, called only to word the error: a law's
+    spec takes microseconds to write, and a moment is mostly fine."""
     try:
         v = compute()
     except OverflowError:
         v = math.inf
     if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
-        raise NumericError(f"{what} overflows a float for {where}")
+        raise NumericError(f"{what()} overflows a float for {where()}")
     if positive and v < sys.float_info.min:
-        raise NumericError(f"{what} underflows the normal float range for {where}")
+        raise NumericError(f"{what()} underflows the normal float range for {where()}")
     return v
 
 
-def _standardize(mean: float, central, of: str, where: str) -> tuple:
+def _standardize(mean: float, central, of: str, where) -> tuple:
     """(mean, variance, skewness, excess kurtosis) of Y (named of), cut to 1
     + len(central) entries, from its mean and its central moments of orders
     2, 3, 4 (none, the first, or all three).  The even ones are positive for
     a Y that is not constant, so each goes through _in_range first: one that
     cancelled or underflowed to 0 or a subnormal is NumericError.  The
     central moments are divided by the variance one factor at a time:
-    var**1.5 and var**2 underflow where var is a normal float."""
+    var**1.5 and var**2 underflow where var is a normal float.  where is a
+    function that words the law or pair, as _in_range takes it."""
     for k, c in zip((2, 4), central[::2]):
-        _in_range(lambda: c, f"the central moment of order {k} of {of}", where)
+        _in_range(lambda: c, lambda: f"the central moment of order {k} of {of}", where)
     if not central:
         return (mean,)
     var = central[0]
@@ -185,6 +188,10 @@ class _Law:
     def spec(self) -> str:
         return ":".join([self.kind, *(_spec_number(getattr(self, f.name)) for f in fields(self))])
 
+    def _where(self) -> str:
+        """The law as an error names it (see _in_range)."""
+        return repr(self.spec)
+
     def mgf(self, t: float):
         """A heavy tail's E[exp(tX)]; Gamma and Uniform have their own."""
         if t >= 0:
@@ -230,7 +237,7 @@ class LogNormal(_Law):
 
     def power_moment(self, t: float) -> float:
         return _in_range(lambda: math.exp(t * self.mu + 0.5 * t * t * self.sigma2),
-                         f"E[X**{t:g}]", repr(self.spec))
+                         lambda: f"E[X**{t:g}]", self._where)
 
     def log_moments(self):
         return (self.mu, self.sigma2, 0.0, 0.0)
@@ -283,13 +290,13 @@ class Gamma(_Law):
                 return m
             return math.exp(math.lgamma(self.shape + t) - math.lgamma(self.shape)
                             - t * math.log(self.rate))
-        return _in_range(moment, f"E[X**{t:g}]", repr(self.spec))
+        return _in_range(moment, lambda: f"E[X**{t:g}]", self._where)
 
     def mgf(self, t: float):
         if t >= self.rate:
             return math.inf
         return _in_range(lambda: (1.0 - t / self.rate) ** (-self.shape),
-                         f"E[exp({t:g} X)]", repr(self.spec))
+                         lambda: f"E[exp({t:g} X)]", self._where)
 
     def log_moments(self):
         # a shape near the float's smallest sends digamma to -inf and the
@@ -299,7 +306,7 @@ class Gamma(_Law):
             return (_polygamma(0, self.shape) - math.log(self.rate), v,
                     _polygamma(2, self.shape) / v / math.sqrt(v),
                     _polygamma(3, self.shape) / v / v)
-        return _in_range(moments, "a moment of ln X", repr(self.spec), positive=False)
+        return _in_range(moments, lambda: "a moment of ln X", self._where, positive=False)
 
 
 @dataclass(frozen=True)
@@ -337,14 +344,14 @@ class Uniform(_Law):
             else:
                 raise DomainError(
                     f"E[X**{t}] undefined for uniform support [{self.lo}, {self.hi}]")
-        what, where = f"E[X**{t:g}]", repr(self.spec)
         if t == -1:
             # log(hi/lo) as log1p of the relative width, which keeps a narrow
             # support's digits, or where that overflows, as a log difference
             rel = (self.hi - self.lo) / self.lo
             log_ratio = (math.log1p(rel) if math.isfinite(rel)
                          else math.log(self.hi) - math.log(self.lo))
-            return _in_range(lambda: log_ratio / (self.hi - self.lo), what, where)
+            return _in_range(lambda: log_ratio / (self.hi - self.lo), lambda: f"E[X**{t:g}]",
+                             self._where)
         # (hi**s - lo**s) / (s (hi - lo)) with s = t + 1, led by the end u
         # whose power dominates: u**t times f, the mean of (x/u)**t over the
         # support, at most 1 in size
@@ -363,7 +370,7 @@ class Uniform(_Law):
             half = abs(u) ** (0.5 * t)
             return (-1.0 if u < 0.0 else 1.0) ** t * (half * f * half)
         # a support reaching 0 or below has moments of either sign
-        return _in_range(moment, what, where, positive=self.lo > 0)
+        return _in_range(moment, lambda: f"E[X**{t:g}]", self._where, positive=self.lo > 0)
 
     def mgf(self, t: float):
         """E[exp(tX)] = exp(a) (1 - exp(-s)) / s, a the larger of t lo and
@@ -375,11 +382,11 @@ class Uniform(_Law):
         # log(inf) = inf: an overflowing width gives exp(-inf) = 0
         return _in_range(
             lambda: math.exp(a if s == 0.0 else a + math.log(-math.expm1(-s)) - math.log(s)),
-            f"E[exp({t:g} X)]", repr(self.spec))
+            lambda: f"E[exp({t:g} X)]", self._where)
 
     def log_moments(self):
         return _standardize(*_central([self._log_raw(k) for k in range(1, 5)]), "ln X",
-                            repr(self.spec))
+                            self._where)
 
     def _log_raw(self, k: int) -> float:
         if self.lo <= 0:
@@ -429,12 +436,13 @@ class Pareto(_Law):
         if t >= self.alpha:
             return math.inf  # tail of order alpha: E[X**t] diverges at t >= alpha
         return _in_range(lambda: self.alpha * self.scale ** t / (self.alpha - t),
-                         f"E[X**{t:g}]", repr(self.spec))
+                         lambda: f"E[X**{t:g}]", self._where)
 
     def log_moments(self):
         # ln X = ln(scale) + Exponential(alpha)
         return _in_range(lambda: (math.log(self.scale) + 1.0 / self.alpha, self.alpha ** -2,
-                                  2.0, 6.0), "a moment of ln X", repr(self.spec), positive=False)
+                                  2.0, 6.0), lambda: "a moment of ln X", self._where,
+                         positive=False)
 
 
 DistributionModel = LogNormal | Gamma | Uniform | Pareto

@@ -322,6 +322,7 @@ def normalize_increasing(g: Generator) -> Generator:
 
 def affine_transform(g: Generator, a: float, b: float) -> Generator:
     """The generator a*g + b (a != 0); defines the same mean as g."""
+    _require_instance(g, Generator, "g", "a Generator")
     _require_real(a, "a")
     _require_real(b, "b")
     if not (a != 0 and math.isfinite(a) and math.isfinite(b)):

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigurationError, DomainError, InvalidParameterError, NumericError
+from .generators import _require_instance
 
 __all__ = [
     "ReturnSeries",
@@ -48,7 +50,12 @@ class ReturnSeries:
 
 
 def _series(series: ReturnSeries | Sequence[float]) -> ReturnSeries:
-    return series if isinstance(series, ReturnSeries) else ReturnSeries(tuple(series))
+    """series as a ReturnSeries; InvalidParameterError when it is neither
+    one nor an iterable of returns."""
+    if isinstance(series, ReturnSeries):
+        return series
+    _require_instance(series, Iterable, "series", "a ReturnSeries or an iterable of returns")
+    return ReturnSeries(tuple(series))
 
 
 def wealth_path(series: ReturnSeries | Sequence[float]) -> float:

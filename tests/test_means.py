@@ -23,7 +23,7 @@ from regmeans import (
     power_mean,
 )
 from regmeans import means
-from regmeans.means import _FSUM_BELOW, _exact_sum, row_means
+from regmeans.means import _FSUM_BELOW, AxiomCheck, AxiomReport, _exact_sum, row_means
 
 positive_samples = st.lists(
     st.floats(min_value=0.05, max_value=20.0), min_size=1, max_size=12)
@@ -383,6 +383,73 @@ class TestCheckAxioms:
         a = check_axioms(g, n=4, trials=64, rng_seed=11)
         b = check_axioms(g, n=4, trials=64, rng_seed=11)
         assert a == b
+
+
+def _six_call_check_axioms(g, n, n0=None, trials=1000, tol=1e-9, rng_seed=0, box=None):
+    """check_axioms with one row_means call per sample: X, X bumped in one
+    coordinate, X permuted within rows, the constant rows, the leading
+    block of X and X with that block replaced by its mean."""
+    n0 = n if n0 is None else n0
+    box = means._default_box(g) if box is None else box
+    rng = np.random.default_rng(rng_seed)
+    X = rng.uniform(box.lo, box.hi, size=(trials, n))
+    base = row_means(g, X)
+    cols = rng.integers(0, n, size=trials)
+    bumped = X.copy()
+    bumped[np.arange(trials), cols] += 1e-4 * box.width
+    bumped_means = row_means(g, bumped)
+    a1 = AxiomCheck(bool(np.all(bumped_means > base)), float(np.max(base - bumped_means)))
+    permuted = rng.permuted(X, axis=1)
+    a2 = float(np.max(np.abs(row_means(g, permuted) - base)))
+    consts = rng.uniform(box.lo, box.hi, size=trials)
+    a3 = float(np.max(np.abs(row_means(g, np.broadcast_to(consts[:, None], (trials, n)))
+                              - consts)))
+    replaced = X.copy()
+    replaced[:, :n0] = row_means(g, X[:, :n0])[:, None]
+    a4 = float(np.max(np.abs(row_means(g, replaced) - base)))
+    return AxiomReport(a1, *(AxiomCheck(w <= tol, w) for w in (a2, a3, a4)),
+                       trials=trials, tolerance=tol)
+
+
+# (n, n0): n0 of None, 1 and n - 1 at n of 1, 2, 5 and 10
+_AXIOM_SIZES = [(n, n0) for n in (1, 2, 5, 10) for n0 in dict.fromkeys((None, 1, n - 1))
+                if n0 != 0]
+
+
+@pytest.mark.parametrize("spec", ["identity", "log", "reciprocal", "power:2.0", "exp",
+                                  "power:0.01"])
+@pytest.mark.parametrize("n, n0", _AXIOM_SIZES)
+@pytest.mark.parametrize("box", [None, Interval(0.9, 1.1)], ids=["default-box", "near-1"])
+def test_check_axioms_equals_its_six_call_form(spec, n, n0, box):
+    # the A1-A3 samples share one row_means call, and at n0 = n the block
+    # mean is the base mean; each row's mean depends on that row alone.
+    # power:2.0's constant rows near 1 (on both boxes) take _power_rows'
+    # near-zero branch in a matrix whose other rows take the far one
+    g = parse_generator(spec)
+    for seed in (0, 5):
+        got = check_axioms(g, n, n0=n0, trials=300, rng_seed=seed, box=box)
+        assert got == _six_call_check_axioms(g, n, n0=n0, trials=300, rng_seed=seed, box=box)
+
+
+def test_power_rows_near_one_take_both_branches():
+    # the case the test above relies on: |2 log x| below 0.1 on some
+    # constant rows of the default box [0.5, 2] and above it on the others
+    consts = np.random.default_rng(0).uniform(0.5, 2.0, size=1000)
+    near = 2.0 * np.abs(np.log(consts)) < 0.1
+    assert 0 < np.count_nonzero(near) < consts.size
+
+
+_SPECIAL = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.5, -2.5])
+
+
+@pytest.mark.parametrize("shape", [(640, 5), (64, 2), (33, 1), (32, 1), (5, 1), (1, 1),
+                                   (3, 7), (4, 200)])
+def test_row_extremes_are_those_of_the_last_axis(shape):
+    # tall matrices are folded column by column, the others reduced along
+    # their rows; a zero's sign may differ, which no mean's anchor keeps
+    rows = np.random.default_rng(sum(shape)).choice(_SPECIAL, size=shape)
+    for ufunc, want in ((np.maximum, rows.max(axis=-1)), (np.minimum, rows.min(axis=-1))):
+        np.testing.assert_array_equal(means._row_extreme(ufunc, rows), want)
 
 
 class TestRowMeans:

@@ -97,6 +97,14 @@ def test_box_that_is_not_an_interval_is_rejected(owner, name, call, box):
         call(box)
 
 
+_B = rm.Interval(1.0, 2.0)
+
+
+@functools.cache
+def _gamma():
+    return rm.parse_distribution("gamma:2:1")
+
+
 # (owner, parameter, call): call(value) passes value as that parameter, one
 # that takes an object of the library's own (or a path)
 OBJECTS = [
@@ -107,6 +115,23 @@ OBJECTS = [
      lambda out: rm.reproduce_figure1(out, n=20, replicates=10)),
     ("reproduce_figure2", "out_dir",
      lambda out: rm.reproduce_figure2(out, n=20, replicates=10)),
+    ("mean", "g", lambda g: rm.mean(g, [1.0, 2.0])),
+    ("check_axioms", "g", lambda g: rm.check_axioms(g, n=2, trials=10)),
+    ("verify_stability", "g", lambda g: rm.verify_stability(g, _identity(), _B, n=2)),
+    ("verify_stability", "h", lambda h: rm.verify_stability(_log(), h, _B, n=2)),
+    ("blend_distances", "g", lambda g: rm.blend_distances(g, _identity(), _B, n=2, ts=[0.5])),
+    ("blend_distances", "h", lambda h: rm.blend_distances(_log(), h, _B, n=2, ts=[0.5])),
+    ("theorem4_bound", "g", lambda g: rm.theorem4_bound(g, _identity(), _B)),
+    ("theorem4_bound", "h", lambda h: rm.theorem4_bound(_log(), h, _B)),
+    ("affine_transform", "g", lambda g: rm.affine_transform(g, 2.0, 0.0)),
+    ("g_moments", "g", lambda g: rm.g_moments(g, _gamma())),
+    ("kolmogorov_expectation", "g", lambda g: rm.kolmogorov_expectation(g, _gamma())),
+    ("asymptotic_variance", "g", lambda g: rm.asymptotic_variance(g, _gamma())),
+    ("g_moments", "dist", lambda dist: rm.g_moments(_log(), dist)),
+    ("kolmogorov_expectation", "dist", lambda dist: rm.kolmogorov_expectation(_log(), dist)),
+    ("asymptotic_variance", "dist", lambda dist: rm.asymptotic_variance(_log(), dist)),
+    ("edgeworth_cdf", "mom", lambda mom: rm.edgeworth_cdf(0.5, 5, mom)),
+    ("edgeworth_corrections", "mom", lambda mom: rm.edgeworth_corrections(0.5, 5, mom)),
 ]
 
 
@@ -115,9 +140,20 @@ OBJECTS = [
 @pytest.mark.parametrize("value", [None, 3, ["gamma:2:1"]], ids=repr)
 def test_object_of_the_wrong_type_is_rejected(owner, name, call, value):
     # the first three raised a bare AttributeError, reproduce_figure1 and 2
-    # a bare TypeError from Path
+    # a bare TypeError from Path, and each g, h, dist and mom a bare
+    # AttributeError
     with pytest.raises(InvalidParameterError, match=rf"^{name} must be a"):
         call(value)
+
+
+@pytest.mark.parametrize("call", [rm.geometric_average_return, rm.wealth_path,
+                                  rm.markowitz_approximation], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("series", [None, 3, 2.5], ids=repr)
+def test_series_that_is_not_iterable_is_rejected(call, series):
+    # geometric_average_return(None) raised a bare TypeError from tuple()
+    with pytest.raises(InvalidParameterError,
+                       match="^series must be a ReturnSeries or an iterable of returns"):
+        call(series)
 
 
 # (owner, call): call(x) evaluates owner at the points x

@@ -807,3 +807,38 @@ class TestOneInversion:
             verify_stability(flat, ident, B, n=2)
         with pytest.raises(DegenerateSlopeError, match="vanishes"):
             blend_distances(flat, ident, B, n=2, ts=(0.0, 0.5, 1.0))
+
+
+# (g, h, box, n, sup |M_g - M_h| of verify_stability, blend distances at
+# t = 0.25, 0.5 and 1), as computed before the swap to numpy's ufuncs and
+# their reductions: power:2.0 and exp turn once on [0.5, 3], so their n = 3
+# rows include the partner coordinate
+_PINNED = [
+    ("identity", "log", (1.0, 2.0), 3, 0.07926561469846738,
+     [0.015084940120713375, 0.03219243415485673, 0.07926561469846738]),
+    ("log", "exp", (1.0, 2.0), 3, 0.1929113753690681,
+     [0.13354349658708586, 0.16389025459267637, 0.1929113753690681]),
+    ("identity", "log", (0.5, 3.0), 3, 0.5157030422193531,
+     [0.10147313564125304, 0.21116069025264106, 0.5157030422193531]),
+    ("power:2.0", "exp", (0.5, 3.0), 3, 0.27388305371780675,
+     [0.10818310922751673, 0.1823065807718265, 0.27388305371780675]),
+    ("exp", "power:2.0", (0.5, 3.0), 3, 0.27388305371780675,
+     [0.03887716611225889, 0.09157647294598026, 0.27388305371780675]),
+]
+
+
+@pytest.mark.parametrize("g, h, box, n, sup, blends", _PINNED,
+                         ids=[f"{g}-{h}-{box}" for g, h, box, *_ in _PINNED])
+def test_certificates_keep_their_bits(g, h, box, n, sup, blends):
+    gen_g, gen_h, box = parse_generator(g), parse_generator(h), Interval(*box)
+    assert _pieces(gen_g, gen_h, box) == (2 if box.lo == 0.5 and "power:2.0" in (g, h) else 1)
+    assert verify_stability(gen_g, gen_h, box, n).sup_mean_distance == sup
+    assert blend_distances(gen_g, gen_h, box, n, ts=(0.25, 0.5, 1.0)) == blends
+
+
+def test_n2_bound_parts_keep_their_bits():
+    report = verify_stability(parse_generator("power:2.0"), parse_generator("exp"),
+                              Interval(0.5, 3.0), 2)
+    assert (report.sup_mean_distance, report.bound) == (0.23516123697194757, 22.171073846375336)
+    report = verify_stability(parse_generator("reciprocal"), parse_generator("power:2.0"), B, 2)
+    assert (report.sup_mean_distance, report.bound) == (0.2478054967508565, 36.0)
