@@ -22,6 +22,18 @@ The quadrature is one tanh-sinh rule in quantile space for every law
 integral of fn(Q(u)) over (0, 1), a trapezoid sum in t after u = 1/(1 +
 exp(-pi sinh t)), whose error squares as the step halves for an integrand
 smooth inside the support.  fn is called on arrays of nodes.
+
+The rule's distances d = 1/(1 + exp(pi sinh t)) from the ends of (0, 1) and
+its weights depend on the step alone, not on the law: they are constants of
+the rule, built once at import for every step (_RULES, 150 KB in 0.14 ms),
+and no law's nodes or values outlive a call.  Each step writes quantile(d)
+and isf(d) into one array, its values and weights into the next slice of
+one pair of buffers, and decides on its sums, at most four, as Python
+floats.  Over the benchmark's certify workload's quadrature (five
+generators, four laws, the three moment functions) that took a pass from
+11.7 to 7.1 ms, and kolmogorov_expectation(log, lognormal:2:1,
+"quadrature") from 173 to 92 us (best of 30 and of 15 runs, 2-vCPU host),
+every outcome the same to the bit.
 """
 
 from __future__ import annotations
@@ -98,33 +110,52 @@ _RTOL = 1e-11        # agreement of two steps, relative to sum(w |term|)
 _DIVERGES = -(1.0 - 1e-3)  # a tail slope at or below this is not integrable
 
 
+def _rule(level: int) -> tuple:
+    """(d, w) for the nodes that the rule of step h = _STEP / 2**level adds
+    to the rule of step 2h (all of them at level 0): their distances d =
+    1/(1 + exp(pi sinh t)) from an end of (0, 1), and their weights w/h at
+    the lower end, then at the upper end, where t = 0 is not repeated."""
+    first = level == 0
+    h = _STEP * 0.5 ** level
+    t = np.arange(0 if first else 1, int(_T_END / h) + 1, 1 if first else 2) * h
+    d = 1.0 / (1.0 + np.exp(np.pi * np.sinh(t)))
+    w = np.pi * np.cosh(t) * d * (1.0 - d)
+    w = np.concatenate([w, w[int(first):]])
+    d.flags.writeable = w.flags.writeable = False
+    return d, w
+
+
+# the rule's tables, read-only (see the module docstring): a law's quantile
+# is given them as its argument
+_RULES = tuple(_rule(level) for level in range(_HALVINGS + 1))
+_NODES = sum(w.size for _, w in _RULES)  # nodes of all steps together
+_PROBES = np.array([1e-54, 1e-60])  # _tail_slope's distances from the ends
+_PROBES.flags.writeable = False
+_PROBE_SPAN = math.log(1e-60 / 1e-54)
+
+
+def _nodes(dist, d: np.ndarray, skip: int = 0) -> np.ndarray:
+    """dist.quantile(d), then dist.isf(d[skip:]), in one array: the points
+    of quantile space at distances d from the lower and from the upper end
+    of (0, 1).  Held as d itself, since quantile(1 - d) rounds to the end
+    for tiny d."""
+    x = np.empty(2 * d.size - skip)
+    x[:d.size] = dist.quantile(d)
+    x[d.size:] = dist.isf(d[skip:])
+    return x
+
+
 def _tail_slope(dist, fn) -> float:
     """The smaller of the log-log slopes of |fn(Q(u))| against u as u -> 0,
     Q being dist.quantile at the lower end and dist.isf at the upper:
     fn(Q(u)) ~ u**slope there, not integrable at slope -1 or below.  The
     probes are u = 1e-54 and 1e-60.  A value that is not finite at a probe
     (an overflow) gives -inf; one that vanishes gives 0."""
-    u = np.array([1e-54, 1e-60])
-    h = np.abs(_vectorized(fn, np.concatenate([dist.quantile(u), dist.isf(u)]), "fn"))
-    slopes = [-math.inf if not np.all(np.isfinite(end)) else
-              0.0 if np.any(end == 0.0) else
-              (math.log(end[1]) - math.log(end[0])) / math.log(u[1] / u[0])
-              for end in (h[:2], h[2:])]
-    return min(slopes)
-
-
-def _nodes(dist, h: float, first: bool) -> tuple:
-    """The nodes x and the weights w/h of the tanh-sinh rule of step h in
-    quantile space that the rule of step 2h lacks (all of them on the first
-    step).  Node t sits at distance d = 1/(1 + exp(pi sinh|t|)) from the
-    nearer end of (0, 1), held as d itself: quantile(d) below 1/2 and
-    isf(d) above, since quantile(1 - d) rounds to the end for tiny d."""
-    t = np.arange(0 if first else 1, int(_T_END / h) + 1, 1 if first else 2) * h
-    d = 1.0 / (1.0 + np.exp(np.pi * np.sinh(t)))
-    w = np.pi * np.cosh(t) * d * (1.0 - d)
-    k = int(first)  # t = 0 is one node, not two
-    return (np.concatenate([dist.quantile(d), dist.isf(d[k:])]),
-            np.concatenate([w, w[k:]]))
+    h = np.abs(_vectorized(fn, _nodes(dist, _PROBES), "fn")).tolist()
+    return min(-math.inf if not (math.isfinite(a) and math.isfinite(b)) else
+               0.0 if a == 0.0 or b == 0.0 else
+               (math.log(b) - math.log(a)) / _PROBE_SPAN
+               for a, b in (h[:2], h[2:]))
 
 
 def _moments(dist, fn, order: int) -> tuple:
@@ -136,27 +167,43 @@ def _moments(dist, fn, order: int) -> tuple:
     -0.95 or below) that the nodes do not reach where it fades.  A node
     whose quantile rounds onto an end of dist.support, where fn is not
     finite, carries no mass: the tail screen has shown the integrand
-    integrable there."""
-    ends = (dist.support.lo, dist.support.hi)
-    h, y, w, last = _STEP, [], [], None
-    for step in range(_HALVINGS + 1):
-        xs, ws = _nodes(dist, h, step == 0)
+    integrable there.  The values and weights of every step so far sit in
+    one pair of buffers, each step filling the next slice.  The sums, at
+    most four, are decided on as Python floats."""
+    support = dist.support  # a property that builds an Interval on some laws
+    y, w = np.empty(_NODES), np.empty(_NODES)
+    h, n, last = _STEP, 0, None
+    for level, (d, ws) in enumerate(_RULES):
+        xs = _nodes(dist, d, int(level == 0))  # t = 0 is one node, not two
         ys = _vectorized(fn, xs, "fn")
-        void = ~np.isfinite(ys) & np.isin(xs, ends)
-        y = np.concatenate([y, np.where(void, 0.0, ys)])
-        w = np.concatenate([w, np.where(void, 0.0, ws)])
-        mean = h * np.sum(w * y)
-        terms = np.array([w * y] + [w * (y - mean) ** k for k in range(2, order + 1)])
-        sums, scale = h * np.sum(terms, axis=1), h * np.sum(np.abs(terms), axis=1)
-        if not np.all(np.isfinite(scale)):
+        m, n = n, n + xs.size
+        y[m:n], w[m:n] = ys, ws
+        finite = np.isfinite(ys)
+        if not np.logical_and.reduce(finite):
+            void = (xs == support.lo) | (xs == support.hi)
+            void &= ~finite
+            y[m:n][void] = w[m:n][void] = 0.0
+        terms = np.empty((order, n))
+        np.multiply(w[:n], y[:n], out=terms[0])
+        mean = h * np.add.reduce(terms[0])
+        for row, k in zip(terms[1:], range(2, order + 1)):
+            np.subtract(y[:n], mean, out=row)
+            np.power(row, k, out=row)
+            np.multiply(w[:n], row, out=row)
+        size = np.abs(terms)
+        sums = [h * s for s in np.add.reduce(terms, axis=1).tolist()]
+        scale = [h * s for s in np.add.reduce(size, axis=1).tolist()]
+        if not all(map(math.isfinite, scale)):
             raise ConvergenceError("quadrature produced a non-finite value")
         # past the screen, the tail beyond the first step's outermost nodes
         # (t = -6 and 6) is at most about 1.6 times their term: a term there
         # that is not negligible is a tail the rule would cut off
-        if step == 0 and np.any(np.abs(terms[:, [len(y) // 2, -1]]).T > _RTOL * scale):
+        if level == 0 and any(max(ends) > _RTOL * c
+                              for ends, c in zip(size[:, [n // 2, -1]].tolist(), scale)):
             raise ConvergenceError("the integrand is not negligible at the rule's last nodes")
-        if last is not None and np.all(np.abs(sums - last) <= _RTOL * scale):
-            return tuple(float(s) for s in sums)
+        if last is not None and all(abs(s - t) <= _RTOL * c
+                                    for s, t, c in zip(sums, last, scale)):
+            return tuple(sums)
         h, last = 0.5 * h, sums
     raise ConvergenceError(f"quadrature did not converge in {_HALVINGS} halvings of the step")
 
@@ -226,10 +273,7 @@ def _g_stats(g: Generator, dist, how: str, order: int) -> tuple:
     variance with NaN shape.
     """
     _require_instance(dist, DistributionModel, "dist", "a distribution model")
-
-    def where() -> str:  # worded only for an error (see distributions._in_range)
-        return f"g={g.name!r}, dist={dist.spec!r}"
-
+    where = _pair_words(g, dist)
     if how == "closed_form" and g.kind == "log" and not isinstance(dist, Uniform):
         # ln X's shape is the law's own closed form, not a quotient of
         # central moments: the variance is the one to rule on
@@ -256,7 +300,24 @@ def _g_stats(g: Generator, dist, how: str, order: int) -> tuple:
 
 
 def _divergent(g: Generator, dist, k: int) -> DivergenceError:
-    return DivergenceError(f"E[g(X)**{k}] diverges for g={g.name!r}, dist={dist.spec!r}")
+    return DivergenceError(f"E[g(X)**{k}] diverges for {_pair_words(g, dist)()}")
+
+
+def _pair_words(g: Generator, dist):
+    """A function that words the pair for an error (see
+    distributions._in_range): a law's spec takes microseconds to write."""
+    return lambda: f"g={g.name!r}, dist={dist.spec!r}"
+
+
+def _eg(g: Generator, mean_g: float, where) -> float:
+    """E_g = g_inv(mean_g) as a float; one beyond the float range is
+    NumericError by the rule of distributions._in_range.  The inverse runs
+    on a numpy float with float errors ignored, whatever np.errstate the
+    caller holds: a division by zero or an overflow gives inf there, where
+    a Python float raises ZeroDivisionError or OverflowError."""
+    with np.errstate(all="ignore"):
+        return _in_range(lambda: float(g.inverse(np.float64(mean_g))), lambda: "E_g", where,
+                         positive=False)
 
 
 def kolmogorov_expectation(g: Generator, dist, method: str = "auto") -> float:
@@ -265,10 +326,11 @@ def kolmogorov_expectation(g: Generator, dist, method: str = "auto") -> float:
     Closed forms (when the distribution provides the needed moment):
     identity -> E[X]; log -> exp(E[ln X]); reciprocal -> 1/E[1/X];
     power p -> E[X**p]**(1/p); exp -> ln E[exp X].  Raises DivergenceError
-    when E[g(X)] diverges.
+    when E[g(X)] diverges, and NumericError when E_g is beyond the float
+    range though E[g(X)] is not.
     """
     (mean_g,) = _g_stats(g, dist, _resolve_method(g, method), 1)
-    return float(g.inverse(mean_g))
+    return _eg(g, mean_g, _pair_words(g, dist))
 
 
 def g_moments(g: Generator, dist, method: str = "auto") -> GMoments:
@@ -287,17 +349,28 @@ def asymptotic_variance(g: Generator, dist, method: str = "auto") -> AsymptoticS
     """E_g(X), g'(E_g(X)), and var(g(X)) / g'(E_g(X))**2.  The limiting
     variance is positive for a strictly monotone g of a continuous X, so it
     goes through distributions._in_range: beyond the float range or below
-    the smallest normal float it is NumericError."""
+    the smallest normal float it is NumericError.
+
+    E_g and g' at E_g come under one range rule.  An E_g beyond the float
+    range is NumericError (see kolmogorov_expectation).  g' runs on a numpy
+    float, as the inverse does in _eg; a g' at E_g that is 0 or not finite
+    is DegenerateSlopeError, or NumericError where E_g has underflowed: to
+    a subnormal, or to 0 off the domain of g."""
+    where = _pair_words(g, dist)
     mean_g, var_g = _g_stats(g, dist, _resolve_method(g, method), 2)
-    eg = float(g.inverse(mean_g))
-    gp = float(g.derivative(eg))
+    eg = _eg(g, mean_g, where)
+    with np.errstate(all="ignore"):
+        gp = float(g.derivative(np.float64(eg)))
     if not math.isfinite(gp) or gp == 0.0:
+        if eg != 0.0 or not g.domain.lo < 0.0 < g.domain.hi:
+            # the slope of the rounding, not of g: "underflows" by the one rule
+            _in_range(lambda: abs(eg), lambda: "E_g", where)
         raise DegenerateSlopeError(f"g'(E_g) = {gp} for generator {g.name!r}")
     # gp * gp is below the normal range, where it has lost digits (or is 0),
     # just when |gp| < 2**-511: divide by gp twice there
     asym_var = _in_range(
         lambda: var_g / (gp * gp) if abs(gp) >= 2.0 ** -511 else var_g / gp / gp,
-        lambda: "the limiting variance", lambda: f"g={g.name!r}, dist={dist.spec!r}")
+        lambda: "the limiting variance", where)
     return AsymptoticSpec(eg=eg, gprime_at_eg=gp, asym_var=asym_var)
 
 

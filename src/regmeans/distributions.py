@@ -133,8 +133,10 @@ def _at_u(u, f):
     else InvalidParameterError; a float for a scalar u.  A quantile beyond
     the float range (a power that overflows) is inf."""
     arr = _real_array(u, "quantile argument")
-    # NaN compares False everywhere, so it fails both checks
-    if not np.all((arr > 0.0) & (arr < 1.0)):
+    # a NaN propagates through both reductions and fails both checks; the
+    # initial 1/2 passes, so an empty u does too
+    if not (np.minimum.reduce(arr, axis=None, initial=0.5) > 0.0
+            and np.maximum.reduce(arr, axis=None, initial=0.5) < 1.0):
         raise InvalidParameterError("quantile argument must lie strictly in (0, 1)")
     with np.errstate(over="ignore"):
         out = f(arr)

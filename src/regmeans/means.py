@@ -31,6 +31,15 @@ n0 = n its A4 block mean is the base mean: two calls where there were six.
 In the benchmark's certify workload the 15 axiom certificates went from a
 median of 15.7 to 7.4 ms a pass (11.9 ms before the branches; 2-vCPU host),
 every report equal.
+
+Row sums are numpy's own, np.add.reduce along the rows, bit for bit
+(``_row_sum``).  Below eight values numpy adds a row left to right onto
++0.0, so a tall matrix of such rows is summed in that order one column at
+a time, where the reduction costs about 18 to 50 ns a row; from eight
+values on numpy sums pairwise, and every matrix of such rows is reduced.
+The n = 2 and n = 5 axiom certificates and the n = 5 Monte Carlo
+scenarios take the fold; ``check_axioms`` went from 7.5 to 6.8 ms a pass
+over the workload's 15 certificates (best of 7, 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -69,6 +78,10 @@ _MAX_PASSES = 4
 # a power or exp generator at n = 1000 are 64 x 1000, where folding every
 # matrix made run_scenario 1.5 times as slow (2-vCPU host, CHANGES.md).
 _FOLD_RATIO = 32
+# From this many values on, numpy sums a row pairwise with eight
+# accumulators (numpy's pairwise_sum), an order a fold by columns does not
+# keep; below it, a plain loop from +0.0, which it does.
+_PAIRWISE_FROM = 8
 
 __all__ = [
     "mean",
@@ -145,19 +158,38 @@ def _kernel(x: np.ndarray, forward: Callable, inverse: Callable) -> float:
 
 def _row_kernel(rows: np.ndarray, forward: Callable, inverse: Callable) -> np.ndarray:
     with np.errstate(all="ignore"):
-        sums = np.sum(np.asarray(forward(rows), dtype=float), axis=1)
+        sums = _row_sum(np.asarray(forward(rows), dtype=float))
         return means_from_sums(inverse, sums, rows.shape[1])[1]
+
+
+def _tall(rows: np.ndarray) -> bool:
+    """Whether a 2-D array is folded column by column (see _FOLD_RATIO)."""
+    return 0 < _FOLD_RATIO * rows.shape[1] <= rows.shape[0]
 
 
 def _row_extreme(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
     """The maximum (ufunc np.maximum) or minimum (np.minimum) of every row
     of a 2-D array, as rows.max(axis=-1) or rows.min(axis=-1) give them,
     NaN and infinities included; only the sign of a zero may differ.  A
-    tall matrix is folded column by column (see _FOLD_RATIO), any other
-    reduced along its rows by the ufunc itself."""
-    if 0 < _FOLD_RATIO * rows.shape[1] <= rows.shape[0]:
+    tall matrix is folded column by column, any other reduced along its
+    rows by the ufunc itself."""
+    if _tall(rows):
         return functools.reduce(ufunc, rows.T)
     return ufunc.reduce(rows, axis=1)
+
+
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """The sum of every row of a 2-D array, np.add.reduce(rows, axis=1) bit
+    for bit.  Below _PAIRWISE_FROM columns numpy adds a row's values left
+    to right onto +0.0, so a tall matrix of such rows is summed in that
+    order column by column; any other is reduced along its rows."""
+    if rows.shape[1] < _PAIRWISE_FROM and _tall(rows):
+        cols = rows.T
+        acc = np.add(cols[0], 0.0)
+        for col in cols[1:]:
+            np.add(acc, col, out=acc)
+        return acc
+    return np.add.reduce(rows, axis=1)
 
 
 def _anchored(g: Generator, x: np.ndarray, kernel: Callable, hi: float | None = None):
@@ -214,8 +246,9 @@ def mean(g: Generator, x: Sequence[float] | np.ndarray) -> float:
 
 def row_means(g: Generator, rows: np.ndarray) -> np.ndarray:
     """M_g of every row of a 2-D array, with mean's domain check, anchoring
-    and NumericError, but summed pairwise with np.sum instead of math.fsum:
-    it agrees with ``mean`` to rounding rather than bit for bit."""
+    and NumericError, but summed in numpy's order (np.add.reduce along the
+    rows) instead of math.fsum: it agrees with ``mean`` to rounding rather
+    than bit for bit."""
     g.domain.require_interior(rows, f"generator {g.name!r}")
     return row_means_in_domain(g, rows)
 

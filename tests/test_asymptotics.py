@@ -120,6 +120,100 @@ class TestExpect:
             fn(g, UNI)
 
 
+# The quadrature's outcomes before its rule's tables became constants of the
+# module and its steps filled buffers, per (g, dist): kolmogorov_expectation,
+# asymptotic_variance's (eg, gprime_at_eg, asym_var) and g_moments' four
+# moments, that is orders 1, 2 and 4.  Every bit is kept.
+_QUADRATURE_BITS = {
+    ("log", "lognormal:2:1"): (
+        7.38905609893065, (7.38905609893065, 0.1353352832366127, 54.59815003314424),
+        (2.0, 1.0000000000000002, 4.704920281198222e-17, -4.440892098500626e-16)),
+    ("log", "gamma:100:1"): (
+        99.50041875394851, (99.50041875394851, 0.010050208959148895, 99.50000001127827),
+        (4.600161852738088, 0.010050166663333575, -0.1002496757464435, 0.020099825809987593)),
+    ("log", "uniform:1:2"): (
+        1.4715177646857693, (1.4715177646857693, 0.6795704571147613, 0.08465270072967478),
+        (0.38629436111989063, 0.039093972163597154, -0.23960558361969028,
+         -1.1205390568988955)),
+    ("log", "pareto:10:1"): (
+        1.1051709180756477, (1.1051709180756477, 0.9048374180359595, 0.012214027581601705),
+        (0.09999999999999999, 0.010000000000000004, 1.9999999999999996, 5.999999999999995)),
+    ("power:2.0", "lognormal:2:1"): (
+        20.08553692318767, (20.08553692318767, 40.17107384637534, 5405.759250328496),
+        (403.4287934927352, 8723355.729088873, 414.35934330014703, 9220556.977306986)),
+    ("power:2.0", "gamma:100:1"): (
+        100.4987562112089, (100.4987562112089, 200.9975124224178, 101.5),
+        (10100.0, 4100600.0, 0.5032187084534229, 0.42686834967561005)),
+    ("power:2.0", "uniform:1:2"): (
+        1.5275252316519465, (1.5275252316519465, 3.055050463303893, 0.08095238095238096),
+        (2.333333333333333, 0.7555555555555555, 0.22880047986623342, -1.1574394463667812)),
+    ("power:2.0", "pareto:10:1"): (
+        1.118033988749895, (1.118033988749895, 2.23606797749979, 0.020833333333333332),
+        (1.25, 0.10416666666666669, 4.6475800154488995, 70.80000000000001)),
+}
+
+
+def _quadrature_outcomes(g, dist) -> tuple:
+    spec = asymptotic_variance(g, dist, method="quadrature")
+    mom = g_moments(g, dist, method="quadrature")
+    return (kolmogorov_expectation(g, dist, method="quadrature"),
+            (spec.eg, spec.gprime_at_eg, spec.asym_var),
+            (mom.mean_g, mom.var_g, mom.skew_g, mom.exkurt_g))
+
+
+@pytest.mark.parametrize("key", sorted(_QUADRATURE_BITS), ids="-".join)
+def test_the_quadrature_keeps_its_bits(key):
+    g, dist = parse_generator(key[0]), parse_distribution(key[1])
+    assert _quadrature_outcomes(g, dist) == _QUADRATURE_BITS[key]
+
+
+@pytest.mark.parametrize("dist, want", [
+    # every node's quantile is d itself or 1 - d, inside the support
+    ("uniform:0:1", (-1.0, 1.0, -2.0, 6.0)),
+    # quantiles of the lowest nodes round to 0, where log is -inf: void nodes
+    ("gamma:0.5:2", (-2.656657206581372, 4.934802200544671, -1.5351415907229082,
+                     4.000000000000014)),
+])
+def test_the_quadrature_of_log_at_the_support_end_keeps_its_bits(dist, want):
+    law = parse_distribution(dist)
+    assert (law.quantile(1e-300) == law.support.lo) == (law.kind == "gamma")
+    mom = g_moments(parse_generator("log"), law, method="quadrature")
+    assert (mom.mean_g, mom.var_g, mom.skew_g, mom.exkurt_g) == want
+
+
+@pytest.mark.parametrize("fn", [asymptotic_variance, g_moments])
+def test_a_quadrature_that_halves_seven_times_is_convergence_error(fn):
+    identity, sizes = parse_generator("identity"), []
+
+    def forward(x):
+        sizes.append(np.size(x))
+        return identity.forward(x)
+
+    with pytest.raises(ConvergenceError) as info:
+        fn(dataclasses.replace(identity, forward=forward), Gamma(1e8, 1.0), method="quadrature")
+    assert str(info.value) == "quadrature did not converge in 7 halvings of the step"
+    assert len(sizes) == 2 + asymptotics._HALVINGS  # the tail screen, then each step
+
+
+@pytest.mark.parametrize("fn", [kolmogorov_expectation, asymptotic_variance, g_moments])
+def test_the_tail_screen_keeps_its_words(fn):
+    with pytest.raises(DivergenceError) as info:
+        fn(parse_generator("exp"), LN, method="quadrature")
+    assert str(info.value) == "E[g(X)**1] diverges for g='exp', dist='lognormal:2:1'"
+
+
+@pytest.mark.parametrize("dist", [LN, GAM, UNI, PAR], ids=lambda d: d.spec)
+@pytest.mark.parametrize("end", ["quantile", "isf"])
+def test_quantiles_check_the_open_unit_interval(dist, end):
+    # one min and one max reduction: an empty u passes, NaN, 0 and 1 fail
+    q = getattr(dist, end)
+    got = q(np.array([]))
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
+    for bad in (math.nan, [0.5, math.nan], 0.0, 1.0, [0.0, 0.5], [0.5, 1.0]):
+        with pytest.raises(InvalidParameterError, match="strictly in"):
+            q(bad)
+
+
 def _fresh_process(code: str) -> list:
     """The lines that code prints in a fresh interpreter importing regmeans
     from this checkout."""
@@ -533,6 +627,38 @@ class TestAsymptoticVariance:
         # to 0 and var / 0 raised a bare ZeroDivisionError
         with pytest.raises(NumericError, match="overflows"):
             asymptotic_variance(parse_generator("log"), parse_distribution(dist))
+
+    @pytest.mark.parametrize("fn, g, dist, words", [
+        # E_g = E[X**0.5]**2 and exp(E[ln X]) round to 0, where g' raised a
+        # bare ZeroDivisionError (0.0 ** -0.5, 1 / 0.0)
+        (asymptotic_variance, "power:0.5", "gamma:1e-300:1", "E_g underflows"),
+        (asymptotic_variance, "log", "gamma:1e-10:1", "E_g underflows"),
+        # E_g = exp(1000) was inf with a RuntimeWarning (FloatingPointError
+        # under np.seterr(all="raise")), then g'(E_g) = 0 a DegenerateSlopeError
+        (kolmogorov_expectation, "log", "pareto:0.001:1", "E_g overflows"),
+        (asymptotic_variance, "log", "pareto:0.001:1", "E_g overflows"),
+    ])
+    @pytest.mark.parametrize("errors", ["warn", "raise"])
+    def test_eg_beyond_the_float_range_is_numeric_error(self, fn, g, dist, words, errors):
+        with np.errstate(all=errors), pytest.raises(NumericError, match=words) as info:
+            fn(parse_generator(g), parse_distribution(dist), method="closed_form")
+        assert not isinstance(info.value, DegenerateSlopeError)
+
+    def test_eg_that_rounds_to_zero_is_a_value(self):
+        # exp(E[ln X]) with E[ln X] about -1e10 is 0 correctly rounded; only
+        # the slope there is lost
+        assert kolmogorov_expectation(parse_generator("log"), Gamma(1e-10, 1.0)) == 0.0
+
+    def test_python_float_errors_of_g_are_library_errors(self):
+        # g and g' run on numpy floats: a division by zero is inf, not a
+        # bare ZeroDivisionError
+        identity = parse_generator("identity")
+        flat = dataclasses.replace(identity, derivative=lambda x: 1.0 / (x - x))
+        with pytest.raises(DegenerateSlopeError, match="inf"):
+            asymptotic_variance(flat, UNI)
+        lost = dataclasses.replace(identity, inverse=lambda y: 1.0 / (y - y))
+        with pytest.raises(NumericError, match="E_g overflows"):
+            kolmogorov_expectation(lost, UNI)
 
     @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
     def test_limiting_variance_below_the_normal_range_is_numeric_error(self, method):

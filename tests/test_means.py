@@ -1,6 +1,7 @@
 """Quasi-arithmetic means, stable variants, and the four axioms."""
 
 import decimal
+import hashlib
 import math
 
 import numpy as np
@@ -15,12 +16,15 @@ from regmeans import (
     InvalidParameterError,
     NumericError,
     RegularMeanError,
+    ScenarioConfig,
     check_axioms,
     exp_mean_stable,
     make_builtin,
     mean,
+    parse_distribution,
     parse_generator,
     power_mean,
+    run_scenario,
 )
 from regmeans import means
 from regmeans.means import _FSUM_BELOW, AxiomCheck, AxiomReport, _exact_sum, row_means
@@ -450,6 +454,53 @@ def test_row_extremes_are_those_of_the_last_axis(shape):
     rows = np.random.default_rng(sum(shape)).choice(_SPECIAL, size=shape)
     for ufunc, want in ((np.maximum, rows.max(axis=-1)), (np.minimum, rows.min(axis=-1))):
         np.testing.assert_array_equal(means._row_extreme(ufunc, rows), want)
+
+
+# summands whose sums keep a zero's sign, overflow, cancel to NaN or stay
+# subnormal
+_SUMMANDS = np.array([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 1e308, -1e308, math.nan,
+                      5e-324, -5e-324, 2.5e-310, 0.1])
+
+
+@pytest.mark.parametrize("cols", range(1, 9))  # 1 to 7 folded, 8 reduced pairwise
+@pytest.mark.parametrize("rows_per_col", [1, means._FOLD_RATIO - 1, means._FOLD_RATIO, 100])
+def test_row_sums_keep_the_bits_of_the_last_axis(cols, rows_per_col):
+    # below 8 columns a tall matrix is summed column by column in numpy's
+    # own order, onto +0.0; NaN counts as NaN, whatever its payload
+    rng = np.random.default_rng(1000 * cols + rows_per_col)
+    shape = (rows_per_col * cols, cols)
+    signs = rng.choice([-1.0, 1.0], size=shape)
+    for rows in (rng.choice(_SUMMANDS, size=shape), rng.lognormal(0.0, 3.0, size=shape) * signs,
+                 np.full(shape, -0.0)):
+        with np.errstate(all="ignore"):
+            got, want = means._row_sum(rows), np.add.reduce(rows, axis=1)
+        same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+        assert same.all(), rows[~same]
+
+
+@pytest.mark.parametrize("dist, spec, digest", [
+    ("lognormal:0:0.25", "log", "9f8691ff852d3a39429c2c649c11cac8c450a467c6cd8401f86266cf5e722e85"),
+    ("gamma:2:1", "power:2.0", "3e36bb1cb43cc257b4969c31b6eca838eeb3e90eaf3a4492c574f5ceb21be22e"),
+    ("uniform:1:2", "exp", "f928f945bc93a420c92440126de55c219d31823df2a6bd2cb58483788d615593"),
+    ("pareto:10:1", "reciprocal",
+     "ba051eb621680a19f5687812db02b16580865845a0996f8f404afefd66c53238"),
+])
+def test_short_row_sums_keep_the_monte_carlo_bits(dist, spec, digest, monkeypatch):
+    # n = 5: every block is tall, so its row sums are folded by columns;
+    # the statistics are those of numpy's reduction along the rows, and the
+    # digest that of the statistics before the fold
+    cfg = ScenarioConfig(parse_distribution(dist), parse_generator(spec), 5, 3000, 17)
+    got = run_scenario(cfg, threads=1).statistics
+    assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+    shapes = []
+
+    def reduced(rows):
+        shapes.append(rows.shape)
+        return np.add.reduce(rows, axis=1)
+
+    monkeypatch.setattr(means, "_row_sum", reduced)
+    assert run_scenario(cfg, threads=1).statistics.tobytes() == got.tobytes()
+    assert any(c == 5 and r >= means._FOLD_RATIO * c for r, c in shapes)
 
 
 class TestRowMeans:
