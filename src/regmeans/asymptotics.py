@@ -239,13 +239,10 @@ def _closed_g_raw(g: Generator, dist, k: int) -> float:
     other laws' log_moments."""
     if g.kind == "log":
         return dist._log_raw(k)
-    if g.kind == "identity":
-        return dist.power_moment(float(k))
-    if g.kind == "reciprocal":
-        return dist.power_moment(float(-k))
-    if g.kind == "power":
-        return dist.power_moment(g.param * k)
-    return dist.mgf(float(k))
+    if g.kind == "exp":
+        return dist.mgf(float(k))
+    # identity, reciprocal and power: E[X**(p k)] with p = 1, -1 and param
+    return dist.power_moment({"identity": 1.0, "reciprocal": -1.0}.get(g.kind, g.param) * k)
 
 
 def _resolve_method(g: Generator, method: str) -> str:
@@ -316,8 +313,8 @@ def _eg(g: Generator, mean_g: float, where) -> float:
     caller holds: a division by zero or an overflow gives inf there, where
     a Python float raises ZeroDivisionError or OverflowError."""
     with np.errstate(all="ignore"):
-        return _in_range(lambda: float(g.inverse(np.float64(mean_g))), lambda: "E_g", where,
-                         positive=False)
+        return _in_range(lambda: float(_vectorized(g.inverse, np.float64(mean_g), "inverse",
+                                                   g.name)), lambda: "E_g", where, positive=False)
 
 
 def kolmogorov_expectation(g: Generator, dist, method: str = "auto") -> float:
@@ -360,7 +357,7 @@ def asymptotic_variance(g: Generator, dist, method: str = "auto") -> AsymptoticS
     mean_g, var_g = _g_stats(g, dist, _resolve_method(g, method), 2)
     eg = _eg(g, mean_g, where)
     with np.errstate(all="ignore"):
-        gp = float(g.derivative(np.float64(eg)))
+        gp = float(_vectorized(g.derivative, np.float64(eg), "derivative", g.name))
     if not math.isfinite(gp) or gp == 0.0:
         if eg != 0.0 or not g.domain.lo < 0.0 < g.domain.hi:
             # the slope of the rounding, not of g: "underflows" by the one rule

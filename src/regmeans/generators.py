@@ -10,7 +10,8 @@ cover the classical means:
     power       power mean, p > 0       domain (0, inf)
     exp         exponential mean        domain (-inf, inf)
 
-All three callables are elementwise: they accept floats or numpy arrays.
+All three callables are elementwise: they accept floats or numpy arrays and
+return values of their shape, which every path checks (_vectorized).
 Generators are immutable; every operation here is pure.  parse_generator
 reads the built-in specs only; a custom generator is a Generator object,
 passed as such wherever a generator is taken.
@@ -61,8 +62,8 @@ _MIN_POWER = 1e-6
 @dataclass(frozen=True)
 class Interval:
     """A numeric interval (lo, hi), lo < hi.  Endpoints may be infinite;
-    both must be finite wherever an interval is used as a compact
-    evaluation domain."""
+    wherever an interval is used as a compact evaluation domain (a grid, a
+    box) it must be finite (is_finite)."""
 
     lo: float
     hi: float
@@ -79,7 +80,8 @@ class Interval:
 
     @property
     def is_finite(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
+        """Usable as a compact box: a finite width, so finite ends too."""
+        return math.isfinite(self.width)
 
     def require_interior(self, x, owner: str) -> tuple[float, float]:
         """(min x, max x) when every element of x lies strictly inside the
@@ -100,9 +102,9 @@ class Interval:
 
     def grid(self, points: int) -> np.ndarray:
         """points evenly spaced values from lo to hi.  InvalidParameterError
-        unless points is an integer >= 2 and the interval is bounded."""
+        unless points is an integer >= 2 and the interval is_finite."""
         if not self.is_finite:
-            raise InvalidParameterError("cannot grid an unbounded interval")
+            raise InvalidParameterError(f"cannot grid ({self.lo}, {self.hi}) of infinite width")
         return np.linspace(self.lo, self.hi, require_count(points, "points", 2))
 
 
@@ -163,17 +165,19 @@ def _spec_number(value: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def _vectorized(fn, x: np.ndarray, what: str) -> np.ndarray:
-    """fn(x) as a float array of x's shape, else ConfigurationError naming
-    what: fn must map the array elementwise."""
+def _vectorized(fn, x: np.ndarray, what: str, name: str | None = None) -> np.ndarray:
+    """fn(x) as a float array of x's shape (x an array or a numpy float), else
+    ConfigurationError naming what, "<what> of generator <name>" for one of
+    a generator's callables: every call of those on caller data is here."""
     try:
         y = np.asarray(fn(x), dtype=float)
+        if y.shape == x.shape:
+            return y
+        fault = f"mapped {x.size} values to shape {y.shape}; it must be vectorized"
     except (TypeError, ValueError) as exc:  # a scalar-only fn, e.g. one built on math
-        raise ConfigurationError(f"{what} must be vectorized: {exc}") from None
-    if y.shape != x.shape:
-        raise ConfigurationError(
-            f"{what} mapped {x.size} values to shape {y.shape}; it must be vectorized")
-    return y
+        fault = f"must be vectorized: {exc}"
+    owner = what if name is None else f"{what} of generator {name!r}"
+    raise ConfigurationError(f"{owner} {fault}")
 
 
 @dataclass(frozen=True)
@@ -294,14 +298,14 @@ def min_slope(g: Generator, B: Interval, grid_points: int = 10001) -> float:
     xs = _require_interval(B, "B").grid(require_count(grid_points, "grid_points", 2))
     g.domain.require_interior([B.lo, B.hi], f"generator {g.name!r}")
     with np.errstate(all="ignore"):
-        return _least_slope(g.derivative(xs), g.name, B)
+        return _least_slope(_vectorized(g.derivative, xs, "derivative", g.name), g.name, B)
 
 
 def _least_slope(slopes, name: str, B: Interval) -> float:
-    """min |g'| over slopes, the g' of generator `name` on B (under the
-    caller's np.errstate): NumericError if it is not finite, and
+    """min |g'| over slopes, an array of the g' of generator `name` on B
+    (under the caller's np.errstate): NumericError if it is not finite, and
     DegenerateSlopeError if it is at most _DEGENERATE_TOL."""
-    m = float(np.min(np.abs(np.asarray(slopes, dtype=float))))
+    m = float(np.min(np.abs(slopes)))
     if not math.isfinite(m):
         raise NumericError(f"slope of generator {name!r} is not finite on [{B.lo}, {B.hi}]")
     if m <= _DEGENERATE_TOL:

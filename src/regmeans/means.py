@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError, NumericError
 from .generators import (Generator, Interval, _real_array, _require_instance, _require_interval,
-                         _require_real, make_builtin, require_count)
+                         _require_real, _vectorized, make_builtin, require_count)
 
 _EPS = float(np.finfo(float).eps)
 _POSITIVE = Interval(0.0, math.inf)
@@ -141,25 +141,27 @@ def _exact_sum(v: np.ndarray) -> float:
     return math.fsum(parts + r.tolist())
 
 
-def _kernel(x: np.ndarray, forward: Callable, inverse: Callable) -> float:
+def _kernel(x: np.ndarray, forward: Callable, inverse: Callable, name: str | None = None) -> float:
     """inverse(sum(forward(x)) / n) with a correctly rounded sum (equal to
-    math.fsum), or NumericError if a step is not finite."""
+    math.fsum), or NumericError if a step is not finite.  forward and
+    inverse go through _vectorized as generator name's (None: numpy's)."""
     with np.errstate(all="ignore"):
-        gx = np.asarray(forward(x), dtype=float)
+        gx = _vectorized(forward, x, "forward", name)
         try:
             total = _exact_sum(gx)
         except (OverflowError, ValueError):  # fsum raises on overflow and on inf - inf
             total = math.inf
-        m = float(inverse(np.float64(total / x.size))) if math.isfinite(total) else math.inf
+        m = (float(_vectorized(inverse, np.float64(total / x.size), "inverse", name))
+             if math.isfinite(total) else math.inf)
     if not math.isfinite(m):
         raise NumericError(_OVERFLOW)
     return m
 
 
-def _row_kernel(rows: np.ndarray, forward: Callable, inverse: Callable) -> np.ndarray:
+def _row_kernel(rows: np.ndarray, forward: Callable, inverse: Callable, name=None) -> np.ndarray:
     with np.errstate(all="ignore"):
-        sums = _row_sum(np.asarray(forward(rows), dtype=float))
-        return means_from_sums(inverse, sums, rows.shape[1])[1]
+        sums = _row_sum(_vectorized(forward, rows, "forward", name))
+        return means_from_sums(inverse, sums, rows.shape[1], name)[1]
 
 
 def _tall(rows: np.ndarray) -> bool:
@@ -198,10 +200,10 @@ def _anchored(g: Generator, x: np.ndarray, kernel: Callable, hi: float | None = 
     cannot overflow: the maximum.  A 1-D sample passes the max that _sample
     found as hi; rows leave it out and are anchored row by row."""
     if g.kind != "exp":
-        return kernel(x, g.forward, g.inverse)
+        return kernel(x, g.forward, g.inverse, g.name)
     c = _row_extreme(np.maximum, x) if hi is None else hi
     shift = c if x.ndim == 1 else c[:, None]
-    return c + kernel(x, lambda t: g.forward(t - shift), g.inverse)
+    return c + kernel(x, lambda t: g.forward(t - shift), g.inverse, g.name)
 
 
 def _power(p: float, logs: np.ndarray, c, log_c, kernel: Callable):
@@ -261,8 +263,10 @@ def row_means_in_domain(g: Generator, rows: np.ndarray) -> np.ndarray:
     return _anchored(g, rows, _row_kernel)
 
 
-def means_from_sums(inverse: Callable, sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sums / n, inverse(sums / n)) for per-row sums of g over n values.
+def means_from_sums(inverse: Callable, sums: np.ndarray, n: int,
+                    name: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(sums / n, inverse(sums / n)) for per-row sums of g over n values,
+    the inverse through _vectorized, named as generator name's.
 
     Raises NumericError when a sum or a mean is not finite, that is when g or
     its inverse overflowed.  Callers hold np.errstate(all="ignore").
@@ -270,7 +274,7 @@ def means_from_sums(inverse: Callable, sums: np.ndarray, n: int) -> tuple[np.nda
     if not np.logical_and.reduce(np.isfinite(sums), axis=None):
         raise NumericError(_OVERFLOW)
     avg = sums / n
-    m = np.asarray(inverse(avg), dtype=float)
+    m = _vectorized(inverse, avg, "inverse", name)
     if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise NumericError(_OVERFLOW)
     return avg, m
@@ -398,7 +402,8 @@ def check_axioms(g: Generator, n: int, n0: int | None = None, trials: int = 1000
         idempotence on the constant rows of the base means.
 
     Failures are recorded in the report, never raised; a generator that
-    overflows on the box raises NumericError.
+    overflows on the box raises NumericError.  A box must lie inside the
+    domain (DomainError) and be finite (else InvalidParameterError).
     """
     _require_instance(g, Generator, "g", "a Generator")
     n = require_count(n, "n", 1)
@@ -411,6 +416,8 @@ def check_axioms(g: Generator, n: int, n0: int | None = None, trials: int = 1000
         raise InvalidParameterError(f"tol must be finite and >= 0, got {tol}")
     box = _default_box(g) if box is None else _require_interval(box, "box")
     g.domain.require_interior([box.lo, box.hi], f"generator {g.name!r}")
+    if not box.is_finite:  # finite ends, as inside the domain, and an infinite width
+        raise InvalidParameterError(f"box ({box.lo}, {box.hi}) has an infinite width")
 
     rng = np.random.default_rng(rng_seed)
     X = rng.uniform(box.lo, box.hi, size=(trials, n))

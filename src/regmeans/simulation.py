@@ -23,9 +23,9 @@ generator and block, this and the file text built on the figures' workers
 took the Figure 1 grid on two threads from a median of 80.0 to 68.0 ms on
 a 2-vCPU host (10 interleaved benchmark runs each).  Four blocks per task
 gained more but cost about 4 MB of peak memory (10% of a Figure 1 run), so
-the task stays at two.  Only a value outside a domain (or a NaN) takes the
-checked path of row_means, block by block, so the error names the first
-offending block's value.
+the task stays at two.  Only a value outside a domain (or a NaN) runs the
+generators' domain checks over the task's rows, each naming its first
+offender in row-major order: the first offending block's.
 
 A run's threads spread its tasks over a pool (its gains are in the
 README); the figure grids run their distributions side by side instead
@@ -67,7 +67,7 @@ from .distributions import DistributionModel
 from .errors import ConfigurationError, DivergenceError, DomainError
 from .generators import (Generator, Interval, _real_array, _require_instance, _require_interval,
                          _vectorized, require_count)
-from .means import row_means, row_means_in_domain
+from .means import row_means_in_domain
 
 __all__ = ["ScenarioConfig", "SimulationReport", "run_scenario", "ks_statistic",
            "empirical_cdf", "EdgeworthComparison", "compare_edgeworth"]
@@ -204,19 +204,14 @@ def _run_group(cfgs: list[ScenarioConfig], threads: int = 1) -> list[SimulationR
             a, b = (start - lo) * n, (min(start + rows, replicates) - lo) * n
             dist.sample(b - a, np.random.default_rng(streams[k]), out=buf[a:b])
         x = buf[:(hi - lo) * n].reshape(hi - lo, n)
-        # one min and one max decide every generator's domain
+        # one min and one max decide every generator's domain; else one raises
         x_lo = float(np.minimum.reduce(x, axis=None))
         x_hi = float(np.maximum.reduce(x, axis=None))
-        if all(x_lo > g.domain.lo and x_hi < g.domain.hi for g in gens):
-            for g, row in zip(gens, means):
-                row[lo:hi] = row_means_in_domain(g, x)
-            return
-        # a value outside a domain (or a NaN): block by block, as row_means
-        # checks, so the error is that of the first offending block
-        for start in blocks:
-            end = min(start + rows, replicates)
-            for g, row in zip(gens, means):
-                row[start:end] = row_means(g, x[start - lo:end - lo])
+        if not all(x_lo > g.domain.lo and x_hi < g.domain.hi for g in gens):
+            for g in gens:
+                g.domain.require_interior(x, f"generator {g.name!r}")
+        for g, row in zip(gens, means):
+            row[lo:hi] = row_means_in_domain(g, x)
 
     thread_map(task, range(0, len(starts), per), threads)
     draw_s = time.perf_counter() - t0

@@ -69,7 +69,7 @@ import numpy as np
 from .errors import (ConfigurationError, ConvergenceError, DegenerateSlopeError,
                      InvalidParameterError, NumericError)
 from .generators import (Generator, Interval, _least_slope, _require_instance, _require_interval,
-                         _require_real, normalize_increasing, require_count)
+                         _require_real, _vectorized, normalize_increasing, require_count)
 from .means import means_from_sums
 
 __all__ = ["StabilityReport", "theorem4_bound", "verify_stability", "blend_distances"]
@@ -123,15 +123,12 @@ _SLOPE = np.array([[1.0, -8.0, 0.0, 8.0, -1.0], [-1.0, 16.0, -30.0, 16.0, -1.0],
 _Pair = namedtuple("_Pair", "gn hn axis g h dg dh")
 
 
-def _forward(gen: Generator, x: np.ndarray) -> np.ndarray:
-    return np.asarray(gen.forward(x), dtype=float)
-
-
 def _normalized_pair(g: Generator, h: Generator, box: Interval) -> _Pair:
     """g and h in increasing form, read once on the _AXIS_POINTS axis of the
     box.  Raises NumericError when either decreases on the axis: the blend
     inversion rests on monotonicity.  g or h that is not a Generator is
-    InvalidParameterError."""
+    InvalidParameterError, an infinite box width too, and a forward or
+    derivative that does not map the axis elementwise ConfigurationError."""
     for gen, name in ((g, "g"), (h, "h")):
         _require_instance(gen, Generator, name, "a Generator")
     gn, hn = normalize_increasing(g), normalize_increasing(h)
@@ -140,13 +137,12 @@ def _normalized_pair(g: Generator, h: Generator, box: Interval) -> _Pair:
     axis = box.grid(_AXIS_POINTS)
     values = []
     for gen in (gn, hn):
-        v = _forward(gen, axis)
+        v = _vectorized(gen.forward, axis, "forward", gen.name)
         values.append(v)
         # equal infinities and NaN pass: overflow is the callers' check
         if np.logical_or.reduce(v[1:] < v[:-1]):
             raise NumericError(f"generator {gen.name!r} is not increasing on {box}")
-    values += [np.broadcast_to(np.asarray(gen.derivative(axis), dtype=float), axis.shape)
-               for gen in (gn, hn)]
+    values += [_vectorized(gen.derivative, axis, "derivative", gen.name) for gen in (gn, hn)]
     return _Pair(gn, hn, axis, *values)
 
 
@@ -206,9 +202,9 @@ def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
 
 
 def _ratio(gn: Generator, hn: Generator, x: np.ndarray) -> np.ndarray:
-    # r = g'/h' at x; a non-finite r is _ratio_pieces' check
-    return np.broadcast_to(np.asarray(gn.derivative(x), dtype=float)
-                           / np.asarray(hn.derivative(x), dtype=float), np.shape(x))
+    # r = g'/h' at x (an array or a numpy float); a non-finite r is _ratio_pieces' check
+    return (_vectorized(gn.derivative, x, "derivative", gn.name)
+            / _vectorized(hn.derivative, x, "derivative", hn.name))
 
 
 def _ratio_pieces(pair: _Pair, box: Interval) -> tuple[int, float]:
@@ -244,7 +240,7 @@ def _partner(gn: Generator, hn: Generator, box: Interval, turn: float,
     _PARTNER_HALVINGS halvings of the piece."""
     left = z <= turn
     # whether r rises on the piece searched: the two pieces turn opposite ways
-    up = left == (_ratio(gn, hn, box.hi) > _ratio(gn, hn, turn))
+    up = left == (_ratio(gn, hn, np.float64(box.hi)) > _ratio(gn, hn, np.float64(turn)))
     c = _ratio(gn, hn, z)
     return _bisect(lambda mid: (_ratio(gn, hn, mid) < c) == up,
                    np.where(left, turn, box.lo), np.where(left, box.hi, turn),
@@ -328,14 +324,14 @@ def _reduced_sups(pair: _Pair, box: Interval, n: int, ts: list) -> list[float]:
         # |M_g - M_t| of shape (len(active), triples, points); z of leading
         # size 1 gives all t the same rows
         ka, kb, kz = k
-        gsum = ka * ga + kb * gb + kz * _forward(gn, z)
-        hsum = ka * ha + kb * hb + kz * _forward(hn, z)
+        gsum = ka * ga + kb * gb + kz * _vectorized(gn.forward, z, "forward", gn.name)
+        hsum = ka * ha + kb * hb + kz * _vectorized(hn.forward, z, "forward", hn.name)
         if partner is not None:
             y = partner(z)
-            gsum = gsum + _forward(gn, y)
-            hsum = hsum + _forward(hn, y)
-        sg, mg = means_from_sums(gn.inverse, gsum, n)
-        sh, mh = means_from_sums(hn.inverse, hsum, n)
+            gsum = gsum + _vectorized(gn.forward, y, "forward", gn.name)
+            hsum = hsum + _vectorized(hn.forward, y, "forward", hn.name)
+        sg, mg = means_from_sums(gn.inverse, gsum, n, gn.name)
+        sh, mh = means_from_sums(hn.inverse, hsum, n, hn.name)
         mt = np.empty((len(active),) + mh.shape[1:])
         mt[...] = mh
         if inner.any():
@@ -384,6 +380,8 @@ def _invert_blend(gn: Generator, hn: Generator, t: np.ndarray, y: np.ndarray,
     move are discarded with them, and a NaN residual counts as above
     tolerance.  Raises ConvergenceError when the bisection misses too.
     """
+    # raw calls: _normalized_pair has checked these callables on the axis
+    # earlier in the same certificate, and z stays in the box
     gf, hf, gd, hd = gn.forward, hn.forward, gn.derivative, hn.derivative
 
     def f(z, t, y):

@@ -585,9 +585,9 @@ class TestRefinement:
             calls.append(0)
             return counts(m, lo, hi)
 
-        def counting_means(inverse, total, n):
+        def counting_means(*args):
             calls[-1] += 1
-            return sums(inverse, total, n)
+            return sums(*args)
 
         monkeypatch.setattr(stability, "_counts", counting_blocks)
         monkeypatch.setattr(stability, "means_from_sums", counting_means)
