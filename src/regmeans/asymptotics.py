@@ -26,14 +26,15 @@ smooth inside the support.  fn is called on arrays of nodes.
 The rule's distances d = 1/(1 + exp(pi sinh t)) from the ends of (0, 1) and
 its weights depend on the step alone, not on the law: they are constants of
 the rule, built once at import for every step (_RULES, 150 KB in 0.14 ms),
-and no law's nodes or values outlive a call.  Each step writes quantile(d)
-and isf(d) into one array, its values and weights into the next slice of
-one pair of buffers, and decides on its sums, at most four, as Python
-floats.  Over the benchmark's certify workload's quadrature (five
-generators, four laws, the three moment functions) that took a pass from
-11.7 to 7.1 ms, and kolmogorov_expectation(log, lognormal:2:1,
-"quadrature") from 173 to 92 us (best of 30 and of 15 runs, 2-vCPU host),
-every outcome the same to the bit.
+and no law's nodes or values outlive a call.  Each step writes the law's
+raw quantile forms at d (its _quantile and _isf, without the argument check
+and np.errstate of quantile and isf) into one array, its values and weights
+into the next slice of one pair of buffers, and decides on its sums, at
+most four, as Python floats.  Over the benchmark's certify workload's
+quadrature (five generators, four laws, the three moment functions) that
+took a pass from 11.7 to 7.1 ms, and kolmogorov_expectation(log,
+lognormal:2:1, "quadrature") from 173 to 92 us (best of 30 and of 15 runs,
+2-vCPU host), every outcome the same to the bit.
 """
 
 from __future__ import annotations
@@ -135,13 +136,14 @@ _PROBE_SPAN = math.log(1e-60 / 1e-54)
 
 
 def _nodes(dist, d: np.ndarray, skip: int = 0) -> np.ndarray:
-    """dist.quantile(d), then dist.isf(d[skip:]), in one array: the points
-    of quantile space at distances d from the lower and from the upper end
-    of (0, 1).  Held as d itself, since quantile(1 - d) rounds to the end
-    for tiny d."""
+    """Q(d), then Q(1 - d[skip:]), in one array: the points of quantile
+    space at distances d from the lower and from the upper end of (0, 1).
+    Held as d itself, since quantile(1 - d) rounds to the end for tiny d.
+    The law's raw forms take the rule's d, which lie in (0, 1), unchecked;
+    the caller holds np.errstate(all="ignore") for an overflowing one."""
     x = np.empty(2 * d.size - skip)
-    x[:d.size] = dist.quantile(d)
-    x[d.size:] = dist.isf(d[skip:])
+    x[:d.size] = dist._quantile(d)
+    x[d.size:] = dist._isf(d[skip:])
     return x
 
 
@@ -210,8 +212,8 @@ def _moments(dist, fn, order: int) -> tuple:
 
 def expect(dist, fn) -> float:
     """E[fn(X)] by tanh-sinh quadrature in quantile space, the one rule for
-    every law, built-in or duck-typed (anything with support, spec, and
-    quantile and isf that take arrays).
+    every law; dist that is not one of the four laws is
+    InvalidParameterError, as in g_moments.
 
     fn must be vectorized: it is called on arrays of nodes, and a
     scalar-only fn is ConfigurationError.  The rule converges double
@@ -220,6 +222,7 @@ def expect(dist, fn) -> float:
     tail-exponent screen runs first and raises DivergenceError for an
     integrand that one end of the quantile space cannot absorb.
     """
+    _require_instance(dist, DistributionModel, "dist", "a distribution model")
     # float errors are values here: overflow is the tail screen's divergence
     # signal and a non-finite sum is ConvergenceError, underflow a zero, so
     # a caller's np.errstate leaves the result as it is
@@ -309,12 +312,13 @@ def _pair_words(g: Generator, dist):
 def _eg(g: Generator, mean_g: float, where) -> float:
     """E_g = g_inv(mean_g) as a float; one beyond the float range is
     NumericError by the rule of distributions._in_range.  The inverse runs
-    on a numpy float with float errors ignored, whatever np.errstate the
-    caller holds: a division by zero or an overflow gives inf there, where
-    a Python float raises ZeroDivisionError or OverflowError."""
+    on a one-value array, as every call of a generator's callables does,
+    with float errors ignored, whatever np.errstate the caller holds: a
+    division by zero or an overflow gives inf there, where a Python float
+    raises ZeroDivisionError or OverflowError."""
     with np.errstate(all="ignore"):
-        return _in_range(lambda: float(_vectorized(g.inverse, np.float64(mean_g), "inverse",
-                                                   g.name)), lambda: "E_g", where, positive=False)
+        return _in_range(lambda: _vectorized(g.inverse, np.array([mean_g]), "inverse",
+                                             g.name).item(), lambda: "E_g", where, positive=False)
 
 
 def kolmogorov_expectation(g: Generator, dist, method: str = "auto") -> float:
@@ -349,15 +353,15 @@ def asymptotic_variance(g: Generator, dist, method: str = "auto") -> AsymptoticS
     the smallest normal float it is NumericError.
 
     E_g and g' at E_g come under one range rule.  An E_g beyond the float
-    range is NumericError (see kolmogorov_expectation).  g' runs on a numpy
-    float, as the inverse does in _eg; a g' at E_g that is 0 or not finite
-    is DegenerateSlopeError, or NumericError where E_g has underflowed: to
-    a subnormal, or to 0 off the domain of g."""
+    range is NumericError (see kolmogorov_expectation).  g' runs on a
+    one-value array, as the inverse does in _eg; a g' at E_g that is 0 or
+    not finite is DegenerateSlopeError, or NumericError where E_g has
+    underflowed: to a subnormal, or to 0 off the domain of g."""
     where = _pair_words(g, dist)
     mean_g, var_g = _g_stats(g, dist, _resolve_method(g, method), 2)
     eg = _eg(g, mean_g, where)
     with np.errstate(all="ignore"):
-        gp = float(_vectorized(g.derivative, np.float64(eg), "derivative", g.name))
+        gp = _vectorized(g.derivative, np.array([eg]), "derivative", g.name).item()
     if not math.isfinite(gp) or gp == 0.0:
         if eg != 0.0 or not g.domain.lo < 0.0 < g.domain.hi:
             # the slope of the rounding, not of g: "underflows" by the one rule

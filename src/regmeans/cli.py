@@ -12,8 +12,12 @@ One executable, eight subcommands:
     reproduce-figure2   the heavy-tail identity-vs-log comparison
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/divergence error.
-Every JSON payload carries a metadata block with version, seed, and a config
-echo.  CSV output uses '.' decimals and 17 significant digits.
+Each handler returns its results only; main writes every payload as the
+command, those results and a metadata block with version, seed, and a
+config echo, which holds every input option of the subcommand as parsed:
+all but --seed (metadata's own key) and --out, --hist and --format, which
+say where output goes and in what form.  An option is declared once, in
+build_parser.  CSV output uses '.' decimals and 17 significant digits.
 
 The output decisions the figure files also make have one owner each: CSV
 tables are figures.csv_table, JSON text is figures.json_text, the simulate
@@ -26,6 +30,7 @@ reproduce-figure commands.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -87,8 +92,16 @@ def _parse_interval(spec: str, what: str, steps: bool = False):
     return (span, count) if steps else span
 
 
-def _meta(args, **config) -> dict:
-    return {"version": __version__, "seed": getattr(args, "seed", None), "config": config}
+# Parsed entries that are not inputs of a run: the subcommand, its handler,
+# the seed (metadata's own key), and where output goes and in what form.
+_NOT_CONFIG = frozenset({"command", "func", "seed", "out", "hist", "format"})
+
+
+def _meta(args) -> dict:
+    """The payload's metadata: the version, the seed and the config echo,
+    every other parsed option of the subcommand as it was run."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    return {"version": __version__, "seed": args.seed, "config": config}
 
 
 def _flatten(d: dict, prefix: str = "") -> dict:
@@ -122,28 +135,22 @@ def _emit(args, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns its results, which main puts between the
+# payload's "command" and its "metadata"
 
 def _cmd_mean(args) -> dict:
     g = parse_generator(args.generator)
     values = _load_values(args.data)
-    return {
-        "command": "mean",
-        "mean": mean(g, values),
-        "n": len(values),
-        "metadata": _meta(args, generator=args.generator, data=args.data),
-    }
+    return {"mean": mean(g, values), "n": len(values)}
 
 
 def _cmd_axioms(args) -> dict:
     g = parse_generator(args.generator)
+    if args.n0 is None:  # echoed as resolved
+        args.n0 = args.n
     report = check_axioms(g, n=args.n, n0=args.n0, trials=args.trials,
                           tol=args.tol, rng_seed=args.seed)
-    payload = {"command": "axioms", **report.as_dict()}
-    payload["metadata"] = _meta(args, generator=args.generator, n=args.n,
-                                n0=args.n0 if args.n0 is not None else args.n,
-                                trials=args.trials, tol=args.tol)
-    return payload
+    return report.as_dict()
 
 
 def _cmd_edgeworth(args) -> dict:
@@ -157,12 +164,7 @@ def _cmd_edgeworth(args) -> dict:
                "correction_1": c1, "correction_2": c2, "correction_3": c3}
     rows = [dict(zip(columns, values))
             for values in zip(*(col.tolist() for col in columns.values()))]
-    return {
-        "command": "edgeworth",
-        "rows": rows,
-        "metadata": _meta(args, generator=args.generator, dist=args.dist,
-                          n=args.n, grid=args.grid),
-    }
+    return {"rows": rows}
 
 
 def _cmd_simulate(args) -> dict:
@@ -176,22 +178,13 @@ def _cmd_simulate(args) -> dict:
     report = run_scenario(cfg, threads=args.threads)
     if args.hist:
         Path(args.hist).write_text(hist_text(report), newline="")
-    return {
-        "command": "simulate",
-        **report.as_dict(),
-        "metadata": _meta(args, dist=args.dist, generator=args.generator,
-                          n=args.n, replicates=args.replicates,
-                          threads=args.threads),
-    }
+    return report.as_dict()
 
 
 def _cmd_stability(args) -> dict:
     g = parse_generator(args.g)
     h = parse_generator(args.h)
-    report = verify_stability(g, h, _parse_interval(args.box, "box"), n=args.n)
-    payload = {"command": "stability", **report.as_dict()}
-    payload["metadata"] = _meta(args, g=args.g, h=args.h, box=args.box, n=args.n)
-    return payload
+    return verify_stability(g, h, _parse_interval(args.box, "box"), n=args.n).as_dict()
 
 
 def _cmd_portfolio(args) -> dict:
@@ -202,30 +195,21 @@ def _cmd_portfolio(args) -> dict:
     gross = geometric_average_return(series)
     approx = markowitz_approximation(series, ddof=args.ddof)
     return {
-        "command": "portfolio",
         "wealth": wealth_path(series),
         "geometric_average_gross": gross,
         "geometric_average_net": gross - 1.0,
         "markowitz": approx,
         "gap": approx - gross,
         "n_periods": len(series.returns),
-        "metadata": _meta(args, returns=args.returns, w0=args.w0,
-                          percent=args.percent, ddof=args.ddof),
     }
 
 
-def _cmd_figure(args) -> dict:
-    result = args.reproduce(args.out or args.default_out, seed=args.seed,
-                            n=args.n, replicates=args.replicates,
-                            threads=args.threads)
+def _cmd_figure(reproduce, default_out: str, args) -> dict:
+    result = reproduce(args.out or default_out, seed=args.seed, n=args.n,
+                       replicates=args.replicates, threads=args.threads)
     args.out = None  # artifacts land in the directory; summary goes to stdout
-    return {
-        "command": args.command,
-        "rows": result.pop("cells"),
-        **result,  # out_dir, summary_csv, and figure 2's comparison
-        "metadata": _meta(args, n=args.n, replicates=args.replicates,
-                          threads=args.threads),
-    }
+    # out_dir, summary_csv, and figure 2's comparison
+    return {"rows": result.pop("cells"), **result}
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help=what)
         p.add_argument("--n", type=int, default=1000)
         p.add_argument("--replicates", type=int, default=1000)
-        p.set_defaults(func=_cmd_figure, reproduce=reproduce,
-                       default_out=f"figure{number}-out")
+        p.set_defaults(func=functools.partial(_cmd_figure, reproduce, f"figure{number}-out"))
 
     for name, what in (("simulate", "the replicate blocks of the scenario"),
                        ("reproduce-figure1", "the figure's distributions (each "
@@ -326,8 +309,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse printed its own message
         return int(exc.code or 0)
     try:
-        payload = args.func(args)
-        _emit(args, payload)
+        results = args.func(args)
+        _emit(args, {"command": args.command, **results, "metadata": _meta(args)})
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,11 @@ moment machinery:
                      there is no closed form: t < 0 or NaN for LogNormal, Pareto)
     log_moments()    mean/variance/skewness/excess kurtosis of ln X
 
+A law declares its two quantile forms raw, _quantile(v) = Q(v) and _isf(v)
+= Q(1 - v), with no check; quantile and isf, on the base, check u once
+(_at_u) and call them.  The quadrature calls the raw forms directly, on
+its own nodes, under the np.errstate its callers hold.
+
 Gamma is parameterized shape-rate.  Pareto defaults to scale 1.  A sample
 size n that is not an integer >= 1 is InvalidParameterError.
 Divergent moments are flagged as math.inf, not raised; callers decide
@@ -25,12 +30,12 @@ NumericError ("overflows a float"), so inf keeps meaning divergent, and so
 does a positive one below the smallest normal float ("underflows the normal
 float range"), a 0 or a subnormal that has lost its digits.  The moments
 need no scipy: Gamma's take math.lgamma, exact products at integer orders
-and the digamma series of _polygamma.  Only the quantile and isf
-methods of LogNormal and Gamma import scipy.special, on first use: after
-regmeans it takes 0.20-0.27 s and raises the resident set from about 30 to
-53 MB (3 runs on a 2-vCPU host).  Quadrature and its tail screen call them,
-on arrays of nodes (a number gives a float); sampling, means and the Monte
-Carlo harness do not.
+and the digamma series of _polygamma.  Only the quantile forms of
+LogNormal and Gamma import scipy.special, on first use: after regmeans it
+takes 0.20-0.27 s and raises the resident set from about 30 to 53 MB (3
+runs on a 2-vCPU host).  Quadrature and its tail screen call them, on
+arrays of nodes (quantile and isf of a number give a float); sampling,
+means and the Monte Carlo harness do not.
 
 sample draws into out where given (the Monte Carlo harness passes each
 worker's kept buffer), else into a new array, and transforms the draws in
@@ -194,6 +199,16 @@ class _Law:
         """The law as an error names it (see _in_range)."""
         return repr(self.spec)
 
+    def quantile(self, u):
+        """Q(u), the law's _quantile behind the check of _at_u."""
+        return _at_u(u, self._quantile)
+
+    def isf(self, u):
+        """Upper-tail quantile: isf(u) = quantile(1-u), computed without the
+        1-u cancellation so tiny u stay resolvable (the law's _isf, behind
+        the check of _at_u)."""
+        return _at_u(u, self._isf)
+
     def mgf(self, t: float):
         """A heavy tail's E[exp(tX)]; Gamma and Uniform have their own."""
         if t >= 0:
@@ -225,17 +240,15 @@ class LogNormal(_Law):
         x += self.mu
         return np.exp(x, out=x)
 
-    def quantile(self, u):
+    def _quantile(self, v):
         from scipy.special import ndtri
 
-        return _at_u(u, lambda v: np.exp(self.mu + self.sigma * ndtri(v)))
+        return np.exp(self.mu + self.sigma * ndtri(v))
 
-    def isf(self, u):
-        """Upper-tail quantile: isf(u) = quantile(1-u), computed without the
-        1-u cancellation so tiny u stay resolvable."""
+    def _isf(self, v):
         from scipy.special import ndtri
 
-        return _at_u(u, lambda v: np.exp(self.mu - self.sigma * ndtri(v)))
+        return np.exp(self.mu - self.sigma * ndtri(v))
 
     def power_moment(self, t: float) -> float:
         return _in_range(lambda: math.exp(t * self.mu + 0.5 * t * t * self.sigma2),
@@ -264,15 +277,15 @@ class Gamma(_Law):
         x *= 1.0 / self.rate
         return x
 
-    def quantile(self, u):
+    def _quantile(self, v):
         from scipy.special import gammaincinv
 
-        return _at_u(u, lambda v: gammaincinv(self.shape, v) / self.rate)
+        return gammaincinv(self.shape, v) / self.rate
 
-    def isf(self, u):
+    def _isf(self, v):
         from scipy.special import gammainccinv
 
-        return _at_u(u, lambda v: gammainccinv(self.shape, v) / self.rate)
+        return gammainccinv(self.shape, v) / self.rate
 
     def power_moment(self, t: float) -> float:
         """Gamma(shape + t) / (Gamma(shape) rate**t).  At an integer t up to
@@ -331,11 +344,11 @@ class Uniform(_Law):
         x += self.lo
         return x
 
-    def quantile(self, u):
-        return _at_u(u, lambda v: self.lo + (self.hi - self.lo) * v)
+    def _quantile(self, v):
+        return self.lo + (self.hi - self.lo) * v
 
-    def isf(self, u):
-        return _at_u(u, lambda v: self.hi - (self.hi - self.lo) * v)
+    def _isf(self, v):
+        return self.hi - (self.hi - self.lo) * v
 
     def power_moment(self, t: float) -> float:
         if self.lo <= 0:
@@ -428,11 +441,11 @@ class Pareto(_Law):
         x *= self.scale
         return x
 
-    def quantile(self, u):
-        return _at_u(u, lambda v: self.scale * (1.0 - v) ** (-1.0 / self.alpha))
+    def _quantile(self, v):
+        return self.scale * (1.0 - v) ** (-1.0 / self.alpha)
 
-    def isf(self, u):
-        return _at_u(u, lambda v: self.scale * v ** (-1.0 / self.alpha))
+    def _isf(self, v):
+        return self.scale * v ** (-1.0 / self.alpha)
 
     def power_moment(self, t: float) -> float:
         if t >= self.alpha:

@@ -19,7 +19,8 @@ file text (the histogram CSV, the report JSON and the summary row) as soon
 as its distribution has run, which takes the formatting (about 6.5 ms of a
 Figure 1 pass on a 2-vCPU host) off the calling thread; that thread only
 writes the files, in cell order, after every cell has run.  A cell's report
-file holds SimulationReport.as_dict, the keys of the CLI's simulate payload.
+file holds SimulationReport.as_dict, the keys of the CLI's simulate payload,
+and its summary row opens with ScenarioConfig.echo, that report's config.
 """
 
 from __future__ import annotations
@@ -127,11 +128,7 @@ def _run_cells(out_dir, seed, n, replicates, threads, dists, generators):
         for gen_spec, cfg, report in zip(generators, cfgs, _run_group(cfgs, inner)):
             meta = {"version": __version__, "seed": cfg.seed}
             row = {
-                "dist": dist_spec,
-                "generator": gen_spec,
-                "n": cfg.n,
-                "replicates": cfg.replicates,
-                "seed": cfg.seed,
+                **cfg.echo(),  # dist, generator, n, replicates, seed
                 "ks": report.ks_vs_normal,
                 "empirical_var": report.empirical_var,
                 "asym_var": report.asymptotic.asym_var,

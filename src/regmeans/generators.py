@@ -10,8 +10,10 @@ cover the classical means:
     power       power mean, p > 0       domain (0, inf)
     exp         exponential mean        domain (-inf, inf)
 
-All three callables are elementwise: they accept floats or numpy arrays and
-return values of their shape, which every path checks (_vectorized).
+All three callables are elementwise.  The library calls them on float
+arrays only, a single value as a one-value array, and checks that each
+returns an array of its argument's shape (_vectorized); the built-ins take
+floats too.
 Generators are immutable; every operation here is pure.  parse_generator
 reads the built-in specs only; a custom generator is a Generator object,
 passed as such wherever a generator is taken.
@@ -143,6 +145,17 @@ def _require_interval(value, name: str) -> Interval:
     return _require_instance(value, Interval, name, "an Interval")
 
 
+def _require_box(box, name: str, *gens: Generator) -> Interval:
+    """box if it is an Interval (else InvalidParameterError naming it) whose
+    ends lie strictly inside the domain of each of gens (else DomainError).
+    An infinite end is never inside, so a box that passes has finite ends;
+    its callers still check its width."""
+    _require_interval(box, name)
+    for g in gens:
+        g.domain.require_interior([box.lo, box.hi], f"generator {g.name!r}")
+    return box
+
+
 def _real_array(x, owner: str) -> np.ndarray:
     """x as a float array when it holds real numbers (a bool, integer or
     float dtype), else InvalidParameterError naming owner: a string, bytes,
@@ -166,7 +179,7 @@ def _spec_number(value: float) -> str:
 
 
 def _vectorized(fn, x: np.ndarray, what: str, name: str | None = None) -> np.ndarray:
-    """fn(x) as a float array of x's shape (x an array or a numpy float), else
+    """fn(x) as a float array of x's shape (x an array), else
     ConfigurationError naming what, "<what> of generator <name>" for one of
     a generator's callables: every call of those on caller data is here."""
     try:
@@ -294,9 +307,7 @@ def _parse_builtin(spec: str) -> Generator:
 
 def min_slope(g: Generator, B: Interval, grid_points: int = 10001) -> float:
     """Grid estimate of inf |g'| on B (an upper bound of the true inf)."""
-    # a compact Interval B
-    xs = _require_interval(B, "B").grid(require_count(grid_points, "grid_points", 2))
-    g.domain.require_interior([B.lo, B.hi], f"generator {g.name!r}")
+    xs = _require_box(B, "B", g).grid(require_count(grid_points, "grid_points", 2))
     with np.errstate(all="ignore"):
         return _least_slope(_vectorized(g.derivative, xs, "derivative", g.name), g.name, B)
 

@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError, NumericError
-from .generators import (Generator, Interval, _real_array, _require_instance, _require_interval,
+from .generators import (Generator, Interval, _real_array, _require_box, _require_instance,
                          _require_real, _vectorized, make_builtin, require_count)
 
 _EPS = float(np.finfo(float).eps)
@@ -151,7 +151,7 @@ def _kernel(x: np.ndarray, forward: Callable, inverse: Callable, name: str | Non
             total = _exact_sum(gx)
         except (OverflowError, ValueError):  # fsum raises on overflow and on inf - inf
             total = math.inf
-        m = (float(_vectorized(inverse, np.float64(total / x.size), "inverse", name))
+        m = (_vectorized(inverse, np.array([total / x.size]), "inverse", name).item()
              if math.isfinite(total) else math.inf)
     if not math.isfinite(m):
         raise NumericError(_OVERFLOW)
@@ -414,8 +414,7 @@ def check_axioms(g: Generator, n: int, n0: int | None = None, trials: int = 1000
     rng_seed = require_count(rng_seed, "rng_seed", 0)
     if not 0.0 <= _require_real(tol, "tol") < math.inf:
         raise InvalidParameterError(f"tol must be finite and >= 0, got {tol}")
-    box = _default_box(g) if box is None else _require_interval(box, "box")
-    g.domain.require_interior([box.lo, box.hi], f"generator {g.name!r}")
+    box = _require_box(_default_box(g) if box is None else box, "box", g)
     if not box.is_finite:  # finite ends, as inside the domain, and an infinite width
         raise InvalidParameterError(f"box ({box.lo}, {box.hi}) has an infinite width")
 

@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, ConvergenceError, DegenerateSlopeError,
                      InvalidParameterError, NumericError)
-from .generators import (Generator, Interval, _least_slope, _require_instance, _require_interval,
+from .generators import (Generator, Interval, _least_slope, _require_box, _require_instance,
                          _require_real, _vectorized, normalize_increasing, require_count)
 from .means import means_from_sums
 
@@ -123,18 +123,18 @@ _SLOPE = np.array([[1.0, -8.0, 0.0, 8.0, -1.0], [-1.0, 16.0, -30.0, 16.0, -1.0],
 _Pair = namedtuple("_Pair", "gn hn axis g h dg dh")
 
 
-def _normalized_pair(g: Generator, h: Generator, box: Interval) -> _Pair:
+def _normalized_pair(g: Generator, h: Generator, box: Interval, box_name: str) -> _Pair:
     """g and h in increasing form, read once on the _AXIS_POINTS axis of the
     box.  Raises NumericError when either decreases on the axis: the blend
     inversion rests on monotonicity.  g or h that is not a Generator is
-    InvalidParameterError, an infinite box width too, and a forward or
-    derivative that does not map the axis elementwise ConfigurationError."""
+    InvalidParameterError, a box (named box_name) that is not an Interval or
+    has an infinite width too, a box end outside either domain DomainError
+    (generators._require_box), and a forward or derivative that does not
+    map the axis elementwise ConfigurationError."""
     for gen, name in ((g, "g"), (h, "h")):
         _require_instance(gen, Generator, name, "a Generator")
+    axis = _require_box(box, box_name, g, h).grid(_AXIS_POINTS)
     gn, hn = normalize_increasing(g), normalize_increasing(h)
-    for gen in (gn, hn):
-        gen.domain.require_interior([box.lo, box.hi], f"generator {gen.name!r}")
-    axis = box.grid(_AXIS_POINTS)
     values = []
     for gen in (gn, hn):
         v = _vectorized(gen.forward, axis, "forward", gen.name)
@@ -165,7 +165,7 @@ def theorem4_bound(g: Generator, h: Generator, B: Interval) -> float:
     changes L but not m, so the bound is deliberately asymmetric.
     """
     with np.errstate(all="ignore"):
-        constant, dist = _bound_parts(_normalized_pair(g, h, _require_interval(B, "B")), B)
+        constant, dist = _bound_parts(_normalized_pair(g, h, B, "B"), B)
     return constant * dist
 
 
@@ -184,14 +184,13 @@ def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
     and a bad A_box, n, grid_per_dim or tolerance_factor
     InvalidParameterError.
     """
-    _require_interval(A_box, "A_box")
     n = require_count(n, "n", 1)
     require_count(grid_per_dim, "grid_per_dim", 2)
     if not 0.0 <= _require_real(tolerance_factor, "tolerance_factor") < np.inf:
         raise InvalidParameterError(
             f"tolerance_factor must be finite and >= 0, got {tolerance_factor}")
     with np.errstate(all="ignore"):
-        pair = _normalized_pair(g, h, A_box)
+        pair = _normalized_pair(g, h, A_box, "A_box")
         (sup_dist,) = _reduced_sups(pair, A_box, n, [1.0])
         constant, gen_dist = _bound_parts(pair, A_box)
     bound = constant * gen_dist
@@ -202,7 +201,7 @@ def verify_stability(g: Generator, h: Generator, A_box: Interval, n: int,
 
 
 def _ratio(gn: Generator, hn: Generator, x: np.ndarray) -> np.ndarray:
-    # r = g'/h' at x (an array or a numpy float); a non-finite r is _ratio_pieces' check
+    # r = g'/h' at the array x; a non-finite r is _ratio_pieces' check
     return (_vectorized(gn.derivative, x, "derivative", gn.name)
             / _vectorized(hn.derivative, x, "derivative", hn.name))
 
@@ -240,7 +239,8 @@ def _partner(gn: Generator, hn: Generator, box: Interval, turn: float,
     _PARTNER_HALVINGS halvings of the piece."""
     left = z <= turn
     # whether r rises on the piece searched: the two pieces turn opposite ways
-    up = left == (_ratio(gn, hn, np.float64(box.hi)) > _ratio(gn, hn, np.float64(turn)))
+    at_hi, at_turn = _ratio(gn, hn, np.array([box.hi, turn])).tolist()
+    up = left == (at_hi > at_turn)
     c = _ratio(gn, hn, z)
     return _bisect(lambda mid: (_ratio(gn, hn, mid) < c) == up,
                    np.where(left, turn, box.lo), np.where(left, box.hi, turn),
@@ -423,7 +423,6 @@ def blend_distances(g: Generator, h: Generator, A_box: Interval, n: int,
     ConfigurationError, and a bad A_box, n, grid_per_dim or ts (an iterable
     of numbers in [0, 1]) InvalidParameterError.
     """
-    _require_interval(A_box, "A_box")
     n = require_count(n, "n", 1)
     require_count(grid_per_dim, "grid_per_dim", 2)
     try:
@@ -433,4 +432,4 @@ def blend_distances(g: Generator, h: Generator, A_box: Interval, n: int,
     if any(not 0.0 <= t <= 1.0 for t in ts):
         raise InvalidParameterError(f"blend parameters must lie in [0, 1], got {ts}")
     with np.errstate(all="ignore"):
-        return _reduced_sups(_normalized_pair(g, h, A_box), A_box, n, ts)
+        return _reduced_sups(_normalized_pair(g, h, A_box, "A_box"), A_box, n, ts)

@@ -203,6 +203,24 @@ def test_the_tail_screen_keeps_its_words(fn):
 
 
 @pytest.mark.parametrize("dist", [LN, GAM, UNI, PAR], ids=lambda d: d.spec)
+def test_the_quadrature_calls_the_raw_quantile_forms(dist, monkeypatch):
+    # the rule's nodes lie in (0, 1): quantile and isf checked them 312
+    # times a certify pass, each under its own np.errstate
+    calls = []
+
+    def counted(u, f):
+        calls.append(u)
+        return at_u(u, f)
+
+    at_u = distributions._at_u
+    monkeypatch.setattr(distributions, "_at_u", counted)
+    g_moments(parse_generator("log"), dist, method="quadrature")
+    assert calls == []
+    dist.quantile(0.5)  # the public form still checks its argument
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dist", [LN, GAM, UNI, PAR], ids=lambda d: d.spec)
 @pytest.mark.parametrize("end", ["quantile", "isf"])
 def test_quantiles_check_the_open_unit_interval(dist, end):
     # one min and one max reduction: an empty u passes, NaN, 0 and 1 fail

@@ -8,7 +8,7 @@ import pytest
 
 from regmeans import (Interval, __version__, edgeworth_cdf, figures, g_moments,
                       parse_distribution, parse_generator, verify_stability)
-from regmeans.cli import main
+from regmeans.cli import build_parser, main
 
 
 def run_json(capsys, argv):
@@ -381,3 +381,41 @@ class TestReproduceCommands:
         blocker.write_text("not a directory")
         assert main(["reproduce-figure1", "--out", str(blocker),
                      "--n", "20", "--replicates", "20"]) == 2
+
+
+# every subcommand with each of its options given; "{tmp}" is a fresh directory
+EVERY_OPTION = {
+    "mean": "--generator log --data 1,2",
+    "axioms": "--generator log --n 3 --n0 2 --trials 5 --tol 1e-8",
+    "edgeworth": "--generator log --dist gamma:2:1 --n 5 --grid=-1:1:3 --format json",
+    "simulate": "--dist gamma:2:1 --generator log --n 5 --replicates 20 --threads 2 "
+                "--hist {tmp}/h.csv",
+    "stability": "--g log --h identity --box 1:3 --n 3",
+    "portfolio": "--returns 10,5 --w0 2 --percent --ddof 1",
+    "reproduce-figure1": "--n 5 --replicates 10 --threads 2 --out {tmp}/f1",
+    "reproduce-figure2": "--n 5 --replicates 10 --out {tmp}/f2",
+}
+# where output goes and in what form, and the seed, which metadata holds itself
+NOT_ECHOED = {"help", "seed", "out", "hist", "format"}
+
+
+def _subcommands(parser):
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    return sub.choices
+
+
+def test_every_subcommand_is_covered():
+    assert set(_subcommands(build_parser())) == set(EVERY_OPTION)
+
+
+@pytest.mark.parametrize("command", EVERY_OPTION)
+def test_the_config_echo_holds_every_input_option(command, tmp_path, capsys):
+    argv = [command, "--seed", "3", *EVERY_OPTION[command].format(tmp=tmp_path).split()]
+    parser = build_parser()
+    parsed = parser.parse_args(argv)
+    options = [a.dest for a in _subcommands(parser)[command]._actions
+               if a.option_strings and a.dest not in NOT_ECHOED]
+    payload = run_json(capsys, argv)
+    assert payload["command"] == command
+    assert payload["metadata"] == {"version": __version__, "seed": 3,
+                                   "config": {k: getattr(parsed, k) for k in options}}

@@ -1,10 +1,12 @@
 """One check per input of a mean.
 
 A generator's callables are checked by generators._vectorized wherever they
-are called on caller data: a scalar-only callable, or one that returns
-another shape, is ConfigurationError naming the generator and the callable.
-The Monte Carlo values are checked by the generator's domain
-(Interval.require_interior), and a box by Interval.is_finite.
+are called on caller data, always on float arrays: a scalar-only callable,
+or one that returns another shape, is ConfigurationError naming the
+generator and the callable.  The Monte Carlo values are checked by the
+generator's domain (Interval.require_interior), a box's ends by each
+generator's domain (generators._require_box) and its width by
+Interval.is_finite.
 """
 
 import ast
@@ -17,15 +19,16 @@ import pytest
 import regmeans
 from regmeans import (ConfigurationError, DomainError, Generator, Interval,
                       InvalidParameterError, ScenarioConfig, asymptotic_variance,
-                      blend_distances, check_axioms, compare_edgeworth, g_moments, make_builtin,
-                      mean, min_slope, parse_distribution, run_scenario, theorem4_bound,
-                      verify_stability)
+                      blend_distances, check_axioms, compare_edgeworth, g_moments,
+                      kolmogorov_expectation, make_builtin, mean, min_slope,
+                      parse_distribution, run_scenario, theorem4_bound, verify_stability)
 from regmeans.cli import main
 
 LOG = make_builtin("log")
 IDENTITY = make_builtin("identity")
 POSITIVE = Interval(0.0, math.inf)
 B = Interval(1.0, 2.0)
+UNIFORM = parse_distribution("uniform:1:2")
 
 
 def _custom(name, forward=np.log, inverse=np.exp, derivative=lambda x: 1.0 / x):
@@ -57,21 +60,49 @@ class TestGeneratorCallables:
         with pytest.raises(ConfigurationError, match=r"forward of generator 'k' mapped \d+ values"):
             call(CONSTANT)
 
-    # mean inverts one average, a numpy float that math.exp takes; the row
-    # paths invert arrays
-    @pytest.mark.parametrize("name", ["check_axioms", "verify_stability", "blend_distances"])
-    def test_a_scalar_only_inverse(self, name):
+    # mean and E_g invert one value, which they passed as a numpy float that
+    # math.exp takes: mean answered 1.414... where the row paths raised
+    @pytest.mark.parametrize("call", [
+        *map(PUBLIC.get, ("mean", "check_axioms", "verify_stability", "blend_distances")),
+        lambda g: kolmogorov_expectation(g, UNIFORM),
+        lambda g: asymptotic_variance(g, UNIFORM),
+    ], ids=["mean", "check_axioms", "verify_stability", "blend_distances",
+            "kolmogorov_expectation", "asymptotic_variance"])
+    def test_a_scalar_only_inverse(self, call):
         with pytest.raises(ConfigurationError, match="inverse of generator 'm' must be vectorized"):
-            PUBLIC[name](SCALAR_INVERSE)
+            call(SCALAR_INVERSE)
 
     @pytest.mark.parametrize("call", [
         lambda g: min_slope(g, B),
         lambda g: verify_stability(LOG, g, B, 2),
-    ], ids=["min_slope", "verify_stability"])
+        lambda g: asymptotic_variance(g, UNIFORM),
+    ], ids=["min_slope", "verify_stability", "asymptotic_variance"])
     def test_a_scalar_derivative(self, call):
-        # a constant g' of 2.0 was taken for the slope of every point
+        # a constant g' of 2.0 was taken for the slope of every point, and
+        # for g'(E_g)
         with pytest.raises(ConfigurationError, match="derivative of generator 'd' mapped"):
             call(_custom("d", derivative=lambda x: 2.0))
+
+    def test_the_callables_see_only_float_arrays(self):
+        seen = []
+
+        def record(fn):
+            def on(x):
+                seen.append(type(x) is np.ndarray and x.dtype == np.float64 and x.ndim >= 1)
+                return fn(x)
+            return on
+
+        # power:2, whose g'/h' against exp turns once on the box: the
+        # certificate also reads r at the box end and the turn (_partner)
+        g = Generator("s", POSITIVE, record(np.square), record(np.sqrt),
+                      record(lambda x: 2.0 * x), "increasing")
+        box = Interval(0.5, 3.0)
+        mean(g, [1.0, 2.0, 3.0])
+        check_axioms(g, 3, trials=10)
+        verify_stability(g, make_builtin("exp"), box, 3)
+        min_slope(g, box)
+        asymptotic_variance(g, UNIFORM)
+        assert len(seen) > 20 and all(seen)
 
     def test_a_derivative_that_returns_a_list_at_e_g(self):
         g = _custom("l", derivative=lambda x: [1.0 / x])
@@ -79,7 +110,7 @@ class TestGeneratorCallables:
             asymptotic_variance(g, parse_distribution("gamma:2:1"))
 
     def test_an_inverse_that_returns_a_list_at_e_g(self):
-        g = _custom("l", inverse=lambda y: [math.exp(y)])
+        g = _custom("l", inverse=lambda y: [np.exp(y)])
         with pytest.raises(ConfigurationError, match="inverse of generator 'l' mapped"):
             asymptotic_variance(g, parse_distribution("gamma:2:1"))
 
@@ -101,6 +132,12 @@ class TestMonteCarloValues:
 
 
 WIDE = Interval(-1e308, 1e308)  # finite ends, an infinite width
+CERTIFICATES = {
+    "verify_stability": lambda box: verify_stability(IDENTITY, IDENTITY, box, 2),
+    "blend_distances": lambda box: blend_distances(IDENTITY, IDENTITY, box, 2, [0.5]),
+    "theorem4_bound": lambda box: theorem4_bound(IDENTITY, IDENTITY, box),
+    "min_slope": lambda box: min_slope(IDENTITY, box),
+}
 
 
 class TestBoxes:
@@ -118,12 +155,7 @@ class TestBoxes:
         with pytest.raises(InvalidParameterError, match="has an infinite width"):
             check_axioms(IDENTITY, 3, box=WIDE)
 
-    @pytest.mark.parametrize("call", [
-        lambda box: verify_stability(IDENTITY, IDENTITY, box, 2),
-        lambda box: blend_distances(IDENTITY, IDENTITY, box, 2, [0.5]),
-        lambda box: theorem4_bound(IDENTITY, IDENTITY, box),
-        lambda box: min_slope(IDENTITY, box),
-    ], ids=["verify_stability", "blend_distances", "theorem4_bound", "min_slope"])
+    @pytest.mark.parametrize("call", CERTIFICATES.values(), ids=CERTIFICATES)
     def test_the_certificates(self, call):
         with pytest.raises(InvalidParameterError, match="of infinite width"):
             call(WIDE)
@@ -131,6 +163,21 @@ class TestBoxes:
     def test_an_infinite_end_stays_a_domain_error(self):
         with pytest.raises(DomainError):
             check_axioms(IDENTITY, 3, box=Interval(0.0, math.inf))
+
+    @pytest.mark.parametrize("call", [lambda box: check_axioms(IDENTITY, 3, box=box),
+                                      *CERTIFICATES.values()],
+                             ids=["check_axioms", *CERTIFICATES])
+    def test_a_box_end_outside_the_domain(self, call):
+        # one check of the ends (generators._require_box): min_slope gridded
+        # the box first, and raised InvalidParameterError on this one
+        with pytest.raises(DomainError, match=r"value -inf outside domain \(-inf, inf\) of "
+                                              r"generator 'identity'"):
+            call(Interval(-math.inf, 1.0))
+
+    def test_a_box_end_names_the_generator_as_passed(self):
+        # the certificates named a decreasing one in its increasing form
+        with pytest.raises(DomainError, match=r"of generator 'reciprocal'$"):
+            theorem4_bound(make_builtin("reciprocal"), LOG, Interval(-1.0, 2.0))
 
     def test_compare_edgeworth_grid(self):
         dist = parse_distribution("gamma:2:1")

@@ -130,6 +130,7 @@ OBJECTS = [
     ("g_moments", "dist", lambda dist: rm.g_moments(_log(), dist)),
     ("kolmogorov_expectation", "dist", lambda dist: rm.kolmogorov_expectation(_log(), dist)),
     ("asymptotic_variance", "dist", lambda dist: rm.asymptotic_variance(_log(), dist)),
+    ("expect", "dist", lambda dist: rm.expect(dist, np.log)),
     ("edgeworth_cdf", "mom", lambda mom: rm.edgeworth_cdf(0.5, 5, mom)),
     ("edgeworth_corrections", "mom", lambda mom: rm.edgeworth_corrections(0.5, 5, mom)),
 ]

@@ -104,7 +104,7 @@ def _four_free_values(g, h, box, n, points=65):
 
 def _pieces(g, h, box):
     with np.errstate(all="ignore"):
-        return stability._ratio_pieces(stability._normalized_pair(g, h, box), box)[0]
+        return stability._ratio_pieces(stability._normalized_pair(g, h, box, "box"), box)[0]
 
 
 class TestBound:
@@ -385,7 +385,7 @@ class TestReducedPath:
     def test_never_below_the_brute_force(self, pair):
         g, h = (parse_generator(s) for s in pair)
         for box in TestRatioPieces.BOXES:
-            gn, hn, zs = stability._normalized_pair(g, h, box)[:3]
+            gn, hn, zs = stability._normalized_pair(g, h, box, "box")[:3]
             # count-weighted sums round apart from left-to-right row sums, and
             # a blended mean is Newton's, stopped within 1e-13 max(1, |y|) of
             # the blend's value: that over the blend's least slope apart
