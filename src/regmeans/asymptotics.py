@@ -27,10 +27,10 @@ The rule's distances d = 1/(1 + exp(pi sinh t)) from the ends of (0, 1) and
 its weights depend on the step alone, not on the law: they are constants of
 the rule, built once at import for every step (_RULES, 150 KB in 0.14 ms),
 and no law's nodes or values outlive a call.  Each step writes the law's
-raw quantile forms at d (its _quantile and _isf, without the argument check
-and np.errstate of quantile and isf) into one array, its values and weights
-into the next slice of one pair of buffers, and decides on its sums, at
-most four, as Python floats.  Over the benchmark's certify workload's
+raw quantile forms at d (its _quantile and _isf, which take d unchecked
+under the np.errstate the caller holds) into one array, its values and
+weights into the next slice of one pair of buffers, and decides on its
+sums, at most four, as Python floats.  Over the benchmark's certify workload's
 quadrature (five generators, four laws, the three moment functions) that
 took a pass from 11.7 to 7.1 ms, and kolmogorov_expectation(log,
 lognormal:2:1, "quadrature") from 173 to 92 us (best of 30 and of 15 runs,
@@ -149,7 +149,7 @@ def _nodes(dist, d: np.ndarray, skip: int = 0) -> np.ndarray:
 
 def _tail_slope(dist, fn) -> float:
     """The smaller of the log-log slopes of |fn(Q(u))| against u as u -> 0,
-    Q being dist.quantile at the lower end and dist.isf at the upper:
+    Q being dist._quantile at the lower end and dist._isf at the upper:
     fn(Q(u)) ~ u**slope there, not integrable at slope -1 or below.  The
     probes are u = 1e-54 and 1e-60.  A value that is not finite at a probe
     (an overflow) gives -inf; one that vanishes gives 0."""
@@ -260,11 +260,26 @@ def _resolve_method(g: Generator, method: str) -> str:
     return "quadrature" if method == "auto" else method
 
 
+def _require_support(g: Generator, dist, sampled: bool = False) -> None:
+    """DomainError "support of <dist> is not inside the domain of generator
+    <g>" unless dist.support lies inside the closure of g's domain, where
+    g(X) is defined almost surely.  sampled, for draws of dist, asks more:
+    an end the sampler can return (dist._attains_lo) inside the open
+    domain."""
+    dom, sup = g.domain, dist.support
+    if not (dom.lo <= sup.lo and sup.hi <= dom.hi) or (
+            sampled and sup.lo == dom.lo and dist._attains_lo):
+        raise DomainError(
+            f"support of {dist.spec!r} is not inside the domain of generator {g.name!r}")
+
+
 def _g_stats(g: Generator, dist, how: str, order: int) -> tuple:
     """The first ``order`` (1, 2 or 4) of (mean, variance, skewness, excess
     kurtosis) of g(X), from closed forms or by quadrature (``how``, one of
     _resolve_method's answers).
 
+    A support that leaves the closure of g's domain is DomainError
+    (_require_support) before either runs, so both answer it alike.
     Raises DivergenceError naming the first raw moment E[g(X)**k] that
     diverges.  A strictly monotone g of a continuous X has a positive
     variance and fourth central moment, and exp(X) a positive mean: on every
@@ -273,6 +288,7 @@ def _g_stats(g: Generator, dist, how: str, order: int) -> tuple:
     variance with NaN shape.
     """
     _require_instance(dist, DistributionModel, "dist", "a distribution model")
+    _require_support(g, dist)
     where = _pair_words(g, dist)
     if how == "closed_form" and g.kind == "log" and not isinstance(dist, Uniform):
         # ln X's shape is the law's own closed form, not a quotient of

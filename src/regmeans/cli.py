@@ -18,6 +18,8 @@ config echo, which holds every input option of the subcommand as parsed:
 all but --seed (metadata's own key) and --out, --hist and --format, which
 say where output goes and in what form.  An option is declared once, in
 build_parser.  CSV output uses '.' decimals and 17 significant digits.
+A --box, --grid, --data or --returns value that starts with "-" may follow
+its option as the next argument ("--grid -3:3:121"), as any other value.
 
 The output decisions the figure files also make have one owner each: CSV
 tables are figures.csv_table, JSON text is figures.json_text, the simulate
@@ -302,10 +304,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The options whose value may start with "-": a box or grid "-3:3:121", a
+# data or returns list "-1,2".  argparse takes such a token for an option
+# unless it is a plain negative number, so main joins it to its option.
+_SIGNED_VALUES = frozenset({"--box", "--grid", "--data", "--returns"})
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """argv with each "--grid -3:3:121" (an option of _SIGNED_VALUES, then a
+    token that starts with "-" and is not an option or -h) written as the
+    one token "--grid=-3:3:121", which argparse reads as given."""
+    out = []
+    for token in argv:
+        if (out and out[-1] in _SIGNED_VALUES and token.startswith("-")
+                and not token.startswith("--") and token != "-h"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse printed its own message
         return int(exc.code or 0)
     try:

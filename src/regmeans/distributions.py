@@ -9,16 +9,15 @@ parser's usage texts are read off the same fields.  Each carries a seeded
 sampler sample(n, rng, *, out=None), exact quantile forms and closed-form
 moment machinery:
 
-    quantile(u)      Q(u); isf(u) is Q(1 - u) without the cancellation
     power_moment(t)  E[X**t] for real t (inf when divergent)
     mgf(t)           E[exp(tX)] (inf when divergent; ConfigurationError where
                      there is no closed form: t < 0 or NaN for LogNormal, Pareto)
     log_moments()    mean/variance/skewness/excess kurtosis of ln X
 
-A law declares its two quantile forms raw, _quantile(v) = Q(v) and _isf(v)
-= Q(1 - v), with no check; quantile and isf, on the base, check u once
-(_at_u) and call them.  The quadrature calls the raw forms directly, on
-its own nodes, under the np.errstate its callers hold.
+A law's quantile forms are its _quantile(v) = Q(v) and _isf(v) = Q(1 - v),
+the latter without the cancellation of 1 - v.  They take an array of v in
+(0, 1) unchecked: their one caller, the quadrature of asymptotics, gives
+them its own nodes under the np.errstate it holds.
 
 Gamma is parameterized shape-rate.  Pareto defaults to scale 1.  A sample
 size n that is not an integer >= 1 is InvalidParameterError.
@@ -33,9 +32,8 @@ need no scipy: Gamma's take math.lgamma, exact products at integer orders
 and the digamma series of _polygamma.  Only the quantile forms of
 LogNormal and Gamma import scipy.special, on first use: after regmeans it
 takes 0.20-0.27 s and raises the resident set from about 30 to 53 MB (3
-runs on a 2-vCPU host).  Quadrature and its tail screen call them, on
-arrays of nodes (quantile and isf of a number give a float); sampling,
-means and the Monte Carlo harness do not.
+runs on a 2-vCPU host).  Quadrature and its tail screen call them;
+sampling, means and the Monte Carlo harness do not.
 
 sample draws into out where given (the Monte Carlo harness passes each
 worker's kept buffer), else into a new array, and transforms the draws in
@@ -51,7 +49,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, InvalidParameterError, NumericError
-from .generators import Interval, _real_array, _require_real, _spec_number, require_count
+from .generators import Interval, _require_instance, _require_real, _spec_number, require_count
 
 __all__ = [
     "LogNormal",
@@ -118,11 +116,13 @@ def _central(raws) -> tuple:
     return r1, central
 
 
-def _draw_buffer(n, out) -> np.ndarray:
-    """The array a sampler fills with n draws: out, which must be a
+def _draw_buffer(n, rng, out) -> np.ndarray:
+    """The array a sampler fills with n draws from rng: out, which must be a
     writable, aligned, C-contiguous float64 array of shape (n,), else
-    InvalidParameterError; a new array when out is None."""
+    InvalidParameterError; a new array when out is None.  An rng that is
+    not a numpy.random.Generator is InvalidParameterError too."""
     n = require_count(n, "n", 1)
+    _require_instance(rng, np.random.Generator, "rng", "a numpy.random.Generator")
     if out is None:
         return np.empty(n)
     if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (n,)
@@ -131,21 +131,6 @@ def _draw_buffer(n, out) -> np.ndarray:
             f"out must be a writable, aligned, contiguous float64 array of shape ({n},), "
             f"got {out!r:.80}")
     return out
-
-
-def _at_u(u, f):
-    """f at the values of u, which must be real numbers strictly in (0, 1),
-    else InvalidParameterError; a float for a scalar u.  A quantile beyond
-    the float range (a power that overflows) is inf."""
-    arr = _real_array(u, "quantile argument")
-    # a NaN propagates through both reductions and fails both checks; the
-    # initial 1/2 passes, so an empty u does too
-    if not (np.minimum.reduce(arr, axis=None, initial=0.5) > 0.0
-            and np.maximum.reduce(arr, axis=None, initial=0.5) < 1.0):
-        raise InvalidParameterError("quantile argument must lie strictly in (0, 1)")
-    with np.errstate(over="ignore"):
-        out = f(arr)
-    return out if out.ndim else float(out)
 
 
 # Integer orders of Gamma.power_moment up to this size are exact products.
@@ -199,16 +184,6 @@ class _Law:
         """The law as an error names it (see _in_range)."""
         return repr(self.spec)
 
-    def quantile(self, u):
-        """Q(u), the law's _quantile behind the check of _at_u."""
-        return _at_u(u, self._quantile)
-
-    def isf(self, u):
-        """Upper-tail quantile: isf(u) = quantile(1-u), computed without the
-        1-u cancellation so tiny u stay resolvable (the law's _isf, behind
-        the check of _at_u)."""
-        return _at_u(u, self._isf)
-
     def mgf(self, t: float):
         """A heavy tail's E[exp(tX)]; Gamma and Uniform have their own."""
         if t >= 0:
@@ -235,7 +210,8 @@ class LogNormal(_Law):
         return math.sqrt(self.sigma2)
 
     def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
-        x = rng.standard_normal(out=_draw_buffer(n, out))
+        x = _draw_buffer(n, rng, out)
+        rng.standard_normal(out=x)
         x *= self.sigma
         x += self.mu
         return np.exp(x, out=x)
@@ -273,7 +249,8 @@ class Gamma(_Law):
 
     def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
         # rng.gamma(k, s) is s * standard_gamma(k), bit for bit
-        x = rng.standard_gamma(self.shape, out=_draw_buffer(n, out))
+        x = _draw_buffer(n, rng, out)
+        rng.standard_gamma(self.shape, out=x)
         x *= 1.0 / self.rate
         return x
 
@@ -339,7 +316,8 @@ class Uniform(_Law):
         return Interval(self.lo, self.hi)
 
     def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
-        x = rng.random(out=_draw_buffer(n, out))
+        x = _draw_buffer(n, rng, out)
+        rng.random(out=x)
         x *= self.hi - self.lo
         x += self.lo
         return x
@@ -435,7 +413,8 @@ class Pareto(_Law):
     def sample(self, n: int, rng: np.random.Generator, *, out=None) -> np.ndarray:
         # inverse CDF with U in (0, 1]: rng.random() is [0, 1), so 1-U never
         # hits the singular endpoint
-        x = rng.random(out=_draw_buffer(n, out))
+        x = _draw_buffer(n, rng, out)
+        rng.random(out=x)
         np.subtract(1.0, x, out=x)
         x **= -1.0 / self.alpha
         x *= self.scale

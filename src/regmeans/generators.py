@@ -200,7 +200,8 @@ class Generator:
     ``kind`` is one of the built-in kind names or "custom"; closed-form
     moments and the anchored exp and power means key off it.  ``param`` is
     the exponent of a power generator, a real number >= 1e-6, else None.
-    Any other kind, param or direction is InvalidParameterError.
+    A domain that is not an Interval, or any other kind, param or direction,
+    is InvalidParameterError.
     """
 
     name: str
@@ -213,6 +214,7 @@ class Generator:
     param: float | None = None
 
     def __post_init__(self) -> None:
+        _require_interval(self.domain, "domain")
         if self.kind not in (*BUILTIN_KINDS, "custom"):
             raise InvalidParameterError(f"unknown generator kind {self.kind!r}")
         if self.monotone_direction not in ("increasing", "decreasing"):

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import (AsymptoticSpec, GMoments, _edgeworth_cdf, _real_points,
-                          asymptotic_variance, g_moments, phi_cdf)
+                          _require_support, asymptotic_variance, g_moments, phi_cdf)
 from .distributions import DistributionModel
 from .errors import ConfigurationError, DivergenceError, DomainError
 from .generators import (Generator, Interval, _real_array, _require_instance, _require_interval,
@@ -145,24 +145,17 @@ def thread_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _support_in_domain(g: Generator, dist) -> bool:
-    dom, sup = g.domain, dist.support
-    # the domain is open: a sampler that can return support.lo exactly
-    # (_attains_lo) needs it inside
-    return (sup.lo > dom.lo or (sup.lo == dom.lo and not dist._attains_lo)) and sup.hi <= dom.hi
-
-
 def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> SimulationReport:
     """Run one (distribution x generator) scenario, cfg a ScenarioConfig
     (else InvalidParameterError).
 
-    Raises ConfigurationError when the distribution's support leaves the
-    generator's domain, and DivergenceError when var(g(X)) diverges, both
-    before any sampling.  threads (an integer >= 1, else
-    InvalidParameterError) spread the replicate blocks over a pool; the
-    statistics do not depend on it.  A block's set-up holds the interpreter
-    lock, so the pool gains only where values are costly to draw or
-    transform."""
+    Raises DomainError when the distribution's support leaves the
+    generator's domain or its sampler can return an end of that domain, and
+    DivergenceError when var(g(X)) diverges, both before any sampling.
+    threads (an integer >= 1, else InvalidParameterError) spread the
+    replicate blocks over a pool; the statistics do not depend on it.  A
+    block's set-up holds the interpreter lock, so the pool gains only where
+    values are costly to draw or transform."""
     cfg = _require_instance(cfg, ScenarioConfig, "cfg", "a ScenarioConfig")
     return _run_group([cfg], require_count(threads, "threads", 1))[0]
 
@@ -176,9 +169,7 @@ def _run_group(cfgs: list[ScenarioConfig], threads: int = 1) -> list[SimulationR
     specs = []
     for cfg in cfgs:
         g = cfg.generator
-        if not _support_in_domain(g, dist):
-            raise ConfigurationError(
-                f"support of {dist.spec!r} is not inside the domain of generator {g.name!r}")
+        _require_support(g, dist, sampled=True)
         # DivergenceError on infinite var(g(X)), NumericError on a limiting
         # variance beyond the float range or below the normal range
         specs.append(asymptotic_variance(g, dist))

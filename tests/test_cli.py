@@ -419,3 +419,25 @@ def test_the_config_echo_holds_every_input_option(command, tmp_path, capsys):
     assert payload["command"] == command
     assert payload["metadata"] == {"version": __version__, "seed": 3,
                                    "config": {k: getattr(parsed, k) for k in options}}
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    ("edgeworth --generator log --dist gamma:2:1 --n 10 --grid -3:3:121",
+     "edgeworth --generator log --dist gamma:2:1 --n 10"),  # the default grid
+    ("stability --g identity --h exp --box -1:1", "stability --g identity --h exp --box=-1:1"),
+    ("mean --generator identity --data -1,2,4", "mean --generator identity --data=-1,2,4"),
+    ("portfolio --returns -5,10 --percent", "portfolio --returns=-5,10 --percent"),
+], ids=["grid", "box", "data", "returns"])
+def test_a_value_that_starts_with_a_minus_may_follow_its_option(spaced, joined, capsys):
+    # argparse took each spaced value for an option: exit 2, "expected one
+    # argument"
+    outputs = []
+    for argv in (spaced, joined):
+        assert main(argv.split()) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_an_option_after_a_value_option_is_not_its_value(capsys):
+    assert main(["stability", "--g", "log", "--h", "identity", "--box", "--n", "3"]) == 2
+    assert "--box: expected one argument" in capsys.readouterr().err

@@ -84,6 +84,8 @@ BOXES = [
     ("min_slope", "B", lambda box: rm.min_slope(_log(), box)),
     ("compare_edgeworth", "grid",
      lambda box: rm.compare_edgeworth(_report(), _mom(), 5, grid=box)),
+    ("Generator", "domain",
+     lambda box: rm.Generator("c", box, np.log, np.exp, np.reciprocal, "increasing")),
 ]
 
 
@@ -92,7 +94,8 @@ BOXES = [
 @pytest.mark.parametrize("box", [(1.0, 2.0), [1.0, 2.0], "1:2"], ids=repr)
 def test_box_that_is_not_an_interval_is_rejected(owner, name, call, box):
     # each but compare_edgeworth raised a bare AttributeError (no .lo); None
-    # is check_axioms' default box
+    # is check_axioms' default box.  Generator took any domain, and its
+    # first mean raised the bare AttributeError
     with pytest.raises(InvalidParameterError, match=rf"^{name} must be an Interval"):
         call(box)
 
@@ -131,6 +134,7 @@ OBJECTS = [
     ("kolmogorov_expectation", "dist", lambda dist: rm.kolmogorov_expectation(_log(), dist)),
     ("asymptotic_variance", "dist", lambda dist: rm.asymptotic_variance(_log(), dist)),
     ("expect", "dist", lambda dist: rm.expect(dist, np.log)),
+    ("sample", "rng", lambda rng: rm.Uniform(1.0, 2.0).sample(3, rng)),
     ("edgeworth_cdf", "mom", lambda mom: rm.edgeworth_cdf(0.5, 5, mom)),
     ("edgeworth_corrections", "mom", lambda mom: rm.edgeworth_corrections(0.5, 5, mom)),
 ]
@@ -141,8 +145,8 @@ OBJECTS = [
 @pytest.mark.parametrize("value", [None, 3, ["gamma:2:1"]], ids=repr)
 def test_object_of_the_wrong_type_is_rejected(owner, name, call, value):
     # the first three raised a bare AttributeError, reproduce_figure1 and 2
-    # a bare TypeError from Path, and each g, h, dist and mom a bare
-    # AttributeError
+    # a bare TypeError from Path, and each g, h, dist and mom, and a
+    # sampler's rng, a bare AttributeError
     with pytest.raises(InvalidParameterError, match=rf"^{name} must be a"):
         call(value)
 
@@ -201,15 +205,12 @@ def test_real_points_pass(call, x):
 ARRAYS = [
     ("empirical_cdf", rm.empirical_cdf),
     ("ks_statistic", lambda x: rm.ks_statistic(x, rm.phi_cdf)),
-    ("quantile", lambda x: rm.Uniform(1.0, 2.0).quantile(x)),
-    ("isf", lambda x: rm.Uniform(1.0, 2.0).isf(x)),
     ("mean", lambda x: rm.mean(_log(), x)),
 ]
 
 
-# empirical_cdf(["a"]) and quantile("a") raised numpy's bare ValueError,
-# ks_statistic([1j], ...) and quantile(0.5+0j) a bare TypeError, and
-# mean(identity, "12") answered 12.0
+# empirical_cdf(["a"]) raised numpy's bare ValueError, ks_statistic([1j],
+# ...) a bare TypeError, and mean(identity, "12") answered 12.0
 @pytest.mark.parametrize("call", [pytest.param(call, id=owner) for owner, call in ARRAYS])
 @pytest.mark.parametrize("x", ["a", "0.5", ["0.5", "0.6"], 0.5 + 0j, [1j], None,
                                [[0.5, 0.6], [0.7]]], ids=repr)
@@ -218,10 +219,8 @@ def test_values_that_are_not_real_numbers_are_rejected(call, x):
         call(x)
 
 
-# empirical_cdf(None) said "got a NaN value"; quantile and isf take a NaN as
-# outside (0, 1), InvalidParameterError (tests/test_distributions.py)
-@pytest.mark.parametrize("call", [pytest.param(call, id=owner) for owner, call in ARRAYS
-                                  if owner not in ("quantile", "isf")])
+# empirical_cdf(None) said "got a NaN value"
+@pytest.mark.parametrize("call", [pytest.param(call, id=owner) for owner, call in ARRAYS])
 @pytest.mark.parametrize("x", [math.nan, [0.5, math.nan]], ids=repr)
 def test_nan_value_is_domain_error(call, x):
     with pytest.raises(DomainError):

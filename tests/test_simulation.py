@@ -382,7 +382,16 @@ class TestRunScenario:
             replicates=10,
             seed=0,
         )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError, match="^support of 'uniform:-1:1' is not inside the "
+                                              "domain of generator 'log'$"):
+            run_scenario(cfg)
+
+    def test_a_sampled_end_of_the_domain_is_rejected(self):
+        # the moments take uniform:0:1 under log (its support is in the
+        # domain's closure); its sampler can return 0, where log is -inf
+        cfg = ScenarioConfig(Uniform(0.0, 1.0), parse_generator("log"), n=10, replicates=10,
+                             seed=0)
+        with pytest.raises(DomainError, match="is not inside the domain of generator 'log'"):
             run_scenario(cfg)
 
     def test_uniform_with_real_line_generator_allowed(self):

@@ -8,8 +8,7 @@ end in.  On the certificates' arrays of a few thousand values, and the
 quadrature's of a few hundred nodes, those frames cost more than the
 arithmetic, and a last-axis .max or .min of short rows costs about 50 ns a
 row besides.  stability.py, the row path of means.py and the quadrature of
-asymptotics.py and distributions.py call the ufuncs and their reductions
-instead (np.logical_and.reduce, np.add.reduce, np.minimum(np.maximum(...)),
+asymptotics.py call the ufuncs and their reductions instead (np.logical_and.reduce, np.add.reduce, np.minimum(np.maximum(...)),
 slice differences, buffers filled slice by slice, means._row_extreme and
 means._row_sum), and this guard keeps the wrappers out.
 """
@@ -19,7 +18,7 @@ import inspect
 
 import pytest
 
-from regmeans import asymptotics, distributions, means, stability
+from regmeans import asymptotics, means, stability
 
 WRAPPERS = {"all", "any", "sum", "clip", "diff", "moveaxis", "isin", "concatenate", "max", "min",
             "amax", "amin"}
@@ -27,8 +26,7 @@ WRAPPERS = {"all", "any", "sum", "clip", "diff", "moveaxis", "isin", "concatenat
 ROW_PATH = ("row_means", "row_means_in_domain", "_row_kernel", "_tall", "_row_extreme",
             "_row_sum", "_anchored", "_power", "_power_rows", "means_from_sums", "check_axioms")
 # the functions each step of the quadrature runs through
-QUADRATURE = ((asymptotics, "_tail_slope"), (asymptotics, "_nodes"), (asymptotics, "_moments"),
-              (distributions, "_at_u"))
+QUADRATURE = ((asymptotics, "_tail_slope"), (asymptotics, "_nodes"), (asymptotics, "_moments"))
 
 
 def _wrapper_calls(tree) -> list[str]:
