@@ -53,7 +53,7 @@ from .errors import (
     DomainError,
     InvalidParameterError,
 )
-from .generators import Generator, _real_array, _require_instance, _vectorized, require_count
+from .generators import Generator, _at, _real_array, _require_instance, _vectorized, require_count
 
 __all__ = [
     "GMoments",
@@ -328,13 +328,14 @@ def _pair_words(g: Generator, dist):
 def _eg(g: Generator, mean_g: float, where) -> float:
     """E_g = g_inv(mean_g) as a float; one beyond the float range is
     NumericError by the rule of distributions._in_range.  The inverse runs
-    on a one-value array, as every call of a generator's callables does,
-    with float errors ignored, whatever np.errstate the caller holds: a
-    division by zero or an overflow gives inf there, where a Python float
-    raises ZeroDivisionError or OverflowError."""
+    as generators._at runs a callable at one value (a custom one on a
+    one-value array, checked, and the library's own on a numpy float), with
+    float errors ignored, whatever np.errstate the caller holds: a division
+    by zero or an overflow gives inf there, where a Python float raises
+    ZeroDivisionError or OverflowError."""
     with np.errstate(all="ignore"):
-        return _in_range(lambda: _vectorized(g.inverse, np.array([mean_g]), "inverse",
-                                             g.name).item(), lambda: "E_g", where, positive=False)
+        return _in_range(lambda: _at(g.inverse, mean_g, "inverse", g.name), lambda: "E_g", where,
+                         positive=False)
 
 
 def kolmogorov_expectation(g: Generator, dist, method: str = "auto") -> float:
@@ -369,15 +370,15 @@ def asymptotic_variance(g: Generator, dist, method: str = "auto") -> AsymptoticS
     the smallest normal float it is NumericError.
 
     E_g and g' at E_g come under one range rule.  An E_g beyond the float
-    range is NumericError (see kolmogorov_expectation).  g' runs on a
-    one-value array, as the inverse does in _eg; a g' at E_g that is 0 or
+    range is NumericError (see kolmogorov_expectation).  g' runs at one
+    value as the inverse does in _eg; a g' at E_g that is 0 or
     not finite is DegenerateSlopeError, or NumericError where E_g has
     underflowed: to a subnormal, or to 0 off the domain of g."""
     where = _pair_words(g, dist)
     mean_g, var_g = _g_stats(g, dist, _resolve_method(g, method), 2)
     eg = _eg(g, mean_g, where)
     with np.errstate(all="ignore"):
-        gp = _vectorized(g.derivative, np.array([eg]), "derivative", g.name).item()
+        gp = _at(g.derivative, eg, "derivative", g.name)
     if not math.isfinite(gp) or gp == 0.0:
         if eg != 0.0 or not g.domain.lo < 0.0 < g.domain.hi:
             # the slope of the rounding, not of g: "underflows" by the one rule

@@ -396,6 +396,25 @@ class TestKolmogorovExpectation:
         got = kolmogorov_expectation(parse_generator(g), parse_distribution(dist))
         assert got == pytest.approx(want, rel=rel, abs=0.0)
 
+    @pytest.mark.parametrize("spec", ["log", "power:0.5"])
+    @pytest.mark.parametrize("dist", ["uniform:0:1", "uniform:0:2.5"])
+    @pytest.mark.parametrize("fn", [kolmogorov_expectation, asymptotic_variance, g_moments])
+    def test_uniform_from_zero_has_closed_forms(self, fn, dist, spec):
+        # ln x and x**-0.5 are integrable at 0: both closed forms raised
+        # DomainError there
+        g, law = parse_generator(spec), parse_distribution(dist)
+        closed = fn(g, law, method="closed_form")
+        quad = fn(g, law, method="quadrature")
+        if not isinstance(closed, float):  # every float of the result, not its method
+            closed, quad = ([v for v in dataclasses.astuple(r) if isinstance(v, float)]
+                            for r in (closed, quad))
+        assert closed == pytest.approx(quad, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("spec, want", [("log", math.exp(-1.0)), ("power:0.5", 4.0 / 9.0)])
+    def test_uniform_from_zero_expectation(self, spec, want):
+        got = kolmogorov_expectation(parse_generator(spec), Uniform(0.0, 1.0), method="closed_form")
+        assert got == pytest.approx(want, rel=1e-15)
+
     @pytest.mark.parametrize("fn", [kolmogorov_expectation, g_moments])
     def test_log_of_a_uniform_reaching_zero_is_domain_error(self, fn):
         with pytest.raises(DomainError, match="is not inside the domain of generator 'log'"):

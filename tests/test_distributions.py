@@ -239,6 +239,21 @@ class TestSampling:
             dist.sample(3, rng, out=buf)
         assert np.isnan(buf).all()  # nothing drawn
 
+    @pytest.mark.parametrize("n", [1, 7, 1000, 1001, 2 ** 15])
+    def test_gamma_of_shape_one_draws_numpy_s_exponentials(self, n):
+        # at shape 1 numpy's standard_gamma is its standard_exponential: the
+        # same values and the same stream state after them.  Gamma(1, rate)
+        # draws the exponentials; if numpy ever breaks this, that branch goes
+        rng_a, rng_b = np.random.default_rng(n), np.random.default_rng(n)
+        a, b = np.empty(n), np.empty(n)
+        rng_a.standard_exponential(out=a)
+        rng_b.standard_gamma(1.0, out=b)
+        assert a.tobytes() == b.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        got = Gamma(1.0, 2.5).sample(n, rng_a)
+        assert got.tobytes() == rng_b.gamma(1.0, 1.0 / 2.5, n).tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
     def test_gamma_rate_convention(self):
         # rate, not scale: Gamma(2, 4) has mean 1/2
         x = Gamma(2.0, 4.0).sample(200_000, np.random.default_rng(2))
@@ -310,6 +325,12 @@ class TestMoments:
 
     def test_power_moment_minus_one_special_case(self):
         assert Uniform(1.0, 2.0).power_moment(-1.0) == pytest.approx(math.log(2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("hi", [1.0, 2.5])
+    @pytest.mark.parametrize("t", [-0.5, 0.5, 2.5])
+    def test_uniform_power_moment_from_zero(self, t, hi):
+        # x**t is integrable at 0 for t > -1: hi**t / (t + 1)
+        assert Uniform(0.0, hi).power_moment(t) == pytest.approx(hi ** t / (t + 1.0), rel=1e-15)
 
     def test_uniform_power_moment_across_zero(self):
         d = Uniform(-1.0, 2.0)

@@ -23,6 +23,7 @@ from regmeans import (ConfigurationError, DomainError, Generator, Interval,
                       kolmogorov_expectation, make_builtin, mean, min_slope,
                       parse_distribution, run_scenario, theorem4_bound, verify_stability)
 from regmeans.cli import main
+from regmeans.means import row_means
 
 LOG = make_builtin("log")
 IDENTITY = make_builtin("identity")
@@ -39,6 +40,18 @@ def _custom(name, forward=np.log, inverse=np.exp, derivative=lambda x: 1.0 / x):
 SCALAR_ONLY = _custom("c", math.log, math.exp)
 CONSTANT = _custom("k", forward=lambda x: 0.5)
 SCALAR_INVERSE = _custom("m", inverse=math.exp)
+
+# a generator of each built-in kind but power, hand-built on math: trust in
+# its callables is decided by their identity, never by its kind
+REAL_LINE = Interval(-math.inf, math.inf)
+MATH_KINDS = {
+    "identity": (REAL_LINE, lambda x: math.ldexp(x, 0), lambda y: math.ldexp(y, 0)),
+    "log": (POSITIVE, math.log, math.exp),
+    "reciprocal": (POSITIVE, lambda x: math.pow(x, -1.0), lambda y: math.pow(y, -1.0)),
+    "exp": (REAL_LINE, math.exp, math.log),
+}
+BUILTIN_FORWARD = {kind: make_builtin(kind).forward for kind in MATH_KINDS}
+ROWS = np.array([[1.0, 2.0], [3.0, 4.0]])
 
 PUBLIC = {
     "mean": lambda g: mean(g, [1.0, 2.0]),
@@ -82,6 +95,30 @@ class TestGeneratorCallables:
         # for g'(E_g)
         with pytest.raises(ConfigurationError, match="derivative of generator 'd' mapped"):
             call(_custom("d", derivative=lambda x: 2.0))
+
+    @pytest.mark.parametrize("kind", MATH_KINDS)
+    @pytest.mark.parametrize("call", [lambda g: mean(g, [1.0, 2.0]), lambda g: row_means(g, ROWS)],
+                             ids=["mean", "row_means"])
+    def test_a_built_in_kind_on_scalar_only_callables(self, call, kind):
+        # the exp kind's mean is anchored: its forward sees x - max x
+        domain, forward, inverse = MATH_KINDS[kind]
+        g = Generator(kind, domain, forward, inverse, lambda x: x, "increasing", kind=kind)
+        with pytest.raises(ConfigurationError, match=f"forward of generator '{kind}' must be "
+                                                     "vectorized"):
+            call(g)
+
+    @pytest.mark.parametrize("kind", MATH_KINDS)
+    @pytest.mark.parametrize("call", [lambda g: mean(g, [1.0, 2.0]), lambda g: row_means(g, ROWS)],
+                             ids=["mean", "row_means"])
+    def test_a_built_in_forward_with_a_scalar_only_inverse(self, call, kind):
+        # the library's own forward is called directly; the inverse is still
+        # checked, on a one-value array
+        domain, _, inverse = MATH_KINDS[kind]
+        g = Generator(kind, domain, BUILTIN_FORWARD[kind], inverse, lambda x: x, "increasing",
+                      kind=kind)
+        with pytest.raises(ConfigurationError, match=f"inverse of generator '{kind}' must be "
+                                                     "vectorized"):
+            call(g)
 
     def test_the_callables_see_only_float_arrays(self):
         seen = []

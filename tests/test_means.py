@@ -192,8 +192,11 @@ _SPANNING = [5e-324] * 7 + [1.7e308]  # x**p relative to the max underflows
 
 def _contract_inputs(test):
     """Every mean entry point on any floats (NaN, infinities, subnormals,
-    +-1e300) as the sample, and any float as power_mean's exponent."""
-    test = given(xs=st.lists(st.floats(), max_size=8), p=st.floats())(test)
+    +-1e300) as the sample, up to 8 of them or 9 to 200 (both sides of the
+    domain check's list path), and any float as power_mean's exponent."""
+    xs = st.one_of(st.lists(st.floats(), max_size=8), st.lists(st.floats(), min_size=9,
+                                                                max_size=200))
+    test = given(xs=xs, p=st.floats())(test)
     for xs, p in [([1.0, math.nan], 2.0), ([1.0, math.inf], -1.0), ([1e-200, 1e-200], 5e-324),
                   ([-1000.0, -1000.0], -5e-324), ([5e-324, 1e300], 2.0), (_SPANNING, 2e-3),
                   ([-1000.0, 0.0], 1.0)]:
@@ -247,15 +250,53 @@ _POWER_1E6 = parse_generator("power:1e-6")
     (lambda: power_mean(-2e-3, [5e-324] * 99 + [1.0]), None),
     (lambda: row_means(parse_generator("exp"), np.array([[-1000.0, 0.0]])), None),
     (lambda: row_means(parse_generator("identity"), np.array([[5e-324, 0.0]])), None),
+    # either side of each bound past which a mean of a built-in generator
+    # holds np.errstate(all="ignore"), and none inside: identity never
+    (lambda: mean(parse_generator("identity"), [5e-324, 1e308, -1e308]), None),
+    # log, reciprocal: the ends [1e-300, 1e300] of the float range
+    (lambda: mean(parse_generator("log"), [1e-300, 1.0]), None),
+    (lambda: mean(parse_generator("log"), [5e-324, 1e-300]), None),  # a subnormal mean
+    (lambda: mean(parse_generator("reciprocal"), [1e300, 1.0]), None),
+    (lambda: mean(parse_generator("reciprocal"), [1e308, 1.0]), None),  # 1 / x is subnormal
+    (lambda: mean(parse_generator("reciprocal"), [1e-310, 1.0]), NumericError),  # 1 / x overflows
+    # exp: the span max x - min x, 700
+    (lambda: exp_mean_stable([-699.0, 0.0]), None),
+    (lambda: exp_mean_stable([-709.0, 0.0]), None),
+    (lambda: mean(parse_generator("exp"), [-1e308, 1e308]), None),  # x - max x overflows
+    # power: the ends, and the span |p| log(max x / min x), 700
+    (lambda: power_mean(2.0, [1e-150, 1.0]), None),
+    (lambda: power_mean(2.0, [1e-160, 1.0]), None),
+    (lambda: power_mean(-2.0, [1.0, 1e160]), None),
+    (lambda: mean(parse_generator("power:2"), [1e-160, 1.0]), None),
+    (lambda: power_mean(1e-20, [5e-324, 1e-310]), None),  # a subnormal geometric mean
+    # no span, but numpy's log of this x is an ulp below math.log's, and
+    # 1e300 times that ulp leaves the float range
+    (lambda: power_mean(1e300, [2.21972857392358] * 2), NumericError),
 ], ids=["mean", "power_mean", "row_means-power", "mean-subnormal", "power_mean-subnormal",
-        "row_means-exp", "row_means-subnormal-average"])
+        "row_means-exp", "row_means-subnormal-average", "identity-ends", "log-inside",
+        "log-subnormal-mean", "reciprocal-inside", "reciprocal-subnormal", "reciprocal-overflow",
+        "exp-span-699", "exp-span-709", "exp-span-overflow", "power-span-691",
+        "power-span-737", "power-negative-span-737", "mean-power-span-737",
+        "power-subnormal-end", "power-huge-exponent"])
 def test_underflow_is_the_same_answer_when_float_errors_raise(call, want):
-    default = np.asarray(call())
+    default = _outcome(call)
     with np.errstate(all="raise"):
-        strict = np.asarray(call())
-    assert strict.tolist() == default.tolist()
-    if want is not None:
-        assert np.all(default == want)
+        strict = _outcome(call)
+    assert strict == default
+    if isinstance(want, type):  # the same error on both sides
+        assert default[0] is want
+    else:
+        assert not isinstance(default, tuple)
+        if want is not None:
+            assert np.all(np.asarray(default) == want)
+
+
+def _outcome(call):
+    """call()'s values as a list, or its RegularMeanError as (class, text)."""
+    try:
+        return np.asarray(call()).tolist()
+    except RegularMeanError as exc:
+        return type(exc), str(exc)
 
 
 def _array_tail(c, log_c, r):
@@ -265,13 +306,22 @@ def _array_tail(c, log_c, r):
     return float(np.where(np.abs(r) < 700.0, c * np.exp(np.minimum(r, 700.0)), np.exp(log_c + r)))
 
 
+def _reference_kernel(x, forward, inverse):
+    """inverse(fsum(forward(x)) / n), the inverse on a one-value array and
+    float errors ignored: the mean kernel as it was before it ran on
+    floats."""
+    with np.errstate(all="ignore"):
+        total = math.fsum(forward(x).tolist())
+        return inverse(np.array([total / x.size])).item()
+
+
 def _anchored_power_mean(p, x, branches):
     """M_p(x) anchored at its max (min for p < 0), every log taken afresh
     and the tail on 0-d arrays; records in branches whether |r| < 700."""
     arr = np.asarray(x, dtype=float)
     c = arr.max() if p > 0 else arr.min()
     log_c = np.log(c)
-    r = means._kernel(arr, lambda t: np.exp(p * (np.log(t) - log_c)), lambda y: np.log(y) / p)
+    r = _reference_kernel(arr, lambda t: np.exp(p * (np.log(t) - log_c)), lambda y: np.log(y) / p)
     branches.add(abs(r) < 700.0)
     return min(max(_array_tail(c, log_c, r), float(arr.min())), float(arr.max()))
 
@@ -284,7 +334,7 @@ def _recomputed_power_mean(p, x, branches):
     if top < 0.1:
         fwd, inv = ((lambda t: t), np.exp) if top < means._EPS else (
             (lambda t: np.expm1(p * t)), (lambda y: np.exp(np.log1p(y) / p)))
-        return min(max(means._kernel(logs, fwd, inv), min(x)), max(x))
+        return min(max(_reference_kernel(logs, fwd, inv), min(x)), max(x))
     return _anchored_power_mean(p, x, branches)
 
 
