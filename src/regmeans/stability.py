@@ -33,9 +33,9 @@ step of r within rounding of zero counting as neither sign:
 r monotone on a piece makes h'/g' monotone there too, and with it
 g'/k_t' = 1/((1-t) + t h'/g'), so the blends share the pieces of r and
 reduce the same way, with the same partner y.  Each family of count
-triples is maximised over z in three evaluations of its rows: on a grid, on
-a narrow stencil about the peak of the quartic through the best grid z and
-two neighbours each side, and at the peak of the quartic through the
+triples is maximised over z in three evaluations of its rows: on a grid,
+on a narrow stencil about the peak of the quartic through the best grid z
+and two neighbours each side, and at the peak of the quartic through the
 stencil.  The triples are streamed in blocks of at most _BLOCK_ROWS rows.
 
 The blended means invert k_t = (1-t) g + t h, increasing on the box.  M_t
@@ -57,10 +57,21 @@ the same bits.  With the row path of means, this cut numpy's Python-level
 calls over a pass of the benchmark's certify workload from 22 552 to
 10 595, and its latency from a median of 102.7 to 84.0 ms (five
 alternating pairs of runs on a 2-vCPU host).
+
+The rows take few numpy calls too, with the same bits.  A row's sum is
+(k_a g(a) + k_b g(b)) + k_z g(z) in Python's order, so each block forms
+the bracket once for its three evaluations, and g and h are read on the
+grid of z once for every block.  Rows of t = 1 alone (all of
+verify_stability's) take no blend.  The distinct interior t are the
+leading slice of every evaluation, and their (1-t, t) columns broadcast
+through Newton against rows of shape (t, triples, z).  This took the
+certify workload's latency from a median of 74.3 to 70.8 ms (twelve
+alternating pairs of runs on a 2-vCPU host, faster in eleven).
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, asdict
 
@@ -118,7 +129,7 @@ _PARTNER_HALVINGS = 53
 # From five values one unit apart to the slope of the quartic through them
 # at u: its coefficients of 1, u, u**2 and u**3, times 12.
 _SLOPE = np.array([[1.0, -8.0, 0.0, 8.0, -1.0], [-1.0, 16.0, -30.0, 16.0, -1.0],
-                   [-3.0, 6.0, 0.0, -6.0, 3.0], [2.0, -8.0, 12.0, -8.0, 2.0]])
+                   [-3.0, 6.0, 0.0, -6.0, 3.0], [2.0, -8.0, 12.0, -8.0, 2.0]]).T
 # g and h in increasing form, the axis, and g, h, g' and h' read on it
 _Pair = namedtuple("_Pair", "gn hn axis g h dg dh")
 
@@ -263,12 +274,14 @@ def _peak(f: np.ndarray) -> np.ndarray:
     from the highest value, within a unit of it, and none where it does not
     bend down.  Two, since a value near a peak moves by the square of the
     offset's error."""
-    s = f @ _SLOPE.T
-    s0, s1, s2, s3 = (s[..., k] for k in range(4))
+    s = f @ _SLOPE
+    s0, s1, s2, s3 = s[..., 0], s[..., 1], s[..., 2], s[..., 3]
+    # the slope's own slope is s1 + u (2 s2 + 3 s3 u)
+    s2_twice, s3_thrice = 2.0 * s2, 3.0 * s3
     u = f.argmax(axis=-1) - 2.0
     lo, hi = u - 1.0, u + 1.0
     for _ in range(2):
-        bend = s1 + u * (2.0 * s2 + 3.0 * s3 * u)
+        bend = s1 + u * (s2_twice + s3_thrice * u)
         u = np.where(bend < 0.0, np.minimum(np.maximum(
             u - (s0 + u * (s1 + u * (s2 + s3 * u))) / bend, lo), hi), u)
     return u[..., None]
@@ -281,18 +294,23 @@ def _into(box: Interval, x: np.ndarray) -> np.ndarray:
 
 
 def _counts(n: int, lo: int, hi: int) -> tuple:
-    """(k_a, k_b, k_z) of the count triples lo..hi-1, as columns.
+    """(k_a, k_b, k_z) of the count triples lo..hi-1 (lo < hi), as int64
+    columns.
 
     Triple i has m = k_a + k_b with m (m+1) / 2 <= i < (m+1) (m+2) / 2 and
-    k_a = i - m (m+1) / 2, so m runs over 0..n-1 and k_z = n - m >= 1.
+    k_a = i - m (m+1) / 2, so m runs over 0..n-1 and k_z = n - m >= 1.  The
+    integer root gives m at lo, and the block is walked from there, in time
+    of its own length whatever n.
     """
-    i = np.arange(lo, hi)
-    m = ((np.sqrt(8.0 * i + 1.0) - 1.0) // 2.0).astype(np.int64)
-    # the float root may round either way
-    m += (m + 1) * (m + 2) // 2 <= i
-    m -= m * (m + 1) // 2 > i
-    ka = i - m * (m + 1) // 2
-    return ka[:, None], (m - ka)[:, None], (n - m)[:, None]
+    m = (math.isqrt(8 * lo + 1) - 1) // 2
+    ka = lo - m * (m + 1) // 2
+    rows = []
+    for _ in range(hi - lo):
+        rows.append((ka, m - ka, n - m))
+        ka += 1
+        if ka > m:
+            m, ka = m + 1, 0
+    return tuple(np.array(rows, dtype=np.int64).T[:, :, None])
 
 
 def _reduced_sups(pair: _Pair, box: Interval, n: int, ts: list) -> list[float]:
@@ -301,13 +319,16 @@ def _reduced_sups(pair: _Pair, box: Interval, n: int, ts: list) -> list[float]:
     and where g'/h' turns once on the box, also over rows of n - 1 such
     coordinates and the partner y of z (see the module docstring).
 
-    Each triple's rows sum g as k_a g(a) + k_b g(b) + k_z g(z) [+ g(y)].
-    A block of triples is evaluated three times, the rows of all t together
-    and those of all interior t in one call of _invert_blend: on the grid of
-    _Z_POINTS z, on five z about the peak of the quartic through each t's
-    best five grid values, and at the peak of the quartic through those
-    five.  g(a), g(b), h(a) and h(b) are the ends of the pair's axis.
-    Raises ConfigurationError when g'/h' turns more than once on the box.
+    Each triple's rows sum g as (k_a g(a) + k_b g(b)) + k_z g(z) [+ g(y)],
+    the bracket formed once per block of triples.  A block is evaluated
+    three times: on the grid of _Z_POINTS z, with g and h read on it once
+    for every block, on five z about the peak of the quartic through each
+    t's best five grid values, and at the peak of the quartic through those
+    five.  The rows of all t go together, each distinct interior t first
+    and t = 1 last, and those of the interior t, a leading slice, in one
+    call of _invert_blend.  g(a), g(b), h(a) and h(b) are the ends of the
+    axis.  Raises ConfigurationError when g'/h' turns more than once on the
+    box.
     """
     gn, hn = pair.gn, pair.hn
     pieces, turn = _ratio_pieces(pair, box)
@@ -315,93 +336,111 @@ def _reduced_sups(pair: _Pair, box: Interval, n: int, ts: list) -> list[float]:
         raise ConfigurationError(
             f"g'/h' of {gn.name!r} and {hn.name!r} has {pieces} monotone pieces on {box}; "
             "the reduction serves at most 2")
-    active = [t for t in ts if t > 0.0]
-    tb = np.array(active)[:, None, None]
-    inner = tb[:, 0, 0] < 1.0
+    inner = sorted({t for t in ts if 0.0 < t < 1.0})
+    active = inner + [1.0] * (1.0 in ts)
+    k = len(inner)
+    tb = np.array(inner)[:, None, None]
+    weights = (1.0 - tb, tb)
     ga, gb, ha, hb = pair.g[0], pair.g[-1], pair.h[0], pair.h[-1]
 
-    def distances(k, z, partner):
-        # |M_g - M_t| of shape (len(active), triples, points); z of leading
-        # size 1 gives all t the same rows
-        ka, kb, kz = k
-        gsum = ka * ga + kb * gb + kz * _vectorized(gn.forward, z, "forward", gn.name)
-        hsum = ka * ha + kb * hb + kz * _vectorized(hn.forward, z, "forward", hn.name)
-        if partner is not None:
-            y = partner(z)
-            gsum = gsum + _vectorized(gn.forward, y, "forward", gn.name)
-            hsum = hsum + _vectorized(hn.forward, y, "forward", hn.name)
+    def at(z, partner):
+        # g and h at z, then at the partner y of z where the rows have one
+        values = tuple(_vectorized(gen.forward, z, "forward", gen.name) for gen in (gn, hn))
+        return values if partner is None else values + at(partner(z), None)
+
+    def distances(fixed, kz, values):
+        # |M_g - M_t| of shape (len(active), triples, points) from the
+        # bracketed sums and g and h at z [and y]; z of leading size 1 gives
+        # all t the same rows
+        gsum, hsum = fixed[0] + kz * values[0], fixed[1] + kz * values[1]
+        if len(values) > 2:
+            gsum, hsum = gsum + values[2], hsum + values[3]
         sg, mg = means_from_sums(gn.inverse, gsum, n, gn.name)
         sh, mh = means_from_sums(hn.inverse, hsum, n, hn.name)
-        mt = np.empty((len(active),) + mh.shape[1:])
-        mt[...] = mh
-        if inner.any():
-            # every interior t in one inversion, each row started between
-            # M_g and M_h, where M_t lies
-            y = ((1.0 - tb) * sg + tb * sh)[inner]
-            start = ((1.0 - tb) * mg + tb * mh)[inner]
-            mt[inner] = _invert_blend(gn, hn, np.broadcast_to(tb[inner], y.shape).ravel(),
-                                      y.ravel(), start.ravel(), box).reshape(y.shape)
+        if not k:
+            # M_1 is M_h; with no t at all, no rows
+            return np.abs(mg - mh)[:len(active)]
+        # each row started between M_g and M_h, where M_t lies
+        w0, w1 = weights
+        blended = _invert_blend(gn, hn, weights, w0 * sg[:k] + w1 * sh[:k],
+                                w0 * mg[:k] + w1 * mh[:k], box)
+        # t = 1 last, if in ts, where M_t is M_h
+        mt = np.empty((len(active),) + blended.shape[1:])
+        mt[:k], mt[k:] = blended, mh[-1:]
         return np.abs(mg - mt)
 
     sups = np.zeros(len(active))
     per_block = max(1, _BLOCK_ROWS // max(_Z_POINTS, 5 * len(active)))
-    grid, five = box.grid(_Z_POINTS), np.arange(-2, 3)
-    step = box.width / (_Z_POINTS - 1)
+    grid, step = box.grid(_Z_POINTS), box.width / (_Z_POINTS - 1)
+    # g and h on the grid serve every block
+    on_grid = at(grid[None, None, :], None)
+    five = np.arange(-2, 3)
     width = _STENCIL * step
+    stencil, z_lo, z_hi = width * five, box.lo + 2.0 * width, box.hi - 2.0 * width
+    rows_t = np.arange(len(active))[:, None, None]
     # (coordinates the triples count, the extra coordinate y as a function of z)
     families = [(n, None)]
-    if pieces == 2:
+    # at n = 1 the family of n - 1 coordinates has no triples
+    if pieces == 2 and n > 1:
         families.append((n - 1, lambda z: _partner(gn, hn, box, turn, z)))
     for m, partner in families:
         triples = m * (m + 1) // 2
+        # the partner of each grid z serves every block
+        grid_values = on_grid if partner is None else on_grid + at(
+            partner(grid[None, None, :]), None)
         for lo in range(0, triples, per_block):
-            k = _counts(m, lo, min(triples, lo + per_block))
-            d = distances(k, grid[None, None, :], partner)
+            ka, kb, kz = _counts(m, lo, min(triples, lo + per_block))
+            fixed = (ka * ga + kb * gb, ka * ha + kb * hb)
+            d = distances(fixed, kz, grid_values)
             # five grid z about the best of each t and triple
             i = np.minimum(np.maximum(d.argmax(axis=2), 2), _Z_POINTS - 3)[..., None]
-            z = grid[i] + step * _peak(np.take_along_axis(d, i + five, axis=2))
-            z = np.minimum(np.maximum(z, box.lo + 2.0 * width), box.hi - 2.0 * width)
-            near = distances(k, _into(box, z + width * five), partner)
-            last = distances(k, _into(box, z + width * _peak(near)), partner)
+            rows_k = np.arange(len(kz))[:, None]
+            z = grid[i] + step * _peak(d[rows_t, rows_k, i + five])
+            z = np.minimum(np.maximum(z, z_lo), z_hi)
+            near = distances(fixed, kz, at(_into(box, z + stencil), partner))
+            last = distances(fixed, kz, at(_into(box, z + width * _peak(near)), partner))
             for e in (d, near, last):
                 sups = np.maximum(sups, np.maximum.reduce(e, axis=(1, 2)))
     by_t = dict(zip(active, sups.tolist()))
     return [by_t.get(t, 0.0) for t in ts]
 
 
-def _invert_blend(gn: Generator, hn: Generator, t: np.ndarray, y: np.ndarray,
+def _invert_blend(gn: Generator, hn: Generator, weights: tuple, y: np.ndarray,
                   start: np.ndarray, box: Interval) -> np.ndarray:
-    """Solve (1-t) g(z) + t h(z) = y elementwise on the box, t per row.
+    """Solve (1-t) g(z) + t h(z) = y elementwise on the box, with weights
+    the pair (1-t, t) of columns that broadcast against y.
 
     The blend of two increasing generators is increasing, and each row
     starts at its guess in the box.  Clamped Newton steps on the whole array
     move only the rows above tolerance; after 30 steps the rows still above
-    it fall back to bisection.  Float errors of rows that a step does not
-    move are discarded with them, and a NaN residual counts as above
-    tolerance.  Raises ConvergenceError when the bisection misses too.
+    it fall back to bisection, flattened.  Float errors of rows that a step
+    does not move are discarded with them, and a NaN residual counts as
+    above tolerance.  Raises ConvergenceError when the bisection misses too.
     """
     # raw calls: _normalized_pair has checked these callables on the axis
     # earlier in the same certificate, and z stays in the box
     gf, hf, gd, hd = gn.forward, hn.forward, gn.derivative, hn.derivative
 
-    def f(z, t, y):
-        return (1.0 - t) * gf(z) + t * hf(z) - y
+    def f(z, w0, w1, y):
+        return w0 * gf(z) + w1 * hf(z) - y
 
+    w0, w1 = weights
     tol = 1e-13 * np.maximum(1.0, np.abs(y))
     z = _into(box, start)
-    resid = f(z, t, y)
+    resid = f(z, w0, w1, y)
     for _ in range(30):
         far = ~(np.abs(resid) <= tol)
-        if not np.logical_or.reduce(far):
+        if not np.logical_or.reduce(far, axis=None):
             return z
-        step = _into(box, z - resid / ((1.0 - t) * gd(z) + t * hd(z)))
+        step = _into(box, z - resid / (w0 * gd(z) + w1 * hd(z)))
         z = np.where(far, step, z)
-        resid = f(z, t, y)
-    rows = np.flatnonzero(~(np.abs(resid) <= tol))
-    tb, yb = t[rows], y[rows]
-    z[rows] = _bisect(lambda mid: (1.0 - tb) * gf(mid) + tb * hf(mid) < yb,
-                      np.full(rows.size, box.lo), np.full(rows.size, box.hi), 100)
-    if np.logical_or.reduce(~(np.abs(f(z[rows], tb, yb)) <= 1e-9 * np.maximum(1.0, np.abs(yb)))):
+        resid = f(z, w0, w1, y)
+    rows = ~(np.abs(resid) <= tol)
+    w0, w1 = (np.broadcast_to(w, y.shape)[rows] for w in weights)
+    y = y[rows]
+    z[rows] = _bisect(lambda mid: w0 * gf(mid) + w1 * hf(mid) < y,
+                      np.full(y.size, box.lo), np.full(y.size, box.hi), 100)
+    if np.logical_or.reduce(~(np.abs(f(z[rows], w0, w1, y)) <= 1e-9 * np.maximum(1.0, np.abs(y)))):
         raise ConvergenceError("blend inversion failed to converge")
     return z
 

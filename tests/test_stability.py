@@ -148,7 +148,8 @@ class TestBound:
 
 class TestOneRead:
     """A certificate reads g, h, g' and h' on its axis once, and g and h
-    again only in its rows: three evaluations per block of them."""
+    again only in its rows: once on the grid of z for every block, then in
+    two evaluations per block of them."""
 
     @staticmethod
     def _counted(spec, calls):
@@ -192,7 +193,7 @@ class TestOneRead:
                     if s == spec and kind == "derivative"] == [("derivative", axis)]
             forward = [shape for s, kind, shape in calls if s == spec and kind == "forward"]
             assert forward.count(axis) == 1
-            assert len(forward) == 1 + 3 * len(blocks)
+            assert len(forward) == 2 + 2 * len(blocks)
 
 
 class TestVerifyStability:
@@ -294,6 +295,19 @@ class TestBlendDistances:
         with pytest.raises(InvalidParameterError):
             blend_distances(parse_generator("identity"), parse_generator("log"),
                             B, n=n, ts=(0.0, 0.5, 1.0))
+
+    @pytest.mark.parametrize("g, h, box", [("identity", "log", B),
+                                           ("power:2.0", "exp", Interval(0.5, 3.0))])
+    def test_each_t_keeps_its_value_whatever_the_order_of_ts(self, g, h, box):
+        # identity vs log has one piece of g'/h' on B, power:2 vs exp two on
+        # [0.5, 3]; the t = 1 entry beside interior t is verify's sup
+        gen_g, gen_h = parse_generator(g), parse_generator(h)
+        ts = (1.0, 0.5, 0.0, 0.5, 0.25)
+        got = blend_distances(gen_g, gen_h, box, n=3, ts=ts)
+        in_order = (0.0, 0.25, 0.5, 1.0)
+        want = dict(zip(in_order, blend_distances(gen_g, gen_h, box, n=3, ts=in_order)))
+        assert [v.hex() for v in got] == [want[t].hex() for t in ts]
+        assert got[0].hex() == verify_stability(gen_g, gen_h, box, n=3).sup_mean_distance.hex()
 
 
 class TestMonotonePremise:
@@ -430,16 +444,19 @@ class TestReducedPath:
         assert verify_stability(g, g, B, n=4).sup_mean_distance == 0.0
         assert blend_distances(g, g, B, n=3, ts=(0.0, 1.0), grid_per_dim=21) == [0.0, 0.0]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 60])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 60, 200])
     def test_counts_list_every_triple_once(self, n):
+        # in order: m = k_a + k_b rising, and k_a rising within each m
         total = n * (n + 1) // 2
-        ka, kb, kz = (np.concatenate(c).ravel() for c in zip(
-            *(stability._counts(n, lo, min(total, lo + 5)) for lo in range(0, total, 5))))
-        want = sorted((a, b, n - a - b) for a in range(n) for b in range(n - a))
-        assert sorted(zip(ka.tolist(), kb.tolist(), kz.tolist())) == want
+        want = [(ka, m - ka, n - m) for m in range(n) for ka in range(m + 1)]
+        for per_block in (1, 3, 5, 127):
+            blocks = [stability._counts(n, lo, min(total, lo + per_block))
+                      for lo in range(0, total, per_block)]
+            assert all(c.dtype == np.int64 and c.shape[1:] == (1,) for b in blocks for c in b)
+            assert list(zip(*(np.concatenate(c).ravel().tolist() for c in zip(*blocks)))) == want
 
     def test_counts_at_a_large_n(self):
-        # this large, the float root of 8i + 1 rounds past some group ends
+        # this large, a float root of 8i + 1 would round past some group ends
         n = 10 ** 9
         total = n * (n + 1) // 2
         for lo, hi in ((total - n - 10 ** 4, total - n + 10 ** 4), (total - 10 ** 5, total)):
@@ -477,6 +494,20 @@ class TestTwoPieces:
         got = verify_stability(g, h, box, n=2).sup_mean_distance
         assert got == pytest.approx(_brute_force(g, h, box, 2, (1.0,), points=4001)[0],
                                     rel=0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("g, h, box", CASES, ids=IDS)
+    def test_n1_locates_no_partner(self, g, h, box, monkeypatch):
+        # the family of n - 1 = 0 coordinates has no triples, so no y; the
+        # mean of one value is that value under both generators
+        calls = []
+        partner = stability._partner
+        monkeypatch.setattr(stability, "_partner",
+                            lambda *args: calls.append(args) or partner(*args))
+        g, h = parse_generator(g), parse_generator(h)
+        got = verify_stability(g, h, box, n=1).sup_mean_distance
+        assert got <= 4.0 * np.spacing(box.hi)
+        assert blend_distances(g, h, box, n=1, ts=(1.0,)) == [got]
+        assert calls == []
 
     @pytest.mark.parametrize("n, want", [(5, 0.2633347976696), (8, 0.2725991902899)])
     def test_reaches_the_four_free_value_maximum(self, n, want):
@@ -742,7 +773,8 @@ class TestBlockedPath:
 
 class TestOneInversion:
     """The blended means of every interior t are found by one Newton
-    iteration per evaluation of the rows, each row with its own t."""
+    iteration per evaluation of the rows, the rows of each t a leading
+    slice."""
 
     # increasing, but flat on [1.4, 1.6]: as h, it makes g'/h' = g'/0 there
     FLAT = Generator("flat", Interval(-10.0, 10.0),
@@ -756,9 +788,9 @@ class TestOneInversion:
         invert_blend = stability._invert_blend
         calls = []
 
-        def counting(gn, hn, t, y, start, box):
-            calls.append(len(set(t.tolist())))
-            return invert_blend(gn, hn, t, y, start, box)
+        def counting(gn, hn, weights, y, start, box):
+            calls.append(np.unique(weights[1]).size)
+            return invert_blend(gn, hn, weights, y, start, box)
 
         monkeypatch.setattr(stability, "_invert_blend", counting)
         per_ts = []
