@@ -1,8 +1,10 @@
 """Generator functions for quasi-arithmetic means.
 
 A generator is a continuous, strictly monotone function g on an interval
-domain, carried together with its inverse and derivative.  The built-ins
-cover the classical means:
+domain, carried together with its inverse and derivative.  Its direction
+is not part of it: a*g + b (a != 0) generates the same mean, so g and -g
+are one mean, and the certificates read the direction off the box.  The
+built-ins cover the classical means:
 
     identity    arithmetic mean         domain (-inf, inf)
     log         geometric mean          domain (0, inf)
@@ -19,7 +21,10 @@ them as a numpy float (_at): on a short sample the check and a one-value
 array had cost more than the arithmetic.
 Generators are immutable; every operation here is pure.  parse_generator
 reads the built-in specs only; a custom generator is a Generator object,
-passed as such wherever a generator is taken.
+passed as such wherever a generator is taken.  Only make_builtin sets a
+generator's kind and param, so a built-in kind, which picks closed forms
+and anchored means, sits only beside the library's own callables;
+dataclasses.replace of a built-in is a custom generator.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import functools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -47,7 +52,6 @@ __all__ = [
     "make_builtin",
     "parse_generator",
     "min_slope",
-    "normalize_increasing",
     "affine_transform",
 ]
 
@@ -226,13 +230,14 @@ def _at(fn, y: float, what: str, name: str | None = None) -> float:
 
 @dataclass(frozen=True)
 class Generator:
-    """A strictly monotone generator g with inverse and derivative.
+    """A strictly monotone generator g, increasing or decreasing, with its
+    inverse and derivative.  A domain that is not an Interval is
+    InvalidParameterError.
 
-    ``kind`` is one of the built-in kind names or "custom"; closed-form
-    moments and the anchored exp and power means key off it.  ``param`` is
-    the exponent of a power generator, a real number >= 1e-6, else None.
-    A domain that is not an Interval, or any other kind, param or direction,
-    is InvalidParameterError.
+    ``kind`` is one of the built-in kind names, set by make_builtin, or
+    "custom"; closed-form moments and the anchored exp and power means key
+    off it.  ``param`` is the exponent of a power generator, else None.
+    Neither is a constructor argument.
     """
 
     name: str
@@ -240,22 +245,11 @@ class Generator:
     forward: Callable
     inverse: Callable
     derivative: Callable
-    monotone_direction: str  # "increasing" | "decreasing"
-    kind: str = "custom"
-    param: float | None = None
+    kind: str = field(default="custom", init=False)
+    param: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         _require_interval(self.domain, "domain")
-        if self.kind not in (*BUILTIN_KINDS, "custom"):
-            raise InvalidParameterError(f"unknown generator kind {self.kind!r}")
-        if self.monotone_direction not in ("increasing", "decreasing"):
-            raise InvalidParameterError(f"monotone_direction must be 'increasing' or "
-                                        f"'decreasing', got {self.monotone_direction!r}")
-        _check_param(self.kind, self.param)
-
-    @property
-    def increasing(self) -> bool:
-        return self.monotone_direction == "increasing"
 
 
 def _check_param(kind: str, p) -> None:
@@ -299,30 +293,32 @@ _POSITIVE = Interval(0.0, math.inf)
 
 
 def make_builtin(kind: str, p: float | None = None) -> Generator:
-    """Construct one of the built-in generators.
+    """Construct one of the built-in generators, the one place a kind and
+    param are set.
 
     ``p`` is only meaningful for kind="power" and must be at least 1e-6
-    there (Generator's own check, run before p is read).  An unknown kind
-    is InvalidParameterError, as in Generator and parse_generator.
+    there (_check_param, run before p is read).  An unknown kind is
+    InvalidParameterError, as in parse_generator.
     """
     _check_param(kind, p)
     if kind == "identity":
-        return Generator("identity", _REAL_LINE, _times_one, _times_one,
-                         _ones_like, "increasing", kind="identity")
-    if kind == "log":
-        return Generator("log", _POSITIVE, np.log, np.exp, _reciprocal, "increasing", kind="log")
-    if kind == "reciprocal":
-        return Generator("reciprocal", _POSITIVE, _reciprocal, _reciprocal,
-                         lambda x: -1.0 / (x * x), "decreasing", kind="reciprocal")
-    if kind == "power":
-        pf = float(p)
-        return Generator(f"power:{_spec_number(pf)}", _POSITIVE, lambda x: x ** pf,
-                         lambda y: y ** (1.0 / pf),
-                         lambda x: pf * x ** (pf - 1.0), "increasing",
-                         kind="power", param=pf)
-    if kind == "exp":
-        return Generator("exp", _REAL_LINE, np.exp, np.log, np.exp, "increasing", kind="exp")
-    raise InvalidParameterError(f"unknown generator kind {kind!r}")
+        g = Generator("identity", _REAL_LINE, _times_one, _times_one, _ones_like)
+    elif kind == "log":
+        g = Generator("log", _POSITIVE, np.log, np.exp, _reciprocal)
+    elif kind == "reciprocal":
+        g = Generator("reciprocal", _POSITIVE, _reciprocal, _reciprocal,
+                      lambda x: -1.0 / (x * x))
+    elif kind == "power":
+        p = float(p)
+        g = Generator(f"power:{_spec_number(p)}", _POSITIVE, lambda x: x ** p,
+                      lambda y: y ** (1.0 / p), lambda x: p * x ** (p - 1.0))
+    elif kind == "exp":
+        g = Generator("exp", _REAL_LINE, np.exp, np.log, np.exp)
+    else:
+        raise InvalidParameterError(f"unknown generator kind {kind!r}")
+    object.__setattr__(g, "kind", kind)
+    object.__setattr__(g, "param", p)
+    return g
 
 
 def parse_generator(spec: str) -> Generator:
@@ -375,16 +371,6 @@ def _least_slope(slopes, name: str, B: Interval) -> float:
     return m
 
 
-def normalize_increasing(g: Generator) -> Generator:
-    """Return g itself if increasing, else the negated (increasing) form
-    -1*g+0 of affine_transform.
-
-    The quasi-arithmetic mean is invariant under g -> -g, so the negated
-    generator defines exactly the same mean.
-    """
-    return g if g.increasing else affine_transform(g, -1.0, 0.0)
-
-
 def affine_transform(g: Generator, a: float, b: float) -> Generator:
     """The generator a*g + b (a != 0); defines the same mean as g."""
     _require_instance(g, Generator, "g", "a Generator")
@@ -393,14 +379,10 @@ def affine_transform(g: Generator, a: float, b: float) -> Generator:
     if not (a != 0 and math.isfinite(a) and math.isfinite(b)):
         raise InvalidParameterError(f"affine transform requires finite a != 0 and b, got {a}, {b}")
     fwd, inv, der = g.forward, g.inverse, g.derivative
-    direction = g.monotone_direction if a > 0 else (
-        "decreasing" if g.increasing else "increasing")
     return Generator(
         name=f"{a:g}*{g.name}{b:+g}",
         domain=g.domain,
         forward=lambda x: a * fwd(x) + b,
         inverse=lambda y: inv((y - b) / a),
         derivative=lambda x: a * der(x),
-        monotone_direction=direction,
-        kind="custom",
     )

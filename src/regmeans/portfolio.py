@@ -15,6 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Sequence
 
+from .distributions import _in_range
 from .errors import ConfigurationError, DomainError, InvalidParameterError, NumericError
 from .generators import _require_instance
 
@@ -24,6 +25,13 @@ __all__ = [
     "geometric_average_return",
     "markowitz_approximation",
 ]
+
+# wealth_path's band for its running product: 2**-969 times the least
+# gross return, 2**-53, is the least normal float, 2**-1022; m is set back
+# to 2**-484, about half way in log2, when a step leaves the band.
+_FLOOR = 2.0 ** -969
+_MIDDLE_EXP = 484
+_MIDDLE = 2.0 ** -_MIDDLE_EXP
 
 
 @dataclass(frozen=True)
@@ -59,13 +67,27 @@ def _series(series: ReturnSeries | Sequence[float]) -> ReturnSeries:
 
 
 def wealth_path(series: ReturnSeries | Sequence[float]) -> float:
-    """Terminal wealth w0 * (1+r1) * ... * (1+rn); NumericError if it
-    overflows."""
+    """Terminal wealth w0 * (1+r1) * ... * (1+rn); NumericError when it
+    overflows a float or underflows the normal float range
+    (distributions._in_range).
+
+    The running product m * 2**e keeps m in [_FLOOR, 1), so no partial
+    product leaves the normal range before w0 scales it, whatever the
+    returns: a gross return lies in [2**-53, max float], and m times it
+    stays normal and finite.  A step that leaves the band sets m back to
+    its middle by a power of two, exact, so a product that the plain
+    chain keeps in range has the plain chain's bits."""
     s = _series(series)
-    w = s.w0 * math.prod(1.0 + r for r in s.returns)
-    if not math.isfinite(w):
-        raise NumericError(f"terminal wealth overflows over {len(s.returns)} periods")
-    return w
+    m, e = _MIDDLE, _MIDDLE_EXP
+    for r in s.returns:
+        m *= 1.0 + r
+        if not _FLOOR <= m < 1.0:
+            m, k = math.frexp(m)
+            m, e = m * _MIDDLE, e + k + _MIDDLE_EXP
+    m, k = math.frexp(m)
+    w0, e0 = math.frexp(s.w0)
+    return _in_range(lambda: math.ldexp(w0 * m, e0 + e + k), lambda: "terminal wealth",
+                     lambda: f"{len(s.returns)} periods")
 
 
 def geometric_average_return(series: ReturnSeries | Sequence[float]) -> float:

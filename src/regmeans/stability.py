@@ -1,6 +1,6 @@
 """Continuity of the quasi-arithmetic mean in its generator.
 
-For increasing generators g, h on a compact interval B = [a, b] with min
+For generators g, h, increasing on a compact interval B = [a, b] with min
 slope m > 0, the means satisfy
 
     sup |M_g(x) - M_h(x)|  <=  (L + 1/m) * sup |g - h|
@@ -42,11 +42,13 @@ The blended means invert k_t = (1-t) g + t h, increasing on the box.  M_t
 lies between M_g and M_h, so each row starts at (1-t) M_g + t M_h, and the
 rows of every interior t go through one clamped Newton iteration together.
 
-Decreasing generators are negated to increasing form first; the mean is
-invariant under g -> -g, so nothing changes numerically.  Generators that
-are not monotone on the box are rejected.  Overflow and underflow surface
-through finiteness checks, not float errors: each public function runs
-under one np.errstate(all="ignore"), and the helpers below assume it.
+A generator whose values fall across the axis is negated to increasing
+form first, -1*g+0 of affine_transform; the mean is invariant under
+g -> -g, so nothing changes numerically, and no generator declares its
+direction.  Generators that are not monotone on the box are rejected.
+Overflow and underflow surface through finiteness checks, not float
+errors: each public function runs under one np.errstate(all="ignore"), and
+the helpers below assume it.
 
 The arrays here are small (an axis of 4097 points, blocks of at most
 2**15 values), and numpy's Python wrappers cost more than their
@@ -80,7 +82,7 @@ import numpy as np
 from .errors import (ConfigurationError, ConvergenceError, DegenerateSlopeError,
                      InvalidParameterError, NumericError)
 from .generators import (Generator, Interval, _least_slope, _require_box, _require_instance,
-                         _require_real, _vectorized, normalize_increasing, require_count)
+                         _require_real, _vectorized, affine_transform, require_count)
 from .means import means_from_sums
 
 __all__ = ["StabilityReport", "theorem4_bound", "verify_stability", "blend_distances"]
@@ -136,25 +138,30 @@ _Pair = namedtuple("_Pair", "gn hn axis g h dg dh")
 
 def _normalized_pair(g: Generator, h: Generator, box: Interval, box_name: str) -> _Pair:
     """g and h in increasing form, read once on the _AXIS_POINTS axis of the
-    box.  Raises NumericError when either decreases on the axis: the blend
-    inversion rests on monotonicity.  g or h that is not a Generator is
-    InvalidParameterError, a box (named box_name) that is not an Interval or
-    has an infinite width too, a box end outside either domain DomainError
-    (generators._require_box), and a forward or derivative that does not
-    map the axis elementwise ConfigurationError."""
+    box: each whose values fall from the first point to the last is
+    negated, its values taken as -1.0 * v + 0.0, the arithmetic of the
+    negated forward.  Raises NumericError when either is not monotone on
+    the axis: the blend inversion rests on monotonicity.  g or h that is not
+    a Generator is InvalidParameterError, a box (named box_name) that is not
+    an Interval or has an infinite width too, a box end outside either
+    domain DomainError (generators._require_box), and a forward or
+    derivative that does not map the axis elementwise ConfigurationError."""
     for gen, name in ((g, "g"), (h, "h")):
         _require_instance(gen, Generator, name, "a Generator")
     axis = _require_box(box, box_name, g, h).grid(_AXIS_POINTS)
-    gn, hn = normalize_increasing(g), normalize_increasing(h)
-    values = []
-    for gen in (gn, hn):
+    normal, values = [], []
+    for gen in (g, h):
         v = _vectorized(gen.forward, axis, "forward", gen.name)
-        values.append(v)
+        up = gen
+        if v[-1] < v[0]:
+            up, v = affine_transform(gen, -1.0, 0.0), -1.0 * v + 0.0
         # equal infinities and NaN pass: overflow is the callers' check
         if np.logical_or.reduce(v[1:] < v[:-1]):
-            raise NumericError(f"generator {gen.name!r} is not increasing on {box}")
-    values += [_vectorized(gen.derivative, axis, "derivative", gen.name) for gen in (gn, hn)]
-    return _Pair(gn, hn, axis, *values)
+            raise NumericError(f"generator {gen.name!r} is not monotone on {box}")
+        normal.append(up)
+        values.append(v)
+    values += [_vectorized(gen.derivative, axis, "derivative", gen.name) for gen in normal]
+    return _Pair(*normal, axis, *values)
 
 
 def _bound_parts(pair: _Pair, box: Interval) -> tuple[float, float]:

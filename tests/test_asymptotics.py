@@ -115,7 +115,7 @@ class TestExpect:
         g = Generator("kink", Interval(-math.inf, math.inf),
                       lambda x: np.where(x < 1.5, x, 2.0 * x - 1.5),
                       lambda y: np.where(y < 1.5, y, 0.5 * (y + 1.5)),
-                      lambda x: np.where(x < 1.5, 1.0, 2.0), "increasing")
+                      lambda x: np.where(x < 1.5, 1.0, 2.0))
         with pytest.raises(ConvergenceError):
             fn(g, UNI)
 
@@ -202,7 +202,7 @@ def test_a_support_outside_the_domain_is_domain_error(g, dist, fn, method):
 
 @pytest.mark.parametrize("fn", [kolmogorov_expectation, asymptotic_variance, g_moments])
 def test_a_custom_generator_meets_the_same_rule(fn):
-    g = dataclasses.replace(parse_generator("log"), kind="custom")
+    g = dataclasses.replace(parse_generator("log"))
     with pytest.raises(DomainError, match="is not inside the domain of generator 'log'"):
         fn(g, Uniform(-1.0, 1.0))
 

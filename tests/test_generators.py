@@ -1,6 +1,7 @@
 """Generator parsing, slope estimates, and transforms."""
 
 import contextlib
+import dataclasses
 import math
 
 import numpy as np
@@ -15,13 +16,18 @@ from regmeans import (
     InvalidParameterError,
     NumericError,
     affine_transform,
+    kolmogorov_expectation,
     make_builtin,
     mean,
     min_slope,
-    normalize_increasing,
+    parse_distribution,
     parse_generator,
+    verify_stability,
 )
 from regmeans.generators import _parse_builtin
+from regmeans.means import row_means
+
+SPECS = ("identity", "log", "reciprocal", "power:2.0", "power:0.5", "exp")
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +103,7 @@ class TestBuiltins:
         np.testing.assert_allclose(back, xs, rtol=1e-12)
 
     def test_only_reciprocal_decreases(self, all_builtins):
-        directions = {g.name: g.increasing for g in all_builtins}
+        directions = {g.name: bool(g.forward(2.0) > g.forward(1.0)) for g in all_builtins}
         assert directions == {
             "identity": True, "log": True, "reciprocal": False,
             "power:2": True, "exp": True,
@@ -131,27 +137,29 @@ class TestBuiltins:
 
     _LOG = ("log", Interval(0.0, math.inf), np.log, np.exp, lambda x: 1.0 / x)
 
-    @pytest.mark.parametrize("kind,param,direction,match", [
-        ("power", None, "increasing", "power generator requires"),   # a bare TypeError in mean
-        ("power", "2", "increasing", "power generator requires"),
-        ("power", 1e-9, "increasing", "power generator requires"),
-        ("power", math.inf, "increasing", "power generator requires"),
-        ("power", -1.0, "increasing", "power generator requires"),
-        ("log", 2.0, "increasing", "takes no parameter"),
-        ("custom", 2.0, "increasing", "takes no parameter"),
-        ("sinh", None, "increasing", "unknown generator kind"),
-        ("log", None, "down", "monotone_direction"),              # was read as decreasing
-        ("log", None, None, "monotone_direction"),
-    ])
-    def test_generator_checks_its_own_fields(self, kind, param, direction, match):
-        with pytest.raises(InvalidParameterError, match=match):
-            Generator(*self._LOG, direction, kind=kind, param=param)
+    @pytest.mark.parametrize("extra", [dict(), dict(kind="log"), dict(param=2.0),
+                                       dict(monotone_direction="increasing")],
+                             ids=["sixth", "kind", "param", "monotone_direction"])
+    def test_the_constructor_takes_five_values(self, extra):
+        # a direction, kind or param was a constructor input, and a kind
+        # or param the library trusted over the callables
+        args = self._LOG + (("increasing",) if not extra else ())
+        with pytest.raises(TypeError):
+            Generator(*args, **extra)
 
-    @pytest.mark.parametrize("kind,param,direction", [
-        ("custom", None, "decreasing"), ("log", None, "increasing"), ("power", 1e-6, "increasing"),
-        ("power", 3, "increasing")])
-    def test_generator_fields_in_range_pass(self, kind, param, direction):
-        assert Generator(*self._LOG, direction, kind=kind, param=param).param == param
+    def test_a_constructed_generator_is_custom(self):
+        g = Generator(*self._LOG)
+        assert (g.kind, g.param) == ("custom", None)
+        with pytest.raises(AttributeError):
+            g.kind = "log"
+
+    def test_only_make_builtin_sets_kind_and_param(self):
+        g = parse_generator("power:2")
+        assert (g.kind, g.param) == ("power", 2.0)
+        assert (make_builtin("log").kind, make_builtin("log").param) == ("log", None)
+        copy = dataclasses.replace(g)
+        assert (copy.kind, copy.param) == ("custom", None)
+        assert copy.forward is g.forward
 
     @pytest.mark.parametrize("spec", [None, 2.0, b"log"])
     def test_spec_must_be_a_string(self, spec):
@@ -232,7 +240,6 @@ class TestSlopes:
             forward=lambda x: x ** 3,
             inverse=lambda y: np.cbrt(y),
             derivative=lambda x: 3.0 * x ** 2,  # vanishes at 0
-            monotone_direction="increasing",
         )
         with pytest.raises(DegenerateSlopeError):
             min_slope(flat, Interval(-1.0, 1.0))
@@ -254,25 +261,6 @@ class TestSlopes:
 # ---------------------------------------------------------------------------
 # Transforms
 
-class TestNormalizeIncreasing:
-    def test_increasing_passes_through(self):
-        g = parse_generator("log")
-        assert normalize_increasing(g) is g
-
-    def test_reciprocal_flipped(self):
-        g = normalize_increasing(parse_generator("reciprocal"))
-        assert g.increasing
-        assert g.forward(2.0) == pytest.approx(-0.5)
-        assert g.inverse(-0.5) == pytest.approx(2.0)
-        assert g.derivative(2.0) == pytest.approx(0.25)
-
-    def test_mean_is_preserved(self):
-        raw = parse_generator("reciprocal")
-        flipped = normalize_increasing(raw)
-        data = (2.0, 6.0, 3.0)
-        assert mean(flipped, data) == pytest.approx(mean(raw, data), rel=1e-12)
-
-
 class TestAffineTransform:
     def test_zero_scale_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -285,18 +273,51 @@ class TestAffineTransform:
         with pytest.raises(InvalidParameterError):
             affine_transform(parse_generator("log"), a, b)
 
-    @given(st.floats(min_value=-5.0, max_value=5.0).filter(lambda a: abs(a) > 1e-3),
-           st.floats(min_value=-5.0, max_value=5.0))
-    def test_affine_image_induces_same_mean(self, a, b):
-        # a*g + b generates the identical quasi-arithmetic mean
-        g = parse_generator("log")
-        data = (0.5, 1.5, 4.0)
-        assert mean(affine_transform(g, a, b), data) == pytest.approx(
-            mean(g, data), rel=1e-9)
+    @given(st.sampled_from(SPECS), st.sampled_from((-1.0, 1.0)),
+           st.floats(min_value=1e-3, max_value=5.0), st.floats(min_value=-5.0, max_value=5.0))
+    def test_affine_image_induces_same_mean(self, spec, sign, scale, b):
+        # a*g + b generates the identical quasi-arithmetic mean, for either
+        # sign of a: the direction of g is not a property of the mean
+        g = parse_generator(spec)
+        t = affine_transform(g, sign * scale, b)
+        rows = np.array([[0.5, 1.5, 4.0], [1.0, 2.0, 3.0]])
+        assert mean(t, rows[0]) == pytest.approx(mean(g, rows[0]), rel=1e-9)
+        np.testing.assert_allclose(row_means(t, rows), row_means(g, rows), rtol=1e-9)
 
-    def test_negative_scale_flips_direction(self):
-        t = affine_transform(parse_generator("log"), -2.0, 0.0)
-        assert not t.increasing
+    @given(st.sampled_from(SPECS), st.sampled_from(SPECS), st.sampled_from((-1.0, 1.0)),
+           st.floats(min_value=1e-3, max_value=5.0), st.floats(min_value=-5.0, max_value=5.0))
+    def test_affine_image_has_the_same_mean_distance(self, g_spec, h_spec, sign, scale, b):
+        # the certificates read the direction of a*h + b off the box; a*h + b
+        # rounds at about eps |b|, which the inverse magnifies by up to
+        # 1 / (|a| min |h'|), 5e3 * 4 here
+        g, h, box = parse_generator(g_spec), parse_generator(h_spec), Interval(1.0, 2.0)
+        want = verify_stability(g, h, box, n=2).sup_mean_distance
+        got = verify_stability(g, affine_transform(h, sign * scale, b), box, n=2)
+        assert got.sup_mean_distance == pytest.approx(want, rel=1e-9, abs=1e-10)
+
+
+class TestReplacedCallables:
+    """dataclasses.replace of a built-in is a custom generator: a built-in
+    kind, which picks closed forms and anchored means, was kept beside the
+    new callables."""
+
+    def test_a_replaced_log_takes_the_quadrature(self):
+        g = dataclasses.replace(parse_generator("log"), forward=np.sqrt, inverse=np.square,
+                                derivative=lambda x: 0.5 / np.sqrt(x))
+        assert g.kind == "custom" and g.param is None
+        # the log kind's closed form answered 0.0
+        dist = parse_distribution("lognormal:0:1")
+        assert kolmogorov_expectation(g, dist) == 1.284025416687742
+        assert kolmogorov_expectation(g, dist, method="quadrature") == 1.284025416687742
+
+    @pytest.mark.parametrize("spec", ["power:2", "exp"])
+    def test_a_replaced_forward_defines_the_mean(self, spec):
+        # the power kind squared, the exp kind anchored at exp: 2.6457... and
+        # 1.7319...
+        g = dataclasses.replace(parse_generator(spec), forward=lambda x: x ** 3,
+                                inverse=np.cbrt, derivative=lambda x: 3.0 * x * x)
+        assert g.kind == "custom"
+        assert mean(g, [1.0, 2.0, 4.0]) == 2.8977919511464485
 
 
 class TestNumericDerivative:

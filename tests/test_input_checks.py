@@ -33,7 +33,7 @@ UNIFORM = parse_distribution("uniform:1:2")
 
 
 def _custom(name, forward=np.log, inverse=np.exp, derivative=lambda x: 1.0 / x):
-    return Generator(name, POSITIVE, forward, inverse, derivative, "increasing")
+    return Generator(name, POSITIVE, forward, inverse, derivative)
 
 
 # math.log and math.exp take one number: the mean's first call on an array fails
@@ -41,14 +41,15 @@ SCALAR_ONLY = _custom("c", math.log, math.exp)
 CONSTANT = _custom("k", forward=lambda x: 0.5)
 SCALAR_INVERSE = _custom("m", inverse=math.exp)
 
-# a generator of each built-in kind but power, hand-built on math: trust in
-# its callables is decided by their identity, never by its kind
+# the domain and a scalar-only inverse, on math, of each built-in kind but
+# power: trust in a callable is decided by its identity, so a custom
+# generator over the library's own forward still has its inverse checked
 REAL_LINE = Interval(-math.inf, math.inf)
 MATH_KINDS = {
-    "identity": (REAL_LINE, lambda x: math.ldexp(x, 0), lambda y: math.ldexp(y, 0)),
-    "log": (POSITIVE, math.log, math.exp),
-    "reciprocal": (POSITIVE, lambda x: math.pow(x, -1.0), lambda y: math.pow(y, -1.0)),
-    "exp": (REAL_LINE, math.exp, math.log),
+    "identity": (REAL_LINE, lambda y: math.ldexp(y, 0)),
+    "log": (POSITIVE, math.exp),
+    "reciprocal": (POSITIVE, lambda y: math.pow(y, -1.0)),
+    "exp": (REAL_LINE, math.log),
 }
 BUILTIN_FORWARD = {kind: make_builtin(kind).forward for kind in MATH_KINDS}
 ROWS = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -99,23 +100,11 @@ class TestGeneratorCallables:
     @pytest.mark.parametrize("kind", MATH_KINDS)
     @pytest.mark.parametrize("call", [lambda g: mean(g, [1.0, 2.0]), lambda g: row_means(g, ROWS)],
                              ids=["mean", "row_means"])
-    def test_a_built_in_kind_on_scalar_only_callables(self, call, kind):
-        # the exp kind's mean is anchored: its forward sees x - max x
-        domain, forward, inverse = MATH_KINDS[kind]
-        g = Generator(kind, domain, forward, inverse, lambda x: x, "increasing", kind=kind)
-        with pytest.raises(ConfigurationError, match=f"forward of generator '{kind}' must be "
-                                                     "vectorized"):
-            call(g)
-
-    @pytest.mark.parametrize("kind", MATH_KINDS)
-    @pytest.mark.parametrize("call", [lambda g: mean(g, [1.0, 2.0]), lambda g: row_means(g, ROWS)],
-                             ids=["mean", "row_means"])
     def test_a_built_in_forward_with_a_scalar_only_inverse(self, call, kind):
         # the library's own forward is called directly; the inverse is still
         # checked, on a one-value array
-        domain, _, inverse = MATH_KINDS[kind]
-        g = Generator(kind, domain, BUILTIN_FORWARD[kind], inverse, lambda x: x, "increasing",
-                      kind=kind)
+        domain, inverse = MATH_KINDS[kind]
+        g = Generator(kind, domain, BUILTIN_FORWARD[kind], inverse, lambda x: x)
         with pytest.raises(ConfigurationError, match=f"inverse of generator '{kind}' must be "
                                                      "vectorized"):
             call(g)
@@ -132,7 +121,7 @@ class TestGeneratorCallables:
         # power:2, whose g'/h' against exp turns once on the box: the
         # certificate also reads r at the box end and the turn (_partner)
         g = Generator("s", POSITIVE, record(np.square), record(np.sqrt),
-                      record(lambda x: 2.0 * x), "increasing")
+                      record(lambda x: 2.0 * x))
         box = Interval(0.5, 3.0)
         mean(g, [1.0, 2.0, 3.0])
         check_axioms(g, 3, trials=10)
@@ -151,10 +140,12 @@ class TestGeneratorCallables:
         with pytest.raises(ConfigurationError, match="inverse of generator 'l' mapped"):
             asymptotic_variance(g, parse_distribution("gamma:2:1"))
 
-    def test_a_decreasing_generator_is_named_in_increasing_form(self):
+    def test_a_decreasing_generator_is_named_as_given(self):
+        # its direction is read off its forward's values on the box, so the
+        # forward is checked before any negation
         g = Generator("c", POSITIVE, lambda x: -math.log(x), lambda y: math.exp(-y),
-                      lambda x: -1.0 / x, "decreasing")
-        with pytest.raises(ConfigurationError, match=r"forward of generator '-1\*c\+0'"):
+                      lambda x: -1.0 / x)
+        with pytest.raises(ConfigurationError, match=r"forward of generator 'c' must be"):
             verify_stability(g, LOG, B, 2)
 
 

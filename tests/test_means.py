@@ -406,7 +406,6 @@ class TestCheckAxioms:
             forward=lambda x: np.asarray(x) ** 2,
             inverse=lambda y: np.sqrt(np.abs(y)),
             derivative=lambda x: 2.0 * np.asarray(x),
-            monotone_direction="increasing",
         )
         report = check_axioms(parabola, n=4, trials=200, rng_seed=1,
                               box=Interval(-2.0, 2.0))

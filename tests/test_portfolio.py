@@ -105,6 +105,22 @@ class TestWealthAndGeometricAverage:
         with pytest.raises(NumericError):
             wealth_path(ReturnSeries((1e300,), w0=1e10))
 
+    @pytest.mark.parametrize("returns,w0,want", [
+        ((-0.999999,) * 60, 1e300, 1.0000000017e-60),   # the product underflowed: 0.0
+        ((1e6,) * 60, 1e-300, 1.00006e60),              # it overflowed: NumericError
+        ((-0.999999,) * 60 + (1e6,) * 60, 1.0, 1.0000600035),  # it stayed at 0.0
+    ])
+    def test_a_wealth_a_float_holds_survives_its_partial_products(self, returns, w0, want):
+        got = wealth_path(ReturnSeries(returns, w0=w0))
+        exact = math.exp(math.fsum(map(math.log1p, returns)) + math.log(w0))
+        assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
+    def test_underflowing_wealth_is_numeric_error(self):
+        # it answered 0.0
+        with pytest.raises(NumericError, match="underflows the normal float range"):
+            wealth_path(ReturnSeries((-0.999999,) * 60, w0=1e-10))
+
     def test_zero_returns(self):
         s = ReturnSeries((0.0, 0.0, 0.0))
         assert wealth_path(s) == 1.0

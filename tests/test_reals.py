@@ -85,7 +85,7 @@ BOXES = [
     ("compare_edgeworth", "grid",
      lambda box: rm.compare_edgeworth(_report(), _mom(), 5, grid=box)),
     ("Generator", "domain",
-     lambda box: rm.Generator("c", box, np.log, np.exp, np.reciprocal, "increasing")),
+     lambda box: rm.Generator("c", box, np.log, np.exp, np.reciprocal)),
 ]
 
 

@@ -21,7 +21,6 @@ from regmeans import (
     affine_transform,
     blend_distances,
     mean,
-    normalize_increasing,
     parse_generator,
     theorem4_bound,
     verify_stability,
@@ -31,6 +30,11 @@ from regmeans.means import means_from_sums
 
 B = Interval(1.0, 2.0)
 TS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def _increasing(g, h, box):
+    """g and h in the increasing form the certificates read on the box."""
+    return stability._normalized_pair(g, h, box, "box")[:2]
 
 
 def _blend_means(gn, hn, t, y, box):
@@ -52,7 +56,7 @@ def _brute_force(g, h, box, n, ts, points):
     box, by the definition: each row's plain sum of g through
     means_from_sums, and each blended mean by bisection of the blend
     (_blend_means).  Rows are taken lead by lead, all of them."""
-    gn, hn = normalize_increasing(g), normalize_increasing(h)
+    gn, hn = _increasing(g, h, box)
     axis = box.grid(points)
     tails = np.array(list(itertools.combinations_with_replacement(range(points), n - 1)),
                      dtype=np.intp)
@@ -77,7 +81,7 @@ def _four_free_values(g, h, box, n, points=65):
     """sup |M_g - M_h| over rows of k_a copies of a, k_b of b, k_1 >= 1 of
     z1 and k_2 >= 1 of z2, every count split: each split's best point of a
     square grid, polished by Nelder-Mead."""
-    gn, hn = normalize_increasing(g), normalize_increasing(h)
+    gn, hn = _increasing(g, h, box)
 
     def distance(k, z1, z2):
         ka, kb, k1, k2 = k
@@ -134,7 +138,7 @@ class TestBound:
         # |g - h| = 0.1 |sin 3x| peaks at pi/2 and h' = 1 + 0.3 cos 3x dips to
         # 0.7 at pi/3, both inside the box and off any short grid of it
         h = Generator("wave", Interval(-10.0, 10.0), lambda x: x + 0.1 * np.sin(3.0 * x),
-                      None, lambda x: 1.0 + 0.3 * np.cos(3.0 * x), "increasing")
+                      None, lambda x: 1.0 + 0.3 * np.cos(3.0 * x))
         bound = theorem4_bound(parse_generator("identity"), h, B)
         assert bound == pytest.approx((1.0 + 1.0 / 0.7) * 0.1, rel=1e-7, abs=0.0)
 
@@ -164,7 +168,7 @@ class TestOneRead:
         def derivative(x):
             calls.append((spec, "derivative", np.shape(x)))
             return gen.derivative(x)
-        return Generator(spec, gen.domain, forward, gen.inverse, derivative, "increasing")
+        return Generator(spec, gen.domain, forward, gen.inverse, derivative)
 
     def test_the_bound_reads_each_generator_on_the_axis_once(self):
         calls = []
@@ -310,20 +314,78 @@ class TestBlendDistances:
         assert got[0].hex() == verify_stability(gen_g, gen_h, box, n=3).sup_mean_distance.hex()
 
 
-class TestMonotonePremise:
-    """Both certificates assume increasing generators; sin turns down at pi/2."""
+class TestNormalizedPair:
+    """The increasing form the certificates read: a generator whose values
+    fall across the box is negated, one that rises is kept as given."""
 
-    SIN = Generator("sin", Interval(-10.0, 10.0), np.sin, np.arcsin, np.cos, "increasing")
+    def test_increasing_passes_through(self):
+        g, h = parse_generator("log"), parse_generator("identity")
+        pair = stability._normalized_pair(g, h, B, "box")
+        assert pair.gn is g and pair.hn is h
+        np.testing.assert_array_equal(pair.g, np.log(pair.axis))
+
+    def test_reciprocal_flipped(self):
+        pair = stability._normalized_pair(parse_generator("reciprocal"),
+                                          parse_generator("log"), B, "box")
+        gn = pair.gn
+        assert gn.forward(2.0) == pytest.approx(-0.5)
+        assert gn.inverse(-0.5) == pytest.approx(2.0)
+        assert gn.derivative(2.0) == pytest.approx(0.25)
+        # the values read on the axis are the negated forward's, bit for bit
+        np.testing.assert_array_equal(pair.g, gn.forward(pair.axis))
+        np.testing.assert_array_equal(pair.dg, gn.derivative(pair.axis))
+
+    def test_mean_is_preserved(self):
+        raw = parse_generator("reciprocal")
+        flipped = stability._normalized_pair(raw, parse_generator("log"), B, "box").gn
+        data = (2.0, 6.0, 3.0)
+        assert mean(flipped, data) == pytest.approx(mean(raw, data), rel=1e-12)
+
+
+class TestMonotonePremise:
+    """Both certificates assume monotone generators, and read the direction
+    off the box: sin turns down at pi/2."""
+
+    SIN = Generator("sin", Interval(-10.0, 10.0), np.sin, np.arcsin, np.cos)
     BOX = Interval(0.5, 2.4)
+    POSITIVE = Interval(0.0, math.inf)
 
     def test_blend_rejects_a_generator_that_decreases(self):
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="generator 'sin' is not monotone"):
             blend_distances(self.SIN, parse_generator("identity"), self.BOX, n=2,
                             ts=(0.0, 0.5, 1.0))
 
-    def test_verify_rejects_a_generator_that_decreases(self):
-        with pytest.raises(NumericError):
-            verify_stability(parse_generator("identity"), self.SIN, self.BOX, n=2)
+    @pytest.mark.parametrize("box", [BOX, Interval(1.0, 3.0)], ids=["rises", "falls"])
+    def test_verify_rejects_a_generator_that_decreases(self, box):
+        # sin falls from 1 to 3 overall: negated, it still turns
+        with pytest.raises(NumericError, match="generator 'sin' is not monotone"):
+            verify_stability(parse_generator("identity"), self.SIN, box, n=2)
+
+    @pytest.mark.parametrize("box", [B, Interval(0.5, 3.0)])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("rec_is_g", [True, False])
+    def test_a_custom_reciprocal_is_the_built_in_bit_for_bit(self, box, n, rec_is_g):
+        # declared by no one, its direction is read off its values
+        custom = Generator("reciprocal", self.POSITIVE, lambda x: 1.0 / x, lambda y: 1.0 / y,
+                           lambda x: -1.0 / (x * x))
+        log = parse_generator("log")
+
+        def both(rec):
+            g, h = (rec, log) if rec_is_g else (log, rec)
+            return (verify_stability(g, h, box, n).as_dict(),
+                    [d.hex() for d in blend_distances(g, h, box, n, TS)])
+        assert both(custom) == both(parse_generator("reciprocal"))
+
+    def test_a_decreasing_custom_generator_is_served(self):
+        # -log x, which had to be declared "decreasing": declared
+        # "increasing", it was NumericError "is not increasing"
+        neg_log = Generator("neg_log", self.POSITIVE, lambda x: -np.log(x),
+                            lambda y: np.exp(-y), lambda x: -1.0 / x)
+        ident = parse_generator("identity")
+        want = verify_stability(parse_generator("log"), ident, B, n=3).sup_mean_distance
+        assert verify_stability(neg_log, ident, B, n=3).sup_mean_distance == want
+        assert blend_distances(neg_log, ident, B, n=3, ts=TS) == pytest.approx(
+            blend_distances(parse_generator("log"), ident, B, n=3, ts=TS), rel=1e-12)
 
 
 class TestRatioPieces:
@@ -334,7 +396,7 @@ class TestRatioPieces:
              Interval(0.1, 0.2)]
     # g = x + 0.1 sin(3x): g'/identity' = 1 + 0.3 cos(3x) turns four times on [0, 5]
     WIGGLE = Generator("wiggle", Interval(-10.0, 10.0), lambda x: x + 0.1 * np.sin(3.0 * x),
-                       None, lambda x: 1.0 + 0.3 * np.cos(3.0 * x), "increasing")
+                       None, lambda x: 1.0 + 0.3 * np.cos(3.0 * x))
 
     @pytest.mark.parametrize("pair", list(itertools.permutations(SPECS, 2)), ids="-".join)
     def test_one_piece_for_distinct_builtins_off_the_turning_point(self, pair):
@@ -540,7 +602,7 @@ def _row_family_sup(g, h, box, n, t, partner=None, points=4001):
     count split, by the definition: plain row sums through each inverse,
     blended means by _blend_means.  Each split's z is the best of a dense
     axis, then golden-section search over the cells beside it."""
-    gn, hn = normalize_increasing(g), normalize_increasing(h)
+    gn, hn = _increasing(g, h, box)
     m = n - (partner is not None)
 
     def distance(k, z):
@@ -762,7 +824,7 @@ class TestBlockedPath:
             return np.log(x)
 
         bad_log = Generator("bad_log", log.domain, forward, np.exp,
-                            lambda x: 1e6 / x, "increasing")
+                            lambda x: 1e6 / x)
         ident = parse_generator("identity")
         want = blend_distances(ident, log, B, n=3, ts=TS)
         calls.clear()
@@ -779,7 +841,7 @@ class TestOneInversion:
     # increasing, but flat on [1.4, 1.6]: as h, it makes g'/h' = g'/0 there
     FLAT = Generator("flat", Interval(-10.0, 10.0),
                      lambda x: np.where(x < 1.4, x, np.where(x <= 1.6, 1.4, x - 0.2)), None,
-                     lambda x: np.where((1.4 <= x) & (x <= 1.6), 0.0, 1.0), "increasing")
+                     lambda x: np.where((1.4 <= x) & (x <= 1.6), 0.0, 1.0))
 
     @pytest.mark.parametrize("pair, box", [(("log", "reciprocal"), B),
                                            (("power:2.0", "exp"), Interval(0.5, 3.0))])
@@ -832,8 +894,7 @@ class TestOneInversion:
         # g'/h' = 0 on the flat piece; blend_distances returned
         # [0.0, 0.19999999776482..., 0.19999999776482...]
         flat = Generator("flat", self.FLAT.domain, self.FLAT.forward,
-                         lambda y: np.where(y < 1.4, y, y + 0.2), self.FLAT.derivative,
-                         "increasing")
+                         lambda y: np.where(y < 1.4, y, y + 0.2), self.FLAT.derivative)
         ident = parse_generator("identity")
         with pytest.raises(DegenerateSlopeError, match="vanishes"):
             verify_stability(flat, ident, B, n=2)

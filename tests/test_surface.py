@@ -47,11 +47,14 @@ def test_every_public_name_is_defined_in_its_module(name):
             assert getattr(regmeans, public) is getattr(module, public), public
 
 
-@pytest.mark.parametrize("public", ["invert", "OutOfRangeError", "quantile", "isf", "_at_u"])
+@pytest.mark.parametrize("public", ["invert", "OutOfRangeError", "quantile", "isf", "_at_u",
+                                    "normalize_increasing"])
 def test_deleted_names_are_gone(public):
     # the scalar bisection no library path called, the error only it raised,
     # and the laws' checked quantile forms, which only their own tests ran:
-    # the quadrature calls each law's raw _quantile and _isf
+    # the quadrature calls each law's raw _quantile and _isf; and the
+    # negation only the certificates called, which read g's direction off
+    # the box
     modules = (regmeans, regmeans.generators, regmeans.errors, regmeans.distributions)
     for owner in (*modules, *regmeans.DistributionModel.__args__):
         assert not hasattr(owner, public)
