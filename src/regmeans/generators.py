@@ -64,7 +64,10 @@ _DEGENERATE_TOL = 1e-12
 # a Python list: the whole check took 1.6 us on 16 values against 2.7 us
 # through numpy's two reductions, whose cost hardly grows with size; the
 # list's (tolist, min, max and a sum for NaN) reaches theirs between 32 and
-# 40 values (best of 15, 2-vCPU host).
+# 40 values (best of 15, 2-vCPU host).  The same size splits math.fsum's
+# input in means._exact_sum: a list below it, the array's buffer from it on,
+# where building the list costs more than reading the floats once (the two
+# tie near 30 values; 0.96 against 0.86 us at 36, 2.4 against 1.8 at 100).
 _LIST_BELOW = 36
 
 # Smallest power-generator exponent.  The inverse y**(1/p) multiplies the

@@ -34,6 +34,22 @@ host) the p50 request went from 28.2 to 23.8 us, faster in 10 of 10; the
 errstate rule alone is 26.5 to 23.8 us of it (6 of 6 pairs), and a log mean
 of 8 values went from 8.8 to 4.8 us.
 
+The sum of g(x) is correctly rounded: math.fsum below _FSUM_BELOW values,
+and from there on Rump, Ogita and Oishi's error-free extraction
+(``_exact_sum``), which needs an upper bound of max|g(x)|.  For the
+built-in kinds that bound is read off the min and max the sample check has
+already found (``_BOUNDS``, and below 2 for the ratios of a power mean far
+from p = 0) instead of two reductions over g(x): a sum of 10**4 values went
+from 32.2 to 27.2 us.  Custom generators and a power mean near p = 0 keep
+the reductions.  fsum reads the array's buffer from _LIST_BELOW values on,
+where building a list of floats costs more than reading them once: 2.4
+against 1.8 us at 100 values; an unaligned array goes as a list, since
+memoryview cannot read numpy's export of it.  Over 10 alternating
+parent/change pairs of the benchmark's mean_requests (seeds 501-510, its
+22 s runs, 2-vCPU host) ops_per_s went from 31 440 to 34 340, higher in 10
+of 10 (parent interquartile range 800), and the p50 request from 23.7 to
+22.2 us, lower in 10 of 10 (range 0.71).
+
 Row extremes (the exp anchor, and the max and min that choose each power
 row's branch) are folded column by column on a tall matrix
 (``_row_extreme``): numpy's reduction along the last axis costs about 50 ns
@@ -65,21 +81,26 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError, NumericError
-from .generators import (Generator, Interval, _at, _real_array, _reciprocal, _require_box,
-                         _require_instance, _require_real, _times_one, _vectorized, make_builtin,
-                         require_count)
+from .generators import (_LIST_BELOW, Generator, Interval, _at, _real_array, _reciprocal,
+                         _require_box, _require_instance, _require_real, _times_one, _vectorized,
+                         make_builtin, require_count)
 
 _EPS = float(np.finfo(float).eps)
 _POSITIVE = Interval(0.0, math.inf)
 _EXP = make_builtin("exp")
 _OVERFLOW = "g(x), its sum or its mean is not finite on the sample"
+_BELOW_TWO = math.nextafter(2.0, 0.0)
 
-# Below this many values math.fsum beats the extraction passes of _exact_sum.
-# On the forward values of mean requests fsum wins under about 380 values,
-# the two tie at 380-420, and the extraction is 1.15x faster at 450-550
-# values, 1.5x at 650-800, 2.9x at 1000-2000 and 6x at 5000-10^4.  Two passes
-# empty typical data; what exponents spread over hundreds of binades leave
-# after four goes to fsum.
+# Below this many values math.fsum (through the array's buffer) beats the
+# extraction passes of _exact_sum.  Given a bound of max|v| the extraction
+# ties fsum at 300-350 values and takes 6.9-7.1 us at 400 against fsum's
+# 8.1-8.5; without one, as for custom generators, it ties near 450-500
+# (lognormal, signed normal and exp-mean values, best of 15, 2-vCPU host).
+# Moving the threshold to the bounded tie would speed under 2% of the
+# benchmark's log-uniform request sizes by about 1 us, and slow the
+# unbounded sums there, so it stays at 400.  Two passes empty typical data;
+# what exponents spread over hundreds of binades leave after four goes to
+# fsum.
 _FSUM_BELOW = 400
 _MAX_PASSES = 4
 
@@ -123,31 +144,36 @@ def _sample(x: Sequence[float] | np.ndarray, domain: Interval,
     return (arr, *domain.require_interior(arr, owner))
 
 
-def _exact_sum(v: np.ndarray) -> float:
+def _exact_sum(v: np.ndarray, bound: float | None = None) -> float:
     """math.fsum(v): the correctly rounded sum of v, the same bits and the
-    same OverflowError and ValueError, in a few vectorised passes.
+    same OverflowError and ValueError, in a few vectorised passes.  bound,
+    when given, is an upper bound of max|v|, finite only when v is: the
+    caller's, read off the min and max of the sample, saves the two
+    reductions that find max|v|.
 
     This is Rump, Ogita and Oishi's error-free extraction (Accurate
     floating-point summation I, SIAM J. Sci. Comput. 31, 2008).  With sigma
     a power of two above 2 n max|r|, q = (sigma + r) - sigma and r - q are
     exact, |r - q| <= 2**-53 sigma, and every q is a multiple of 2**-53 sigma
-    no larger than sigma / n, so np.sum(q) is exact in any order.  Each pass
-    moves about 53 - log2(2n) leading bits of every value into one exact
-    partial sum; fsum rounds the partial sums and the short remainder once.
-    Below _FSUM_BELOW values, and when v is all zeros, holds inf or NaN, or
-    sigma would overflow, fsum sums v itself.
+    no larger than sigma / n, so the sum of q is exact in any order.  Each
+    pass moves about 53 - log2(2n) leading bits of every value into one
+    exact partial sum; fsum rounds the partial sums and the short remainder
+    once.  Below _FSUM_BELOW values, and when the bound is 0, inf or NaN or
+    sigma would overflow, fsum sums v itself (_fsum).
     """
-    mu = max(v.max(), -v.min()) if v.size >= _FSUM_BELOW else 0.0
+    if v.size < _FSUM_BELOW:
+        return _fsum(v)
+    mu = max(v.max(), -v.min()) if bound is None else bound
     e = math.frexp(mu)[1]  # max|v| < 2**e
     if not 0.0 < mu < math.inf or e + (2 * v.size - 1).bit_length() > 1023:
-        return math.fsum(v.tolist())
+        return _fsum(v)
     r, parts = v, []
     while r.size >= _FSUM_BELOW and len(parts) < _MAX_PASSES:
         e += (2 * r.size - 1).bit_length()
         sigma = math.ldexp(1.0, e)
         q = r + sigma
         q -= sigma
-        parts.append(q.sum())
+        parts.append(np.add.reduce(q))
         r = r - q
         e -= 53  # now |r| <= 2**e
         if len(parts) > 1:  # after two passes few values have bits left
@@ -155,11 +181,20 @@ def _exact_sum(v: np.ndarray) -> float:
     return math.fsum(parts + r.tolist())
 
 
-def _average(gx: np.ndarray) -> float:
+def _fsum(v: np.ndarray) -> float:
+    """math.fsum(v), which reads the array's buffer from _LIST_BELOW values
+    on.  An unaligned view (a packed record field, a buffer at an odd
+    offset) goes as a list: numpy exports it in a format memoryview cannot
+    read."""
+    return math.fsum(memoryview(v) if v.size >= _LIST_BELOW and v.flags.aligned
+                     else v.tolist())
+
+
+def _average(gx: np.ndarray, bound: float | None = None) -> float:
     """The mean of gx, its sum correctly rounded (equal to math.fsum), or
-    NumericError if the sum is not finite."""
+    NumericError if the sum is not finite; bound as _exact_sum takes it."""
     try:
-        total = _exact_sum(gx)
+        total = _exact_sum(gx, bound)
     except (OverflowError, ValueError):  # fsum raises on overflow and on inf - inf
         total = math.inf
     return _finite(total) / gx.size
@@ -192,6 +227,20 @@ _QUIET = {id(fwd): (fwd, inv, lo, hi) for fwd, inv, lo, hi in (
     (_times_one, _times_one, -math.inf, math.inf), (np.log, np.exp, 1e-300, 1e300),
     (_reciprocal, _reciprocal, 1e-300, 1e300), (np.exp, np.log, -700.0, 700.0))}
 
+# An upper bound of max|g(x)| for the built-in kinds, from the ends (a, b)
+# of the forward's argument, finite only where every g(x) is: their
+# forwards are monotone.  x * 1.0 is exact, and so is the bound; 1 / a is
+# the same correctly rounded division, inf for a subnormal a, where fsum's
+# error path takes over; numpy's log may differ from math's by an ulp, which
+# the factor 1 + 2**-40 covers; an exp mean's argument x - max x is at most
+# 0, and exp of it at most 1.
+_BOUNDS = {
+    "identity": lambda a, b: max(-a, b),
+    "reciprocal": lambda a, b: 1.0 / a,
+    "log": lambda a, b: max(-math.log(a), math.log(b)) * (1.0 + 2.0 ** -40),
+    "exp": lambda a, b: 1.0,
+}
+
 
 def _kernel(g: Generator, x: np.ndarray, lo: float, hi: float) -> float:
     """M_g of a 1-D sample x with min lo and max hi, for every kind but
@@ -204,12 +253,14 @@ def _kernel(g: Generator, x: np.ndarray, lo: float, hi: float) -> float:
     fwd, inv, quiet_lo, quiet_hi = _QUIET.get(id(g.forward), (None,) * 4)
     # strict, so that an x - max x that overflows to -inf is guarded
     quiet = fwd is g.forward and inv is g.inverse and quiet_lo < a and b < quiet_hi
-    return _guarded(quiet, _forward_inverse, g, x, c)
+    bound = _BOUNDS[g.kind](a, b) if x.size >= _FSUM_BELOW and g.kind in _BOUNDS else None
+    return _guarded(quiet, _forward_inverse, g, x, c, bound)
 
 
-def _forward_inverse(g: Generator, x: np.ndarray, c: float | None) -> float:
+def _forward_inverse(g: Generator, x: np.ndarray, c: float | None,
+                     bound: float | None) -> float:
     gx = _vectorized(g.forward, x if c is None else x - c, "forward", g.name)
-    m = _finite(_at(g.inverse, _average(gx), "inverse", g.name))
+    m = _finite(_at(g.inverse, _average(gx, bound), "inverse", g.name))
     return m if c is None else c + m
 
 
@@ -356,26 +407,31 @@ def _power_sample(p: float, arr: np.ndarray, lo: float, hi: float) -> float:
     if top < 0.1:
         return _guarded(quiet, _own_kernel, logs, *_near_zero(p))
     c, log_c = (hi, log_hi) if p > 0 else (lo, log_lo)
-    r = _guarded(quiet, _far_ratio, p, logs, log_c)
+    # x**p / c**p = exp(p (log x - log c)) is at most 1 but for the ulp or
+    # two by which numpy's log x may exceed math's log c; p times that is
+    # at most 2**-51 top, so every ratio is below 2 while top < 2**50
+    bound = _BELOW_TWO if arr.size >= _FSUM_BELOW and top < 2.0 ** 50 else None
+    r = _guarded(quiet, _far_ratio, p, logs, log_c, bound)
     if abs(r) < 700.0:
         return c * float(np.exp(r))
     with np.errstate(under="ignore"):  # the mean may be subnormal
         return float(np.exp(log_c + r))
 
 
-def _own_kernel(values: np.ndarray, forward: Callable, inverse: Callable) -> float:
+def _own_kernel(values: np.ndarray, forward: Callable, inverse: Callable,
+                bound: float | None = None) -> float:
     """inverse(mean of forward(values)) for the means' own callables, which
     are called directly, the inverse on a numpy float; NumericError if a
-    step is not finite."""
-    return _finite(float(inverse(np.float64(_average(forward(values))))))
+    step is not finite.  bound, if given, bounds max|forward(values)|."""
+    return _finite(float(inverse(np.float64(_average(forward(values), bound)))))
 
 
-def _far_ratio(p: float, logs: np.ndarray, log_c: float) -> float:
+def _far_ratio(p: float, logs: np.ndarray, log_c: float, bound: float | None) -> float:
     """log(M_p / c) from logs = log x and log_c = log c, where x**p / c**p
     = exp(p * (log x - log c)) is computed in place of logs."""
     logs -= log_c
     logs *= p
-    return _own_kernel(logs, _exp_in_place, lambda y: np.log(y) / p)
+    return _own_kernel(logs, _exp_in_place, lambda y: np.log(y) / p, bound)
 
 
 def _exp_in_place(u: np.ndarray) -> np.ndarray:

@@ -37,7 +37,8 @@ _MIDDLE = 2.0 ** -_MIDDLE_EXP
 @dataclass(frozen=True)
 class ReturnSeries:
     """Period returns as unitless fractions (0.05 means +5%) plus initial
-    wealth.  Every gross return 1 + rt must be positive."""
+    wealth.  Every gross return 1 + rt must be positive, and w0 a positive
+    number a float holds; both are stored as floats."""
 
     returns: tuple
     w0: float = 1.0
@@ -50,8 +51,15 @@ class ReturnSeries:
         object.__setattr__(self, "returns", returns)
         if len(returns) == 0:
             raise ConfigurationError("return series must be nonempty")
-        if not (isinstance(self.w0, numbers.Real) and 0.0 < self.w0 < math.inf):
-            raise InvalidParameterError(f"initial wealth must be positive and finite, got {self.w0}")
+        w0 = self.w0
+        if isinstance(w0, numbers.Real):  # kept as a float
+            try:
+                w0 = float(w0)
+            except OverflowError:  # an int beyond the float range
+                w0 = math.inf if w0 > 0 else -math.inf
+        if not (type(w0) is float and 0.0 < w0 < math.inf):
+            raise InvalidParameterError(f"initial wealth must be positive and finite, got {w0}")
+        object.__setattr__(self, "w0", w0)
         for r in returns:
             if not (1.0 + r > 0.0 and math.isfinite(r)):
                 raise DomainError(f"return {r} must be finite with a positive gross return 1 + r")

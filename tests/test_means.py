@@ -1,8 +1,10 @@
 """Quasi-arithmetic means, stable variants, and the four axioms."""
 
 import decimal
+import functools
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -638,11 +640,126 @@ class TestExactSum:
         v = np.resize(np.array(base, dtype=float), n)
         assert _sum_outcome(lambda: _exact_sum(v)) == _sum_outcome(lambda: math.fsum(v.tolist()))
 
+    @given(base=st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+           n=st.integers(_FSUM_BELOW - 1, 5 * _FSUM_BELOW),
+           slack=st.one_of(st.just(1.0), st.floats(1.0, 2.0 ** 1000)))
+    @example(base=[1024.0, -3.0, 0.5], n=_FSUM_BELOW, slack=1.0)  # max|v| a power of two
+    @example(base=[-1024.0, 1e-300, 3.0], n=5 * _FSUM_BELOW, slack=1.0)
+    @example(base=[1024.0 - 2.0 ** -42, 1.0, -1e-20], n=2 * _FSUM_BELOW, slack=1.0)
+    @example(base=[_MAX, -_MAX, 1e308, -5e307, _MAX], n=2 * _FSUM_BELOW, slack=1.0)
+    @example(base=[1e300, -3e299, 1e-300], n=3 * _FSUM_BELOW, slack=1.0)
+    @example(base=[5e-324, -1e-320, 2.2250738585072014e-308, -3e-310], n=2 * _FSUM_BELOW,
+             slack=1.0)
+    @example(base=[5e-324, -1e-320], n=_FSUM_BELOW, slack=2.0 ** 1000)
+    @example(base=[0.0, -0.0], n=_FSUM_BELOW, slack=1.0)  # a bound of 0
+    @example(base=[1e16, 1.0, -1e16, -1.0, 3e-17], n=_FSUM_BELOW - 1, slack=1.0)
+    @example(base=[math.inf, 1.0], n=_FSUM_BELOW, slack=1.0)
+    def test_any_bound_of_max_abs_gives_fsums_outcome(self, base, n, slack):
+        # a bound at least max|v|, inf where v is not finite (or where the
+        # slack overflows it), gives fsum's bits or fsum's error
+        v = np.resize(np.array(base, dtype=float), n)
+        bound = float(np.abs(v).max()) * slack
+        assert _sum_outcome(lambda: _exact_sum(v, bound)) == _sum_outcome(
+            lambda: math.fsum(v.tolist()))
+
     def test_passes_leave_the_input_alone(self):
         v = np.random.default_rng(3).normal(0.0, 1.0, 4 * _FSUM_BELOW)
         before = v.copy()
         _exact_sum(v)
+        _exact_sum(v, 4.0 * float(np.abs(v).max()))
         assert np.array_equal(v, before)
+
+
+def _mean_outcome(f, x):
+    """f(x)'s bits, or its error's class and message."""
+    try:
+        return f(x).hex()
+    except RegularMeanError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# every path that passes _exact_sum a bound of max|g(x)|
+_BOUNDED_PATHS = {
+    **{spec: functools.partial(mean, parse_generator(spec))
+       for spec in ("identity", "log", "reciprocal", "exp", "power:0.5", "power:2")},
+    "exp_mean_stable": exp_mean_stable,
+    **{f"power_mean:{p}": functools.partial(power_mean, p) for p in (-2.0, 0.5, 2.0)},
+}
+
+
+@pytest.mark.parametrize("path", sorted(_BOUNDED_PATHS))
+@given(n=st.integers(_FSUM_BELOW, 3 * _FSUM_BELOW), seed=st.integers(0, 2 ** 32),
+       low=st.floats(-744.0, 709.0), span=st.floats(0.0, 1453.0), signed=st.booleans())
+@example(n=_FSUM_BELOW, seed=1, low=-744.0, span=5.0, signed=False)  # 1 / x is inf
+@example(n=2 * _FSUM_BELOW, seed=2, low=-744.0, span=1453.0, signed=True)
+@example(n=_FSUM_BELOW, seed=3, low=700.0, span=9.0, signed=True)
+@example(n=_FSUM_BELOW, seed=4, low=0.0, span=0.0, signed=False)  # every x is 1
+def test_the_bound_holds_and_the_mean_is_fsums(path, n, seed, low, span, signed):
+    # a spy on _exact_sum: every bound given is at least max|v|, and inf
+    # when v holds an inf; the mean has the bits (or the error) of one
+    # whose sum is math.fsum's
+    rng = np.random.default_rng(seed)
+    x = np.exp(rng.uniform(low, min(low + span, 709.0), n))
+    if signed and not path.startswith(("log", "reciprocal", "power")):
+        x *= rng.choice([-1.0, 1.0], n)
+    bounds, exact_sum = [], means._exact_sum
+
+    def spy(v, bound=None):
+        if bound is not None:
+            bounds.append(bound)
+            assert bound >= np.abs(v).max(), (bound, np.abs(v).max())
+            assert math.isfinite(bound) or not np.isfinite(v).all()
+        return exact_sum(v, bound)
+
+    f = _BOUNDED_PATHS[path]
+    with mock.patch.object(means, "_exact_sum", spy):
+        got = _mean_outcome(f, x)
+    with mock.patch.object(means, "_exact_sum", lambda v, bound=None: math.fsum(v.tolist())):
+        assert got == _mean_outcome(f, x)
+    p = float(path.rsplit(":", 1)[1]) if path.startswith("power") else 0.0
+    # all but a power mean near p = 0, by the rule _power_sample applies
+    if not p or abs(p) * max(-math.log(x.min()), math.log(x.max())) >= 0.1:
+        assert bounds
+
+
+def _strided(y):
+    return np.repeat(y, 2)[::2]
+
+
+def _unaligned(y):
+    # a float view at an odd byte offset, which numpy exports as "=d"
+    out = np.empty(8 * y.size + 1, np.uint8)[1:].view(float)
+    out[:] = y
+    return out
+
+
+@pytest.mark.parametrize("layout, flag", [(_strided, "c_contiguous"), (_unaligned, "aligned")])
+def test_a_strided_forward_is_summed_as_fsum_sums_it(layout, flag, monkeypatch):
+    # a custom forward's values that are a view with a stride, or not
+    # aligned, summed through the array's buffer or its list below
+    # _FSUM_BELOW values and by the extraction above
+    g = Generator("view", Interval(-math.inf, math.inf), lambda x: layout(x * 3.0),
+                  lambda y: y / 3.0, lambda x: np.full_like(x, 3.0))
+    views, exact_sum = [], means._exact_sum
+
+    def spy(v, bound=None):
+        views.append(not getattr(v.flags, flag))
+        return exact_sum(v, bound)
+
+    x = np.random.default_rng(8).normal(0.0, 1e3, 5 * _FSUM_BELOW // 4)
+    monkeypatch.setattr(means, "_exact_sum", spy)
+    got = [mean(g, x[:n]) for n in (50, 500)]
+    assert views == [True, True]
+    monkeypatch.setattr(means, "_exact_sum", lambda v, bound=None: math.fsum(v.tolist()))
+    assert [m.hex() for m in got] == [mean(g, x[:n]).hex() for n in (50, 500)]
+
+
+@pytest.mark.parametrize("layout", [_strided, _unaligned])
+@pytest.mark.parametrize("n, bound", [(50, None), (500, 0.0), (500, math.inf)])
+def test_a_view_on_the_fsum_paths_is_summed_as_fsum_sums_it(layout, n, bound):
+    # below _FSUM_BELOW values, and on the fallback a bound of 0 or inf takes
+    v = layout(np.random.default_rng(9).normal(0.0, 1e3, n))
+    assert _exact_sum(v, bound).hex() == math.fsum(v.tolist()).hex()
 
 
 @pytest.mark.parametrize("spec", ["identity", "log", "reciprocal", "power:0.5", "power:2", "exp"])
@@ -651,5 +768,5 @@ def test_large_mean_is_bit_identical_to_the_fsum_mean(spec, monkeypatch):
     rng = np.random.default_rng(11)
     x = rng.lognormal(0.0, 0.75, 10**4) if g.domain.lo == 0.0 else rng.normal(0.0, 2.0, 10**4)
     got = mean(g, x)
-    monkeypatch.setattr(means, "_exact_sum", lambda v: math.fsum(v.tolist()))
+    monkeypatch.setattr(means, "_exact_sum", lambda v, bound=None: math.fsum(v.tolist()))
     assert got.hex() == mean(g, x).hex()

@@ -69,6 +69,18 @@ class TestReturnSeries:
         with pytest.raises(InvalidParameterError):
             ReturnSeries((0.1,), w0=w0)
 
+    @pytest.mark.parametrize("w0", [10**400, -10**400], ids=["above", "below"])
+    def test_initial_wealth_beyond_the_float_range_rejected(self, w0):
+        # 10**400 was accepted, and wealth_path raised a bare OverflowError
+        with pytest.raises(InvalidParameterError,
+                           match="initial wealth must be positive and finite"):
+            wealth_path(ReturnSeries((0.1,), w0=w0))
+
+    def test_initial_wealth_is_kept_as_a_float(self):
+        s = ReturnSeries((0.1,), w0=3)
+        assert type(s.w0) is float and s.w0 == 3.0
+        assert wealth_path(s) == 3.0 * 1.1
+
     def test_plain_sequences_accepted_by_functions(self):
         assert wealth_path([0.1, -0.1]) == pytest.approx(0.99, rel=1e-14)
 
